@@ -7,10 +7,10 @@
 // Emits google-benchmark-style JSON lines to $PINOCCHIO_BENCH_JSON —
 // "BM_QueryFamily/TOPK", "BM_QueryFamily/SKYLINE" and
 // "BM_QueryFamily/DIVERSE" — which scripts/check_bench_regression.py
-// gates in CI against bench/baselines/query-baseline.jsonl. Exits
-// nonzero if a parallel family run diverges from its sequential
-// counterpart: the engine's contract is bit-identity at every thread
-// count.
+// gates in CI against bench/baselines/query-baseline.jsonl. The timed
+// runs use a thread budget of 1; exits nonzero if a run at the hardware
+// budget diverges from it: the engine's contract is bit-identity at every
+// thread budget.
 
 #include <algorithm>
 #include <cstdlib>
@@ -23,7 +23,6 @@
 #include "bench_common.h"
 #include "core/query_engine.h"
 #include "geo/point.h"
-#include "parallel/parallel_query.h"
 #include "util/stopwatch.h"
 
 namespace pinocchio {
@@ -87,14 +86,13 @@ void Main() {
     diverse = query::SelectDiversified(prepared, kDiverseK, min_separation);
   });
 
-  // Self-check: the parallel paths must reproduce the sequential results
+  // Self-check: the hardware budget must reproduce the budget-1 results
   // bit for bit (members, selection, and every counter the server
   // surfaces). A divergence here is a correctness bug, not a perf issue.
   const query::SkylineResult skyline_par =
-      query::SolveSkylineParallel(prepared, cost, hardware);
+      query::SolveSkyline(prepared, cost, hardware);
   const query::DiversifiedResult diverse_par =
-      query::SelectDiversifiedParallel(prepared, kDiverseK, min_separation,
-                                       hardware);
+      query::SelectDiversified(prepared, kDiverseK, min_separation, hardware);
   bool agree = skyline_par.bound_skipped == skyline.bound_skipped &&
                skyline_par.members.size() == skyline.members.size() &&
                diverse_par.selected == diverse.selected &&
@@ -140,8 +138,8 @@ void Main() {
   }
 
   if (!agree) {
-    std::cerr << "[query_families] RESULT MISMATCH: a parallel family "
-                 "diverged from its sequential counterpart\n";
+    std::cerr << "[query_families] RESULT MISMATCH: the hardware budget "
+                 "diverged from the budget-1 result\n";
     std::exit(1);
   }
 }

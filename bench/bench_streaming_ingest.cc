@@ -1,9 +1,8 @@
 // Streaming ingestion benchmark: steady-state observation throughput of
 // the delta-maintained sliding window (IncrementalPrimeLS::AppendPosition
-// / ExpireOldestPosition) against the legacy remove-and-re-add SyncObject
-// path, on an identical observation stream.
+// / ExpireOldestPosition).
 //
-// The delta engine fills a window of W positions (W = 1M at
+// The engine fills a window of W positions (W = 1M at
 // PINOCCHIO_BENCH_SCALE=1.0), then ingests a timed steady-state slice in
 // which every observation also expires the oldest one on average. The
 // slice additionally records per-observation latencies, whose p99 is
@@ -12,22 +11,13 @@
 // are O(1) against the maintained order, so ingest latency IS the
 // staleness).
 //
-// Rebuild throughput is measured on a smaller calibration window with
-// the SAME per-object position density and candidate count — the two
-// quantities its per-observation cost actually scales with (SyncObject
-// removes and re-adds one object's position set; the total window size
-// only enters through cache pressure, which favours the smaller run).
-// The reported speedup is therefore conservative for the full window.
-// A delta twin ingests the identical calibration stream so the two
-// maintenance modes can be compared state-for-state at the end.
-//
 // Emits google-benchmark-style JSON lines to $PINOCCHIO_BENCH_JSON —
-// "BM_StreamIngest/delta", "BM_StreamIngest/rebuild" and
-// "BM_StreamIngest/fill" — which scripts/check_bench_regression.py gates
-// in CI against bench/baselines/streaming-baseline.jsonl. Exits nonzero
-// if the two maintenance modes disagree on any influence counter, the
-// optimum, or the live-position count after the shared stream: the
-// modes' contract is exact equality at every step.
+// "BM_StreamIngest/delta" and "BM_StreamIngest/fill" — which
+// scripts/check_bench_regression.py gates in CI against
+// bench/baselines/streaming-baseline.jsonl. Exits nonzero if the final
+// window disagrees with a from-scratch PinocchioSolver over a
+// PreparedInstance of the live positions on any influence counter, the
+// best influence, or the live object/position counts.
 
 #include <algorithm>
 #include <cstdint>
@@ -35,9 +25,12 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/pinocchio_solver.h"
+#include "core/prepared_instance.h"
 #include "core/streaming.h"
 #include "geo/point.h"
 #include "util/quantile.h"
@@ -50,8 +43,7 @@ namespace {
 
 /// Window size in positions at PINOCCHIO_BENCH_SCALE=1.0.
 constexpr size_t kWindowPositionsFullScale = 1'000'000;
-/// Mean in-window positions per object — the quantity the rebuild path's
-/// per-observation cost scales with.
+/// Mean in-window positions per object.
 constexpr size_t kPositionsPerObject = 128;
 /// Simulated inter-observation gap; the window spans W observations.
 constexpr double kObservationGapSeconds = 1e-3;
@@ -62,8 +54,8 @@ struct TimedObservation {
   Point position;
 };
 
-/// One shared stream for both engines: objects random-walk inside the
-/// candidate bounding box, observation times advance on a fixed grid.
+/// Objects random-walk inside the candidate bounding box; observation
+/// times advance on a fixed grid.
 std::vector<TimedObservation> MakeStream(const ProblemInstance& instance,
                                          size_t count, size_t num_objects,
                                          uint64_t seed) {
@@ -141,17 +133,37 @@ IngestResult RunIngest(StreamingPrimeLS& engine,
   return result;
 }
 
-/// The two modes must agree exactly after the shared stream; any
-/// divergence is a correctness bug in the delta maintenance.
-bool EnginesAgree(const StreamingPrimeLS& delta,
-                  const StreamingPrimeLS& rebuild, size_t num_candidates) {
-  if (delta.NumLivePositions() != rebuild.NumLivePositions() ||
-      delta.NumLiveObjects() != rebuild.NumLiveObjects() ||
-      delta.Best() != rebuild.Best()) {
+/// The engine's window must equal a batch solve of its live positions —
+/// the observations with time >= now - window_seconds (the closed window of
+/// streaming.h) — re-prepared from scratch. Any divergence is a bug in the
+/// delta maintenance.
+bool MatchesBatchSolve(const StreamingPrimeLS& engine,
+                       const std::vector<TimedObservation>& stream,
+                       const ProblemInstance& instance,
+                       const StreamingPrimeLS::Options& options) {
+  const double horizon = engine.now() - options.window_seconds;
+  std::map<uint32_t, std::vector<Point>> live;
+  size_t live_positions = 0;
+  for (const TimedObservation& o : stream) {
+    if (o.time < horizon) continue;
+    live[o.object_id].push_back(o.position);
+    ++live_positions;
+  }
+  ProblemInstance window;
+  window.candidates = instance.candidates;
+  for (auto& [id, positions] : live) {
+    window.objects.push_back({id, std::move(positions)});
+  }
+  const SolverResult batch =
+      PinocchioSolver().Solve(PreparedInstance(window, options.config));
+  if (engine.NumLivePositions() != live_positions ||
+      engine.NumLiveObjects() != window.objects.size() ||
+      engine.Best().value_or(std::pair<size_t, int64_t>{0, 0}).second !=
+          batch.best_influence) {
     return false;
   }
-  for (size_t j = 0; j < num_candidates; ++j) {
-    if (delta.InfluenceOf(j) != rebuild.InfluenceOf(j)) return false;
+  for (size_t j = 0; j < window.candidates.size(); ++j) {
+    if (engine.InfluenceOf(j) != batch.influence[j]) return false;
   }
   return true;
 }
@@ -166,49 +178,27 @@ int Main() {
   const size_t steady = std::min<size_t>(20'000, window_positions / 4);
   const size_t num_objects =
       std::max<size_t>(64, window_positions / kPositionsPerObject);
-  // Calibration window for the rebuild path: same density, fewer objects.
-  const size_t cal_window = std::min<size_t>(window_positions, 20'000);
-  const size_t cal_steady = std::min<size_t>(5'000, cal_window / 4);
-  const size_t cal_objects = std::max<size_t>(64, cal_window / kPositionsPerObject);
 
   const CheckinDataset dataset = MakeGowalla(ctx);
   const size_t m = ScaledCandidates(ctx, kDefaultCandidates);
   const ProblemInstance instance = MakeInstance(dataset, m, ctx.seed);
   const std::vector<TimedObservation> stream = MakeStream(
       instance, window_positions + steady, num_objects, ctx.seed + 1);
-  const std::vector<TimedObservation> cal_stream =
-      MakeStream(instance, cal_window + cal_steady, cal_objects, ctx.seed + 2);
 
   StreamingPrimeLS::Options options;
   options.config = DefaultConfig();
   options.window_seconds =
       static_cast<double>(window_positions) * kObservationGapSeconds;
 
-  options.maintenance = StreamingPrimeLS::Maintenance::kDelta;
   StreamingPrimeLS delta(instance.candidates, options);
   const IngestResult delta_run =
       RunIngest(delta, stream, window_positions, /*track_lag=*/true);
 
-  StreamingPrimeLS::Options cal_options = options;
-  cal_options.window_seconds =
-      static_cast<double>(cal_window) * kObservationGapSeconds;
-  cal_options.maintenance = StreamingPrimeLS::Maintenance::kRebuild;
-  StreamingPrimeLS rebuild(instance.candidates, cal_options);
-  const IngestResult rebuild_run =
-      RunIngest(rebuild, cal_stream, cal_window, /*track_lag=*/false);
-  cal_options.maintenance = StreamingPrimeLS::Maintenance::kDelta;
-  StreamingPrimeLS delta_twin(instance.candidates, cal_options);
-  RunIngest(delta_twin, cal_stream, cal_window, /*track_lag=*/false);
-
   const double delta_pps =
       static_cast<double>(steady) / delta_run.steady_seconds;
-  const double rebuild_pps =
-      static_cast<double>(cal_steady) / rebuild_run.steady_seconds;
   const double fill_pps =
       static_cast<double>(window_positions) / delta_run.fill_seconds;
-  const double speedup = delta_pps / rebuild_pps;
-  const bool agree =
-      EnginesAgree(delta_twin, rebuild, instance.candidates.size());
+  const bool agree = MatchesBatchSolve(delta, stream, instance, options);
 
   TablePrinter table(
       "Streaming ingest (Gowalla candidates, " +
@@ -219,15 +209,11 @@ int Main() {
                 std::to_string(static_cast<uint64_t>(delta_pps)),
                 FormatSeconds(delta_run.best_lag_p99_seconds),
                 agree ? "yes" : "NO"});
-  table.AddRow({"rebuild (steady, " + std::to_string(cal_window) + "-pos cal)",
-                FormatSeconds(rebuild_run.steady_seconds),
-                std::to_string(static_cast<uint64_t>(rebuild_pps)), "-",
-                agree ? "yes" : "NO"});
   table.AddRow({"delta (fill)", FormatSeconds(delta_run.fill_seconds),
                 std::to_string(static_cast<uint64_t>(fill_pps)), "-", "-"});
   table.Print(std::cout);
-  std::cout << "  delta speedup over rebuild: " << speedup << "x ("
-            << delta_run.best_changes << " best changes in the steady slice)\n";
+  std::cout << "  " << delta_run.best_changes
+            << " best changes in the steady slice\n";
 
   const char* json_path = std::getenv("PINOCCHIO_BENCH_JSON");
   if (json_path != nullptr && *json_path != '\0') {
@@ -241,11 +227,7 @@ int Main() {
            << ", \"positions_per_sec\": " << delta_pps
            << ", \"best_lag_p99_seconds\": " << delta_run.best_lag_p99_seconds
            << ", \"best_changes\": " << delta_run.best_changes
-           << ", \"window_positions\": " << window_positions
-           << ", \"speedup_vs_rebuild\": " << speedup << "}\n";
-      json << "{\"name\": \"BM_StreamIngest/rebuild\", \"seconds\": "
-           << rebuild_run.steady_seconds
-           << ", \"positions_per_sec\": " << rebuild_pps << "}\n";
+           << ", \"window_positions\": " << window_positions << "}\n";
       json << "{\"name\": \"BM_StreamIngest/fill\", \"seconds\": "
            << delta_run.fill_seconds
            << ", \"positions_per_sec\": " << fill_pps << "}\n";
@@ -253,8 +235,8 @@ int Main() {
   }
 
   if (!agree) {
-    std::cerr << "[bench] FATAL: delta and rebuild maintenance disagree "
-                 "after an identical stream\n";
+    std::cerr << "[bench] FATAL: the streamed window disagrees with a "
+                 "batch solve of its live positions\n";
     return 1;
   }
   return 0;

@@ -173,33 +173,9 @@ class ApproxTopKPolicy {
 
 }  // namespace
 
-void SolveApproxTopKOnBrackets(const PreparedInstance& prepared,
-                               const InfluenceKernel& kernel,
-                               const SketchParams& params, size_t k,
-                               std::span<const uint32_t> order,
-                               query::CandidateBrackets* brackets,
-                               ApproxTopKResult* result) {
-  const InfluenceSketch sketch(params);
-  result->sample_budget = sketch.sample_budget();
-
-  // The Hoeffding width never exceeds 2 eps |set| <= this cap, so the cap
-  // only guards degenerate roundings; estimates stay within
-  // eps * num_objects of the exact influence whenever the bracket holds.
-  const auto width_cap = static_cast<int64_t>(
-      2.0 * params.epsilon * static_cast<double>(prepared.num_objects()));
-
-  ApproxTopKPolicy policy(std::min(k, order.size()), prepared, kernel, sketch,
-                          width_cap, brackets, result);
-  const auto verification_set = [&](uint32_t j) -> std::span<const uint32_t> {
-    return policy.PrepareSample(j);
-  };
-  query::EvaluateBoundOrdered(prepared, kernel, order, verification_set,
-                              &result->stats, policy);
-  result->entries = policy.TakeEntries(k);
-}
-
 ApproxTopKResult SolveApproxTopK(const PreparedInstance& prepared, size_t k,
-                                 const SketchParams& params) {
+                                 const SketchParams& params,
+                                 size_t num_threads) {
   PINO_CHECK_GT(k, 0u);
   Stopwatch watch;
   ApproxTopKResult result;
@@ -209,11 +185,28 @@ ApproxTopKResult SolveApproxTopK(const PreparedInstance& prepared, size_t k,
   }
 
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const MorselScheduler scheduler(num_threads);
   query::CandidateBrackets brackets = query::BuildCandidateBrackets(
-      prepared, kernel, /*use_pruning=*/true, &result.stats);
-  const std::vector<uint32_t> order = query::BoundDominationOrder(brackets);
-  SolveApproxTopKOnBrackets(prepared, kernel, params, k, order, &brackets,
-                            &result);
+      prepared, kernel, /*use_pruning=*/true, &result.stats, scheduler);
+  const std::vector<uint32_t> order =
+      query::BoundDominationOrder(brackets, scheduler);
+
+  const InfluenceSketch sketch(params);
+  result.sample_budget = sketch.sample_budget();
+  // The Hoeffding width never exceeds 2 eps |set| <= this cap, so the cap
+  // only guards degenerate roundings; estimates stay within
+  // eps * num_objects of the exact influence whenever the bracket holds.
+  const auto width_cap = static_cast<int64_t>(
+      2.0 * params.epsilon * static_cast<double>(prepared.num_objects()));
+
+  ApproxTopKPolicy policy(std::min(k, order.size()), prepared, kernel, sketch,
+                          width_cap, &brackets, &result);
+  const auto verification_set = [&](uint32_t j) -> std::span<const uint32_t> {
+    return policy.PrepareSample(j);
+  };
+  query::EvaluateBoundOrdered(prepared, kernel, order, verification_set,
+                              &result.stats, policy);
+  result.entries = policy.TakeEntries(k);
   internal::FinishSolveTiming(&result.stats, watch.ElapsedSeconds());
   return result;
 }

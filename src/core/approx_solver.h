@@ -29,11 +29,9 @@
 // answers.
 //
 // Determinism: samples are pure in (seed, candidate index), the prune
-// phase's verification sets are byte-identical across thread counts, and
-// the evaluation walk is sequential — so results are bit-identical across
-// thread counts. parallel::query::SolveApproxTopKParallel only moves the
-// prune and order phases onto the morsel engine and reuses
-// SolveApproxTopKOnBrackets verbatim.
+// phase's verification sets and the bound order are byte-identical at
+// every thread budget, and the evaluation walk is sequential — so results,
+// certified brackets included, are bit-identical at every budget.
 
 #ifndef PINOCCHIO_CORE_APPROX_SOLVER_H_
 #define PINOCCHIO_CORE_APPROX_SOLVER_H_
@@ -79,20 +77,11 @@ struct ApproxTopKResult {
 };
 
 /// Approximate top-k over a prepared instance at the sketch's (eps, delta).
+/// `num_threads` is the budget of the prune and order phases (0 = hardware
+/// concurrency); the evaluation walk runs on the calling thread.
 ApproxTopKResult SolveApproxTopK(const PreparedInstance& prepared, size_t k,
-                                 const SketchParams& params);
-
-/// The evaluation phase against brackets and an order built elsewhere (the
-/// parallel path builds both with the morsel engine and reuses this
-/// verbatim — results are bit-identical by construction). Consumes the
-/// brackets; fills entries, sketch counters and the validation counters of
-/// `result->stats`. Timing is the caller's job.
-void SolveApproxTopKOnBrackets(const PreparedInstance& prepared,
-                               const InfluenceKernel& kernel,
-                               const SketchParams& params, size_t k,
-                               std::span<const uint32_t> order,
-                               query::CandidateBrackets* brackets,
-                               ApproxTopKResult* result);
+                                 const SketchParams& params,
+                                 size_t num_threads = 1);
 
 }  // namespace pinocchio
 

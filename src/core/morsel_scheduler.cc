@@ -1,4 +1,4 @@
-#include "parallel/morsel_scheduler.h"
+#include "core/morsel_scheduler.h"
 
 #include <algorithm>
 #include <atomic>
@@ -120,6 +120,13 @@ std::vector<Morsel> PlanMorsels(const ObjectStore& store,
     counts.push_back(rec.position_count);
   }
   return PlanMorsels(counts, options);
+}
+
+std::vector<Morsel> PlanRecordMorsels(const ObjectStore& store,
+                                      const MorselScheduler& scheduler) {
+  MorselPlanOptions plan;
+  plan.min_morsels = scheduler.num_threads() * kMorselsPerWorker;
+  return PlanMorsels(store, plan);
 }
 
 std::vector<Morsel> PlanUniformMorsels(size_t count, size_t target_items,

@@ -1,9 +1,9 @@
 // Morsel-driven work-stealing execution over record ranges.
 //
-// The parallel solvers used to split the object store into num_threads
-// contiguous slices; one slice with a few position-rich objects then
-// dominated the wall clock while every other worker idled. This scheduler
-// replaces the slices with *morsels*: small [first_record, last_record)
+// Splitting the object store into num_threads contiguous slices lets one
+// slice with a few position-rich objects dominate the wall clock while
+// every other worker idles. This scheduler deals *morsels* instead: small
+// [first_record, last_record)
 // ranges sized by position count (validation cost is linear in positions,
 // not records), dealt to per-worker deques and work-stolen when a worker
 // drains its own share.
@@ -24,8 +24,8 @@
 // one Run(), so the CAS loop is ABA-free, and each morsel index is claimed
 // exactly once.
 
-#ifndef PINOCCHIO_PARALLEL_MORSEL_SCHEDULER_H_
-#define PINOCCHIO_PARALLEL_MORSEL_SCHEDULER_H_
+#ifndef PINOCCHIO_CORE_MORSEL_SCHEDULER_H_
+#define PINOCCHIO_CORE_MORSEL_SCHEDULER_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -69,9 +69,9 @@ std::vector<Morsel> PlanMorsels(std::span<const uint32_t> position_counts,
 std::vector<Morsel> PlanMorsels(const ObjectStore& store,
                                 const MorselPlanOptions& options = {});
 
-/// Equal-width morsels over `count` items of uniform cost (the NA solver's
-/// candidate ranges): ceil(count / target_items) morsels, at least
-/// min_morsels when count allows.
+/// Equal-width morsels over `count` items of uniform cost (the candidate
+/// shards of BoundDominationOrder): ceil(count / target_items) morsels, at
+/// least min_morsels when count allows.
 std::vector<Morsel> PlanUniformMorsels(size_t count, size_t target_items,
                                        size_t min_morsels = 1);
 
@@ -116,6 +116,16 @@ class MorselScheduler {
   size_t num_threads_;
 };
 
+/// Morsels dealt per worker by PlanRecordMorsels; more than one so drained
+/// workers find work to steal.
+inline constexpr size_t kMorselsPerWorker = 4;
+
+/// PlanMorsels over the store's records with at least kMorselsPerWorker
+/// morsels per worker of `scheduler` — the record plan every prune phase
+/// runs on.
+std::vector<Morsel> PlanRecordMorsels(const ObjectStore& store,
+                                      const MorselScheduler& scheduler);
+
 }  // namespace pinocchio
 
-#endif  // PINOCCHIO_PARALLEL_MORSEL_SCHEDULER_H_
+#endif  // PINOCCHIO_CORE_MORSEL_SCHEDULER_H_

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/morsel_scheduler.h"
 #include "core/prepared_instance.h"
 #include "core/query_engine.h"
 #include "prob/influence_kernel.h"
@@ -10,21 +11,14 @@
 
 namespace pinocchio {
 
-namespace vo_internal {
+PinocchioVOSolver::PinocchioVOSolver(bool use_pruning, size_t num_threads)
+    : use_pruning_(use_pruning),
+      num_threads_(MorselScheduler(num_threads).num_threads()) {}
 
-void ValidateBoundOrdered(
-    const PreparedInstance& prepared, const InfluenceKernel& kernel,
-    std::span<const uint32_t> order,
-    FunctionRef<std::span<const uint32_t>(uint32_t)> verification_set,
-    size_t top_k, std::vector<int64_t>* min_inf, std::vector<int64_t>* max_inf,
-    SolverResult* result) {
-  query::TopKCutoffPolicy policy(std::min(top_k, order.size()), min_inf,
-                                 max_inf);
-  query::EvaluateBoundOrdered(prepared, kernel, order, verification_set,
-                              &result->stats, policy);
+std::string PinocchioVOSolver::Name() const {
+  return internal::BudgetedName(use_pruning_ ? "PIN-VO" : "PIN-VO*",
+                                num_threads_);
 }
-
-}  // namespace vo_internal
 
 SolverResult PinocchioVOSolver::Solve(const PreparedInstance& prepared) const {
   const SolverConfig& config = prepared.config();
@@ -40,25 +34,29 @@ SolverResult PinocchioVOSolver::Solve(const PreparedInstance& prepared) const {
   }
 
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const MorselScheduler scheduler(num_threads_);
 
   // Prune phase: IA certificates as lower bounds, CSR verification sets,
   // maxInf = minInf + |VS| (query_engine.h documents the invariants; VO*
   // skips the phase and starts every candidate at [0, r]).
-  query::CandidateBrackets brackets =
-      query::BuildCandidateBrackets(prepared, kernel, use_pruning_,
-                                    &result.stats);
+  query::CandidateBrackets brackets = query::BuildCandidateBrackets(
+      prepared, kernel, use_pruning_, &result.stats, scheduler);
 
   // Max-heap over candidates ordered by maxInf, then minInf (Algorithm 3
   // line 13); realised as a sorted order since bounds of waiting candidates
   // do not change once the prune phase is over.
-  const std::vector<uint32_t> order = query::BoundDominationOrder(brackets);
+  const std::vector<uint32_t> order =
+      query::BoundDominationOrder(brackets, scheduler);
 
+  // Validation (Algorithm 3 lines 13-27): Strategy-1 cut-offs at the k-th
+  // best validated lower bound, Strategy-2 early exits in the kernel.
+  query::TopKCutoffPolicy policy(std::min(config.top_k, order.size()),
+                                 &brackets.min_inf, &brackets.max_inf);
   const auto verification_set = [&](uint32_t j) -> std::span<const uint32_t> {
     return brackets.VerificationSet(j);
   };
-  vo_internal::ValidateBoundOrdered(prepared, kernel, order, verification_set,
-                                    config.top_k, &brackets.min_inf,
-                                    &brackets.max_inf, &result);
+  query::EvaluateBoundOrdered(prepared, kernel, order, verification_set,
+                              &result.stats, policy);
 
   // minInf is exact for every fully validated candidate and a valid lower
   // bound for the rest; by construction the k best exact values dominate

@@ -8,16 +8,11 @@
 #ifndef PINOCCHIO_CORE_PINOCCHIO_VO_SOLVER_H_
 #define PINOCCHIO_CORE_PINOCCHIO_VO_SOLVER_H_
 
-#include <span>
-#include <vector>
+#include <cstddef>
 
-#include "core/prune_pipeline.h"
-#include "core/query_engine.h"
 #include "core/solver.h"
 
 namespace pinocchio {
-
-class InfluenceKernel;
 
 /// PINOCCHIO-VO solver (paper Algorithm 3).
 ///
@@ -27,58 +22,41 @@ class InfluenceKernel;
 /// bound as the cut-off). Influences of candidates eliminated by Strategy 1
 /// are reported as the lower bounds known at elimination time, with
 /// `influence_exact == false`.
+///
+/// Thread budget (`num_threads`, 0 = hardware concurrency): the prune phase
+/// runs over record morsels and the bound order over per-worker shards
+/// (query_engine.h); the cut-off-driven validation walk is order-dependent
+/// by design — the cut-off after candidate i gates candidate i+1 — and runs
+/// on the calling thread. Results and every stats counter are bit-identical
+/// at every budget.
 class PinocchioVOSolver : public Solver {
  public:
-  /// `use_pruning == false` gives PINOCCHIO-VO*: every candidate starts with
-  /// bounds [0, r] and every object in its verification set.
-  explicit PinocchioVOSolver(bool use_pruning = true)
-      : use_pruning_(use_pruning) {}
+  explicit PinocchioVOSolver(size_t num_threads = 1)
+      : PinocchioVOSolver(/*use_pruning=*/true, num_threads) {}
 
-  std::string Name() const override {
-    return use_pruning_ ? "PIN-VO" : "PIN-VO*";
-  }
+  /// "PIN-VO" / "PIN-VO*", with "-P<n>" appended for a budget of n > 1.
+  std::string Name() const override;
 
   using Solver::Solve;
   SolverResult Solve(const PreparedInstance& prepared) const override;
 
+ protected:
+  /// `use_pruning == false` gives PINOCCHIO-VO*: every candidate starts with
+  /// bounds [0, r] and every object in its verification set.
+  PinocchioVOSolver(bool use_pruning, size_t num_threads);
+
  private:
   bool use_pruning_;
+  size_t num_threads_;
 };
 
-/// Convenience alias type for the no-pruning ablation.
+/// PINOCCHIO-VO*: the no-pruning ablation.
 class PinocchioVOStarSolver : public PinocchioVOSolver {
  public:
-  PinocchioVOStarSolver() : PinocchioVOSolver(false) {}
+  explicit PinocchioVOStarSolver(size_t num_threads = 1)
+      : PinocchioVOSolver(/*use_pruning=*/false, num_threads) {}
 };
 
-// Pieces of Algorithm 3 shared between the sequential solver above and the
-// morsel-parallel ParallelPinocchioVOSolver (src/parallel/). The cut-off
-// tracker and the ordering predicate moved into the generic query engine
-// (core/query_engine.h) — the aliases below keep the historical
-// vo_internal:: spellings working for the parallel solver and the tests.
-namespace vo_internal {
-
-using query::CutoffTracker;
-using query::OrderBefore;
-
-/// The bound-ordered validation phase (Algorithm 3 lines 13-27): walks
-/// `order`, validates each candidate's verification set with Strategy 1
-/// cut-offs and Strategy 2 early exits, tightening min_inf/max_inf in
-/// place and filling the heap_pops / strategy1_cutoffs / pairs_validated /
-/// positions_scanned / early_stops counters of `result->stats`. This is
-/// query::EvaluateBoundOrdered under the exact top-k cut-off policy
-/// (query::TopKCutoffPolicy) with capacity min(top_k, |order|); this phase
-/// is inherently sequential — the cut-off after candidate i gates the work
-/// spent on candidate i+1 — which is why the parallel solver reuses it
-/// verbatim after its parallel prune and order phases.
-void ValidateBoundOrdered(
-    const PreparedInstance& prepared, const InfluenceKernel& kernel,
-    std::span<const uint32_t> order,
-    FunctionRef<std::span<const uint32_t>(uint32_t)> verification_set,
-    size_t top_k, std::vector<int64_t>* min_inf, std::vector<int64_t>* max_inf,
-    SolverResult* result);
-
-}  // namespace vo_internal
 }  // namespace pinocchio
 
 #endif  // PINOCCHIO_CORE_PINOCCHIO_VO_SOLVER_H_

@@ -28,6 +28,7 @@
 #include <span>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "core/object_store.h"
 #include "core/solver.h"
@@ -115,6 +116,16 @@ void PruneAndValidate(const GridIndex& index, const ObjectStore& store,
                       const InfluenceKernel& kernel, uint32_t first_record,
                       uint32_t last_record, std::span<int64_t> influence,
                       SolverStats* stats);
+
+/// One morsel worker's share of a prune pass over records: influence
+/// credits (one slot per candidate) and counters, padded to its own cache
+/// lines so one worker's hot increments never invalidate another's. The
+/// pass sums the shares once at the end — integer sums, so the totals are
+/// the same at any thread budget.
+struct alignas(128) PruneWorkerShare {
+  std::vector<int64_t> influence;
+  SolverStats stats;
+};
 
 }  // namespace pinocchio
 

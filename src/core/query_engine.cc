@@ -11,9 +11,82 @@
 namespace pinocchio {
 namespace query {
 
+namespace {
+
+using PairChunk = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/// Counting-sorts (candidate, record) pairs, concatenated in chunk order,
+/// into a CSR layout over `num_candidates`. Size-then-fill is stable, so
+/// the chunk concatenation order is each candidate's record order: one
+/// chunk per record morsel, in morsel order, gives the record-major layout
+/// at any thread budget.
+void PairsToCsr(size_t num_candidates, std::span<const PairChunk> chunks,
+                std::vector<uint32_t>* offsets, std::vector<uint32_t>* data) {
+  offsets->assign(num_candidates + 1, 0);
+  size_t total = 0;
+  for (const PairChunk& chunk : chunks) {
+    total += chunk.size();
+    for (const auto& [cand, rec] : chunk) ++(*offsets)[cand + 1];
+  }
+  for (size_t j = 0; j < num_candidates; ++j) {
+    (*offsets)[j + 1] += (*offsets)[j];
+  }
+  data->resize(total);
+  std::vector<uint32_t> cursor(offsets->begin(), offsets->end() - 1);
+  for (const PairChunk& chunk : chunks) {
+    for (const auto& [cand, rec] : chunk) (*data)[cursor[cand]++] = rec;
+  }
+}
+
+/// Tournament (winner-tree) merge of per-shard sorted runs under the
+/// strict total order `before`. Because the order has no ties and the
+/// shards partition the candidate ids, the merged sequence equals a global
+/// sort of the concatenated input.
+template <typename Before>
+std::vector<uint32_t> TournamentMerge(std::vector<std::vector<uint32_t>> runs,
+                                      size_t total, const Before& before) {
+  constexpr size_t kNone = static_cast<size_t>(-1);
+  const size_t s = runs.size();
+  if (s == 1) return std::move(runs.front());
+  std::vector<uint32_t> out;
+  out.reserve(total);
+  if (s == 0) return out;
+
+  size_t leaves = 1;
+  while (leaves < s) leaves <<= 1;
+  std::vector<size_t> tree(2 * leaves, kNone);  // node -> winning run index
+  std::vector<size_t> pos(s, 0);
+
+  const auto exhausted = [&](size_t run) {
+    return run == kNone || pos[run] >= runs[run].size();
+  };
+  const auto winner = [&](size_t a, size_t b) {
+    if (exhausted(a)) return b;
+    if (exhausted(b)) return a;
+    return before(runs[a][pos[a]], runs[b][pos[b]]) ? a : b;
+  };
+
+  for (size_t i = 0; i < leaves; ++i) tree[leaves + i] = i < s ? i : kNone;
+  for (size_t i = leaves - 1; i >= 1; --i) {
+    tree[i] = winner(tree[2 * i], tree[2 * i + 1]);
+  }
+  while (!exhausted(tree[1])) {
+    const size_t run = tree[1];
+    out.push_back(runs[run][pos[run]]);
+    ++pos[run];
+    for (size_t node = (leaves + run) / 2; node >= 1; node /= 2) {
+      tree[node] = winner(tree[2 * node], tree[2 * node + 1]);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 CandidateBrackets BuildCandidateBrackets(const PreparedInstance& prepared,
                                          const InfluenceKernel& kernel,
-                                         bool use_pruning, SolverStats* stats) {
+                                         bool use_pruning, SolverStats* stats,
+                                         const MorselScheduler& scheduler) {
   const ObjectStore& store = prepared.store();
   const size_t m = prepared.num_candidates();
   const auto r = static_cast<int64_t>(store.size());
@@ -29,55 +102,58 @@ CandidateBrackets BuildCandidateBrackets(const PreparedInstance& prepared,
     return brackets;
   }
 
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  ClassifyCandidates(
-      prepared.candidate_rtree(), store, kernel, 0, static_cast<uint32_t>(r),
-      m, stats,
-      [&](const RTreeEntry& e, uint32_t) { ++brackets.min_inf[e.id]; },
-      [&](const RTreeEntry& e, uint32_t k) { pairs.emplace_back(e.id, k); });
-  FinishBrackets(&brackets, std::span(&pairs, 1));
+  // minInf is a per-worker additive accumulator (any completion order
+  // sums the same); remnant pairs go to per-morsel lists whose morsel-order
+  // concatenation is the record-major, query-visit-minor pair order.
+  const std::vector<Morsel> morsels = PlanRecordMorsels(store, scheduler);
+  std::vector<PruneWorkerShare> workers(scheduler.num_threads());
+  for (PruneWorkerShare& w : workers) w.influence.assign(m, 0);
+  std::vector<PairChunk> morsel_pairs(morsels.size());
+  scheduler.Run(morsels, [&](size_t w, size_t mi, const Morsel& morsel) {
+    PruneWorkerShare& acc = workers[w];
+    PairChunk& pairs = morsel_pairs[mi];
+    ClassifyCandidates(
+        prepared.candidate_rtree(), store, kernel, morsel.first_record,
+        morsel.last_record, m, &acc.stats,
+        [&](const RTreeEntry& e, uint32_t) { ++acc.influence[e.id]; },
+        [&](const RTreeEntry& e, uint32_t k) { pairs.emplace_back(e.id, k); });
+  });
+
+  for (const PruneWorkerShare& w : workers) {
+    for (size_t j = 0; j < m; ++j) brackets.min_inf[j] += w.influence[j];
+    if (stats != nullptr) {
+      stats->pairs_pruned_by_ia += w.stats.pairs_pruned_by_ia;
+      stats->pairs_pruned_by_nib += w.stats.pairs_pruned_by_nib;
+    }
+  }
+  PairsToCsr(m, morsel_pairs, &brackets.vs_offsets, &brackets.vs_data);
+  for (size_t j = 0; j < m; ++j) {
+    brackets.max_inf[j] = brackets.min_inf[j] + (brackets.vs_offsets[j + 1] -
+                                                 brackets.vs_offsets[j]);
+  }
   return brackets;
 }
 
-void FinishBrackets(
-    CandidateBrackets* brackets,
-    std::span<const std::vector<std::pair<uint32_t, uint32_t>>> pair_chunks) {
-  const size_t m = brackets->num_candidates();
-  // Size-then-fill: count remnant pairs per candidate, then counting-sort
-  // them into the CSR slots. Stability preserves the chunk-concatenation
-  // record order, keeping validation bit-identical to the
-  // per-candidate-vector layout it replaced.
-  brackets->vs_offsets.assign(m + 1, 0);
-  size_t total = 0;
-  for (const auto& chunk : pair_chunks) {
-    total += chunk.size();
-    for (const auto& [cand, rec] : chunk) ++brackets->vs_offsets[cand + 1];
-  }
-  for (size_t j = 0; j < m; ++j) {
-    brackets->vs_offsets[j + 1] += brackets->vs_offsets[j];
-  }
-  brackets->vs_data.resize(total);
-  std::vector<uint32_t> cursor(brackets->vs_offsets.begin(),
-                               brackets->vs_offsets.end() - 1);
-  for (const auto& chunk : pair_chunks) {
-    for (const auto& [cand, rec] : chunk) {
-      brackets->vs_data[cursor[cand]++] = rec;
-    }
-  }
-  for (size_t j = 0; j < m; ++j) {
-    brackets->max_inf[j] =
-        brackets->min_inf[j] +
-        (brackets->vs_offsets[j + 1] - brackets->vs_offsets[j]);
-  }
-}
-
-std::vector<uint32_t> BoundDominationOrder(const CandidateBrackets& brackets) {
-  std::vector<uint32_t> order(brackets.num_candidates());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+std::vector<uint32_t> BoundDominationOrder(const CandidateBrackets& brackets,
+                                           const MorselScheduler& scheduler) {
+  const size_t m = brackets.num_candidates();
+  const auto before = [&](uint32_t a, uint32_t b) {
     return OrderBefore(brackets.min_inf, brackets.max_inf, a, b);
+  };
+  // One shard per worker, each sorted on its own (no shared state); the
+  // tournament merge of the runs under the same strict total order equals
+  // a global sort.
+  const size_t threads = scheduler.num_threads();
+  const std::vector<Morsel> shards =
+      PlanUniformMorsels(m, (m + threads - 1) / threads);
+  std::vector<std::vector<uint32_t>> runs(shards.size());
+  scheduler.Run(shards, [&](size_t, size_t si, const Morsel& shard) {
+    std::vector<uint32_t>& run = runs[si];
+    run.resize(shard.size());
+    std::iota(run.begin(), run.end(), shard.first_record);
+    std::sort(run.begin(), run.end(), before);
   });
-  return order;
+  return TournamentMerge(std::move(runs), m, before);
 }
 
 // ---------------------------------------------------------------- skyline
@@ -188,14 +264,22 @@ class SkylinePolicy {
 
 }  // namespace
 
-void SolveSkylineOnBrackets(const PreparedInstance& prepared,
-                            const InfluenceKernel& kernel,
-                            std::span<const double> cost,
-                            CandidateBrackets* brackets,
-                            SkylineResult* result) {
-  const size_t m = brackets->num_candidates();
+SkylineResult SolveSkyline(const PreparedInstance& prepared,
+                           std::span<const double> cost,
+                           size_t num_threads) {
+  const size_t m = prepared.num_candidates();
   PINO_CHECK_EQ(cost.size(), m);
   for (double c : cost) PINO_CHECK(std::isfinite(c)) << "skyline cost " << c;
+  Stopwatch watch;
+  SkylineResult result;
+  if (m == 0) {
+    internal::FinishSolveTiming(&result.stats, watch.ElapsedSeconds());
+    return result;
+  }
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  CandidateBrackets brackets =
+      BuildCandidateBrackets(prepared, kernel, /*use_pruning=*/true,
+                             &result.stats, MorselScheduler(num_threads));
 
   // Cost ascending, then the engine's canonical bound order: cheapest
   // candidates settle first so their exact influences dominate everything
@@ -204,42 +288,31 @@ void SolveSkylineOnBrackets(const PreparedInstance& prepared,
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     if (cost[a] != cost[b]) return cost[a] < cost[b];
-    return OrderBefore(brackets->min_inf, brackets->max_inf, a, b);
+    return OrderBefore(brackets.min_inf, brackets.max_inf, a, b);
   });
 
-  SkylinePolicy policy(cost, brackets, result);
+  SkylinePolicy policy(cost, &brackets, &result);
   const auto verification_set = [&](uint32_t j) -> std::span<const uint32_t> {
-    return brackets->VerificationSet(j);
+    return brackets.VerificationSet(j);
   };
   EvaluateBoundOrdered(prepared, kernel, order, verification_set,
-                       &result->stats, policy);
+                       &result.stats, policy);
   policy.Finish();
-}
-
-SkylineResult SolveSkyline(const PreparedInstance& prepared,
-                           std::span<const double> cost) {
-  PINO_CHECK_EQ(cost.size(), prepared.num_candidates());
-  Stopwatch watch;
-  SkylineResult result;
-  if (prepared.num_candidates() == 0) {
-    internal::FinishSolveTiming(&result.stats, watch.ElapsedSeconds());
-    return result;
-  }
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
-  CandidateBrackets brackets =
-      BuildCandidateBrackets(prepared, kernel, /*use_pruning=*/true,
-                             &result.stats);
-  SolveSkylineOnBrackets(prepared, kernel, cost, &brackets, &result);
   internal::FinishSolveTiming(&result.stats, watch.ElapsedSeconds());
   return result;
 }
 
 // ------------------------------------------------------------ diversified
 
+namespace {
+
+/// Appends (candidate, record) influence pairs for records
+/// [first_record, last_record) in record-major order: IA certificates
+/// verbatim, remnants decided by the batch kernel.
 void CollectInfluencePairs(const PreparedInstance& prepared,
                            const InfluenceKernel& kernel,
                            uint32_t first_record, uint32_t last_record,
-                           std::vector<std::pair<uint32_t, uint32_t>>* pairs) {
+                           PairChunk* pairs) {
   const ObjectStore& store = prepared.store();
   const size_t m = prepared.num_candidates();
   std::vector<Point> remnant_points;
@@ -267,42 +340,10 @@ void CollectInfluencePairs(const PreparedInstance& prepared,
   }
 }
 
-InfluenceSets InfluenceSetsFromPairs(
-    size_t num_candidates,
-    std::span<const std::vector<std::pair<uint32_t, uint32_t>>> pair_chunks) {
-  InfluenceSets sets;
-  sets.offsets.assign(num_candidates + 1, 0);
-  size_t total = 0;
-  for (const auto& chunk : pair_chunks) {
-    total += chunk.size();
-    for (const auto& [cand, rec] : chunk) ++sets.offsets[cand + 1];
-  }
-  for (size_t j = 0; j < num_candidates; ++j) {
-    sets.offsets[j + 1] += sets.offsets[j];
-  }
-  sets.objects.resize(total);
-  std::vector<uint32_t> cursor(sets.offsets.begin(), sets.offsets.end() - 1);
-  for (const auto& chunk : pair_chunks) {
-    for (const auto& [cand, rec] : chunk) {
-      sets.objects[cursor[cand]++] = rec;
-    }
-  }
-  return sets;
-}
-
-InfluenceSets BuildInfluenceSets(const PreparedInstance& prepared,
-                                 const InfluenceKernel& kernel) {
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  CollectInfluencePairs(
-      prepared, kernel, 0,
-      static_cast<uint32_t>(prepared.store().records().size()), &pairs);
-  return InfluenceSetsFromPairs(prepared.num_candidates(),
-                                std::span(&pairs, 1));
-}
-
-void SelectDiversifiedOnSets(const PreparedInstance& prepared, size_t k,
-                             double min_separation, const InfluenceSets& sets,
-                             DiversifiedResult* result) {
+/// CELF lazy greedy over prebuilt influence sets.
+void GreedySelect(const PreparedInstance& prepared, size_t k,
+                  double min_separation, const InfluenceSets& sets,
+                  DiversifiedResult* result) {
   const size_t m = prepared.num_candidates();
   const size_t r = prepared.num_objects();
 
@@ -386,8 +427,27 @@ void SelectDiversifiedOnSets(const PreparedInstance& prepared, size_t k,
   }
 }
 
+}  // namespace
+
+InfluenceSets BuildInfluenceSets(const PreparedInstance& prepared,
+                                 const InfluenceKernel& kernel,
+                                 const MorselScheduler& scheduler) {
+  const std::vector<Morsel> morsels =
+      PlanRecordMorsels(prepared.store(), scheduler);
+  std::vector<PairChunk> morsel_pairs(morsels.size());
+  scheduler.Run(morsels, [&](size_t, size_t mi, const Morsel& morsel) {
+    CollectInfluencePairs(prepared, kernel, morsel.first_record,
+                          morsel.last_record, &morsel_pairs[mi]);
+  });
+  InfluenceSets sets;
+  PairsToCsr(prepared.num_candidates(), morsel_pairs, &sets.offsets,
+             &sets.objects);
+  return sets;
+}
+
 DiversifiedResult SelectDiversified(const PreparedInstance& prepared, size_t k,
-                                    double min_separation) {
+                                    double min_separation,
+                                    size_t num_threads) {
   PINO_CHECK_GT(k, 0u);
   PINO_CHECK_GE(min_separation, 0.0);
   Stopwatch watch;
@@ -398,8 +458,9 @@ DiversifiedResult SelectDiversified(const PreparedInstance& prepared, size_t k,
     return result;
   }
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
-  const InfluenceSets sets = BuildInfluenceSets(prepared, kernel);
-  SelectDiversifiedOnSets(prepared, k, min_separation, sets, &result);
+  const InfluenceSets sets =
+      BuildInfluenceSets(prepared, kernel, MorselScheduler(num_threads));
+  GreedySelect(prepared, k, min_separation, sets, &result);
   result.solve_seconds = watch.ElapsedSeconds();
   result.elapsed_seconds = result.prepare_seconds + result.solve_seconds;
   return result;

@@ -15,6 +15,13 @@
 // The greedy diversified-selection family does not bracket influence per
 // candidate; it rides the engine's other shared substrate, the CSR
 // influence sets built by the same prune pipeline.
+//
+// Thread budget: the builders take a MorselScheduler and the families a
+// `num_threads` (default 1, 0 = hardware concurrency). The prune phases run
+// on the morsel engine; a budget of 1 runs every morsel inline on the
+// calling thread. Per-morsel outputs are concatenated in morsel order and
+// counters are summed, so every result and counter is bit-identical at any
+// budget. The evaluation walks that follow are sequential by design.
 
 #ifndef PINOCCHIO_CORE_QUERY_ENGINE_H_
 #define PINOCCHIO_CORE_QUERY_ENGINE_H_
@@ -25,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/morsel_scheduler.h"
 #include "core/object_store.h"
 #include "core/prepared_instance.h"
 #include "core/prune_pipeline.h"
@@ -67,8 +75,8 @@ class CutoffTracker {
 /// Strict total order of the validation queue: maxInf descending, minInf
 /// descending, candidate index ascending. The index tie-break makes this
 /// exactly the order a stable sort by (maxInf, minInf) produces over an
-/// ascending-index input — the invariant the per-shard heapsort +
-/// tournament merge of the parallel solver relies on to replay it.
+/// ascending-index input, and lets BoundDominationOrder merge per-shard
+/// sorts into the same sequence at any thread budget.
 inline bool OrderBefore(std::span<const int64_t> min_inf,
                         std::span<const int64_t> max_inf, uint32_t a,
                         uint32_t b) {
@@ -108,28 +116,23 @@ struct CandidateBrackets {
   }
 };
 
-/// Runs the IA/NIB prune phase and assembles the brackets. IA/NIB counters
-/// go to `stats` (may be null). `use_pruning == false` skips the phase
-/// entirely (the VO* ablation).
-CandidateBrackets BuildCandidateBrackets(const PreparedInstance& prepared,
-                                         const InfluenceKernel& kernel,
-                                         bool use_pruning, SolverStats* stats);
-
-/// Assembles the CSR verification sets and upper bounds of `brackets` from
-/// IA-certified lower bounds (already summed into `brackets->min_inf`,
-/// with max_inf preset to the record count) and remnant pairs delivered as
-/// ordered chunks. The chunk concatenation order defines the per-candidate
-/// record order, so the sequential builder (one chunk) and the
-/// morsel-parallel builder (per-morsel chunks in morsel order) produce
-/// byte-identical layouts — the stable size-then-fill counting sort
-/// preserves it.
-void FinishBrackets(
-    CandidateBrackets* brackets,
-    std::span<const std::vector<std::pair<uint32_t, uint32_t>>> pair_chunks);
+/// Runs the IA/NIB prune phase over record morsels and assembles the
+/// brackets. IA/NIB counters go to `stats` (may be null). Remnant pairs are
+/// collected per morsel and concatenated in morsel order, so the CSR is
+/// record-major and byte-identical at any budget. `use_pruning == false`
+/// skips the phase entirely (the VO* ablation).
+CandidateBrackets BuildCandidateBrackets(
+    const PreparedInstance& prepared, const InfluenceKernel& kernel,
+    bool use_pruning, SolverStats* stats,
+    const MorselScheduler& scheduler = MorselScheduler(1));
 
 /// Candidate indices sorted under OrderBefore — the engine's canonical
-/// decreasing-upper-bound evaluation order.
-std::vector<uint32_t> BoundDominationOrder(const CandidateBrackets& brackets);
+/// decreasing-upper-bound evaluation order. Each shard of the candidate
+/// range is sorted on its own and a tournament tree merges the runs; with
+/// one shard that is a single std::sort.
+std::vector<uint32_t> BoundDominationOrder(
+    const CandidateBrackets& brackets,
+    const MorselScheduler& scheduler = MorselScheduler(1));
 
 /// A policy's verdict on the next candidate in bound order.
 enum class CandidateAdmission : uint8_t {
@@ -160,9 +163,8 @@ enum class CandidateAdmission : uint8_t {
 /// alive for the candidate's walk.
 ///
 /// The loop is inherently sequential — what the policy learns from
-/// candidate i gates the work spent on candidate i+1 — which is why the
-/// parallel solvers reuse it verbatim after their parallel prune and order
-/// phases.
+/// candidate i gates the work spent on candidate i+1 — so it runs on the
+/// calling thread whatever the thread budget of the prune and order phases.
 template <typename Policy>
 void EvaluateBoundOrdered(
     const PreparedInstance& prepared, const InfluenceKernel& kernel,
@@ -265,19 +267,11 @@ struct SkylineResult {
 /// bound order) so every already-settled candidate is at most as expensive
 /// as the current one — its exact influence dominates the current bracket
 /// whenever it reaches the upper bound, letting the engine discard
-/// dominated candidates before (or mid-) validation.
+/// dominated candidates before (or mid-) validation. `num_threads` is the
+/// prune phase's budget.
 SkylineResult SolveSkyline(const PreparedInstance& prepared,
-                           std::span<const double> cost);
-
-/// The evaluation phase of SolveSkyline against brackets built elsewhere
-/// (the parallel path builds them with the morsel engine and reuses this
-/// verbatim — results are bit-identical by construction). Consumes the
-/// brackets; fills `result->members` / `bound_skipped` and the validation
-/// counters of `result->stats`. Timing is the caller's job.
-void SolveSkylineOnBrackets(const PreparedInstance& prepared,
-                            const InfluenceKernel& kernel,
-                            std::span<const double> cost,
-                            CandidateBrackets* brackets, SkylineResult* result);
+                           std::span<const double> cost,
+                           size_t num_threads = 1);
 
 // ------------------------------------------------------------ diversified
 
@@ -298,25 +292,10 @@ struct InfluenceSets {
   }
 };
 
-/// Appends (candidate, record) influence pairs for records
-/// [first_record, last_record) in deterministic record-major order — the
-/// building block of both the sequential and the morsel-parallel
-/// influence-set builders.
-void CollectInfluencePairs(const PreparedInstance& prepared,
-                           const InfluenceKernel& kernel,
-                           uint32_t first_record, uint32_t last_record,
-                           std::vector<std::pair<uint32_t, uint32_t>>* pairs);
-
-/// Counting-sorts pair chunks (concatenated in chunk order) into the CSR
-/// layout. Chunk order defines per-candidate record order, mirroring
-/// FinishBrackets.
-InfluenceSets InfluenceSetsFromPairs(
-    size_t num_candidates,
-    std::span<const std::vector<std::pair<uint32_t, uint32_t>>> pair_chunks);
-
-/// Influence sets for the whole store (the sequential builder).
-InfluenceSets BuildInfluenceSets(const PreparedInstance& prepared,
-                                 const InfluenceKernel& kernel);
+/// Influence sets for the whole store, built over record morsels.
+InfluenceSets BuildInfluenceSets(
+    const PreparedInstance& prepared, const InfluenceKernel& kernel,
+    const MorselScheduler& scheduler = MorselScheduler(1));
 
 /// Result of diversified greedy selection.
 struct DiversifiedResult {
@@ -344,16 +323,10 @@ struct DiversifiedResult {
 /// brute-force greedy reference. `min_separation == 0` degenerates to the
 /// classic multi-facility objective. May return fewer than k facilities
 /// when the separation constraint (or the candidate count) leaves nothing
-/// selectable.
+/// selectable. `num_threads` is the influence-set build's budget.
 DiversifiedResult SelectDiversified(const PreparedInstance& prepared, size_t k,
-                                    double min_separation);
-
-/// The greedy phase of SelectDiversified against influence sets built
-/// elsewhere (shared with the morsel-parallel builder; bit-identical by
-/// construction). Timing is the caller's job.
-void SelectDiversifiedOnSets(const PreparedInstance& prepared, size_t k,
-                             double min_separation, const InfluenceSets& sets,
-                             DiversifiedResult* result);
+                                    double min_separation,
+                                    size_t num_threads = 1);
 
 }  // namespace query
 }  // namespace pinocchio

@@ -46,5 +46,10 @@ void FinishSolveTiming(SolverStats* stats, double solve_seconds) {
   stats->elapsed_seconds = stats->prepare_seconds + solve_seconds;
 }
 
+std::string BudgetedName(const std::string& name, size_t num_threads) {
+  if (num_threads == 1) return name;
+  return name + "-P" + std::to_string(num_threads);
+}
+
 }  // namespace internal
 }  // namespace pinocchio

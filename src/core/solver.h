@@ -127,6 +127,10 @@ void FinalizeResultFromInfluence(SolverResult* result);
 /// prepare + solve.
 void FinishSolveTiming(SolverStats* stats, double solve_seconds);
 
+/// A solver's report name at a resolved thread budget: the paper name at
+/// 1 thread, "<name>-P<n>" otherwise.
+std::string BudgetedName(const std::string& name, size_t num_threads);
+
 }  // namespace internal
 }  // namespace pinocchio
 

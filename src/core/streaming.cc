@@ -21,45 +21,17 @@ void StreamingPrimeLS::RequireMonotonicTime(double time) const {
       << time << " with now=" << now_;
 }
 
-void StreamingPrimeLS::SyncObject(uint32_t object_id) {
-  const auto it = buffers_.find(object_id);
-  inner_.RemoveObject(object_id);  // drop the stale snapshot, if any
-  if (it == buffers_.end() || it->second.empty()) {
-    if (it != buffers_.end()) buffers_.erase(it);
-    return;
-  }
-  MovingObject object;
-  object.id = object_id;
-  object.positions.reserve(it->second.size());
-  for (const TimedPosition& tp : it->second) {
-    object.positions.push_back(tp.position);
-  }
-  inner_.AddObject(object);
-}
-
 void StreamingPrimeLS::ExpireUntil(double time) {
   // The window is the closed interval [time - window_seconds, time] (see
   // streaming.h): an observation at exactly the horizon is still live, so
-  // only strictly older observations expire.
+  // only strictly older observations expire. Positions expire per object
+  // in FIFO order, which is the global expiry order restricted to it.
   const double horizon = time - options_.window_seconds;
-  std::unordered_set<uint32_t> dirty;
-  const bool delta = options_.maintenance == Maintenance::kDelta;
   while (!expiry_.empty() && expiry_.front().first < horizon) {
-    const uint32_t object_id = expiry_.front().second;
+    PINO_CHECK(inner_.ExpireOldestPosition(expiry_.front().second));
     expiry_.pop_front();
-    auto it = buffers_.find(object_id);
-    PINO_CHECK(it != buffers_.end());
-    PINO_CHECK(!it->second.empty());
-    it->second.pop_front();  // FIFO: oldest observation of this object
-    if (it->second.empty()) buffers_.erase(it);
     --live_positions_;
-    if (delta) {
-      inner_.ExpireOldestPosition(object_id);
-    } else {
-      dirty.insert(object_id);
-    }
   }
-  for (uint32_t object_id : dirty) SyncObject(object_id);
 }
 
 void StreamingPrimeLS::SetBestChangedCallback(BestChangedCallback callback) {
@@ -81,14 +53,9 @@ void StreamingPrimeLS::Observe(uint32_t object_id, double time,
   RequireMonotonicTime(time);
   now_ = std::max(now_, time);
   ExpireUntil(now_);
-  buffers_[object_id].push_back({time, position});
   expiry_.emplace_back(time, object_id);
   ++live_positions_;
-  if (options_.maintenance == Maintenance::kDelta) {
-    inner_.AppendPosition(object_id, position);
-  } else {
-    SyncObject(object_id);
-  }
+  inner_.AppendPosition(object_id, position);
   NotifyIfBestChanged();
 }
 

@@ -13,12 +13,10 @@
 // Observe()/AdvanceTo() call, the counters equal what a batch solver would
 // compute on the window contents (positions with time >= now - window).
 //
-// Maintenance mode: by default each observation flows into the inner
-// index as a position-level delta (IncrementalPrimeLS::AppendPosition /
+// Each observation flows into the inner index as a position-level delta (IncrementalPrimeLS::AppendPosition /
 // ExpireOldestPosition), so per-observation work scales with the object's
-// watch set, not its in-window position count. Options::maintenance
-// selects the legacy remove-and-re-add path (kRebuild), kept for
-// benchmarking and differential cross-checks.
+// watch set, not its in-window position count. The inner index keeps the
+// in-window positions; this class keeps only the expiry order.
 
 #ifndef PINOCCHIO_CORE_STREAMING_H_
 #define PINOCCHIO_CORE_STREAMING_H_
@@ -28,8 +26,6 @@
 #include <functional>
 #include <limits>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/incremental.h"
@@ -39,22 +35,11 @@ namespace pinocchio {
 /// Sliding-window PRIME-LS engine.
 class StreamingPrimeLS {
  public:
-  /// How window changes are applied to the inner incremental index.
-  enum class Maintenance {
-    /// Position-level deltas: append the new observation, expire the
-    /// oldest — O(watch set) per observation. The default.
-    kDelta,
-    /// Legacy: remove and re-add the touched object's entire position
-    /// set per observation — O(positions x candidates) at worst.
-    kRebuild,
-  };
-
   struct Options {
     SolverConfig config;
     /// Width of the trailing time window in seconds. The window is closed
     /// on both ends: observations with time >= now - window_seconds count.
     double window_seconds = 3600.0;
-    Maintenance maintenance = Maintenance::kDelta;
   };
 
   StreamingPrimeLS(std::vector<Point> candidates, Options options);
@@ -93,24 +78,15 @@ class StreamingPrimeLS {
   double now() const { return now_; }
 
  private:
-  struct TimedPosition {
-    double time;
-    Point position;
-  };
-
   /// Rejects time travel: `time` must be >= now_. The first call passes
   /// trivially because now_ starts at -infinity.
   void RequireMonotonicTime(double time) const;
 
-  // Applies buffered window changes for `object_id` to the inner index
-  // (kRebuild mode only).
-  void SyncObject(uint32_t object_id);
   void ExpireUntil(double time);
   void NotifyIfBestChanged();
 
   Options options_;
   IncrementalPrimeLS inner_;
-  std::unordered_map<uint32_t, std::deque<TimedPosition>> buffers_;
   // Expiry queue: observation times are globally non-decreasing, so a FIFO
   // of (time, object) pairs drains in order.
   std::deque<std::pair<double, uint32_t>> expiry_;

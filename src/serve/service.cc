@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/approx_solver.h"
 #include "core/influence_query.h"
+#include "core/morsel_scheduler.h"
 #include "core/naive_solver.h"
 #include "core/pinocchio_solver.h"
 #include "core/pinocchio_vo_solver.h"
+#include "core/query_engine.h"
 #include "geo/point.h"
-#include "parallel/morsel_scheduler.h"
-#include "parallel/parallel_query.h"
-#include "parallel/parallel_solvers.h"
 #include "prob/power_law.h"
 #include "util/logging.h"
 
@@ -22,19 +22,18 @@ namespace {
 /// clamped (the frame cap would reject gigantic rankings anyway).
 constexpr size_t kMaxResponseTopK = 4096;
 
-// Every algorithm routes through its morsel-parallel variant: the results
-// are bit-identical to the sequential solvers by construction, a budget of
-// one thread runs inline on the request thread, and all solve work counts
-// into the engine's busy-time accounting either way.
+// PIN and PIN-VO run at the solve_threads budget (a budget of one runs
+// inline on the request thread). NA is the sequential differential oracle
+// and ignores the budget.
 std::unique_ptr<Solver> MakeSolver(WireAlgorithm algorithm,
                                    size_t solve_threads) {
   switch (algorithm) {
     case WireAlgorithm::kPinVO:
-      return std::make_unique<ParallelPinocchioVOSolver>(solve_threads);
+      return std::make_unique<PinocchioVOSolver>(solve_threads);
     case WireAlgorithm::kPin:
-      return std::make_unique<ParallelPinocchioSolver>(solve_threads);
+      return std::make_unique<PinocchioSolver>(solve_threads);
     case WireAlgorithm::kNaive:
-      return std::make_unique<ParallelNaiveSolver>(solve_threads);
+      return std::make_unique<NaiveSolver>();
   }
   return nullptr;
 }
@@ -182,11 +181,9 @@ Response InfluenceService::DoTopK(const TopKRequest& request) {
   // solver ranks every candidate.
   SolverResult result;
   if (k <= snap->prepared.config().top_k) {
-    result = ParallelPinocchioVOSolver(options_.solve_threads)
-                 .Solve(snap->prepared);
+    result = PinocchioVOSolver(options_.solve_threads).Solve(snap->prepared);
   } else {
-    result =
-        ParallelPinocchioSolver(options_.solve_threads).Solve(snap->prepared);
+    result = PinocchioSolver(options_.solve_threads).Solve(snap->prepared);
   }
   return MakeSolveResponse(*snap, result, k);
 }
@@ -206,8 +203,8 @@ Response InfluenceService::DoApproxTopK(const ApproxTopKRequest& request) {
   const size_t k =
       std::min<size_t>(std::max<uint32_t>(1, request.k), kMaxResponseTopK);
   const SketchParams params{request.epsilon, request.delta, request.seed};
-  const ApproxTopKResult result = query::SolveApproxTopKParallel(
-      snap->prepared, k, params, options_.solve_threads);
+  const ApproxTopKResult result =
+      SolveApproxTopK(snap->prepared, k, params, options_.solve_threads);
 
   Response response;
   response.type = ResponseType::kApprox;
@@ -228,8 +225,8 @@ Response InfluenceService::DoTopKViaApprox(size_t k) {
   Stopwatch watch;
   const SketchParams params{options_.approx_epsilon, options_.approx_delta,
                             options_.approx_seed};
-  const ApproxTopKResult approx = query::SolveApproxTopKParallel(
-      snap->prepared, k, params, options_.solve_threads);
+  const ApproxTopKResult approx =
+      SolveApproxTopK(snap->prepared, k, params, options_.solve_threads);
 
   // Exact refinement: the approximate tier SELECTED the candidates; each
   // one's influence is recomputed exactly, so every reported value (and
@@ -396,8 +393,8 @@ Response InfluenceService::DoSkyline(const SkylineRequest& request) {
     cost[j] = Distance(snap->prepared.candidate(static_cast<uint32_t>(j)),
                        request.cost_origin);
   }
-  const query::SkylineResult result = query::SolveSkylineParallel(
-      snap->prepared, cost, options_.solve_threads);
+  const query::SkylineResult result =
+      query::SolveSkyline(snap->prepared, cost, options_.solve_threads);
 
   Response response;
   response.type = ResponseType::kSkyline;
@@ -433,7 +430,7 @@ Response InfluenceService::DoDiversified(const DiversifiedRequest& request) {
   s.num_candidates = snap->prepared.num_candidates();
   if (snap->prepared.num_candidates() == 0) return response;
 
-  const query::DiversifiedResult result = query::SelectDiversifiedParallel(
+  const query::DiversifiedResult result = query::SelectDiversified(
       snap->prepared, k, request.min_separation, options_.solve_threads);
   s.gain_evaluations = static_cast<uint64_t>(result.gain_evaluations);
   s.solve_seconds = result.solve_seconds;

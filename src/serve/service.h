@@ -52,11 +52,11 @@ struct ServiceOptions {
   /// Distance unit (metres) of the power-law PF rebuilt by what-if
   /// requests; must match the PF the service was constructed with.
   double pf_unit_meters = 100.0;
-  /// Worker budget for the morsel-parallel solve engine: solve/topk
-  /// requests run the parallel solvers with this many threads (0 selects
-  /// the hardware concurrency). Results are bit-identical to the
-  /// sequential solvers at any setting; 1 runs inline on the request
-  /// thread. What-if solves stay sequential (they hold a mutex anyway).
+  /// Thread budget of PIN, PIN-VO, skyline, diversified and approx
+  /// requests (0 selects the hardware concurrency; 1 runs inline on the
+  /// request thread). Results are bit-identical at any setting. A kSolve
+  /// naming kNaive runs the sequential NA oracle whatever the budget, and
+  /// what-if solves run at budget 1 (they hold a mutex anyway).
   size_t solve_threads = 1;
   /// Width of the streaming ingestion window in seconds; 0 disables the
   /// kObserve/kAdvance request family. When enabled, the service runs a

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "core/naive_solver.h"
-#include "parallel/parallel_query.h"
 #include "testing/instance_helpers.h"
 
 namespace pinocchio {
@@ -116,7 +115,7 @@ TEST(ApproxSolverTest, KLargerThanCandidateCountReturnsAll) {
   EXPECT_EQ(result.entries.size(), instance.candidates.size());
 }
 
-TEST(ApproxSolverTest, ParallelIsBitIdenticalAcrossThreadCounts) {
+TEST(ApproxSolverTest, BitIdenticalAcrossThreadBudgets) {
   const ProblemInstance instance = RandomInstance(506, ManyObjectOptions());
   const PreparedInstance prepared(instance, DefaultConfig());
   const SketchParams params{0.2, 0.05, 23};
@@ -124,7 +123,7 @@ TEST(ApproxSolverTest, ParallelIsBitIdenticalAcrossThreadCounts) {
   const ApproxTopKResult sequential = SolveApproxTopK(prepared, 5, params);
   for (size_t threads : {1ul, 2ul, 3ul, 4ul}) {
     const ApproxTopKResult parallel =
-        query::SolveApproxTopKParallel(prepared, 5, params, threads);
+        SolveApproxTopK(prepared, 5, params, threads);
     ASSERT_EQ(parallel.entries.size(), sequential.entries.size())
         << threads << " threads";
     for (size_t i = 0; i < sequential.entries.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,7 +12,6 @@
 #include "core/pinocchio_vo_solver.h"
 #include "core/prepared_instance.h"
 #include "geo/point.h"
-#include "parallel/parallel_query.h"
 #include "prob/influence_kernel.h"
 #include "testing/instance_helpers.h"
 #include "util/random.h"
@@ -106,28 +106,56 @@ TEST(CandidateBracketsTest, UnprunedBracketsAreTrivial) {
   }
 }
 
-TEST(CandidateBracketsTest, ParallelBuildIsByteIdentical) {
+TEST(CandidateBracketsTest, ThreadBudgetsAreByteIdentical) {
   const ProblemInstance instance = RandomInstance(7105);
   const SolverConfig config = DefaultConfig();
   const PreparedInstance prepared(instance, config);
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
 
-  SolverStats seq_stats;
-  const query::CandidateBrackets seq = query::BuildCandidateBrackets(
-      prepared, kernel, /*use_pruning=*/true, &seq_stats);
+  SolverStats one_stats;
+  const query::CandidateBrackets one = query::BuildCandidateBrackets(
+      prepared, kernel, /*use_pruning=*/true, &one_stats);
+  // The budget-1 order is one sort under OrderBefore.
+  std::vector<uint32_t> sorted(one.num_candidates());
+  std::iota(sorted.begin(), sorted.end(), 0u);
+  std::sort(sorted.begin(), sorted.end(), [&](uint32_t a, uint32_t b) {
+    return query::OrderBefore(one.min_inf, one.max_inf, a, b);
+  });
+  EXPECT_EQ(query::BoundDominationOrder(one), sorted);
+
   for (size_t threads : {2, 3, 5}) {
-    SolverStats par_stats;
+    SolverStats stats;
     const MorselScheduler scheduler(threads);
-    const query::CandidateBrackets par = query::BuildCandidateBracketsParallel(
-        prepared, kernel, scheduler, &par_stats);
-    EXPECT_EQ(par.min_inf, seq.min_inf);
-    EXPECT_EQ(par.max_inf, seq.max_inf);
-    EXPECT_EQ(par.vs_offsets, seq.vs_offsets);
-    EXPECT_EQ(par.vs_data, seq.vs_data);
-    EXPECT_EQ(par_stats.pairs_pruned_by_ia, seq_stats.pairs_pruned_by_ia);
-    EXPECT_EQ(par_stats.pairs_pruned_by_nib, seq_stats.pairs_pruned_by_nib);
-    EXPECT_EQ(query::BoundDominationOrderParallel(par, scheduler),
-              query::BoundDominationOrder(seq));
+    const query::CandidateBrackets got = query::BuildCandidateBrackets(
+        prepared, kernel, /*use_pruning=*/true, &stats, scheduler);
+    EXPECT_EQ(got.min_inf, one.min_inf);
+    EXPECT_EQ(got.max_inf, one.max_inf);
+    EXPECT_EQ(got.vs_offsets, one.vs_offsets);
+    EXPECT_EQ(got.vs_data, one.vs_data);
+    EXPECT_EQ(stats.pairs_pruned_by_ia, one_stats.pairs_pruned_by_ia);
+    EXPECT_EQ(stats.pairs_pruned_by_nib, one_stats.pairs_pruned_by_nib);
+    EXPECT_EQ(query::BoundDominationOrder(got, scheduler), sorted);
+  }
+}
+
+TEST(InfluenceSetsTest, ThreadBudgetsAreByteIdenticalAndExact) {
+  const ProblemInstance instance = RandomInstance(7106);
+  const SolverConfig config = DefaultConfig();
+  const PreparedInstance prepared(instance, config);
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const SolverResult naive = NaiveSolver().Solve(prepared);
+
+  const query::InfluenceSets one = query::BuildInfluenceSets(prepared, kernel);
+  ASSERT_EQ(one.num_candidates(), naive.influence.size());
+  for (uint32_t j = 0; j < one.num_candidates(); ++j) {
+    EXPECT_EQ(static_cast<int64_t>(one.Objects(j).size()), naive.influence[j]);
+    EXPECT_TRUE(std::is_sorted(one.Objects(j).begin(), one.Objects(j).end()));
+  }
+  for (size_t threads : {2, 7}) {
+    const query::InfluenceSets got =
+        query::BuildInfluenceSets(prepared, kernel, MorselScheduler(threads));
+    EXPECT_EQ(got.offsets, one.offsets);
+    EXPECT_EQ(got.objects, one.objects);
   }
 }
 
@@ -226,7 +254,7 @@ TEST(SkylineTest, HandCraftedDomination) {
   }
 }
 
-TEST(SkylineTest, ParallelIsBitIdentical) {
+TEST(SkylineTest, ThreadBudgetsAreBitIdentical) {
   const ProblemInstance instance = RandomInstance(7206);
   const SolverConfig config = DefaultConfig();
   const PreparedInstance prepared(instance, config);
@@ -237,7 +265,7 @@ TEST(SkylineTest, ParallelIsBitIdentical) {
   const query::SkylineResult seq = query::SolveSkyline(prepared, cost);
   for (size_t threads : {2, 4}) {
     const query::SkylineResult par =
-        query::SolveSkylineParallel(prepared, cost, threads);
+        query::SolveSkyline(prepared, cost, threads);
     ASSERT_EQ(par.members.size(), seq.members.size());
     for (size_t i = 0; i < seq.members.size(); ++i) {
       EXPECT_EQ(par.members[i].candidate, seq.members[i].candidate);
@@ -309,7 +337,7 @@ TEST(DiversifiedTest, SeparationBeyondDiameterPicksExactlyOne) {
   EXPECT_GT(dv.separation_rejections, 0);
 }
 
-TEST(DiversifiedTest, ParallelIsBitIdentical) {
+TEST(DiversifiedTest, ThreadBudgetsAreBitIdentical) {
   const ProblemInstance instance = RandomInstance(7304);
   const SolverConfig config = DefaultConfig();
   const PreparedInstance prepared(instance, config);
@@ -319,7 +347,7 @@ TEST(DiversifiedTest, ParallelIsBitIdentical) {
         query::SelectDiversified(prepared, 4, delta);
     for (size_t threads : {2, 4}) {
       const query::DiversifiedResult par =
-          query::SelectDiversifiedParallel(prepared, 4, delta, threads);
+          query::SelectDiversified(prepared, 4, delta, threads);
       EXPECT_EQ(par.selected, seq.selected);
       EXPECT_EQ(par.coverage, seq.coverage);
       EXPECT_EQ(par.gain_evaluations, seq.gain_evaluations);

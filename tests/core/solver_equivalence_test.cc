@@ -16,7 +16,6 @@
 #include "core/pinocchio_solver.h"
 #include "core/pinocchio_vo_solver.h"
 #include "core/prepared_instance.h"
-#include "parallel/parallel_solvers.h"
 #include "prob/alternative_pfs.h"
 #include "prob/power_law.h"
 #include "testing/instance_helpers.h"
@@ -135,14 +134,14 @@ TEST_P(SolverEquivalenceTest, SharedPreparedInstanceMatchesLegacyPath) {
   const PinocchioVOStarSolver star;
   const PinocchioGridSolver grid;
   const PinocchioHullSolver hull;
-  const ParallelNaiveSolver na_par(2);
-  const ParallelPinocchioSolver pin_par(2);
+  const PinocchioSolver pin_t2(2);
+  const PinocchioVOSolver vo_t2(2);
   const BrnnStarSolver brnn;
   const RangeSolver range(0.5, 2000.0);
 
   const std::vector<const Solver*> solvers = {&na,   &pin,    &vo,
                                               &star, &grid,   &hull,
-                                              &na_par, &pin_par, &brnn, &range};
+                                              &pin_t2, &vo_t2, &brnn, &range};
   for (const Solver* solver : solvers) {
     const SolverResult from_prepared = solver->Solve(prepared);
     const SolverResult legacy = solver->Solve(instance, config);

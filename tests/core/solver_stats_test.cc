@@ -12,7 +12,6 @@
 #include "core/pinocchio_hull_solver.h"
 #include "core/pinocchio_solver.h"
 #include "core/pinocchio_vo_solver.h"
-#include "parallel/parallel_solvers.h"
 #include "testing/instance_helpers.h"
 
 namespace pinocchio {
@@ -35,7 +34,7 @@ std::vector<StatsCase> MakeCases() {
       {{"pin", std::make_shared<PinocchioSolver>()},
        {"pin_grid", std::make_shared<PinocchioGridSolver>()},
        {"pin_hull", std::make_shared<PinocchioHullSolver>()},
-       {"pin_par", std::make_shared<ParallelPinocchioSolver>(4)}};
+       {"pin_t4", std::make_shared<PinocchioSolver>(4)}};
   uint64_t seed = 5000;
   for (const auto& [name, solver] : solvers) {
     for (double tau : {0.2, 0.7}) {

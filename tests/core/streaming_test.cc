@@ -83,6 +83,26 @@ TEST(StreamingTest, WindowKeepsOnlyRecentPositions) {
   EXPECT_EQ(engine.InfluenceOf(0), 1);
 }
 
+TEST(StreamingTest, PartialExpiryKeepsTheObjectLive) {
+  // Expiry drops an object's positions oldest first; the object leaves the
+  // live set only with its last position.
+  const std::vector<Point> candidates = {{0, 0}};
+  StreamingPrimeLS engine(candidates, MakeOptions(50));
+  engine.Observe(1, 0.0, {5, 5});
+  engine.Observe(1, 20.0, {6, 6});
+  engine.Observe(2, 30.0, {40000, 40000});
+  EXPECT_EQ(engine.NumLiveObjects(), 2u);
+  EXPECT_EQ(engine.NumLivePositions(), 3u);
+  engine.AdvanceTo(60.0);  // object 1 loses its t=0 position only
+  EXPECT_EQ(engine.NumLiveObjects(), 2u);
+  EXPECT_EQ(engine.NumLivePositions(), 2u);
+  EXPECT_EQ(engine.InfluenceOf(0), 1);
+  engine.AdvanceTo(75.0);  // object 1 gone, object 2 still live
+  EXPECT_EQ(engine.NumLiveObjects(), 1u);
+  EXPECT_EQ(engine.NumLivePositions(), 1u);
+  EXPECT_EQ(engine.InfluenceOf(0), 0);
+}
+
 TEST(StreamingTest, ObservationAtExactWindowBoundaryStaysLive) {
   // Window convention regression (closed interval [now - W, now]): an
   // observation timestamped exactly now - W is still inside the window,
@@ -213,48 +233,66 @@ TEST(StreamingTest, StreamingEqualsBatchAfterRandomObserveAdvanceMix) {
   }
 }
 
-StreamingPrimeLS::Options MakeRebuildOptions(double window_seconds) {
-  StreamingPrimeLS::Options options = MakeOptions(window_seconds);
-  options.maintenance = StreamingPrimeLS::Maintenance::kRebuild;
-  return options;
-}
-
-// Delta maintenance must be observably identical to the legacy
-// remove-and-re-add path under a random interleaving of Observe and
-// AdvanceTo with heavy object-id reuse.
-TEST(StreamingTest, DeltaMatchesRebuildUnderRandomInterleaving) {
+// Delta maintenance must equal a batch solve of the live window at every
+// step under a random interleaving of Observe and AdvanceTo with heavy
+// object-id reuse.
+TEST(StreamingTest, DeltaMatchesBatchUnderRandomInterleaving) {
   Rng rng(2718);
   std::vector<Point> candidates;
   for (int j = 0; j < 14; ++j) {
     candidates.push_back({rng.Uniform(0, 28000), rng.Uniform(0, 28000)});
   }
   const double window = 200.0;
-  StreamingPrimeLS delta(candidates, MakeOptions(window));
-  StreamingPrimeLS rebuild(candidates, MakeRebuildOptions(window));
+  StreamingPrimeLS engine(candidates, MakeOptions(window));
 
+  struct Event {
+    uint32_t id;
+    double time;
+    Point position;
+  };
+  std::vector<Event> history;
   double now = 0.0;
   for (int step = 0; step < 400; ++step) {
     now += rng.Uniform(0.0, 20.0);
     if (rng.NextDouble() < 0.2) {
-      delta.AdvanceTo(now);
-      rebuild.AdvanceTo(now);
+      engine.AdvanceTo(now);
     } else {
       // Only 4 distinct ids: every object is re-observed many times while
       // it still has live positions (duplicate-id pressure on the delta
       // append path).
       const auto id = static_cast<uint32_t>(rng.UniformInt(0, 3));
       const Point p{rng.Uniform(0, 28000), rng.Uniform(0, 28000)};
-      delta.Observe(id, now, p);
-      rebuild.Observe(id, now, p);
+      engine.Observe(id, now, p);
+      history.push_back({id, now, p});
     }
-    ASSERT_EQ(delta.NumLiveObjects(), rebuild.NumLiveObjects()) << step;
-    ASSERT_EQ(delta.NumLivePositions(), rebuild.NumLivePositions()) << step;
+    std::map<uint32_t, std::vector<Point>> live;
+    size_t live_positions = 0;
+    for (const Event& e : history) {
+      if (e.time < now - window) continue;
+      live[e.id].push_back(e.position);
+      ++live_positions;
+    }
+    ASSERT_EQ(engine.NumLiveObjects(), live.size()) << step;
+    ASSERT_EQ(engine.NumLivePositions(), live_positions) << step;
+    const auto expected =
+        BatchInfluence(candidates, live, MakeOptions(window).config);
     for (size_t j = 0; j < candidates.size(); ++j) {
-      ASSERT_EQ(delta.InfluenceOf(j), rebuild.InfluenceOf(j))
+      ASSERT_EQ(engine.InfluenceOf(j), expected[j])
           << "step " << step << " candidate " << j;
     }
-    ASSERT_EQ(delta.Best(), rebuild.Best()) << step;
-    ASSERT_EQ(delta.TopK(4), rebuild.TopK(4)) << step;
+    std::vector<std::pair<size_t, int64_t>> want;
+    for (size_t j = 0; j < candidates.size(); ++j) {
+      want.emplace_back(j, expected[j]);
+    }
+    std::stable_sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+      return a.second > b.second;
+    });
+    want.resize(4);
+    ASSERT_EQ(engine.TopK(4), want) << step;
+    if (!live.empty()) {
+      ASSERT_TRUE(engine.Best().has_value()) << step;
+      ASSERT_EQ(engine.Best()->second, want.front().second) << step;
+    }
   }
 }
 

@@ -1,4 +1,4 @@
-#include "parallel/morsel_scheduler.h"
+#include "core/morsel_scheduler.h"
 
 #include <atomic>
 #include <chrono>
@@ -8,6 +8,9 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "core/object_store.h"
+#include "prob/power_law.h"
 
 namespace pinocchio {
 namespace {
@@ -164,6 +167,126 @@ TEST(MorselSchedulerTest, SingleThreadRunsInlineInOrder) {
   std::vector<size_t> expected(morsels.size());
   std::iota(expected.begin(), expected.end(), 0u);
   EXPECT_EQ(visited, expected);
+}
+
+TEST(MorselSchedulerTest, BudgetOneUsesOneWorkerAndNeverSteals) {
+  const std::vector<Morsel> morsels = PlanUniformMorsels(64, 1);
+  const MorselScheduler scheduler(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  const MorselRunStats stats =
+      scheduler.Run(morsels, [&](size_t, size_t, const Morsel&) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+      });
+  EXPECT_EQ(stats.num_morsels, morsels.size());
+  EXPECT_EQ(stats.num_workers, 1u);
+  EXPECT_EQ(stats.steals, 0);
+}
+
+TEST(MorselSchedulerTest, ReusableAcrossRuns) {
+  // Stateless between runs: every Run() covers its morsels exactly once.
+  const std::vector<Morsel> morsels = PlanUniformMorsels(100, 3);
+  const MorselScheduler scheduler(3);
+  for (int round = 0; round < 5; ++round) {
+    std::atomic<int> items{0};
+    scheduler.Run(morsels, [&](size_t, size_t, const Morsel& m) {
+      items.fetch_add(static_cast<int>(m.size()), std::memory_order_relaxed);
+    });
+    EXPECT_EQ(items.load(), 100) << "round " << round;
+  }
+}
+
+TEST(MorselSchedulerTest, UsableAfterBodyException) {
+  const std::vector<Morsel> morsels = PlanUniformMorsels(32, 1);
+  const MorselScheduler scheduler(4);
+  EXPECT_THROW(scheduler.Run(morsels,
+                             [&](size_t, size_t mi, const Morsel&) {
+                               if (mi == 0) throw std::runtime_error("first");
+                             }),
+               std::runtime_error);
+  std::vector<std::atomic<int>> seen(morsels.size());
+  scheduler.Run(morsels, [&](size_t, size_t mi, const Morsel&) {
+    seen[mi].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
+}
+
+TEST(MorselSchedulerTest, InlineExceptionStopsLaterMorsels) {
+  // Budget 1 runs in morsel order on the caller, so a throw at morsel 3
+  // leaves morsels 4.. unrun.
+  const std::vector<Morsel> morsels = PlanUniformMorsels(10, 1);
+  const MorselScheduler scheduler(1);
+  std::vector<size_t> visited;
+  EXPECT_THROW(scheduler.Run(morsels,
+                             [&](size_t, size_t mi, const Morsel&) {
+                               visited.push_back(mi);
+                               if (mi == 3) throw std::runtime_error("inline");
+                             }),
+               std::runtime_error);
+  EXPECT_EQ(visited, (std::vector<size_t>{0, 1, 2, 3}));
+}
+
+TEST(MorselSchedulerTest, ConcurrentRunsAreIndependent) {
+  const std::vector<Morsel> morsels = PlanUniformMorsels(200, 1);
+  const MorselScheduler scheduler(3);
+  std::vector<std::atomic<int>> a(morsels.size());
+  std::vector<std::atomic<int>> b(morsels.size());
+  const auto run_into = [&](std::vector<std::atomic<int>>* seen) {
+    scheduler.Run(morsels, [&](size_t, size_t mi, const Morsel&) {
+      (*seen)[mi].fetch_add(1, std::memory_order_relaxed);
+    });
+  };
+  std::thread other(run_into, &b);
+  run_into(&a);
+  other.join();
+  for (size_t i = 0; i < morsels.size(); ++i) {
+    EXPECT_EQ(a[i].load(), 1) << i;
+    EXPECT_EQ(b[i].load(), 1) << i;
+  }
+}
+
+std::vector<MovingObject> ObjectsWithCounts(
+    const std::vector<uint32_t>& counts) {
+  std::vector<MovingObject> objects;
+  for (uint32_t id = 0; id < counts.size(); ++id) {
+    MovingObject o;
+    o.id = id;
+    for (uint32_t k = 0; k < counts[id]; ++k) {
+      o.positions.push_back({static_cast<double>(id), static_cast<double>(k)});
+    }
+    objects.push_back(std::move(o));
+  }
+  return objects;
+}
+
+TEST(PlanRecordMorselsTest, PartitionsTheStoreLikePlanMorsels) {
+  const std::vector<uint32_t> counts = {5, 1, 9, 2, 2, 7, 1, 1, 3, 4};
+  const PowerLawPF pf(0.9, 1.0);
+  const ObjectStore store(ObjectsWithCounts(counts), pf, 0.7);
+  const MorselScheduler scheduler(2);
+  const std::vector<Morsel> morsels = PlanRecordMorsels(store, scheduler);
+  ExpectPartitions(morsels, static_cast<uint32_t>(counts.size()));
+  MorselPlanOptions plan;
+  plan.min_morsels = 2 * kMorselsPerWorker;
+  const std::vector<Morsel> expected = PlanMorsels(counts, plan);
+  ASSERT_EQ(morsels.size(), expected.size());
+  for (size_t i = 0; i < morsels.size(); ++i) {
+    EXPECT_EQ(morsels[i].first_record, expected[i].first_record);
+    EXPECT_EQ(morsels[i].last_record, expected[i].last_record);
+  }
+}
+
+TEST(PlanRecordMorselsTest, DealsSeveralMorselsPerWorker) {
+  const std::vector<uint32_t> counts(64, 4);
+  const PowerLawPF pf(0.9, 1.0);
+  const ObjectStore store(ObjectsWithCounts(counts), pf, 0.7);
+  // Budgets that divide the position total evenly, so the shrunken target
+  // lands on whole records.
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    const std::vector<Morsel> morsels =
+        PlanRecordMorsels(store, MorselScheduler(threads));
+    ExpectPartitions(morsels, 64);
+    EXPECT_GE(morsels.size(), threads * kMorselsPerWorker) << threads;
+  }
 }
 
 TEST(MorselSchedulerTest, BusySecondsAccumulate) {

@@ -1,12 +1,12 @@
 // Morsel-engine concurrency contract, pinned under ThreadSanitizer (this
-// test is part of the TSan CI job): solver threads run the morsel-parallel
-// PIN-VO engine against RCU-acquired snapshots while a writer thread keeps
+// test is part of the TSan CI job): solver threads run PIN-VO at thread
+// budgets 2 and 3 against RCU-acquired snapshots while a writer thread keeps
 // publishing replacement snapshots. Each solve spawns its own work-stealing
 // crew, so the test exercises (a) the stealing deques under contention,
 // (b) several concurrent MorselScheduler::Run() calls in one process, and
 // (c) the snapshot pin: a solve must keep reading one coherent
 // PreparedInstance even when the holder swaps mid-flight. Results are
-// checked bit-identical against a sequential solve of the same snapshot.
+// checked bit-identical against a budget-1 solve of the same snapshot.
 
 #include <atomic>
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "core/pinocchio_vo_solver.h"
-#include "parallel/parallel_solvers.h"
 #include "serve/snapshot.h"
 #include "testing/instance_helpers.h"
 
@@ -51,8 +50,8 @@ TEST(MorselStressTest, WorkStealingUnderConcurrentSnapshotSwaps) {
   readers.reserve(kReaders);
   for (size_t t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
-      const ParallelPinocchioVOSolver parallel(2 + t % 2);
-      const PinocchioVOSolver sequential;
+      const PinocchioVOSolver parallel(2 + t % 2);
+      const PinocchioVOSolver sequential(1);
       while (!stop.load(std::memory_order_relaxed)) {
         const SnapshotPtr snap = holder.Acquire();
         const SolverResult par = parallel.Solve(snap->prepared);

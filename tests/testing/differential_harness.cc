@@ -28,8 +28,6 @@
 #include "data/binary_io.h"
 #include "data/checkin_dataset.h"
 #include "geo/point.h"
-#include "parallel/parallel_query.h"
-#include "parallel/parallel_solvers.h"
 #include "prob/alternative_pfs.h"
 #include "prob/influence.h"
 #include "prob/power_law.h"
@@ -54,6 +52,12 @@ constexpr uint64_t kSkylineSalt = 0x5D1E8A2C9B4F7E31ull;
 constexpr uint64_t kDiverseSalt = 0xC47B26D90E5A813Full;
 constexpr uint64_t kStreamingSalt = 0x91F3B7A50C6D2E84ull;
 constexpr uint64_t kApproxSalt = 0x7C91E04B5A3D268Full;
+
+// Thread budgets every budgeted solver and query family is swept over;
+// each result must be bit-identical to the budget-1 run, which is itself
+// checked against the naive oracle. 7 exceeds most fuzz stores' morsel
+// counts, so idle workers are exercised too.
+constexpr size_t kSweepBudgets[] = {2, 7};
 
 // Draws one of the five PF families of the paper (power law of Section 3
 // plus the four Figure-16 alternatives).
@@ -172,6 +176,37 @@ bool MaybeSnapBoundaryTau(Rng& rng, const ProblemInstance& instance,
   return true;
 }
 
+bool SameStats(const SolverStats& a, const SolverStats& b) {
+  return a.pairs_pruned_by_ia == b.pairs_pruned_by_ia &&
+         a.pairs_pruned_by_nib == b.pairs_pruned_by_nib &&
+         a.pairs_validated == b.pairs_validated &&
+         a.positions_scanned == b.positions_scanned &&
+         a.early_stops == b.early_stops && a.heap_pops == b.heap_pops &&
+         a.strategy1_cutoffs == b.strategy1_cutoffs;
+}
+
+// Empty when `got` equals `want` bit for bit — influence vector, ranking,
+// best and every stats counter — else a description of the first
+// difference.
+std::string DescribeResultDiff(const SolverResult& got,
+                               const SolverResult& want) {
+  if (got.influence != want.influence) return "influence vector";
+  if (got.influence_exact != want.influence_exact) return "influence_exact";
+  if (got.ranking != want.ranking) return "ranking";
+  if (got.best_candidate != want.best_candidate ||
+      got.best_influence != want.best_influence) {
+    return "best";
+  }
+  if (SameStats(got.stats, want.stats)) return "";
+  std::ostringstream msg;
+  msg << "stats counters (validated " << got.stats.pairs_validated << " vs "
+      << want.stats.pairs_validated << ", scanned "
+      << got.stats.positions_scanned << " vs " << want.stats.positions_scanned
+      << ", pops " << got.stats.heap_pops << " vs " << want.stats.heap_pops
+      << ")";
+  return msg.str();
+}
+
 std::string DescribeVectorDiff(const std::string& solver,
                                const std::vector<int64_t>& got,
                                const std::vector<int64_t>& want) {
@@ -229,11 +264,11 @@ class CaseChecker {
     CheckExactSolver(PinocchioSolver(), prepared, naive);
     CheckExactSolver(PinocchioGridSolver(), prepared, naive);
     CheckExactSolver(PinocchioHullSolver(), prepared, naive);
-    CheckExactSolver(ParallelNaiveSolver(), prepared, naive);
-    CheckExactSolver(ParallelPinocchioSolver(), prepared, naive);
     CheckVOSolver(PinocchioVOSolver(), prepared, naive);
     CheckVOSolver(PinocchioVOStarSolver(), prepared, naive);
-    CheckMorselVO(prepared, naive);
+    CheckThreadSweep<PinocchioSolver>(prepared);
+    CheckThreadSweep<PinocchioVOSolver>(prepared);
+    CheckThreadSweep<PinocchioVOStarSolver>(prepared);
     CheckClassicalBaseline(BrnnStarSolver(), prepared);
     if (!fuzz_.instance.objects.empty()) {
       CheckClassicalBaseline(
@@ -315,50 +350,22 @@ class CaseChecker {
     });
   }
 
-  // The morsel-parallel PIN-VO engine promises results *bit-identical* to
-  // the sequential PinocchioVOSolver — same influence vector (including
-  // the inexact lower bounds of Strategy-1-eliminated candidates), same
-  // ranking and same stats counters — so it is diffed against the
-  // sequential solver, not just the naive oracle. The thread count varies
-  // with the seed to sweep different morsel/steal interleavings.
-  void CheckMorselVO(const PreparedInstance& prepared,
-                     const SolverResult& naive) {
-    (void)naive;  // the VO-vs-naive contract is checked on the sequential
-                  // solver; bit-identity below transfers it
-    const size_t threads = 2 + result_->seed % 3;
-    const ParallelPinocchioVOSolver parallel(threads);
-    Guard(parallel.Name(), [&] {
-      const SolverResult seq = PinocchioVOSolver().Solve(prepared);
-      const SolverResult par = parallel.Solve(prepared);
-      if (par.influence != seq.influence) {
-        Fail(DescribeVectorDiff(parallel.Name() + " vs PIN-VO", par.influence,
-                                seq.influence));
-      }
-      if (par.best_candidate != seq.best_candidate ||
-          par.best_influence != seq.best_influence ||
-          par.ranking != seq.ranking) {
-        std::ostringstream msg;
-        msg << parallel.Name() << ": best/ranking diverges from PIN-VO (best "
-            << par.best_candidate << "/" << par.best_influence << " vs "
-            << seq.best_candidate << "/" << seq.best_influence << ")";
-        Fail(msg.str());
-      }
-      const auto& a = par.stats;
-      const auto& b = seq.stats;
-      if (a.pairs_pruned_by_ia != b.pairs_pruned_by_ia ||
-          a.pairs_pruned_by_nib != b.pairs_pruned_by_nib ||
-          a.pairs_validated != b.pairs_validated ||
-          a.positions_scanned != b.positions_scanned ||
-          a.early_stops != b.early_stops || a.heap_pops != b.heap_pops ||
-          a.strategy1_cutoffs != b.strategy1_cutoffs) {
-        std::ostringstream msg;
-        msg << parallel.Name()
-            << ": stats counters diverge from PIN-VO (validated "
-            << a.pairs_validated << " vs " << b.pairs_validated
-            << ", scanned " << a.positions_scanned << " vs "
-            << b.positions_scanned << ", pops " << a.heap_pops << " vs "
-            << b.heap_pops << ")";
-        Fail(msg.str());
+  // Every thread budget promises results *bit-identical* to budget 1 —
+  // same influence vector (including the inexact lower bounds of
+  // Strategy-1-eliminated candidates), same ranking and same stats
+  // counters — so budgets 2 and 7 are diffed against budget 1, whose
+  // contract with the naive oracle is checked above.
+  template <typename BudgetedSolver>
+  void CheckThreadSweep(const PreparedInstance& prepared) {
+    Guard(BudgetedSolver(1).Name() + " thread sweep", [&] {
+      const SolverResult one = BudgetedSolver(1).Solve(prepared);
+      for (size_t threads : kSweepBudgets) {
+        const BudgetedSolver solver(threads);
+        const std::string diff =
+            DescribeResultDiff(solver.Solve(prepared), one);
+        if (!diff.empty()) {
+          Fail(solver.Name() + ": " + diff + " diverges from budget 1");
+        }
       }
     });
   }
@@ -440,8 +447,8 @@ class CaseChecker {
   // sweep on the naive influence vector, with three cost regimes: distances
   // from a random origin (the serving path), arbitrary uniform costs, and
   // all-equal costs (every candidate in one group, so the result is exactly
-  // the maximum-influence set — the all-dominated edge case). The parallel
-  // entry point is then diffed bit-identically against the sequential one.
+  // the maximum-influence set — the all-dominated edge case). Budgets 2 and
+  // 7 are then diffed bit-identically against budget 1.
   void CheckSkyline(const PreparedInstance& prepared,
                     const SolverResult& naive) {
     if (naive.influence.empty()) return;
@@ -497,32 +504,22 @@ class CaseChecker {
         Fail(msg.str());
       }
 
-      const size_t threads = 2 + result_->seed % 3;
-      const query::SkylineResult par =
-          query::SolveSkylineParallel(prepared, cost, threads);
-      bool par_match = par.members.size() == got.members.size() &&
-                       par.bound_skipped == got.bound_skipped;
-      for (size_t i = 0; par_match && i < got.members.size(); ++i) {
-        par_match = par.members[i].candidate == got.members[i].candidate &&
-                    par.members[i].influence == got.members[i].influence &&
-                    par.members[i].cost == got.members[i].cost;
-      }
-      if (par_match) {
-        const auto& a = par.stats;
-        const auto& b = got.stats;
-        par_match = a.pairs_pruned_by_ia == b.pairs_pruned_by_ia &&
-                    a.pairs_pruned_by_nib == b.pairs_pruned_by_nib &&
-                    a.pairs_validated == b.pairs_validated &&
-                    a.positions_scanned == b.positions_scanned &&
-                    a.early_stops == b.early_stops &&
-                    a.heap_pops == b.heap_pops &&
-                    a.strategy1_cutoffs == b.strategy1_cutoffs;
-      }
-      if (!par_match) {
-        std::ostringstream msg;
-        msg << "SkylineParallel(" << threads
-            << "): diverges from sequential skyline";
-        Fail(msg.str());
+      for (size_t threads : kSweepBudgets) {
+        const query::SkylineResult par =
+            query::SolveSkyline(prepared, cost, threads);
+        bool same = par.members.size() == got.members.size() &&
+                    par.bound_skipped == got.bound_skipped &&
+                    SameStats(par.stats, got.stats);
+        for (size_t i = 0; same && i < got.members.size(); ++i) {
+          same = par.members[i].candidate == got.members[i].candidate &&
+                 par.members[i].influence == got.members[i].influence &&
+                 par.members[i].cost == got.members[i].cost;
+        }
+        if (!same) {
+          std::ostringstream msg;
+          msg << "Skyline at " << threads << " threads diverges from budget 1";
+          Fail(msg.str());
+        }
       }
     });
   }
@@ -536,8 +533,8 @@ class CaseChecker {
   // sampling on fuzz-sized verification sets. The epsilon -> 0 regime
   // must degenerate to the exact top-k bit-for-bit, and the delta -> 1
   // regime (a near-vacuous certificate: a 2-record budget) still has to
-  // hold the structural invariants. Each regime is additionally diffed
-  // bit-identically against the morsel-parallel entry point.
+  // hold the structural invariants. Each regime is additionally run at
+  // budgets 2 and 7 and diffed bit-identically against budget 1.
   void CheckApprox(const PreparedInstance& prepared,
                    const SolverResult& naive) {
     if (naive.influence.empty()) return;
@@ -546,7 +543,6 @@ class CaseChecker {
       const size_t m = naive.influence.size();
       const size_t k = 1 + result_->seed % 5;
       const auto r = static_cast<int64_t>(prepared.store().size());
-      const size_t threads = 2 + result_->seed % 3;
 
       const SketchParams regimes[] = {
           {0.4, 1e-6, rng.Next()},   // sampling engaged, >5-sigma bracket
@@ -637,24 +633,27 @@ class CaseChecker {
           }
         }
 
-        const ApproxTopKResult par =
-            query::SolveApproxTopKParallel(prepared, k, params, threads);
-        bool same = par.entries.size() == res.entries.size() &&
-                    par.sample_budget == res.sample_budget &&
-                    par.pairs_skipped == res.pairs_skipped &&
-                    par.pairs_refined == res.pairs_refined;
-        for (size_t i = 0; same && i < res.entries.size(); ++i) {
-          same = par.entries[i].candidate == res.entries[i].candidate &&
-                 par.entries[i].estimate == res.entries[i].estimate &&
-                 par.entries[i].lo == res.entries[i].lo &&
-                 par.entries[i].hi == res.entries[i].hi &&
-                 par.entries[i].exact == res.entries[i].exact;
-        }
-        if (!same) {
-          std::ostringstream msg;
-          msg << tag.str() << ": parallel(" << threads
-              << ") diverges from the sequential tier";
-          Fail(msg.str());
+        for (size_t threads : kSweepBudgets) {
+          const ApproxTopKResult par =
+              SolveApproxTopK(prepared, k, params, threads);
+          bool same = par.entries.size() == res.entries.size() &&
+                      par.sample_budget == res.sample_budget &&
+                      par.pairs_skipped == res.pairs_skipped &&
+                      par.pairs_refined == res.pairs_refined &&
+                      SameStats(par.stats, res.stats);
+          for (size_t i = 0; same && i < res.entries.size(); ++i) {
+            same = par.entries[i].candidate == res.entries[i].candidate &&
+                   par.entries[i].estimate == res.entries[i].estimate &&
+                   par.entries[i].lo == res.entries[i].lo &&
+                   par.entries[i].hi == res.entries[i].hi &&
+                   par.entries[i].exact == res.entries[i].exact;
+          }
+          if (!same) {
+            std::ostringstream msg;
+            msg << tag.str() << ": " << threads
+                << " threads diverge from budget 1";
+            Fail(msg.str());
+          }
         }
       }
     });
@@ -665,7 +664,8 @@ class CaseChecker {
   // sweeping min_separation 0 (plain multi-facility, also diffed against
   // SelectFacilities), a random separation up to the candidate diameter,
   // and one larger than the diameter (only a single pick can ever be
-  // feasible). The parallel entry point is diffed bit-identically.
+  // feasible). Budgets 2 and 7 are diffed bit-identically against
+  // budget 1.
   void CheckDiversified(const PreparedInstance& prepared,
                         const SolverResult& naive) {
     if (naive.influence.empty()) return;
@@ -768,16 +768,17 @@ class CaseChecker {
         }
       }
 
-      const size_t threads = 2 + result_->seed % 3;
-      const query::DiversifiedResult par =
-          query::SelectDiversifiedParallel(prepared, k, delta, threads);
-      if (par.selected != got.selected || par.coverage != got.coverage ||
-          par.gain_evaluations != got.gain_evaluations ||
-          par.separation_rejections != got.separation_rejections) {
-        std::ostringstream msg;
-        msg << "DiversifiedParallel(" << threads
-            << "): diverges from sequential";
-        Fail(msg.str());
+      for (size_t threads : kSweepBudgets) {
+        const query::DiversifiedResult par =
+            query::SelectDiversified(prepared, k, delta, threads);
+        if (par.selected != got.selected || par.coverage != got.coverage ||
+            par.gain_evaluations != got.gain_evaluations ||
+            par.separation_rejections != got.separation_rejections) {
+          std::ostringstream msg;
+          msg << "Diversified at " << threads
+              << " threads diverges from budget 1";
+          Fail(msg.str());
+        }
       }
     });
   }
@@ -870,9 +871,9 @@ class CaseChecker {
   }
 
   // Sliding-window interleavings over the delta-maintenance path: every
-  // streamed state is compared against the legacy rebuild path (exact
-  // counter equality) and, at sampled points, against a from-scratch
-  // naive solve of the live window. The feed mixes duplicate object ids,
+  // streamed state is compared against a from-scratch solve of the live
+  // window (influence counters, optimum, live object and position counts).
+  // The feed mixes duplicate object ids,
   // zero time steps, horizon-exact steps (an observation landing exactly
   // window_seconds after another keeps the older one live — the closed
   // window) and occasional far AdvanceTo() drains.
@@ -883,14 +884,10 @@ class CaseChecker {
     const size_t m = instance.candidates.size();
     const double window = rng.Uniform(4.0, 32.0);
 
-    StreamingPrimeLS::Options delta_opts;
-    delta_opts.config = fuzz_.config;
-    delta_opts.window_seconds = window;
-    delta_opts.maintenance = StreamingPrimeLS::Maintenance::kDelta;
-    StreamingPrimeLS delta(instance.candidates, delta_opts);
-    StreamingPrimeLS::Options rebuild_opts = delta_opts;
-    rebuild_opts.maintenance = StreamingPrimeLS::Maintenance::kRebuild;
-    StreamingPrimeLS rebuild(instance.candidates, rebuild_opts);
+    StreamingPrimeLS::Options opts;
+    opts.config = fuzz_.config;
+    opts.window_seconds = window;
+    StreamingPrimeLS delta(instance.candidates, opts);
 
     // Mirror of the live window, expired with the engines' strict-<
     // horizon rule, for the from-scratch reference.
@@ -903,27 +900,20 @@ class CaseChecker {
         it = dq.empty() ? live.erase(it) : std::next(it);
       }
     };
-    auto check_vs_rebuild = [&]() -> bool {
-      for (size_t j = 0; j < m; ++j) {
-        if (delta.InfluenceOf(j) != rebuild.InfluenceOf(j)) {
-          std::ostringstream msg;
-          msg << "StreamingPrimeLS/window: delta influence[" << j << "] = "
-              << delta.InfluenceOf(j) << " vs rebuild "
-              << rebuild.InfluenceOf(j) << " at now=" << delta.now();
-          Fail(msg.str());
-          return false;
-        }
-      }
-      if (delta.Best() != rebuild.Best() ||
-          delta.NumLiveObjects() != rebuild.NumLiveObjects() ||
-          delta.NumLivePositions() != rebuild.NumLivePositions()) {
-        Fail("StreamingPrimeLS/window: delta Best/live-counts diverge from "
-             "rebuild");
+    auto check_vs_batch = [&]() -> bool {
+      size_t live_positions = 0;
+      for (const auto& entry : live) live_positions += entry.second.size();
+      if (delta.NumLiveObjects() != live.size() ||
+          delta.NumLivePositions() != live_positions) {
+        std::ostringstream msg;
+        msg << "StreamingPrimeLS/window: live counts " << delta.NumLiveObjects()
+            << "/" << delta.NumLivePositions() << " vs window mirror "
+            << live.size() << "/" << live_positions << " at now="
+            << delta.now();
+        Fail(msg.str());
         return false;
       }
-      return true;
-    };
-    auto check_vs_batch = [&]() -> bool {
+      int64_t best = 0;
       for (size_t j = 0; j < m; ++j) {
         int64_t want = 0;
         std::vector<Point> positions;
@@ -944,12 +934,22 @@ class CaseChecker {
           Fail(msg.str());
           return false;
         }
+        best = std::max(best, want);
+      }
+      const auto reported = delta.Best();
+      if (!reported.has_value() || reported->second != best ||
+          delta.InfluenceOf(reported->first) != best) {
+        std::ostringstream msg;
+        msg << "StreamingPrimeLS/window: Best() disagrees with the window "
+               "batch maximum "
+            << best << " at now=" << delta.now();
+        Fail(msg.str());
+        return false;
       }
       return true;
     };
 
     double now = 0.0;
-    size_t steps = 0;
     for (const MovingObject& o : instance.objects) {
       for (const Point& p : o.positions) {
         const double roll = rng.NextDouble();
@@ -965,26 +965,21 @@ class CaseChecker {
         const uint32_t id =
             rng.NextDouble() < 0.3 ? o.id % 3 : o.id;
         delta.Observe(id, now, p);
-        rebuild.Observe(id, now, p);
         live[id].emplace_back(now, p);
         expire_live(now);
-        if (!check_vs_rebuild()) return;
-        if (++steps % 13 == 0 && !check_vs_batch()) return;
+        if (!check_vs_batch()) return;
         if (rng.NextDouble() < 0.03) {
           now += rng.Uniform(0.0, 2.0 * window);
           delta.AdvanceTo(now);
-          rebuild.AdvanceTo(now);
           expire_live(now);
-          if (!check_vs_rebuild()) return;
+          if (!check_vs_batch()) return;
         }
       }
     }
     // Full drain, then the final state against the from-scratch batch.
     now += 3.0 * window;
     delta.AdvanceTo(now);
-    rebuild.AdvanceTo(now);
     expire_live(now);
-    if (!check_vs_rebuild()) return;
     if (!check_vs_batch()) return;
     if (delta.NumLiveObjects() != 0 || delta.NumLivePositions() != 0) {
       Fail("StreamingPrimeLS/window: window not empty after full drain");

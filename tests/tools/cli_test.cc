@@ -1,7 +1,10 @@
 #include "tools/cli.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -113,14 +116,72 @@ TEST(CliTest, SolveAllAlgorithmsAgreeOnWinnerClass) {
                 .code,
             0);
   for (const std::string algorithm :
-       {"na", "na-par", "pin", "pin-par", "pin-grid", "pin-hull", "pin-vo",
-        "pin-vo-star", "brnn", "range"}) {
+       {"na", "pin", "pin-grid", "pin-hull", "pin-vo", "pin-vo-star", "brnn",
+        "range"}) {
     const CliOutcome r = RunCli({"solve", "--in=" + snapshot,
                                  "--algorithm=" + algorithm,
                                  "--candidates=30", "--top=3"});
     EXPECT_EQ(r.code, 0) << algorithm << ": " << r.err;
     EXPECT_NE(r.out.find("Top-3 candidates"), std::string::npos) << algorithm;
   }
+}
+
+TEST(CliTest, ThreadBudgetKeepsTheTopTable) {
+  const std::string snapshot = TempPath("cli_threads.pino");
+  ASSERT_EQ(RunCli({"generate", "--profile=foursquare", "--scale=0.02",
+                    "--seed=11", "--out=" + snapshot})
+                .code,
+            0);
+  // Everything from the table title on is budget-independent; the first
+  // lines carry the solver name and timings.
+  const auto table = [](const std::string& out) {
+    return out.substr(out.find("Top-3 candidates"));
+  };
+  for (const std::string algorithm : {"pin", "pin-vo", "pin-vo-star"}) {
+    const CliOutcome one = RunCli({"solve", "--in=" + snapshot,
+                                   "--algorithm=" + algorithm,
+                                   "--candidates=30", "--top=3"});
+    const CliOutcome three = RunCli({"solve", "--in=" + snapshot,
+                                     "--algorithm=" + algorithm,
+                                     "--candidates=30", "--top=3",
+                                     "--threads=3"});
+    ASSERT_EQ(one.code, 0) << algorithm << ": " << one.err;
+    ASSERT_EQ(three.code, 0) << algorithm << ": " << three.err;
+    EXPECT_NE(three.out.find("-P3 over"), std::string::npos) << three.out;
+    EXPECT_EQ(table(one.out), table(three.out)) << algorithm;
+  }
+}
+
+TEST(CliTest, ThreadsZeroResolvesToHardwareConcurrency) {
+  const std::string snapshot = TempPath("cli_threads_zero.pino");
+  ASSERT_EQ(RunCli({"generate", "--profile=foursquare", "--scale=0.01",
+                    "--seed=4", "--out=" + snapshot})
+                .code,
+            0);
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  const std::string name =
+      hardware == 1 ? "PIN-VO" : "PIN-VO-P" + std::to_string(hardware);
+  const CliOutcome r = RunCli({"solve", "--in=" + snapshot,
+                               "--algorithm=pin-vo", "--candidates=20",
+                               "--top=3", "--threads=0"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find(name + " over"), std::string::npos) << r.out;
+}
+
+TEST(CliTest, RemovedParallelSpellingsAreRejected) {
+  const std::string snapshot = TempPath("cli_removed_algos.pino");
+  ASSERT_EQ(RunCli({"generate", "--profile=foursquare", "--scale=0.01",
+                    "--out=" + snapshot})
+                .code,
+            0);
+  // The thread budget is --threads on the one solver, not a second name.
+  for (const std::string algorithm : {"na-par", "pin-par"}) {
+    const CliOutcome r = RunCli({"solve", "--in=" + snapshot,
+                                 "--algorithm=" + algorithm, "--threads=2"});
+    EXPECT_EQ(r.code, 2) << algorithm;
+  }
+  EXPECT_EQ(RunCli({"solve", "--help"}).out.find("pin-par"),
+            std::string::npos);
 }
 
 TEST(CliTest, SolveRejectsBadInputs) {
@@ -134,6 +195,7 @@ TEST(CliTest, SolveRejectsBadInputs) {
   EXPECT_EQ(RunCli({"solve", "--in=" + snapshot, "--algorithm=warp"}).code,
             2);
   EXPECT_EQ(RunCli({"solve", "--in=" + snapshot, "--tau=1.5"}).code, 2);
+  EXPECT_EQ(RunCli({"solve", "--in=" + snapshot, "--threads=-1"}).code, 2);
 }
 
 TEST(CliTest, DetailedStatsPrintsDistributions) {

@@ -22,7 +22,6 @@
 #include "eval/geojson.h"
 #include "eval/histogram.h"
 #include "eval/report.h"
-#include "parallel/parallel_solvers.h"
 #include "prob/power_law.h"
 #include "traj/traj_io.h"
 #include "util/flags.h"
@@ -52,8 +51,9 @@ Usage:
 Datasets are CSV check-ins (user_id,lat,lon[,venue_id]) or binary .pino
 snapshots written by `generate`.
 
-Algorithms: na, na-par, pin, pin-par, pin-grid, pin-hull, pin-vo,
-pin-vo-star, brnn, range.
+Algorithms: na, pin, pin-grid, pin-hull, pin-vo, pin-vo-star, brnn, range.
+--threads (default 1, 0 = hardware concurrency) is the thread budget of
+pin, pin-vo and pin-vo-star; results are identical at every budget.
 )";
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
@@ -221,7 +221,12 @@ int RunSolve(const FlagParser& flags, std::ostream& out, std::ostream& err) {
       static_cast<size_t>(flags.GetInt("candidates", 600));
   const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   const auto top = static_cast<size_t>(flags.GetInt("top", 10));
-  const auto threads = static_cast<size_t>(flags.GetInt("threads", 0));
+  const int64_t threads_flag = flags.GetInt("threads", 1);
+  if (threads_flag < 0) {
+    err << "--threads must be >= 0\n";
+    return 2;
+  }
+  const auto threads = static_cast<size_t>(threads_flag);
 
   SolverConfig config;
   config.tau = flags.GetDouble("tau", 0.7);
@@ -267,20 +272,16 @@ int RunSolve(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   std::unique_ptr<Solver> solver;
   if (algorithm == "na") {
     solver = std::make_unique<NaiveSolver>();
-  } else if (algorithm == "na-par") {
-    solver = std::make_unique<ParallelNaiveSolver>(threads);
   } else if (algorithm == "pin") {
-    solver = std::make_unique<PinocchioSolver>();
-  } else if (algorithm == "pin-par") {
-    solver = std::make_unique<ParallelPinocchioSolver>(threads);
+    solver = std::make_unique<PinocchioSolver>(threads);
   } else if (algorithm == "pin-grid") {
     solver = std::make_unique<PinocchioGridSolver>();
   } else if (algorithm == "pin-hull") {
     solver = std::make_unique<PinocchioHullSolver>();
   } else if (algorithm == "pin-vo") {
-    solver = std::make_unique<PinocchioVOSolver>();
+    solver = std::make_unique<PinocchioVOSolver>(threads);
   } else if (algorithm == "pin-vo-star") {
-    solver = std::make_unique<PinocchioVOStarSolver>();
+    solver = std::make_unique<PinocchioVOStarSolver>(threads);
   } else if (algorithm == "brnn") {
     solver = std::make_unique<BrnnStarSolver>();
   } else if (algorithm == "range") {

@@ -39,8 +39,9 @@ constexpr char kUsage[] = R"(Usage: pinocchio_server [flags]
   --rho=F --lambda=F --unit-km=F
                     Power-law PF parameters (defaults 0.9 / 1.0 / 0.1).
   --topk-limit=N    top_k the snapshots are prepared with (default 16).
-  --solve_threads=N Morsel-engine worker budget per solve/topk request
-                    (default 1 = inline; 0 = hardware concurrency).
+  --solve_threads=N Thread budget of solve/topk/skyline/diverse/approx
+                    requests (default 1 = inline; 0 = hardware
+                    concurrency). NA solves stay sequential.
   --stream-window=F Streaming ingestion window in seconds; enables the
                     observe/advance request family (default 0 = off).
   --approx-default  Route plain topk requests through the approximate
