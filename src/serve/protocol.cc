@@ -1,42 +1,87 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 
 namespace pinocchio {
 namespace serve {
 namespace {
 
-// ------------------------------------------------------------ byte writer
+// The library targets little-endian x86-64; a big-endian port would
+// byte-swap in Writer::Raw and Reader::Raw.
 
-class ByteWriter {
+/// The fewest bytes a T occupies on the wire (a vector or string counts
+/// only its u32 prefix): what a claimed element count is charged before
+/// the decoder allocates.
+template <typename T>
+constexpr size_t MinWireBytes() {
+  if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    return 1;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return sizeof(T);
+  } else if constexpr (std::is_same_v<T, std::string> || kIsVector<T>) {
+    return sizeof(uint32_t);
+  } else {
+    size_t bytes = 0;
+    T probe{};
+    const auto add = [&bytes]<typename F>(const char*, F&) {
+      bytes += MinWireBytes<F>();
+    };
+    Fields(add, probe);
+    return bytes;
+  }
+}
+
+// The derived guards equal the v5 wire minimums of every vector element.
+static_assert(MinWireBytes<UpdateObject>() == 8 &&
+              MinWireBytes<Point>() == 16 &&
+              MinWireBytes<Observation>() == 28);
+static_assert(MinWireBytes<RankedCandidate>() == 13 &&
+              MinWireBytes<SkylineEntry>() == 20 &&
+              MinWireBytes<DiverseEntry>() == 12 &&
+              MinWireBytes<ApproxRankedCandidate>() == 29);
+
+/// Encodes a field list: appends each field in wire order.
+class Writer {
  public:
-  void U8(uint8_t v) { bytes_.push_back(v); }
-  void U32(uint32_t v) { AppendLE(&v, sizeof(v)); }
-  void U64(uint64_t v) { AppendLE(&v, sizeof(v)); }
-  void I64(int64_t v) { AppendLE(&v, sizeof(v)); }
-  void F64(double v) { AppendLE(&v, sizeof(v)); }
+  // Starts with the length prefix, patched by Finish(). One allocation
+  // covers every fixed-size frame and short rankings.
+  Writer() : bytes_(sizeof(uint32_t)) { bytes_.reserve(256); }
 
-  void PointXY(const Point& p) {
-    F64(p.x);
-    F64(p.y);
+  template <typename T>
+  void operator()(const char*, const T& value) {
+    Put(value);
   }
 
-  void String(const std::string& s) {
-    U32(static_cast<uint32_t>(s.size()));
-    if (!s.empty()) {
-      const size_t old_size = bytes_.size();
-      bytes_.resize(old_size + s.size());
-      std::memcpy(bytes_.data() + old_size, s.data(), s.size());
+  template <typename T>
+  void Put(const T& value) {
+    if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+      bytes_.push_back(static_cast<uint8_t>(value));
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      Raw(&value, sizeof(value));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      const size_t len = std::min(value.size(), kMaxErrorMessage);
+      Put(static_cast<uint32_t>(len));
+      Raw(value.data(), len);
+    } else if constexpr (kIsVector<T>) {
+      Put(static_cast<uint32_t>(value.size()));
+      for (const auto& element : value) Put(element);
+    } else {
+      Fields(*this, value);
     }
   }
 
-  std::vector<uint8_t>& bytes() { return bytes_; }
+  /// Patches the length prefix and hands over the whole frame.
+  std::vector<uint8_t> Finish() {
+    const auto len = static_cast<uint32_t>(bytes_.size() - sizeof(uint32_t));
+    std::memcpy(bytes_.data(), &len, sizeof(len));
+    return std::move(bytes_);
+  }
 
  private:
-  void AppendLE(const void* src, size_t n) {
-    // The library targets little-endian x86-64; a big-endian port would
-    // byte-swap here.
+  void Raw(const void* src, size_t n) {
     const auto* p = static_cast<const uint8_t*>(src);
     bytes_.insert(bytes_.end(), p, p + n);
   }
@@ -44,622 +89,175 @@ class ByteWriter {
   std::vector<uint8_t> bytes_;
 };
 
-// ------------------------------------------------------------ byte reader
-
-/// Bounds-checked cursor over a frame body. Every accessor returns false
-/// (leaving the output untouched) instead of reading past the end.
-class ByteReader {
+/// Decodes a field list with every wire check. The first failure stops
+/// the read and records why; later fields are skipped.
+class Reader {
  public:
-  explicit ByteReader(std::span<const uint8_t> data) : data_(data) {}
+  /// `finite_doubles` rejects NaN/infinite doubles (request payloads).
+  Reader(std::span<const uint8_t> data, bool finite_doubles)
+      : data_(data), finite_doubles_(finite_doubles) {}
 
-  bool U8(uint8_t* v) { return ReadLE(v, sizeof(*v)); }
-  bool U32(uint32_t* v) { return ReadLE(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return ReadLE(v, sizeof(*v)); }
-  bool I64(int64_t* v) { return ReadLE(v, sizeof(*v)); }
-  bool F64(double* v) { return ReadLE(v, sizeof(*v)); }
-
-  bool PointXY(Point* p) { return F64(&p->x) && F64(&p->y); }
-
-  bool String(std::string* s, size_t max_len) {
-    uint32_t len = 0;
-    if (!U32(&len) || len > max_len || len > Remaining()) return false;
-    s->assign(reinterpret_cast<const char*>(data_.data() + offset_), len);
-    offset_ += len;
-    return true;
+  /// Reads one field; a no-op once a check has failed.
+  template <typename T>
+  void operator()(const char* name, T& value) {
+    if (why_ != nullptr) return;
+    if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+      uint8_t byte = 0;
+      if (!Raw(&byte, 1, name)) return;
+      if (byte > static_cast<uint8_t>(WireMax(T{}))) {
+        return Fail("byte above the field's largest value", name);
+      }
+      value = static_cast<T>(byte);
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      if (!Raw(&value, sizeof(value), name)) return;
+      if constexpr (std::is_floating_point_v<T>) {
+        if (finite_doubles_ && !std::isfinite(value)) {
+          return Fail("non-finite double", name);
+        }
+      }
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      uint32_t len = 0;
+      if (!Raw(&len, sizeof(len), name)) return;
+      if (len > kMaxErrorMessage || len > Remaining()) {
+        return Fail("bad string length", name);
+      }
+      value.assign(reinterpret_cast<const char*>(data_.data() + offset_), len);
+      offset_ += len;
+    } else if constexpr (kIsVector<T>) {
+      using Element = typename T::value_type;
+      uint32_t count = 0;
+      if (!Raw(&count, sizeof(count), name)) return;
+      // Charge the claimed count against the remaining bytes before
+      // allocating, so a hostile count cannot balloon memory.
+      constexpr size_t kElementBytes = MinWireBytes<Element>();
+      if (static_cast<uint64_t>(count) * kElementBytes > Remaining()) {
+        return Fail("element count exceeds the payload", name);
+      }
+      value.resize(count);
+      for (Element& element : value) (*this)(name, element);
+    } else {
+      Fields(*this, value);
+      if (why_ != nullptr) return;
+      if (const char* why = WireCheck(value)) Fail(why, name);
+    }
   }
 
-  /// Guards a claimed element count before any reserve(): each element
-  /// occupies at least `min_element_bytes`, so a count the remaining
-  /// bytes cannot possibly hold is rejected before allocating.
-  bool Count(uint32_t* count, size_t min_element_bytes) {
-    if (!U32(count)) return false;
-    return static_cast<uint64_t>(*count) * min_element_bytes <= Remaining();
-  }
-
-  size_t Remaining() const { return data_.size() - offset_; }
   bool AtEnd() const { return offset_ == data_.size(); }
+  bool Byte(uint8_t* v) { return Raw(v, 1, ""); }
+
+  /// nullptr while every check has passed.
+  const char* why() const { return why_; }
+  const char* field() const { return field_; }
 
  private:
-  bool ReadLE(void* dst, size_t n) {
-    if (Remaining() < n) return false;
+  size_t Remaining() const { return data_.size() - offset_; }
+
+  bool Raw(void* dst, size_t n, const char* name) {
+    if (Remaining() < n) {
+      Fail("truncated", name);
+      return false;
+    }
     std::memcpy(dst, data_.data() + offset_, n);
     offset_ += n;
     return true;
   }
 
+  void Fail(const char* why, const char* name) {
+    why_ = why;
+    field_ = name;
+  }
+
   std::span<const uint8_t> data_;
   size_t offset_ = 0;
+  bool finite_doubles_;
+  const char* why_ = nullptr;
+  const char* field_ = "";
 };
 
-bool Fail(std::string* error, const char* reason) {
-  if (error != nullptr) *error = reason;
-  return false;
+template <typename Message, typename Table>
+std::vector<uint8_t> Encode(const Message& message, const Table& table) {
+  Writer w;
+  w.Put(kProtocolVersion);
+  w.Put(message.type);
+  VisitOp(table, message.type,
+          [&](const auto& op, size_t) { w.Put(message.*op.member); });
+  return w.Finish();
 }
 
-std::vector<uint8_t> FinishFrame(ByteWriter* body) {
-  const std::vector<uint8_t>& payload = body->bytes();
-  const auto len = static_cast<uint32_t>(payload.size());
-  std::vector<uint8_t> frame(sizeof(uint32_t) + payload.size());
-  frame[0] = static_cast<uint8_t>(len);
-  frame[1] = static_cast<uint8_t>(len >> 8);
-  frame[2] = static_cast<uint8_t>(len >> 16);
-  frame[3] = static_cast<uint8_t>(len >> 24);
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + sizeof(uint32_t), payload.data(),
-                payload.size());
-  }
-  return frame;
-}
-
-constexpr size_t kMaxErrorMessage = 4096;
-
-bool FinitePoint(const Point& p) {
-  return std::isfinite(p.x) && std::isfinite(p.y);
-}
-
-}  // namespace
-
-// --------------------------------------------------------------- requests
-
-std::vector<uint8_t> EncodeRequest(const Request& request) {
-  ByteWriter w;
-  w.U8(kProtocolVersion);
-  w.U8(static_cast<uint8_t>(request.type));
-  switch (request.type) {
-    case RequestType::kSolve:
-      w.U8(static_cast<uint8_t>(request.solve.algorithm));
-      w.U32(request.solve.top_k);
-      break;
-    case RequestType::kTopK:
-      w.U32(request.top_k.k);
-      break;
-    case RequestType::kProbe:
-      w.PointXY(request.probe.location);
-      break;
-    case RequestType::kWhatIf:
-      w.F64(request.what_if.tau);
-      w.F64(request.what_if.rho);
-      w.F64(request.what_if.lambda);
-      w.U32(request.what_if.top_k);
-      break;
-    case RequestType::kUpdate: {
-      w.U32(static_cast<uint32_t>(request.update.objects.size()));
-      for (const UpdateObject& o : request.update.objects) {
-        w.U32(o.object_id);
-        w.U32(static_cast<uint32_t>(o.positions.size()));
-        for (const Point& p : o.positions) w.PointXY(p);
-      }
-      w.U32(static_cast<uint32_t>(request.update.candidates.size()));
-      for (const Point& p : request.update.candidates) w.PointXY(p);
-      break;
-    }
-    case RequestType::kStats:
-      break;
-    case RequestType::kSkyline:
-      w.PointXY(request.skyline.cost_origin);
-      break;
-    case RequestType::kDiversified:
-      w.U32(request.diversified.k);
-      w.F64(request.diversified.min_separation);
-      break;
-    case RequestType::kObserve:
-      w.U32(static_cast<uint32_t>(request.observe.observations.size()));
-      for (const Observation& o : request.observe.observations) {
-        w.U32(o.object_id);
-        w.F64(o.time);
-        w.PointXY(o.position);
-      }
-      break;
-    case RequestType::kAdvance:
-      w.F64(request.advance.time);
-      break;
-    case RequestType::kApproxTopK:
-      w.U32(request.approx.k);
-      w.F64(request.approx.epsilon);
-      w.F64(request.approx.delta);
-      w.U64(request.approx.seed);
-      break;
-  }
-  return FinishFrame(&w);
-}
-
-namespace {
-
-bool DecodeRequestBody(ByteReader* r, Request* out, std::string* error) {
-  uint8_t raw_type = 0;
-  if (!r->U8(&raw_type)) return Fail(error, "missing request type");
-  switch (static_cast<RequestType>(raw_type)) {
-    case RequestType::kSolve: {
-      out->type = RequestType::kSolve;
-      uint8_t algorithm = 0;
-      if (!r->U8(&algorithm) || !r->U32(&out->solve.top_k)) {
-        return Fail(error, "truncated solve request");
-      }
-      if (algorithm > static_cast<uint8_t>(WireAlgorithm::kNaive)) {
-        return Fail(error, "unknown algorithm id");
-      }
-      out->solve.algorithm = static_cast<WireAlgorithm>(algorithm);
-      return true;
-    }
-    case RequestType::kTopK:
-      out->type = RequestType::kTopK;
-      if (!r->U32(&out->top_k.k)) return Fail(error, "truncated topk request");
-      return true;
-    case RequestType::kProbe:
-      out->type = RequestType::kProbe;
-      if (!r->PointXY(&out->probe.location)) {
-        return Fail(error, "truncated probe request");
-      }
-      if (!FinitePoint(out->probe.location)) {
-        return Fail(error, "non-finite probe location");
-      }
-      return true;
-    case RequestType::kWhatIf:
-      out->type = RequestType::kWhatIf;
-      if (!r->F64(&out->what_if.tau) || !r->F64(&out->what_if.rho) ||
-          !r->F64(&out->what_if.lambda) || !r->U32(&out->what_if.top_k)) {
-        return Fail(error, "truncated what-if request");
-      }
-      if (!std::isfinite(out->what_if.tau) ||
-          !std::isfinite(out->what_if.rho) ||
-          !std::isfinite(out->what_if.lambda)) {
-        return Fail(error, "non-finite what-if parameter");
-      }
-      return true;
-    case RequestType::kUpdate: {
-      out->type = RequestType::kUpdate;
-      uint32_t num_objects = 0;
-      // Each serialised object needs at least id + position count.
-      if (!r->Count(&num_objects, 8)) {
-        return Fail(error, "bad update object count");
-      }
-      out->update.objects.reserve(num_objects);
-      for (uint32_t i = 0; i < num_objects; ++i) {
-        UpdateObject o;
-        uint32_t npos = 0;
-        if (!r->U32(&o.object_id) || !r->Count(&npos, 16)) {
-          return Fail(error, "bad update object header");
-        }
-        o.positions.reserve(npos);
-        for (uint32_t j = 0; j < npos; ++j) {
-          Point p;
-          if (!r->PointXY(&p) || !FinitePoint(p)) {
-            return Fail(error, "bad update position");
-          }
-          o.positions.push_back(p);
-        }
-        out->update.objects.push_back(std::move(o));
-      }
-      uint32_t num_candidates = 0;
-      if (!r->Count(&num_candidates, 16)) {
-        return Fail(error, "bad update candidate count");
-      }
-      out->update.candidates.reserve(num_candidates);
-      for (uint32_t i = 0; i < num_candidates; ++i) {
-        Point p;
-        if (!r->PointXY(&p) || !FinitePoint(p)) {
-          return Fail(error, "bad update candidate");
-        }
-        out->update.candidates.push_back(p);
-      }
-      return true;
-    }
-    case RequestType::kStats:
-      out->type = RequestType::kStats;
-      return true;
-    case RequestType::kSkyline:
-      out->type = RequestType::kSkyline;
-      if (!r->PointXY(&out->skyline.cost_origin)) {
-        return Fail(error, "truncated skyline request");
-      }
-      if (!FinitePoint(out->skyline.cost_origin)) {
-        return Fail(error, "non-finite skyline cost origin");
-      }
-      return true;
-    case RequestType::kDiversified:
-      out->type = RequestType::kDiversified;
-      if (!r->U32(&out->diversified.k) ||
-          !r->F64(&out->diversified.min_separation)) {
-        return Fail(error, "truncated diversified request");
-      }
-      if (!std::isfinite(out->diversified.min_separation)) {
-        return Fail(error, "non-finite min separation");
-      }
-      return true;
-    case RequestType::kObserve: {
-      out->type = RequestType::kObserve;
-      uint32_t count = 0;
-      // Each observation is id (4) + time (8) + position (16) = 28 bytes.
-      if (!r->Count(&count, 28)) {
-        return Fail(error, "bad observation count");
-      }
-      out->observe.observations.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        Observation o;
-        if (!r->U32(&o.object_id) || !r->F64(&o.time) ||
-            !r->PointXY(&o.position)) {
-          return Fail(error, "truncated observation");
-        }
-        if (!std::isfinite(o.time) || !FinitePoint(o.position)) {
-          return Fail(error, "non-finite observation");
-        }
-        out->observe.observations.push_back(o);
-      }
-      return true;
-    }
-    case RequestType::kAdvance:
-      out->type = RequestType::kAdvance;
-      if (!r->F64(&out->advance.time)) {
-        return Fail(error, "truncated advance request");
-      }
-      if (!std::isfinite(out->advance.time)) {
-        return Fail(error, "non-finite advance time");
-      }
-      return true;
-    case RequestType::kApproxTopK: {
-      out->type = RequestType::kApproxTopK;
-      ApproxTopKRequest& a = out->approx;
-      if (!r->U32(&a.k) || !r->F64(&a.epsilon) || !r->F64(&a.delta) ||
-          !r->U64(&a.seed)) {
-        return Fail(error, "truncated approx-topk request");
-      }
-      if (!(a.epsilon > 0.0) || !(a.epsilon <= 1.0) ||
-          !std::isfinite(a.epsilon)) {
-        return Fail(error, "epsilon outside (0, 1]");
-      }
-      if (!(a.delta > 0.0) || !(a.delta < 1.0) || !std::isfinite(a.delta)) {
-        return Fail(error, "delta outside (0, 1)");
-      }
-      return true;
-    }
-    default:
-      return Fail(error, "unknown request type");
-  }
-}
-
-bool DecodeResponseBody(ByteReader* r, Response* out, std::string* error) {
-  uint8_t raw_type = 0;
-  if (!r->U8(&raw_type)) return Fail(error, "missing response type");
-  switch (static_cast<ResponseType>(raw_type)) {
-    case ResponseType::kError: {
-      out->type = ResponseType::kError;
-      uint8_t code = 0;
-      if (!r->U8(&code) ||
-          code > static_cast<uint8_t>(ErrorCode::kInternal) ||
-          !r->String(&out->error.message, kMaxErrorMessage)) {
-        return Fail(error, "bad error response");
-      }
-      out->error.code = static_cast<ErrorCode>(code);
-      return true;
-    }
-    case ResponseType::kSolve: {
-      out->type = ResponseType::kSolve;
-      SolveResponse& s = out->solve;
-      uint32_t k = 0;
-      if (!r->U64(&s.epoch) || !r->U64(&s.num_objects) ||
-          !r->U64(&s.num_candidates) || !r->U32(&s.best_candidate) ||
-          !r->I64(&s.best_influence) || !r->F64(&s.solve_seconds) ||
-          !r->Count(&k, 13)) {
-        return Fail(error, "truncated solve response");
-      }
-      s.topk.reserve(k);
-      for (uint32_t i = 0; i < k; ++i) {
-        RankedCandidate rc;
-        uint8_t exact = 0;
-        if (!r->U32(&rc.candidate) || !r->I64(&rc.influence) ||
-            !r->U8(&exact) || exact > 1) {
-          return Fail(error, "truncated ranking entry");
-        }
-        rc.exact = exact != 0;
-        s.topk.push_back(rc);
-      }
-      return true;
-    }
-    case ResponseType::kProbe:
-      out->type = ResponseType::kProbe;
-      if (!r->U64(&out->probe.epoch) || !r->U64(&out->probe.num_objects) ||
-          !r->I64(&out->probe.influence) ||
-          !r->F64(&out->probe.solve_seconds)) {
-        return Fail(error, "truncated probe response");
-      }
-      return true;
-    case ResponseType::kUpdate: {
-      out->type = ResponseType::kUpdate;
-      uint8_t accepted = 0;
-      if (!r->U64(&out->update.epoch) || !r->U64(&out->update.pending_updates) ||
-          !r->U8(&accepted) || accepted > 1) {
-        return Fail(error, "truncated update response");
-      }
-      out->update.accepted = accepted != 0;
-      return true;
-    }
-    case ResponseType::kStats: {
-      out->type = ResponseType::kStats;
-      StatsResponse& s = out->stats;
-      if (!r->U64(&s.epoch) || !r->U64(&s.num_objects) ||
-          !r->U64(&s.num_candidates) || !r->U64(&s.snapshot_swaps) ||
-          !r->U64(&s.pending_updates) || !r->U64(&s.solve_requests) ||
-          !r->U64(&s.topk_requests) || !r->U64(&s.probe_requests) ||
-          !r->U64(&s.whatif_requests) || !r->U64(&s.update_requests) ||
-          !r->U64(&s.stats_requests) || !r->U64(&s.skyline_requests) ||
-          !r->U64(&s.diverse_requests) || !r->U64(&s.error_responses) ||
-          !r->F64(&s.uptime_seconds) || !r->U64(&s.solve_threads) ||
-          !r->F64(&s.solve_busy_seconds) || !r->U64(&s.observe_requests) ||
-          !r->U64(&s.advance_requests) || !r->U64(&s.stream_observations) ||
-          !r->U64(&s.stream_live_objects) ||
-          !r->U64(&s.stream_live_positions) ||
-          !r->F64(&s.stream_window_seconds) ||
-          !r->U64(&s.approx_requests)) {
-        return Fail(error, "truncated stats response");
-      }
-      return true;
-    }
-    case ResponseType::kStream: {
-      out->type = ResponseType::kStream;
-      StreamResponse& s = out->stream;
-      uint8_t has_best = 0;
-      if (!r->F64(&s.now) || !r->U64(&s.live_objects) ||
-          !r->U64(&s.live_positions) || !r->U64(&s.applied) ||
-          !r->U8(&has_best) || has_best > 1 || !r->U32(&s.best_candidate) ||
-          !r->I64(&s.best_influence)) {
-        return Fail(error, "truncated stream response");
-      }
-      s.has_best = has_best != 0;
-      return true;
-    }
-    case ResponseType::kSkyline: {
-      out->type = ResponseType::kSkyline;
-      SkylineResponse& s = out->skyline;
-      uint32_t n = 0;
-      if (!r->U64(&s.epoch) || !r->U64(&s.num_objects) ||
-          !r->U64(&s.num_candidates) || !r->U64(&s.bound_skipped) ||
-          !r->F64(&s.solve_seconds) || !r->Count(&n, 20)) {
-        return Fail(error, "truncated skyline response");
-      }
-      s.skyline.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        SkylineEntry e;
-        if (!r->U32(&e.candidate) || !r->I64(&e.influence) || !r->F64(&e.cost)) {
-          return Fail(error, "truncated skyline entry");
-        }
-        s.skyline.push_back(e);
-      }
-      return true;
-    }
-    case ResponseType::kDiversified: {
-      out->type = ResponseType::kDiversified;
-      DiverseResponse& s = out->diverse;
-      uint32_t n = 0;
-      if (!r->U64(&s.epoch) || !r->U64(&s.num_objects) ||
-          !r->U64(&s.num_candidates) || !r->U64(&s.gain_evaluations) ||
-          !r->F64(&s.solve_seconds) || !r->Count(&n, 12)) {
-        return Fail(error, "truncated diverse response");
-      }
-      s.selected.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        DiverseEntry e;
-        if (!r->U32(&e.candidate) || !r->I64(&e.coverage)) {
-          return Fail(error, "truncated diverse entry");
-        }
-        s.selected.push_back(e);
-      }
-      return true;
-    }
-    case ResponseType::kApprox: {
-      out->type = ResponseType::kApprox;
-      ApproxResponse& s = out->approx;
-      uint32_t n = 0;
-      // Each entry is candidate (4) + three i64 (24) + exact flag (1).
-      if (!r->U64(&s.epoch) || !r->U64(&s.num_objects) ||
-          !r->U64(&s.num_candidates) || !r->F64(&s.solve_seconds) ||
-          !r->Count(&n, 29)) {
-        return Fail(error, "truncated approx response");
-      }
-      s.entries.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        ApproxRankedCandidate e;
-        uint8_t exact = 0;
-        if (!r->U32(&e.candidate) || !r->I64(&e.estimate) || !r->I64(&e.lo) ||
-            !r->I64(&e.hi) || !r->U8(&exact) || exact > 1) {
-          return Fail(error, "truncated approx entry");
-        }
-        if (e.lo > e.estimate || e.estimate > e.hi) {
-          return Fail(error, "approx entry estimate outside bracket");
-        }
-        e.exact = exact != 0;
-        s.entries.push_back(e);
-      }
-      return true;
-    }
-    default:
-      return Fail(error, "unknown response type");
-  }
-}
-
-template <typename T>
-std::optional<T> DecodeBody(std::span<const uint8_t> body, std::string* error,
-                            bool (*decode)(ByteReader*, T*, std::string*)) {
-  if (body.size() > kMaxFrameBody) {
-    Fail(error, "frame body over size cap");
+template <typename Message, typename Table>
+std::optional<Message> Decode(std::span<const uint8_t> body,
+                              std::string* error, const Table& table,
+                              const char* kind) {
+  const auto fail = [error](std::string reason) -> std::optional<Message> {
+    if (error != nullptr) *error = std::move(reason);
     return std::nullopt;
-  }
-  ByteReader r(body);
+  };
+  if (body.size() > kMaxFrameBody) return fail("frame body over size cap");
+  Reader r(body, /*finite_doubles=*/std::is_same_v<Message, Request>);
   uint8_t version = 0;
-  if (!r.U8(&version)) {
-    Fail(error, "empty frame body");
-    return std::nullopt;
+  if (!r.Byte(&version)) return fail("empty frame body");
+  if (version != kProtocolVersion) return fail("unsupported protocol version");
+  uint8_t type = 0;
+  if (!r.Byte(&type)) return fail(std::string("missing ") + kind + " type");
+  Message out;
+  const char* name = nullptr;
+  VisitOp(table, static_cast<decltype(out.type)>(type),
+          [&](const auto& op, size_t) {
+            out.type = op.type;
+            name = op.name;
+            r(op.name, out.*op.member);
+          });
+  if (name == nullptr) return fail(std::string("unknown ") + kind + " type");
+  if (r.why() != nullptr) {
+    return fail(std::string(name) + " " + kind + ": " + r.why() + " at '" +
+                r.field() + "'");
   }
-  if (version != kProtocolVersion) {
-    Fail(error, "unsupported protocol version");
-    return std::nullopt;
-  }
-  T out;
-  if (!decode(&r, &out, error)) return std::nullopt;
-  if (!r.AtEnd()) {
-    Fail(error, "trailing bytes after payload");
-    return std::nullopt;
-  }
+  if (!r.AtEnd()) return fail("trailing bytes after payload");
   return out;
 }
 
+template <typename Table, typename Type>
+const char* TypeName(const Table& table, Type type) {
+  const char* name = "?";
+  VisitOp(table, type, [&](const auto& op, size_t) { name = op.name; });
+  return name;
+}
+
 }  // namespace
+
+// ------------------------------------------------------------------ codec
+
+const char* WireCheck(const ApproxTopKRequest& m) {
+  if (!(m.epsilon > 0.0 && m.epsilon <= 1.0)) {
+    return "epsilon must be in (0, 1]";
+  }
+  if (!(m.delta > 0.0 && m.delta < 1.0)) return "delta must be in (0, 1)";
+  return nullptr;
+}
+
+const char* WireCheck(const ApproxRankedCandidate& m) {
+  if (m.lo > m.estimate || m.estimate > m.hi) {
+    return "estimate outside its [lo, hi] bracket";
+  }
+  return nullptr;
+}
+
+std::vector<uint8_t> EncodeRequest(const Request& request) {
+  return Encode(request, kRequestOps);
+}
+
+std::vector<uint8_t> EncodeResponse(const Response& response) {
+  return Encode(response, kResponseOps);
+}
 
 std::optional<Request> DecodeRequest(std::span<const uint8_t> body,
                                      std::string* error) {
-  return DecodeBody<Request>(body, error, &DecodeRequestBody);
+  return Decode<Request>(body, error, kRequestOps, "request");
 }
 
 std::optional<Response> DecodeResponse(std::span<const uint8_t> body,
                                        std::string* error) {
-  return DecodeBody<Response>(body, error, &DecodeResponseBody);
-}
-
-// -------------------------------------------------------------- responses
-
-std::vector<uint8_t> EncodeResponse(const Response& response) {
-  ByteWriter w;
-  w.U8(kProtocolVersion);
-  w.U8(static_cast<uint8_t>(response.type));
-  switch (response.type) {
-    case ResponseType::kError:
-      w.U8(static_cast<uint8_t>(response.error.code));
-      w.String(response.error.message.size() > kMaxErrorMessage
-                   ? response.error.message.substr(0, kMaxErrorMessage)
-                   : response.error.message);
-      break;
-    case ResponseType::kSolve: {
-      const SolveResponse& s = response.solve;
-      w.U64(s.epoch);
-      w.U64(s.num_objects);
-      w.U64(s.num_candidates);
-      w.U32(s.best_candidate);
-      w.I64(s.best_influence);
-      w.F64(s.solve_seconds);
-      w.U32(static_cast<uint32_t>(s.topk.size()));
-      for (const RankedCandidate& rc : s.topk) {
-        w.U32(rc.candidate);
-        w.I64(rc.influence);
-        w.U8(rc.exact ? 1 : 0);
-      }
-      break;
-    }
-    case ResponseType::kProbe:
-      w.U64(response.probe.epoch);
-      w.U64(response.probe.num_objects);
-      w.I64(response.probe.influence);
-      w.F64(response.probe.solve_seconds);
-      break;
-    case ResponseType::kUpdate:
-      w.U64(response.update.epoch);
-      w.U64(response.update.pending_updates);
-      w.U8(response.update.accepted ? 1 : 0);
-      break;
-    case ResponseType::kStats: {
-      const StatsResponse& s = response.stats;
-      w.U64(s.epoch);
-      w.U64(s.num_objects);
-      w.U64(s.num_candidates);
-      w.U64(s.snapshot_swaps);
-      w.U64(s.pending_updates);
-      w.U64(s.solve_requests);
-      w.U64(s.topk_requests);
-      w.U64(s.probe_requests);
-      w.U64(s.whatif_requests);
-      w.U64(s.update_requests);
-      w.U64(s.stats_requests);
-      w.U64(s.skyline_requests);
-      w.U64(s.diverse_requests);
-      w.U64(s.error_responses);
-      w.F64(s.uptime_seconds);
-      w.U64(s.solve_threads);
-      w.F64(s.solve_busy_seconds);
-      w.U64(s.observe_requests);
-      w.U64(s.advance_requests);
-      w.U64(s.stream_observations);
-      w.U64(s.stream_live_objects);
-      w.U64(s.stream_live_positions);
-      w.F64(s.stream_window_seconds);
-      w.U64(s.approx_requests);
-      break;
-    }
-    case ResponseType::kStream: {
-      const StreamResponse& s = response.stream;
-      w.F64(s.now);
-      w.U64(s.live_objects);
-      w.U64(s.live_positions);
-      w.U64(s.applied);
-      w.U8(s.has_best ? 1 : 0);
-      w.U32(s.best_candidate);
-      w.I64(s.best_influence);
-      break;
-    }
-    case ResponseType::kSkyline: {
-      const SkylineResponse& s = response.skyline;
-      w.U64(s.epoch);
-      w.U64(s.num_objects);
-      w.U64(s.num_candidates);
-      w.U64(s.bound_skipped);
-      w.F64(s.solve_seconds);
-      w.U32(static_cast<uint32_t>(s.skyline.size()));
-      for (const SkylineEntry& e : s.skyline) {
-        w.U32(e.candidate);
-        w.I64(e.influence);
-        w.F64(e.cost);
-      }
-      break;
-    }
-    case ResponseType::kDiversified: {
-      const DiverseResponse& s = response.diverse;
-      w.U64(s.epoch);
-      w.U64(s.num_objects);
-      w.U64(s.num_candidates);
-      w.U64(s.gain_evaluations);
-      w.F64(s.solve_seconds);
-      w.U32(static_cast<uint32_t>(s.selected.size()));
-      for (const DiverseEntry& e : s.selected) {
-        w.U32(e.candidate);
-        w.I64(e.coverage);
-      }
-      break;
-    }
-    case ResponseType::kApprox: {
-      const ApproxResponse& s = response.approx;
-      w.U64(s.epoch);
-      w.U64(s.num_objects);
-      w.U64(s.num_candidates);
-      w.F64(s.solve_seconds);
-      w.U32(static_cast<uint32_t>(s.entries.size()));
-      for (const ApproxRankedCandidate& e : s.entries) {
-        w.U32(e.candidate);
-        w.I64(e.estimate);
-        w.I64(e.lo);
-        w.I64(e.hi);
-        w.U8(e.exact ? 1 : 0);
-      }
-      break;
-    }
-  }
-  return FinishFrame(&w);
+  return Decode<Response>(body, error, kResponseOps, "response");
 }
 
 // ---------------------------------------------------------------- framing
@@ -670,76 +268,47 @@ void FrameAssembler::Append(std::span<const uint8_t> data) {
 }
 
 std::optional<std::vector<uint8_t>> FrameAssembler::NextFrame() {
-  if (poisoned_ || buffer_.size() < sizeof(uint32_t)) return std::nullopt;
-  uint8_t len_bytes[sizeof(uint32_t)];
-  for (size_t i = 0; i < sizeof(uint32_t); ++i) len_bytes[i] = buffer_[i];
+  if (poisoned_ || buffered_bytes() < sizeof(uint32_t)) return std::nullopt;
   uint32_t len = 0;
-  std::memcpy(&len, len_bytes, sizeof(len));
+  std::memcpy(&len, buffer_.data() + read_, sizeof(len));
   if (len > kMaxFrameBody) {
     poisoned_ = true;
     return std::nullopt;
   }
-  if (buffer_.size() < sizeof(uint32_t) + len) return std::nullopt;
-  buffer_.erase(buffer_.begin(), buffer_.begin() + sizeof(uint32_t));
-  std::vector<uint8_t> body(buffer_.begin(), buffer_.begin() + len);
-  buffer_.erase(buffer_.begin(), buffer_.begin() + len);
-  return body;
+  if (buffered_bytes() < sizeof(uint32_t) + len) return std::nullopt;
+  const uint8_t* body = buffer_.data() + read_ + sizeof(uint32_t);
+  std::vector<uint8_t> frame(body, body + len);
+  read_ += sizeof(uint32_t) + len;
+  if (read_ > buffer_.size() / 2) {
+    buffer_.erase(buffer_.begin(),
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(read_));
+    read_ = 0;
+  }
+  return frame;
 }
 
 // ------------------------------------------------------------------ names
 
 const char* RequestTypeName(RequestType type) {
-  switch (type) {
-    case RequestType::kSolve: return "solve";
-    case RequestType::kTopK: return "topk";
-    case RequestType::kProbe: return "probe";
-    case RequestType::kWhatIf: return "whatif";
-    case RequestType::kUpdate: return "update";
-    case RequestType::kStats: return "stats";
-    case RequestType::kSkyline: return "skyline";
-    case RequestType::kDiversified: return "diverse";
-    case RequestType::kObserve: return "observe";
-    case RequestType::kAdvance: return "advance";
-    case RequestType::kApproxTopK: return "approx-topk";
-  }
-  return "?";
+  return TypeName(kRequestOps, type);
 }
 
 const char* ResponseTypeName(ResponseType type) {
-  switch (type) {
-    case ResponseType::kError: return "error";
-    case ResponseType::kSolve: return "solve";
-    case ResponseType::kProbe: return "probe";
-    case ResponseType::kUpdate: return "update";
-    case ResponseType::kStats: return "stats";
-    case ResponseType::kSkyline: return "skyline";
-    case ResponseType::kDiversified: return "diverse";
-    case ResponseType::kStream: return "stream";
-    case ResponseType::kApprox: return "approx";
-  }
-  return "?";
+  return TypeName(kResponseOps, type);
 }
 
 const char* ErrorCodeName(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::kNone: return "none";
-    case ErrorCode::kBadFrame: return "bad-frame";
-    case ErrorCode::kUnsupportedVersion: return "unsupported-version";
-    case ErrorCode::kUnknownType: return "unknown-type";
-    case ErrorCode::kBadRequest: return "bad-request";
-    case ErrorCode::kShuttingDown: return "shutting-down";
-    case ErrorCode::kInternal: return "internal";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {
+      "none",        "bad-frame",     "unsupported-version", "unknown-type",
+      "bad-request", "shutting-down", "internal"};
+  const auto index = static_cast<size_t>(code);
+  return index < std::size(kNames) ? kNames[index] : "?";
 }
 
 const char* WireAlgorithmName(WireAlgorithm algorithm) {
-  switch (algorithm) {
-    case WireAlgorithm::kPinVO: return "pin-vo";
-    case WireAlgorithm::kPin: return "pin";
-    case WireAlgorithm::kNaive: return "na";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"pin-vo", "pin", "na"};
+  const auto index = static_cast<size_t>(algorithm);
+  return index < std::size(kNames) ? kNames[index] : "?";
 }
 
 }  // namespace serve

@@ -82,42 +82,18 @@ InfluenceService::~InfluenceService() {
 }
 
 Response InfluenceService::Execute(const Request& request) {
-  switch (request.type) {
-    case RequestType::kSolve:
-      solve_requests_.fetch_add(1, std::memory_order_relaxed);
-      return DoSolve(request.solve);
-    case RequestType::kTopK:
-      topk_requests_.fetch_add(1, std::memory_order_relaxed);
-      return DoTopK(request.top_k);
-    case RequestType::kProbe:
-      probe_requests_.fetch_add(1, std::memory_order_relaxed);
-      return DoProbe(request.probe);
-    case RequestType::kWhatIf:
-      whatif_requests_.fetch_add(1, std::memory_order_relaxed);
-      return DoWhatIf(request.what_if);
-    case RequestType::kUpdate:
-      update_requests_.fetch_add(1, std::memory_order_relaxed);
-      return DoUpdate(request.update);
-    case RequestType::kStats:
-      stats_requests_.fetch_add(1, std::memory_order_relaxed);
-      return DoStats();
-    case RequestType::kSkyline:
-      skyline_requests_.fetch_add(1, std::memory_order_relaxed);
-      return DoSkyline(request.skyline);
-    case RequestType::kDiversified:
-      diverse_requests_.fetch_add(1, std::memory_order_relaxed);
-      return DoDiversified(request.diversified);
-    case RequestType::kObserve:
-      observe_requests_.fetch_add(1, std::memory_order_relaxed);
-      return DoObserve(request.observe);
-    case RequestType::kAdvance:
-      advance_requests_.fetch_add(1, std::memory_order_relaxed);
-      return DoAdvance(request.advance);
-    case RequestType::kApproxTopK:
-      approx_requests_.fetch_add(1, std::memory_order_relaxed);
-      return DoApproxTopK(request.approx);
+  Response response;
+  const auto run = [&](const auto& op, size_t index) {
+    requests_[index].fetch_add(1, std::memory_order_relaxed);
+    response = Do(request.*op.member);
+  };
+  if (!VisitOp(kRequestOps, request.type, run)) {
+    response = MakeError(ErrorCode::kUnknownType, "unknown request type");
   }
-  return MakeError(ErrorCode::kUnknownType, "unknown request type");
+  if (response.type == ResponseType::kError) {
+    error_responses_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return response;
 }
 
 Response InfluenceService::MakeError(ErrorCode code, std::string message) {
@@ -157,11 +133,10 @@ Response InfluenceService::MakeSolveResponse(const ServerSnapshot& snap,
   return response;
 }
 
-Response InfluenceService::DoSolve(const SolveRequest& request) {
+Response InfluenceService::Do(const SolveRequest& request) {
   const std::unique_ptr<Solver> solver =
       MakeSolver(request.algorithm, options_.solve_threads);
   if (solver == nullptr) {
-    error_responses_.fetch_add(1, std::memory_order_relaxed);
     return MakeError(ErrorCode::kBadRequest, "unknown algorithm");
   }
   const SnapshotPtr snap = holder_.Acquire();
@@ -171,7 +146,7 @@ Response InfluenceService::DoSolve(const SolveRequest& request) {
   return MakeSolveResponse(*snap, result, k);
 }
 
-Response InfluenceService::DoTopK(const TopKRequest& request) {
+Response InfluenceService::Do(const TopKRequest& request) {
   const size_t k =
       std::min<size_t>(std::max<uint32_t>(1, request.k), kMaxResponseTopK);
   if (options_.approx_default) return DoTopKViaApprox(k);
@@ -188,16 +163,11 @@ Response InfluenceService::DoTopK(const TopKRequest& request) {
   return MakeSolveResponse(*snap, result, k);
 }
 
-Response InfluenceService::DoApproxTopK(const ApproxTopKRequest& request) {
+Response InfluenceService::Do(const ApproxTopKRequest& request) {
   // The decoder rejects out-of-range parameters on the wire, but Execute()
-  // is also a direct API (tests, harness) — validate here too.
-  if (!(request.epsilon > 0.0) || !(request.epsilon <= 1.0)) {
-    error_responses_.fetch_add(1, std::memory_order_relaxed);
-    return MakeError(ErrorCode::kBadRequest, "epsilon must be in (0, 1]");
-  }
-  if (!(request.delta > 0.0) || !(request.delta < 1.0)) {
-    error_responses_.fetch_add(1, std::memory_order_relaxed);
-    return MakeError(ErrorCode::kBadRequest, "delta must be in (0, 1)");
+  // is also a direct API (tests, harness) — run the same check here.
+  if (const char* why = WireCheck(request)) {
+    return MakeError(ErrorCode::kBadRequest, why);
   }
   const SnapshotPtr snap = holder_.Acquire();
   const size_t k =
@@ -269,7 +239,7 @@ Response InfluenceService::DoTopKViaApprox(size_t k) {
   return response;
 }
 
-Response InfluenceService::DoProbe(const ProbeRequest& request) {
+Response InfluenceService::Do(const ProbeRequest& request) {
   const SnapshotPtr snap = holder_.Acquire();
   Stopwatch watch;
   const int64_t influence =
@@ -283,13 +253,11 @@ Response InfluenceService::DoProbe(const ProbeRequest& request) {
   return response;
 }
 
-Response InfluenceService::DoWhatIf(const WhatIfRequest& request) {
+Response InfluenceService::Do(const WhatIfRequest& request) {
   if (!(request.tau > 0.0 && request.tau < 1.0)) {
-    error_responses_.fetch_add(1, std::memory_order_relaxed);
     return MakeError(ErrorCode::kBadRequest, "tau must be in (0, 1)");
   }
   if (request.rho <= 0.0 || request.rho > 1.0 || request.lambda <= 0.0) {
-    error_responses_.fetch_add(1, std::memory_order_relaxed);
     return MakeError(ErrorCode::kBadRequest,
                      "rho must be in (0, 1] and lambda positive");
   }
@@ -321,10 +289,9 @@ Response InfluenceService::DoWhatIf(const WhatIfRequest& request) {
   return response;
 }
 
-Response InfluenceService::DoUpdate(const UpdateRequest& request) {
+Response InfluenceService::Do(const UpdateRequest& request) {
   std::string reason;
   if (!ValidUpdate(request, &reason)) {
-    error_responses_.fetch_add(1, std::memory_order_relaxed);
     return MakeError(ErrorCode::kBadRequest, reason);
   }
   const SnapshotPtr snap = holder_.Acquire();
@@ -335,7 +302,6 @@ Response InfluenceService::DoUpdate(const UpdateRequest& request) {
   {
     std::lock_guard<std::mutex> lock(update_mu_);
     if (stopping_) {
-      error_responses_.fetch_add(1, std::memory_order_relaxed);
       return MakeError(ErrorCode::kShuttingDown, "service stopping");
     }
     pending_updates_.push_back(request);
@@ -345,7 +311,7 @@ Response InfluenceService::DoUpdate(const UpdateRequest& request) {
   return response;
 }
 
-Response InfluenceService::DoStats() {
+Response InfluenceService::Do(const StatsRequest&) {
   const SnapshotPtr snap = holder_.Acquire();
   Response response;
   response.type = ResponseType::kStats;
@@ -359,24 +325,16 @@ Response InfluenceService::DoStats() {
     s.pending_updates =
         pending_updates_.size() + (rebuild_in_progress_ ? 1 : 0);
   }
-  s.solve_requests = solve_requests_.load(std::memory_order_relaxed);
-  s.topk_requests = topk_requests_.load(std::memory_order_relaxed);
-  s.probe_requests = probe_requests_.load(std::memory_order_relaxed);
-  s.whatif_requests = whatif_requests_.load(std::memory_order_relaxed);
-  s.update_requests = update_requests_.load(std::memory_order_relaxed);
-  s.stats_requests = stats_requests_.load(std::memory_order_relaxed);
-  s.skyline_requests = skyline_requests_.load(std::memory_order_relaxed);
-  s.diverse_requests = diverse_requests_.load(std::memory_order_relaxed);
+  ForEachOp(kRequestOps, [&](const auto& op, size_t index) {
+    s.*op.counter = requests_[index].load(std::memory_order_relaxed);
+  });
   s.error_responses = error_responses_.load(std::memory_order_relaxed);
   s.uptime_seconds = uptime_.ElapsedSeconds();
   s.solve_threads = MorselScheduler(options_.solve_threads).num_threads();
   s.solve_busy_seconds = MorselEngineBusySeconds();
-  s.observe_requests = observe_requests_.load(std::memory_order_relaxed);
-  s.advance_requests = advance_requests_.load(std::memory_order_relaxed);
   s.stream_observations =
       stream_observations_.load(std::memory_order_relaxed);
   s.stream_window_seconds = options_.stream_window_seconds;
-  s.approx_requests = approx_requests_.load(std::memory_order_relaxed);
   if (stream_ != nullptr) {
     std::lock_guard<std::mutex> lock(stream_mu_);
     s.stream_live_objects = stream_->NumLiveObjects();
@@ -385,7 +343,7 @@ Response InfluenceService::DoStats() {
   return response;
 }
 
-Response InfluenceService::DoSkyline(const SkylineRequest& request) {
+Response InfluenceService::Do(const SkylineRequest& request) {
   const SnapshotPtr snap = holder_.Acquire();
   const size_t m = snap->prepared.num_candidates();
   std::vector<double> cost(m);
@@ -413,9 +371,8 @@ Response InfluenceService::DoSkyline(const SkylineRequest& request) {
   return response;
 }
 
-Response InfluenceService::DoDiversified(const DiversifiedRequest& request) {
+Response InfluenceService::Do(const DiversifiedRequest& request) {
   if (request.min_separation < 0.0) {
-    error_responses_.fetch_add(1, std::memory_order_relaxed);
     return MakeError(ErrorCode::kBadRequest, "negative min separation");
   }
   const SnapshotPtr snap = holder_.Acquire();
@@ -463,9 +420,8 @@ Response MakeStreamResponse(const StreamingPrimeLS& stream, uint64_t applied) {
 
 }  // namespace
 
-Response InfluenceService::DoObserve(const ObserveRequest& request) {
+Response InfluenceService::Do(const ObserveRequest& request) {
   if (stream_ == nullptr) {
-    error_responses_.fetch_add(1, std::memory_order_relaxed);
     return MakeError(ErrorCode::kBadRequest,
                      "streaming disabled (server started without a window)");
   }
@@ -477,7 +433,6 @@ Response InfluenceService::DoObserve(const ObserveRequest& request) {
   double last = stream_->now();
   for (const Observation& o : request.observations) {
     if (!(o.time >= last)) {
-      error_responses_.fetch_add(1, std::memory_order_relaxed);
       return MakeError(ErrorCode::kBadRequest,
                        "observation times must be non-decreasing and >= "
                        "the stream clock");
@@ -493,15 +448,13 @@ Response InfluenceService::DoObserve(const ObserveRequest& request) {
   return MakeStreamResponse(*stream_, applied);
 }
 
-Response InfluenceService::DoAdvance(const AdvanceRequest& request) {
+Response InfluenceService::Do(const AdvanceRequest& request) {
   if (stream_ == nullptr) {
-    error_responses_.fetch_add(1, std::memory_order_relaxed);
     return MakeError(ErrorCode::kBadRequest,
                      "streaming disabled (server started without a window)");
   }
   std::lock_guard<std::mutex> lock(stream_mu_);
   if (!(request.time >= stream_->now())) {
-    error_responses_.fetch_add(1, std::memory_order_relaxed);
     return MakeError(ErrorCode::kBadRequest,
                      "advance time must be >= the stream clock");
   }

@@ -24,6 +24,7 @@
 #ifndef PINOCCHIO_SERVE_SERVICE_H_
 #define PINOCCHIO_SERVE_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -107,18 +108,20 @@ class InfluenceService {
   }
 
  private:
-  Response DoSolve(const SolveRequest& request);
-  Response DoTopK(const TopKRequest& request);
-  Response DoProbe(const ProbeRequest& request);
-  Response DoWhatIf(const WhatIfRequest& request);
-  Response DoUpdate(const UpdateRequest& request);
-  Response DoStats();
-  Response DoSkyline(const SkylineRequest& request);
-  Response DoDiversified(const DiversifiedRequest& request);
-  Response DoObserve(const ObserveRequest& request);
-  Response DoAdvance(const AdvanceRequest& request);
-  Response DoApproxTopK(const ApproxTopKRequest& request);
-  /// The approx_default fast-path behind DoTopK: approximate selection,
+  // One overload per request payload; Execute dispatches through
+  // kRequestOps.
+  Response Do(const SolveRequest& request);
+  Response Do(const TopKRequest& request);
+  Response Do(const ProbeRequest& request);
+  Response Do(const WhatIfRequest& request);
+  Response Do(const UpdateRequest& request);
+  Response Do(const StatsRequest& request);
+  Response Do(const SkylineRequest& request);
+  Response Do(const DiversifiedRequest& request);
+  Response Do(const ObserveRequest& request);
+  Response Do(const AdvanceRequest& request);
+  Response Do(const ApproxTopKRequest& request);
+  /// The approx_default fast-path behind kTopK: approximate selection,
   /// exact per-candidate refinement.
   Response DoTopKViaApprox(size_t k);
   static Response MakeError(ErrorCode code, std::string message);
@@ -159,18 +162,10 @@ class InfluenceService {
   std::unique_ptr<PreparedInstance> whatif_prepared_;
   uint64_t whatif_epoch_ = 0;
 
-  // Request counters (relaxed; they are reporting, not synchronisation).
-  std::atomic<uint64_t> solve_requests_{0};
-  std::atomic<uint64_t> topk_requests_{0};
-  std::atomic<uint64_t> probe_requests_{0};
-  std::atomic<uint64_t> whatif_requests_{0};
-  std::atomic<uint64_t> update_requests_{0};
-  std::atomic<uint64_t> stats_requests_{0};
-  std::atomic<uint64_t> skyline_requests_{0};
-  std::atomic<uint64_t> diverse_requests_{0};
-  std::atomic<uint64_t> observe_requests_{0};
-  std::atomic<uint64_t> advance_requests_{0};
-  std::atomic<uint64_t> approx_requests_{0};
+  // Counters (relaxed; they are reporting, not synchronisation). requests_
+  // is indexed like kRequestOps; error_responses_ counts every kError
+  // response Execute returns.
+  std::array<std::atomic<uint64_t>, kNumRequestOps> requests_{};
   std::atomic<uint64_t> stream_observations_{0};
   std::atomic<uint64_t> error_responses_{0};
   std::atomic<uint64_t> swaps_{0};

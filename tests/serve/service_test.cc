@@ -424,6 +424,47 @@ TEST(ServiceTest, StatsCountSkylineAndDiverseRequests) {
   EXPECT_EQ(response.stats.error_responses, 0u);
 }
 
+TEST(ServiceTest, EveryRejectedRequestCountsOneErrorResponse) {
+  // Streaming stays disabled, so observe and advance are rejections too.
+  InfluenceService service(RandomInstance(27), DefaultConfig(),
+                           TestOptions());
+  Request stats;
+  stats.type = RequestType::kStats;
+  const auto errors = [&] {
+    return service.Execute(stats).stats.error_responses;
+  };
+
+  Request what_if;
+  what_if.type = RequestType::kWhatIf;
+  what_if.what_if.tau = 1.5;
+  Request empty_update;
+  empty_update.type = RequestType::kUpdate;
+  Request observe;
+  observe.type = RequestType::kObserve;
+  observe.observe.observations = {{1, 0.0, {10.0, 10.0}}};
+  Request advance;
+  advance.type = RequestType::kAdvance;
+  advance.advance.time = 1.0;
+  Request approx;
+  approx.type = RequestType::kApproxTopK;
+  approx.approx.epsilon = 1.5;
+  Request diverse;
+  diverse.type = RequestType::kDiversified;
+  diverse.diversified.min_separation = -1.0;
+  Request unknown;
+  unknown.type = static_cast<RequestType>(0xee);
+
+  for (const Request& rejected :
+       {what_if, empty_update, observe, advance, approx, diverse, unknown}) {
+    const uint64_t before = errors();
+    const Response response = service.Execute(rejected);
+    ASSERT_EQ(response.type, ResponseType::kError);
+    EXPECT_EQ(errors(), before + 1)
+        << "request type " << static_cast<int>(rejected.type);
+  }
+  EXPECT_EQ(service.Execute(unknown).error.code, ErrorCode::kUnknownType);
+}
+
 TEST(ServiceTest, CoalescedUpdatesBuildMonotonicEpochs) {
   InfluenceService service(RandomInstance(19), DefaultConfig(),
                            TestOptions());

@@ -1,19 +1,18 @@
 // pinocchio_client — one-shot CLI for the influence query server.
 //
 // Connects to a running pinocchio_server, issues a single request named
-// by --op, prints the response as human-readable text (or a single JSON
-// object with --json) and exits. Exit code 0 on a successful response,
-// 1 on a server-side error response, 2 on usage errors, 3 on transport
-// failure.
+// by --op, prints the response as `name: value` text lines (or a single
+// JSON object with --json; see serve/render.h) and exits. Exit code 0 on
+// a successful response, 1 on a server-side error response or a rejected
+// update, 2 on usage errors, 3 on transport failure.
 
-#include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "serve/client.h"
 #include "serve/protocol.h"
+#include "serve/render.h"
 #include "util/flags.h"
 
 namespace {
@@ -49,322 +48,6 @@ Operations (--op=...):
                     carries [lo, hi] containing the exact influence with
                     probability >= 1 - delta.
 )";
-
-void JsonField(std::ostream& out, bool* first, const char* key, double v) {
-  out << (*first ? "" : ", ") << '"' << key << "\": " << v;
-  *first = false;
-}
-
-void JsonField(std::ostream& out, bool* first, const char* key,
-               unsigned long long v) {
-  out << (*first ? "" : ", ") << '"' << key << "\": " << v;
-  *first = false;
-}
-
-void JsonField(std::ostream& out, bool* first, const char* key,
-               const std::string& v) {
-  out << (*first ? "" : ", ") << '"' << key << "\": \"" << v << '"';
-  *first = false;
-}
-
-int PrintResponse(const Response& response, bool json) {
-  std::ostringstream out;
-  bool first = true;
-  switch (response.type) {
-    case ResponseType::kError:
-      if (json) {
-        out << "{";
-        JsonField(out, &first, "error",
-                  std::string(ErrorCodeName(response.error.code)));
-        JsonField(out, &first, "message", response.error.message);
-        out << "}";
-        std::cout << out.str() << "\n";
-      } else {
-        std::cerr << "server error (" << ErrorCodeName(response.error.code)
-                  << "): " << response.error.message << "\n";
-      }
-      return 1;
-    case ResponseType::kSolve: {
-      const SolveResponse& s = response.solve;
-      if (json) {
-        out << "{";
-        JsonField(out, &first, "epoch", (unsigned long long)s.epoch);
-        JsonField(out, &first, "num_objects",
-                  (unsigned long long)s.num_objects);
-        JsonField(out, &first, "num_candidates",
-                  (unsigned long long)s.num_candidates);
-        JsonField(out, &first, "best_candidate",
-                  (unsigned long long)s.best_candidate);
-        out << ", \"best_influence\": " << s.best_influence;
-        JsonField(out, &first, "solve_seconds", s.solve_seconds);
-        out << ", \"topk\": [";
-        for (size_t i = 0; i < s.topk.size(); ++i) {
-          out << (i ? ", " : "") << "{\"candidate\": " << s.topk[i].candidate
-              << ", \"influence\": " << s.topk[i].influence
-              << ", \"influence_exact\": "
-              << (s.topk[i].exact ? "true" : "false") << "}";
-        }
-        out << "]}";
-      } else {
-        out << "epoch " << s.epoch << " (" << s.num_objects << " objects, "
-            << s.num_candidates << " candidates)\n"
-            << "best candidate " << s.best_candidate << " influence "
-            << s.best_influence << " in " << s.solve_seconds << " s\n";
-        for (size_t i = 0; i < s.topk.size(); ++i) {
-          out << "  #" << (i + 1) << "  candidate " << s.topk[i].candidate
-              << "  influence " << s.topk[i].influence
-              << (s.topk[i].exact ? "" : " (lower bound)") << "\n";
-        }
-      }
-      std::cout << out.str() << (json ? "\n" : "");
-      return 0;
-    }
-    case ResponseType::kProbe: {
-      const ProbeResponse& p = response.probe;
-      if (json) {
-        out << "{";
-        JsonField(out, &first, "epoch", (unsigned long long)p.epoch);
-        JsonField(out, &first, "num_objects",
-                  (unsigned long long)p.num_objects);
-        out << ", \"influence\": " << p.influence;
-        JsonField(out, &first, "solve_seconds", p.solve_seconds);
-        out << "}";
-      } else {
-        out << "epoch " << p.epoch << ": influence " << p.influence
-            << " of " << p.num_objects << " objects in " << p.solve_seconds
-            << " s";
-      }
-      std::cout << out.str() << "\n";
-      return 0;
-    }
-    case ResponseType::kUpdate: {
-      const UpdateResponse& u = response.update;
-      if (json) {
-        out << "{";
-        JsonField(out, &first, "epoch", (unsigned long long)u.epoch);
-        JsonField(out, &first, "pending_updates",
-                  (unsigned long long)u.pending_updates);
-        out << ", \"accepted\": " << (u.accepted ? "true" : "false") << "}";
-      } else {
-        out << (u.accepted ? "accepted" : "rejected") << " at epoch "
-            << u.epoch << " (" << u.pending_updates
-            << " updates pending rebuild)";
-      }
-      std::cout << out.str() << "\n";
-      return u.accepted ? 0 : 1;
-    }
-    case ResponseType::kStats: {
-      const StatsResponse& s = response.stats;
-      if (json) {
-        out << "{";
-        JsonField(out, &first, "epoch", (unsigned long long)s.epoch);
-        JsonField(out, &first, "num_objects",
-                  (unsigned long long)s.num_objects);
-        JsonField(out, &first, "num_candidates",
-                  (unsigned long long)s.num_candidates);
-        JsonField(out, &first, "snapshot_swaps",
-                  (unsigned long long)s.snapshot_swaps);
-        JsonField(out, &first, "pending_updates",
-                  (unsigned long long)s.pending_updates);
-        JsonField(out, &first, "solve_requests",
-                  (unsigned long long)s.solve_requests);
-        JsonField(out, &first, "topk_requests",
-                  (unsigned long long)s.topk_requests);
-        JsonField(out, &first, "probe_requests",
-                  (unsigned long long)s.probe_requests);
-        JsonField(out, &first, "whatif_requests",
-                  (unsigned long long)s.whatif_requests);
-        JsonField(out, &first, "update_requests",
-                  (unsigned long long)s.update_requests);
-        JsonField(out, &first, "stats_requests",
-                  (unsigned long long)s.stats_requests);
-        JsonField(out, &first, "skyline_requests",
-                  (unsigned long long)s.skyline_requests);
-        JsonField(out, &first, "diverse_requests",
-                  (unsigned long long)s.diverse_requests);
-        JsonField(out, &first, "error_responses",
-                  (unsigned long long)s.error_responses);
-        JsonField(out, &first, "uptime_seconds", s.uptime_seconds);
-        JsonField(out, &first, "solve_threads",
-                  (unsigned long long)s.solve_threads);
-        JsonField(out, &first, "solve_busy_seconds", s.solve_busy_seconds);
-        JsonField(out, &first, "observe_requests",
-                  (unsigned long long)s.observe_requests);
-        JsonField(out, &first, "advance_requests",
-                  (unsigned long long)s.advance_requests);
-        JsonField(out, &first, "stream_observations",
-                  (unsigned long long)s.stream_observations);
-        JsonField(out, &first, "stream_live_objects",
-                  (unsigned long long)s.stream_live_objects);
-        JsonField(out, &first, "stream_live_positions",
-                  (unsigned long long)s.stream_live_positions);
-        JsonField(out, &first, "stream_window_seconds",
-                  s.stream_window_seconds);
-        JsonField(out, &first, "approx_requests",
-                  (unsigned long long)s.approx_requests);
-        out << "}";
-      } else {
-        out << "epoch " << s.epoch << ", " << s.num_objects << " objects, "
-            << s.num_candidates << " candidates, " << s.snapshot_swaps
-            << " swaps, " << s.pending_updates << " pending updates\n"
-            << "solve " << s.solve_requests << "  topk " << s.topk_requests
-            << "  probe " << s.probe_requests << "  whatif "
-            << s.whatif_requests << "  update " << s.update_requests
-            << "  stats " << s.stats_requests << "  skyline "
-            << s.skyline_requests << "  diverse " << s.diverse_requests
-            << "  approx " << s.approx_requests << "  errors "
-            << s.error_responses << "\nuptime " << s.uptime_seconds
-            << " s, solve threads " << s.solve_threads << ", solve busy "
-            << s.solve_busy_seconds << " s";
-        if (s.stream_window_seconds > 0.0) {
-          out << "\nstream: window " << s.stream_window_seconds << " s, "
-              << s.stream_observations << " observations ("
-              << s.observe_requests << " observe, " << s.advance_requests
-              << " advance), live " << s.stream_live_objects << " objects / "
-              << s.stream_live_positions << " positions";
-        }
-      }
-      std::cout << out.str() << "\n";
-      return 0;
-    }
-    case ResponseType::kSkyline: {
-      const SkylineResponse& s = response.skyline;
-      if (json) {
-        out << "{";
-        JsonField(out, &first, "epoch", (unsigned long long)s.epoch);
-        JsonField(out, &first, "num_objects",
-                  (unsigned long long)s.num_objects);
-        JsonField(out, &first, "num_candidates",
-                  (unsigned long long)s.num_candidates);
-        JsonField(out, &first, "bound_skipped",
-                  (unsigned long long)s.bound_skipped);
-        JsonField(out, &first, "solve_seconds", s.solve_seconds);
-        out << ", \"skyline\": [";
-        for (size_t i = 0; i < s.skyline.size(); ++i) {
-          out << (i ? ", " : "") << "{\"candidate\": "
-              << s.skyline[i].candidate
-              << ", \"influence\": " << s.skyline[i].influence
-              << ", \"cost\": " << s.skyline[i].cost << "}";
-        }
-        out << "]}";
-      } else {
-        out << "epoch " << s.epoch << " (" << s.num_objects << " objects, "
-            << s.num_candidates << " candidates)\n"
-            << s.skyline.size() << " skyline members ("
-            << s.bound_skipped << " bound-skipped) in " << s.solve_seconds
-            << " s\n";
-        for (size_t i = 0; i < s.skyline.size(); ++i) {
-          out << "  candidate " << s.skyline[i].candidate << "  influence "
-              << s.skyline[i].influence << "  cost " << s.skyline[i].cost
-              << "\n";
-        }
-      }
-      std::cout << out.str() << (json ? "\n" : "");
-      return 0;
-    }
-    case ResponseType::kDiversified: {
-      const DiverseResponse& s = response.diverse;
-      if (json) {
-        out << "{";
-        JsonField(out, &first, "epoch", (unsigned long long)s.epoch);
-        JsonField(out, &first, "num_objects",
-                  (unsigned long long)s.num_objects);
-        JsonField(out, &first, "num_candidates",
-                  (unsigned long long)s.num_candidates);
-        JsonField(out, &first, "gain_evaluations",
-                  (unsigned long long)s.gain_evaluations);
-        JsonField(out, &first, "solve_seconds", s.solve_seconds);
-        out << ", \"selected\": [";
-        for (size_t i = 0; i < s.selected.size(); ++i) {
-          out << (i ? ", " : "") << "{\"candidate\": "
-              << s.selected[i].candidate
-              << ", \"coverage\": " << s.selected[i].coverage << "}";
-        }
-        out << "]}";
-      } else {
-        out << "epoch " << s.epoch << " (" << s.num_objects << " objects, "
-            << s.num_candidates << " candidates)\n"
-            << s.selected.size() << " picks (" << s.gain_evaluations
-            << " gain evaluations) in " << s.solve_seconds << " s\n";
-        for (size_t i = 0; i < s.selected.size(); ++i) {
-          out << "  #" << (i + 1) << "  candidate "
-              << s.selected[i].candidate << "  coverage "
-              << s.selected[i].coverage << "\n";
-        }
-      }
-      std::cout << out.str() << (json ? "\n" : "");
-      return 0;
-    }
-    case ResponseType::kApprox: {
-      const ApproxResponse& s = response.approx;
-      if (json) {
-        out << "{";
-        JsonField(out, &first, "epoch", (unsigned long long)s.epoch);
-        JsonField(out, &first, "num_objects",
-                  (unsigned long long)s.num_objects);
-        JsonField(out, &first, "num_candidates",
-                  (unsigned long long)s.num_candidates);
-        JsonField(out, &first, "solve_seconds", s.solve_seconds);
-        out << ", \"entries\": [";
-        for (size_t i = 0; i < s.entries.size(); ++i) {
-          out << (i ? ", " : "") << "{\"candidate\": "
-              << s.entries[i].candidate
-              << ", \"estimate\": " << s.entries[i].estimate
-              << ", \"lo\": " << s.entries[i].lo
-              << ", \"hi\": " << s.entries[i].hi << ", \"exact\": "
-              << (s.entries[i].exact ? "true" : "false") << "}";
-        }
-        out << "]}";
-      } else {
-        out << "epoch " << s.epoch << " (" << s.num_objects << " objects, "
-            << s.num_candidates << " candidates)\n"
-            << s.entries.size() << " approximate entries in "
-            << s.solve_seconds << " s\n";
-        for (size_t i = 0; i < s.entries.size(); ++i) {
-          out << "  #" << (i + 1) << "  candidate " << s.entries[i].candidate
-              << "  influence ~" << s.entries[i].estimate << "  ["
-              << s.entries[i].lo << ", " << s.entries[i].hi << "]"
-              << (s.entries[i].exact ? " (exact)" : "") << "\n";
-        }
-      }
-      std::cout << out.str() << (json ? "\n" : "");
-      return 0;
-    }
-    case ResponseType::kStream: {
-      const StreamResponse& s = response.stream;
-      if (json) {
-        out << "{";
-        JsonField(out, &first, "now", s.now);
-        JsonField(out, &first, "live_objects",
-                  (unsigned long long)s.live_objects);
-        JsonField(out, &first, "live_positions",
-                  (unsigned long long)s.live_positions);
-        JsonField(out, &first, "applied", (unsigned long long)s.applied);
-        out << ", \"has_best\": " << (s.has_best ? "true" : "false");
-        if (s.has_best) {
-          JsonField(out, &first, "best_candidate",
-                    (unsigned long long)s.best_candidate);
-          out << ", \"best_influence\": " << s.best_influence;
-        }
-        out << "}";
-      } else {
-        out << "stream now " << s.now << ": " << s.live_objects
-            << " objects / " << s.live_positions << " positions live, "
-            << s.applied << " applied";
-        if (s.has_best) {
-          out << "; best candidate " << s.best_candidate << " influence "
-              << s.best_influence;
-        } else {
-          out << "; no best (no live candidate)";
-        }
-      }
-      std::cout << out.str() << "\n";
-      return 0;
-    }
-  }
-  std::cerr << "unexpected response type\n";
-  return 1;
-}
 
 }  // namespace
 
@@ -471,5 +154,12 @@ int main(int argc, char** argv) {
     std::cerr << "transport error: " << error << "\n";
     return 3;
   }
-  return PrintResponse(*response, flags.GetBool("json", false));
+  // Errors go to stderr in text mode; --json keeps every answer on stdout.
+  const bool json = flags.GetBool("json", false);
+  const bool error_response = response->type == ResponseType::kError;
+  RenderResponse(*response, json, error_response && !json ? std::cerr
+                                                          : std::cout);
+  const bool rejected_update =
+      response->type == ResponseType::kUpdate && !response->update.accepted;
+  return error_response || rejected_update ? 1 : 0;
 }

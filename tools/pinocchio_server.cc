@@ -17,6 +17,7 @@
 #include "data/checkin_dataset.h"
 #include "data/csv_io.h"
 #include "prob/power_law.h"
+#include "serve/render.h"
 #include "serve/server.h"
 #include "serve/service.h"
 #include "util/flags.h"
@@ -55,33 +56,6 @@ constexpr char kUsage[] = R"(Usage: pinocchio_server [flags]
 Stop with SIGINT/SIGTERM; the server drains in-flight requests and
 prints final statistics before exiting.
 )";
-
-void PrintStats(const pinocchio::serve::StatsResponse& s, std::ostream& out) {
-  out << "epoch " << s.epoch << ", " << s.num_objects << " objects, "
-      << s.num_candidates << " candidates, " << s.snapshot_swaps
-      << " snapshot swaps, " << s.pending_updates << " pending updates\n"
-      << "requests: solve " << s.solve_requests << ", topk "
-      << s.topk_requests << ", probe " << s.probe_requests << ", whatif "
-      << s.whatif_requests << ", update " << s.update_requests << ", stats "
-      << s.stats_requests << ", approx " << s.approx_requests << ", errors "
-      << s.error_responses << "\n"
-      << "uptime " << s.uptime_seconds << " s, solve threads "
-      << s.solve_threads << ", solve busy " << s.solve_busy_seconds << " s";
-  if (s.stream_window_seconds > 0.0) {
-    out << "\nstream: window " << s.stream_window_seconds << " s, "
-        << s.stream_observations << " observations over "
-        << s.observe_requests << " observe + " << s.advance_requests
-        << " advance requests; live " << s.stream_live_objects
-        << " objects / " << s.stream_live_positions << " positions";
-  }
-  if (s.uptime_seconds > 0.0 && s.solve_threads > 0) {
-    out << " (utilisation "
-        << 100.0 * s.solve_busy_seconds /
-               (s.uptime_seconds * static_cast<double>(s.solve_threads))
-        << "%)";
-  }
-  out << "\n";
-}
 
 }  // namespace
 
@@ -244,8 +218,8 @@ int main(int argc, char** argv) {
   // Flush final statistics (the satellite guarantee: no dying mid-write).
   serve::Request stats_request;
   stats_request.type = serve::RequestType::kStats;
-  const serve::Response stats = service.Execute(stats_request);
-  PrintStats(stats.stats, std::cout);
+  serve::RenderResponse(service.Execute(stats_request), /*json=*/false,
+                        std::cout);
   std::cout << "accepted " << server.connections_accepted()
             << " connections; bye\n";
   return 0;
