@@ -166,25 +166,6 @@ void BM_CumulativeInfluence(benchmark::State& state) {
 }
 BENCHMARK(BM_CumulativeInfluence)->Arg(10)->Arg(72)->Arg(780);
 
-void BM_PartialEvaluatorEarlyStop(benchmark::State& state) {
-  const PowerLawPF pf(0.9, 1.0);
-  Rng rng(13);
-  std::vector<Point> positions;
-  for (int i = 0; i < 100; ++i) {
-    positions.push_back({rng.Uniform(0, 3000), rng.Uniform(0, 3000)});
-  }
-  const Point c{1500, 1500};
-  for (auto _ : state) {
-    PartialInfluenceEvaluator eval(0.7);
-    for (const Point& p : positions) {
-      eval.Add(pf(Distance(c, p)));
-      if (eval.InfluenceDecided()) break;
-    }
-    benchmark::DoNotOptimize(eval.positions_seen());
-  }
-}
-BENCHMARK(BM_PartialEvaluatorEarlyStop);
-
 void BM_MinMaxRadius(benchmark::State& state) {
   const PowerLawPF pf(0.9, 1.0);
   size_t n = 1;

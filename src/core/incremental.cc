@@ -6,8 +6,8 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "core/object_store.h"
 #include "core/prune_pipeline.h"
-#include "geo/regions.h"
 #include "prob/influence.h"
 #include "prob/influence_kernel.h"
 #include "util/logging.h"
@@ -55,6 +55,12 @@ void PopExpired(MonoDeque& d, uint64_t seq) {
   if (!d.empty() && d.front().first == seq) d.pop_front();
 }
 
+/// The config's PF, checked before the kernel member is built from it.
+const ProbabilityFunction& CheckedPf(const SolverConfig& config) {
+  PINO_CHECK(config.pf != nullptr);
+  return *config.pf;
+}
+
 }  // namespace
 
 IncrementalPrimeLS::IncrementalPrimeLS(std::vector<Point> candidates,
@@ -64,8 +70,9 @@ IncrementalPrimeLS::IncrementalPrimeLS(std::vector<Point> candidates,
       active_(candidates_.size(), true),
       live_candidates_(candidates_.size()),
       influence_(candidates_.size(), 0),
-      rtree_(config_.rtree_fanout) {
-  PINO_CHECK(config_.pf != nullptr);
+      rtree_(config_.rtree_fanout),
+      kernel_(CheckedPf(config_), config_.tau),
+      self_check_(SelfCheckEnabled()) {
   rtree_ = BuildCandidateRTree(candidates_, config_.rtree_fanout);
   for (uint32_t j = 0; j < candidates_.size(); ++j) order_.emplace(0, j);
 }
@@ -92,21 +99,12 @@ void IncrementalPrimeLS::BumpInfluence(uint32_t j, int64_t delta) {
 
 std::vector<uint32_t> IncrementalPrimeLS::InfluencedCandidates(
     std::span<const Point> positions, const Mbr& mbr, double radius) const {
-  const InfluenceArcsRegion ia(mbr, radius);
-  const NonInfluenceBoundary nib(mbr, radius);
-  const InfluenceKernel kernel(*config_.pf, config_.tau);
+  const ObjectRecord rec(0, 0, static_cast<uint32_t>(positions.size()), mbr,
+                        radius);
   std::vector<uint32_t> influenced;
-  ClassifyCandidates(
-      rtree_, ia, nib, kernel, positions,
-      [&](const RTreeEntry& e, uint32_t) {
-        if (active_[e.id]) influenced.push_back(e.id);
-      },
-      [&](const RTreeEntry& e, uint32_t) {
-        if (!active_[e.id]) return;
-        if (kernel.Decide(e.point, positions).influenced) {
-          influenced.push_back(e.id);
-        }
-      });
+  PruneAndValidate(rtree_, rec, positions, kernel_, [&](uint32_t j, uint32_t) {
+    if (active_[j]) influenced.push_back(j);
+  });
   return influenced;
 }
 
@@ -176,14 +174,12 @@ bool IncrementalPrimeLS::UpdateObject(uint32_t object_id,
   return true;
 }
 
-void IncrementalPrimeLS::EnsureDeltaKernel() {
-  if (delta_kernel_) return;
-  self_check_ = SelfCheckEnabled();
-  delta_kernel_.emplace(*config_.pf, config_.tau);
+void IncrementalPrimeLS::EnsureDeltaTable() {
+  if (delta_table_) return;
   // Built for its threshold table only — Filter() is never called, so the
   // portable tier is fine on every architecture and under every override.
   delta_table_ = std::make_shared<const SimdInfluenceFilter>(
-      *config_.pf, config_.tau, delta_kernel_->early_exit_log_survival(),
+      *config_.pf, config_.tau, kernel_.early_exit_log_survival(),
       SimdTier::kPortable);
 }
 
@@ -252,11 +248,11 @@ void IncrementalPrimeLS::DecideEntry(WatchEntry& entry,
   } else {
     // Boundary band: the exact scalar kernel decides, and the refold
     // resets the interval widening the incremental updates accumulated.
-    influenced = delta_kernel_->Decide(entry.location, span).influenced;
+    influenced = kernel_.Decide(entry.location, span).influenced;
     RefoldEntry(entry, span);
   }
   if (self_check_) {
-    const bool exact = delta_kernel_->Decide(entry.location, span).influenced;
+    const bool exact = kernel_.Decide(entry.location, span).influenced;
     if (exact != influenced) {
       std::ostringstream msg;
       msg.precision(17);
@@ -328,7 +324,7 @@ void IncrementalPrimeLS::RebuildWatch(LiveObject& live) {
 
 void IncrementalPrimeLS::EnsureDelta(LiveObject& live) {
   if (live.delta) return;
-  EnsureDeltaKernel();
+  EnsureDeltaTable();
   auto delta = std::make_unique<DeltaState>();
   for (size_t i = 0; i < live.positions.size(); ++i) {
     const Point& p = live.positions[i];
@@ -386,7 +382,7 @@ void IncrementalPrimeLS::EnsureDelta(LiveObject& live) {
 
 size_t IncrementalPrimeLS::AppendPosition(uint32_t object_id,
                                           const Point& position) {
-  EnsureDeltaKernel();
+  EnsureDeltaTable();
   auto it = objects_.find(object_id);
   if (it == objects_.end()) {
     // Delta-native creation: a one-position object through the batch path,

@@ -167,8 +167,9 @@ class IncrementalPrimeLS {
     }
   };
 
-  /// Computes the candidate set influenced by (positions, mbr, radius)
-  /// using IA certificates, NIB exclusion and validation of the remnant.
+  /// Computes the live candidates influenced by (positions, mbr, radius)
+  /// through the shared prune-and-validate pass (IA certificates, NIB
+  /// exclusion, batch validation of the remnant).
   std::vector<uint32_t> InfluencedCandidates(std::span<const Point> positions,
                                              const Mbr& mbr,
                                              double radius) const;
@@ -184,8 +185,8 @@ class IncrementalPrimeLS {
 
   std::span<const Point> WindowSpan(const LiveObject& live) const;
 
-  /// Lazily constructs the kernel + threshold table the delta path uses.
-  void EnsureDeltaKernel();
+  /// Lazily constructs the threshold table the delta path uses.
+  void EnsureDeltaTable();
   /// Lazily converts a batch-maintained object to delta maintenance.
   void EnsureDelta(LiveObject& live);
   /// Recomputes the watch set against the R-tree at a freshly padded
@@ -208,12 +209,15 @@ class IncrementalPrimeLS {
   RTree rtree_;
   std::unordered_map<uint32_t, LiveObject> objects_;
   std::unordered_map<size_t, double> radius_by_n_;
-  /// Delta-path evaluation context, built on first use: the exact scalar
-  /// kernel plus the certified influence/reject threshold table its
-  /// brackets are compared against. The table is the SIMD filter's — the
-  /// same machinery, used here purely for its scalar thresholds, so the
-  /// bracket decisions and the vector filter share one proof.
-  std::optional<InfluenceKernel> delta_kernel_;
+  /// The (pf, tau) kernel of every validation — object insertion's
+  /// prune-and-validate pass and the delta path's boundary refinements —
+  /// built once with the structure.
+  InfluenceKernel kernel_;
+  /// Delta-path threshold table, built on first use: the certified
+  /// influence/reject thresholds the watch brackets are compared against.
+  /// The table is the SIMD filter's — the same machinery, used here purely
+  /// for its scalar thresholds, so the bracket decisions and the vector
+  /// filter share one proof.
   std::shared_ptr<const SimdInfluenceFilter> delta_table_;
   bool self_check_ = false;
 };

@@ -61,43 +61,6 @@ double WeightedInfluenceOfCandidate(const PreparedInstance& prepared,
                                       prepared.pf());
 }
 
-std::pair<size_t, double> SelectWeighted(const PreparedInstance& prepared,
-                                         std::span<const double> weights) {
-  PINO_CHECK_EQ(weights.size(), prepared.num_objects());
-  if (prepared.num_candidates() == 0) return {0, 0.0};
-  size_t best = 0;
-  double best_score = -std::numeric_limits<double>::infinity();
-  for (size_t j = 0; j < prepared.num_candidates(); ++j) {
-    const double score = WeightedInfluenceOfCandidate(
-        prepared.store(), weights, prepared.candidate(j), prepared.pf());
-    if (score > best_score) {
-      best = j;
-      best_score = score;
-    }
-  }
-  return {best, best_score};
-}
-
-std::pair<size_t, double> SelectWeighted(
-    const std::vector<MovingObject>& objects,
-    std::span<const double> weights, std::span<const Point> candidates,
-    const SolverConfig& config) {
-  PINO_CHECK_EQ(weights.size(), objects.size());
-  if (candidates.empty()) return {0, 0.0};
-  const PreparedInstance prepared(objects, config);
-  size_t best = 0;
-  double best_score = -std::numeric_limits<double>::infinity();
-  for (size_t j = 0; j < candidates.size(); ++j) {
-    const double score = WeightedInfluenceOfCandidate(
-        prepared.store(), weights, candidates[j], prepared.pf());
-    if (score > best_score) {
-      best = j;
-      best_score = score;
-    }
-  }
-  return {best, best_score};
-}
-
 InfluenceExplanation ExplainInfluence(const PreparedInstance& prepared,
                                       const Point& candidate) {
   const double tau = prepared.tau();

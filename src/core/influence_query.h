@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/moving_object.h"
@@ -83,18 +82,6 @@ double WeightedInfluenceOfCandidate(const ObjectStore& store,
 double WeightedInfluenceOfCandidate(const PreparedInstance& prepared,
                                     std::span<const double> weights,
                                     const Point& candidate);
-
-/// Argmax of weighted influence over a candidate set, with the same
-/// IA/NIB shortcuts per pair. Returns (candidate index, weighted score);
-/// (0, 0.0) when `candidates` is empty.
-std::pair<size_t, double> SelectWeighted(
-    const std::vector<MovingObject>& objects,
-    std::span<const double> weights, std::span<const Point> candidates,
-    const SolverConfig& config);
-
-/// Argmax of weighted influence over the prepared candidate set.
-std::pair<size_t, double> SelectWeighted(const PreparedInstance& prepared,
-                                         std::span<const double> weights);
 
 }  // namespace pinocchio
 

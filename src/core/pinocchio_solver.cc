@@ -34,9 +34,12 @@ SolverResult PinocchioSolver::Solve(const PreparedInstance& prepared) const {
   for (PruneWorkerShare& w : workers) w.influence.assign(m, 0);
   scheduler.Run(PlanRecordMorsels(store, scheduler),
                 [&](size_t w, size_t, const Morsel& morsel) {
-                  PruneAndValidate(prepared.candidate_rtree(), store, kernel,
-                                   morsel.first_record, morsel.last_record,
-                                   workers[w].influence, &workers[w].stats);
+                  std::vector<int64_t>& influence = workers[w].influence;
+                  PruneAndValidate(
+                      prepared.candidate_rtree(), store, kernel,
+                      morsel.first_record, morsel.last_record, m,
+                      &workers[w].stats,
+                      [&](uint32_t j, uint32_t) { ++influence[j]; });
                 });
 
   for (const PruneWorkerShare& w : workers) {

@@ -99,8 +99,7 @@ class PreparedInstance {
   /// The bulk-loaded candidate R-tree; entry ids are candidate indices.
   const RTree& candidate_rtree() const { return rtree_; }
   /// The (point, index) entries backing the tree, in candidate order —
-  /// entry j is candidate j. Lets grid/ablation solvers build alternative
-  /// candidate indexes without re-looping over the instance.
+  /// entry j is candidate j.
   std::span<const RTreeEntry> candidate_entries() const { return entries_; }
   size_t num_candidates() const { return entries_.size(); }
   const Point& candidate(size_t j) const { return entries_[j].point; }

@@ -3,7 +3,6 @@
 #include <sstream>
 #include <vector>
 
-#include "index/grid_index.h"
 #include "prob/influence.h"
 #include "prob/influence_kernel.h"
 #include "prob/prune_filter_simd.h"
@@ -15,14 +14,6 @@ namespace {
 /// Batches below this size run the exact scalar predicates directly: the
 /// fixed cost of gathering the batch outweighs the vector savings.
 constexpr size_t kMinBatchForPruneFilter = 8;
-
-/// Per-record scratch for the batched filter path, reused across the
-/// records of one Classify/PruneAndValidate call.
-struct PruneScratch {
-  std::vector<RTreeEntry> entries;
-  std::vector<Point> points;
-  std::vector<PruneLaneClass> classes;
-};
 
 /// Exact scalar classification of one candidate (the reference the filter
 /// must agree with).
@@ -67,18 +58,16 @@ void ReportClassificationViolation(const char* lemma, const RTreeEntry& entry,
 // that candidates outside the NIB never influence the object; Lemma 2 that
 // candidates inside the IA always do. Candidates in the remnant ring carry
 // no claim — validation decides them (and the kernel audits itself there).
-template <typename Index>
-void AuditClassification(const Index& index, const InfluenceArcsRegion& ia,
-                         const NonInfluenceBoundary& nib,
+void AuditClassification(const RTree& index, const ObjectRecord& rec,
                          const InfluenceKernel& kernel,
                          std::span<const Point> positions) {
   index.QueryRect(index.Bounds(), [&](const RTreeEntry& e) {
-    if (!nib.Contains(e.point)) {
+    if (!rec.nib.Contains(e.point)) {
       if (Influences(kernel.pf(), e.point, positions, kernel.tau())) {
         ReportClassificationViolation("Lemma 3 (NIB prune)", e, kernel,
                                       positions, true);
       }
-    } else if (!ia.IsEmpty() && ia.Contains(e.point)) {
+    } else if (!rec.ia.IsEmpty() && rec.ia.Contains(e.point)) {
       if (!Influences(kernel.pf(), e.point, positions, kernel.tau())) {
         ReportClassificationViolation("Lemma 2 (IA certificate)", e, kernel,
                                       positions, false);
@@ -87,144 +76,128 @@ void AuditClassification(const Index& index, const InfluenceArcsRegion& ia,
   });
 }
 
-// The single QueryRect site of the prune phase: one record against every
-// candidate of `index`, instantiated for each candidate-index type. With a
-// filter (tiers above kScalar) the range-query hits are gathered and
-// classified as a SIMD batch; kUndecided lanes — and every lane under
-// self-check — are re-derived with the exact region predicates, so the
-// dispatched classes (and their visit order) are identical to the scalar
-// path on every input.
-template <typename Index>
-void ClassifyRecord(const Index& index, const ObjectStore& store,
-                    const ObjectRecord& rec, uint32_t record_index,
-                    size_t num_candidates, SolverStats* stats, bool self_check,
-                    const InfluenceKernel& kernel,
-                    const SimdPruneFilter* filter, PruneScratch* scratch,
-                    const PruneIaFn& ia_certified,
-                    const PruneRemnantFn& remnant) {
-  if (self_check) {
-    AuditClassification(index, rec.ia, rec.nib, kernel, store.positions(rec));
-  }
-  int64_t inside_nib = 0;
-  const auto dispatch = [&](const RTreeEntry& e, PruneLaneClass cls) {
-    if (cls == PruneLaneClass::kOutside) return;  // Lemma 3
-    ++inside_nib;
-    if (cls == PruneLaneClass::kIaCertified) {  // Lemma 2
-      if (stats != nullptr) ++stats->pairs_pruned_by_ia;
-      ia_certified(e, record_index);
-    } else {
-      remnant(e, record_index);
-    }
-  };
+/// One call's prune pass: the self-check flag, the SIMD prune filter and
+/// the scratch its records refill, all set up once and reused per record.
+class PrunePass {
+ public:
+  PrunePass(const RTree& index, const InfluenceKernel& kernel)
+      : index_(index),
+        kernel_(kernel),
+        self_check_(SelfCheckEnabled()),
+        filter_(kernel.simd_tier()) {}
 
-  bool batched = false;
-  if (filter != nullptr) {
-    scratch->entries.clear();
-    index.QueryRect(rec.nib.BoundingBox(), [&](const RTreeEntry& e) {
-      scratch->entries.push_back(e);
-    });
-    batched = scratch->entries.size() >= kMinBatchForPruneFilter;
-    if (batched) {
-      const size_t n = scratch->entries.size();
-      scratch->points.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        scratch->points[i] = scratch->entries[i].point;
+  // The single QueryRect site of the prune phase: one record against every
+  // candidate of the index. With a filter (tiers above kScalar) the
+  // range-query hits are gathered and classified as a SIMD batch;
+  // kUndecided lanes — and every lane under self-check — are re-derived
+  // with the exact region predicates, so the dispatched classes (and their
+  // visit order) are identical to the scalar path on every input. The
+  // visitors are template parameters so each caller's lambda inlines here.
+  template <typename IaFn, typename RemnantFn>
+  void Classify(const ObjectRecord& rec, std::span<const Point> positions,
+                uint32_t record_index, size_t num_candidates,
+                SolverStats* stats, const IaFn& ia_certified,
+                const RemnantFn& remnant) {
+    if (self_check_) AuditClassification(index_, rec, kernel_, positions);
+    int64_t inside_nib = 0;
+    const auto dispatch = [&](const RTreeEntry& e, PruneLaneClass cls) {
+      if (cls == PruneLaneClass::kOutside) return;  // Lemma 3
+      ++inside_nib;
+      if (cls == PruneLaneClass::kIaCertified) {  // Lemma 2
+        if (stats != nullptr) ++stats->pairs_pruned_by_ia;
+        ia_certified(e, record_index);
+      } else {
+        remnant(e, record_index);
       }
-      scratch->classes.resize(n);
-      filter->Classify(rec.mbr, rec.min_max_radius, rec.ia.IsEmpty(),
-                       scratch->points, scratch->classes.data());
-      for (size_t i = 0; i < n; ++i) {
-        const RTreeEntry& e = scratch->entries[i];
-        PruneLaneClass cls = scratch->classes[i];
-        if (cls == PruneLaneClass::kUndecided) {
-          cls = ClassifyExact(rec, e.point);
-        } else if (self_check) {
-          const PruneLaneClass exact = ClassifyExact(rec, e.point);
-          if (exact != cls) {
-            ReportPruneFilterViolation(rec, e, cls, exact);
-            cls = exact;
-          }
-        }
-        dispatch(e, cls);
-      }
-    } else {
-      for (const RTreeEntry& e : scratch->entries) {
+    };
+
+    if (filter_.tier() == SimdTier::kScalar) {
+      index_.QueryRect(rec.nib.BoundingBox(), [&](const RTreeEntry& e) {
         dispatch(e, ClassifyExact(rec, e.point));
+      });
+    } else {
+      entries_.clear();
+      index_.QueryRect(rec.nib.BoundingBox(),
+                       [&](const RTreeEntry& e) { entries_.push_back(e); });
+      const size_t n = entries_.size();
+      if (n >= kMinBatchForPruneFilter) {
+        points_.resize(n);
+        for (size_t i = 0; i < n; ++i) points_[i] = entries_[i].point;
+        classes_.resize(n);
+        filter_.Classify(rec.mbr, rec.min_max_radius, rec.ia.IsEmpty(),
+                         points_, classes_.data());
+        for (size_t i = 0; i < n; ++i) {
+          const RTreeEntry& e = entries_[i];
+          PruneLaneClass cls = classes_[i];
+          if (cls == PruneLaneClass::kUndecided) {
+            cls = ClassifyExact(rec, e.point);
+          } else if (self_check_) {
+            const PruneLaneClass exact = ClassifyExact(rec, e.point);
+            if (exact != cls) {
+              ReportPruneFilterViolation(rec, e, cls, exact);
+              cls = exact;
+            }
+          }
+          dispatch(e, cls);
+        }
+      } else {
+        for (const RTreeEntry& e : entries_) {
+          dispatch(e, ClassifyExact(rec, e.point));
+        }
       }
     }
-  } else {
-    index.QueryRect(rec.nib.BoundingBox(), [&](const RTreeEntry& e) {
-      dispatch(e, ClassifyExact(rec, e.point));
-    });
+    if (stats != nullptr) {
+      stats->pairs_pruned_by_nib +=
+          static_cast<int64_t>(num_candidates) - inside_nib;
+    }
   }
-  if (stats != nullptr) {
-    stats->pairs_pruned_by_nib +=
-        static_cast<int64_t>(num_candidates) - inside_nib;
-  }
-}
 
-template <typename Index>
-void ClassifyImpl(const Index& index, const ObjectStore& store,
-                  const InfluenceKernel& kernel, uint32_t first_record,
-                  uint32_t last_record, size_t num_candidates,
-                  SolverStats* stats, const PruneIaFn& ia_certified,
-                  const PruneRemnantFn& remnant) {
-  const bool self_check = SelfCheckEnabled();
-  const SimdPruneFilter filter(kernel.simd_tier());
-  const SimdPruneFilter* filter_ptr =
-      filter.tier() == SimdTier::kScalar ? nullptr : &filter;
-  PruneScratch scratch;
-  for (uint32_t k = first_record; k < last_record; ++k) {
-    ClassifyRecord(index, store, store.records()[k], k, num_candidates, stats,
-                   self_check, kernel, filter_ptr, &scratch, ia_certified,
-                   remnant);
-  }
-}
-
-template <typename Index>
-void PruneAndValidateImpl(const Index& index, const ObjectStore& store,
-                          const InfluenceKernel& kernel, uint32_t first_record,
-                          uint32_t last_record, std::span<int64_t> influence,
-                          SolverStats* stats) {
-  const bool self_check = SelfCheckEnabled();
-  const SimdPruneFilter filter(kernel.simd_tier());
-  const SimdPruneFilter* filter_ptr =
-      filter.tier() == SimdTier::kScalar ? nullptr : &filter;
-  PruneScratch scratch;
-  // Per-object scratch, reused across records: the remnant set stays tiny
-  // relative to the candidate count whenever pruning bites.
-  std::vector<Point> remnant_points;
-  std::vector<uint32_t> remnant_ids;
-  std::vector<uint8_t> influenced;
-  for (uint32_t k = first_record; k < last_record; ++k) {
-    const ObjectRecord& rec = store.records()[k];
-    remnant_points.clear();
-    remnant_ids.clear();
-    ClassifyRecord(
-        index, store, rec, k, influence.size(), stats, self_check, kernel,
-        filter_ptr, &scratch,
-        [&](const RTreeEntry& e, uint32_t) { ++influence[e.id]; },
+  /// Classify, then decide the record's remnant set C'' in one batch.
+  void Run(const ObjectRecord& rec, std::span<const Point> positions,
+           uint32_t record_index, size_t num_candidates, SolverStats* stats,
+           const PruneInfluencedFn& influenced) {
+    remnant_points_.clear();
+    remnant_ids_.clear();
+    Classify(
+        rec, positions, record_index, num_candidates, stats,
+        [&](const RTreeEntry& e, uint32_t k) { influenced(e.id, k); },
         [&](const RTreeEntry& e, uint32_t) {
-          remnant_points.push_back(e.point);
-          remnant_ids.push_back(e.id);
+          remnant_points_.push_back(e.point);
+          remnant_ids_.push_back(e.id);
         });
-    if (remnant_points.empty()) continue;
+    if (remnant_points_.empty()) return;
     // DecideMany routes batches of >=4 remnants through the SIMD
     // filter-and-refine path; decisions stay bit-identical to per-pair
     // Decide (see influence_kernel.h).
-    influenced.assign(remnant_points.size(), 0);
+    remnant_influenced_.assign(remnant_points_.size(), 0);
     const InfluenceBatchCounters counters =
-        kernel.DecideMany(remnant_points, store.positions(rec), influenced);
+        kernel_.DecideMany(remnant_points_, positions, remnant_influenced_);
     if (stats != nullptr) {
-      stats->pairs_validated += static_cast<int64_t>(remnant_points.size());
+      stats->pairs_validated += static_cast<int64_t>(remnant_points_.size());
       stats->positions_scanned += counters.positions_seen;
       stats->early_stops += counters.early_stops;
     }
-    for (size_t i = 0; i < remnant_ids.size(); ++i) {
-      if (influenced[i] != 0) ++influence[remnant_ids[i]];
+    for (size_t i = 0; i < remnant_ids_.size(); ++i) {
+      if (remnant_influenced_[i] != 0) {
+        influenced(remnant_ids_[i], record_index);
+      }
     }
   }
-}
+
+ private:
+  const RTree& index_;
+  const InfluenceKernel& kernel_;
+  const bool self_check_;
+  const SimdPruneFilter filter_;
+  // Filter batch: the range-query hits, their points and lane classes.
+  std::vector<RTreeEntry> entries_;
+  std::vector<Point> points_;
+  std::vector<PruneLaneClass> classes_;
+  // The remnant set C'' of the current record and its decisions.
+  std::vector<Point> remnant_points_;
+  std::vector<uint32_t> remnant_ids_;
+  std::vector<uint8_t> remnant_influenced_;
+};
 
 }  // namespace
 
@@ -233,51 +206,30 @@ void ClassifyCandidates(const RTree& index, const ObjectStore& store,
                         uint32_t last_record, size_t num_candidates,
                         SolverStats* stats, PruneIaFn ia_certified,
                         PruneRemnantFn remnant) {
-  ClassifyImpl(index, store, kernel, first_record, last_record, num_candidates,
-               stats, ia_certified, remnant);
-}
-
-void ClassifyCandidates(const GridIndex& index, const ObjectStore& store,
-                        const InfluenceKernel& kernel, uint32_t first_record,
-                        uint32_t last_record, size_t num_candidates,
-                        SolverStats* stats, PruneIaFn ia_certified,
-                        PruneRemnantFn remnant) {
-  ClassifyImpl(index, store, kernel, first_record, last_record, num_candidates,
-               stats, ia_certified, remnant);
-}
-
-void ClassifyCandidates(const RTree& index, const InfluenceArcsRegion& ia,
-                        const NonInfluenceBoundary& nib,
-                        const InfluenceKernel& kernel,
-                        std::span<const Point> positions, PruneIaFn ia_certified,
-                        PruneRemnantFn remnant) {
-  if (SelfCheckEnabled()) {
-    AuditClassification(index, ia, nib, kernel, positions);
+  PrunePass pass(index, kernel);
+  for (uint32_t k = first_record; k < last_record; ++k) {
+    const ObjectRecord& rec = store.records()[k];
+    pass.Classify(rec, store.positions(rec), k, num_candidates, stats,
+                  ia_certified, remnant);
   }
-  index.QueryRect(nib.BoundingBox(), [&](const RTreeEntry& e) {
-    if (!nib.Contains(e.point)) return;
-    if (!ia.IsEmpty() && ia.Contains(e.point)) {
-      ia_certified(e, 0);
-    } else {
-      remnant(e, 0);
-    }
-  });
 }
 
 void PruneAndValidate(const RTree& index, const ObjectStore& store,
                       const InfluenceKernel& kernel, uint32_t first_record,
-                      uint32_t last_record, std::span<int64_t> influence,
-                      SolverStats* stats) {
-  PruneAndValidateImpl(index, store, kernel, first_record, last_record,
-                       influence, stats);
+                      uint32_t last_record, size_t num_candidates,
+                      SolverStats* stats, PruneInfluencedFn influenced) {
+  PrunePass pass(index, kernel);
+  for (uint32_t k = first_record; k < last_record; ++k) {
+    const ObjectRecord& rec = store.records()[k];
+    pass.Run(rec, store.positions(rec), k, num_candidates, stats, influenced);
+  }
 }
 
-void PruneAndValidate(const GridIndex& index, const ObjectStore& store,
-                      const InfluenceKernel& kernel, uint32_t first_record,
-                      uint32_t last_record, std::span<int64_t> influence,
-                      SolverStats* stats) {
-  PruneAndValidateImpl(index, store, kernel, first_record, last_record,
-                       influence, stats);
+void PruneAndValidate(const RTree& index, const ObjectRecord& rec,
+                      std::span<const Point> positions,
+                      const InfluenceKernel& kernel,
+                      PruneInfluencedFn influenced) {
+  PrunePass(index, kernel).Run(rec, positions, 0, 0, nullptr, influenced);
 }
 
 }  // namespace pinocchio

@@ -1,18 +1,22 @@
 // The shared IA/NIB prune pipeline (Algorithm 2, lines 3-9).
 //
 // Every PINOCCHIO-family solver runs the same per-object classification:
-// probe the candidate index with NIB(O)'s bounding box, drop candidates the
-// exact NIB test excludes (Lemma 3), credit candidates inside IA(O) as
+// probe the candidate R-tree with NIB(O)'s bounding box, drop candidates
+// the exact NIB test excludes (Lemma 3), credit candidates inside IA(O) as
 // influenced outright (Lemma 2), and hand the remnant set C'' to
-// validation. That loop used to be copy-pasted across five solvers; it now
-// lives here once, instrumented: the pipeline owns the pairs_pruned_by_ia /
-// pairs_pruned_by_nib counters of SolverStats, while pairs_validated and
-// the position counters belong to whoever validates the remnant.
+// validation. PruneAndValidate is the one loop that runs all of it: it
+// reports each influenced pair once to a visitor, so PIN counts, the
+// influence sets append, weighted PIN adds a weight and the incremental
+// engine collects ids through the same code. The pass owns every pass
+// counter of SolverStats (pairs_pruned_by_ia / pairs_pruned_by_nib from
+// the prune phase, pairs_validated / positions_scanned / early_stops from
+// the batch kernel). ClassifyCandidates is its prune phase alone, for the
+// bound-ordered callers that validate later, one candidate at a time.
 //
-// The index probe is compiled in prune_pipeline.cc (overloaded for the
-// R-tree and the grid) so there is exactly one QueryRect call site; callers
-// pass non-owning FunctionRef visitors, which keeps the per-object hot loop
-// free of std::function allocations.
+// The SIMD prune filter and the per-record scratch are set up once per
+// call and reused across its records; callers pass non-owning FunctionRef
+// visitors, which keeps the per-object hot loop free of std::function
+// allocations.
 //
 // Under PINOCCHIO_SELF_CHECK (util/self_check.h) every record's
 // classification is audited against the scalar reference: each IA-certified
@@ -36,7 +40,6 @@
 
 namespace pinocchio {
 
-class GridIndex;
 class InfluenceKernel;
 
 /// Minimal non-owning callable reference (the hot-loop subset of
@@ -71,6 +74,8 @@ class FunctionRef<R(Args...)> {
 using PruneIaFn = FunctionRef<void(const RTreeEntry&, uint32_t)>;
 /// Visitor for remnant pairs that need cumulative-probability validation.
 using PruneRemnantFn = FunctionRef<void(const RTreeEntry&, uint32_t)>;
+/// Visitor for influenced pairs (candidate id, record index).
+using PruneInfluencedFn = FunctionRef<void(uint32_t, uint32_t)>;
 
 /// Classifies every candidate of `index` against records
 /// [first_record, last_record) of the store. Per pair inside the record's
@@ -85,37 +90,27 @@ void ClassifyCandidates(const RTree& index, const ObjectStore& store,
                         uint32_t last_record, size_t num_candidates,
                         SolverStats* stats, PruneIaFn ia_certified,
                         PruneRemnantFn remnant);
-void ClassifyCandidates(const GridIndex& index, const ObjectStore& store,
-                        const InfluenceKernel& kernel, uint32_t first_record,
-                        uint32_t last_record, size_t num_candidates,
-                        SolverStats* stats, PruneIaFn ia_certified,
-                        PruneRemnantFn remnant);
 
-/// Region-level variant for callers that maintain their own pruning
-/// geometry outside an ObjectStore (the incremental/dynamic path): one
-/// (IA, NIB) pair against the index, no counters. `positions` is the
-/// object's position set the regions were derived from (used only by the
-/// self-check audit).
-void ClassifyCandidates(const RTree& index, const InfluenceArcsRegion& ia,
-                        const NonInfluenceBoundary& nib,
-                        const InfluenceKernel& kernel,
-                        std::span<const Point> positions,
-                        PruneIaFn ia_certified, PruneRemnantFn remnant);
-
-/// The complete per-object PINOCCHIO pipeline (Algorithm 2) over records
-/// [first_record, last_record): classify, then validate each record's
-/// remnant with the batch kernel over its arena span, crediting
-/// `influence` (one slot per candidate). Fills every SolverStats counter —
-/// ia/nib from the prune phase, pairs_validated / positions_scanned /
-/// early_stops from the validation kernel.
+/// The complete per-object PINOCCHIO pass (Algorithm 2) over records
+/// [first_record, last_record), in record order: classify, then validate
+/// each record's remnant with the batch kernel over its arena span. Every
+/// influenced pair goes to `influenced` exactly once — IA certificates of
+/// a record first, in index-visit order, then its validated remnants.
+/// `stats` (nullable) receives every pass counter; `num_candidates` is as
+/// for ClassifyCandidates.
 void PruneAndValidate(const RTree& index, const ObjectStore& store,
                       const InfluenceKernel& kernel, uint32_t first_record,
-                      uint32_t last_record, std::span<int64_t> influence,
-                      SolverStats* stats);
-void PruneAndValidate(const GridIndex& index, const ObjectStore& store,
-                      const InfluenceKernel& kernel, uint32_t first_record,
-                      uint32_t last_record, std::span<int64_t> influence,
-                      SolverStats* stats);
+                      uint32_t last_record, size_t num_candidates,
+                      SolverStats* stats, PruneInfluencedFn influenced);
+
+/// One-record form for objects kept outside an ObjectStore (the
+/// incremental engine): `rec`'s regions against `index`, validated over
+/// `positions`, the span they were derived from. Pairs are reported with
+/// record index 0; no counters.
+void PruneAndValidate(const RTree& index, const ObjectRecord& rec,
+                      std::span<const Point> positions,
+                      const InfluenceKernel& kernel,
+                      PruneInfluencedFn influenced);
 
 /// One morsel worker's share of a prune pass over records: influence
 /// credits (one slot per candidate) and counters, padded to its own cache

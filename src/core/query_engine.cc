@@ -11,15 +11,6 @@
 namespace pinocchio {
 namespace query {
 
-namespace {
-
-using PairChunk = std::vector<std::pair<uint32_t, uint32_t>>;
-
-/// Counting-sorts (candidate, record) pairs, concatenated in chunk order,
-/// into a CSR layout over `num_candidates`. Size-then-fill is stable, so
-/// the chunk concatenation order is each candidate's record order: one
-/// chunk per record morsel, in morsel order, gives the record-major layout
-/// at any thread budget.
 void PairsToCsr(size_t num_candidates, std::span<const PairChunk> chunks,
                 std::vector<uint32_t>* offsets, std::vector<uint32_t>* data) {
   offsets->assign(num_candidates + 1, 0);
@@ -37,6 +28,8 @@ void PairsToCsr(size_t num_candidates, std::span<const PairChunk> chunks,
     for (const auto& [cand, rec] : chunk) (*data)[cursor[cand]++] = rec;
   }
 }
+
+namespace {
 
 /// Tournament (winner-tree) merge of per-shard sorted runs under the
 /// strict total order `before`. Because the order has no ties and the
@@ -306,40 +299,6 @@ SkylineResult SolveSkyline(const PreparedInstance& prepared,
 
 namespace {
 
-/// Appends (candidate, record) influence pairs for records
-/// [first_record, last_record) in record-major order: IA certificates
-/// verbatim, remnants decided by the batch kernel.
-void CollectInfluencePairs(const PreparedInstance& prepared,
-                           const InfluenceKernel& kernel,
-                           uint32_t first_record, uint32_t last_record,
-                           PairChunk* pairs) {
-  const ObjectStore& store = prepared.store();
-  const size_t m = prepared.num_candidates();
-  std::vector<Point> remnant_points;
-  std::vector<uint32_t> remnant_ids;
-  std::vector<uint8_t> remnant_influenced;
-  for (uint32_t idx = first_record; idx < last_record; ++idx) {
-    remnant_points.clear();
-    remnant_ids.clear();
-    ClassifyCandidates(
-        prepared.candidate_rtree(), store, kernel, idx, idx + 1, m, nullptr,
-        [&](const RTreeEntry& e, uint32_t rec_idx) {
-          pairs->emplace_back(e.id, rec_idx);
-        },
-        [&](const RTreeEntry& e, uint32_t) {
-          remnant_points.push_back(e.point);
-          remnant_ids.push_back(e.id);
-        });
-    if (remnant_points.empty()) continue;
-    remnant_influenced.assign(remnant_points.size(), 0);
-    kernel.DecideMany(remnant_points, store.positions(idx),
-                      remnant_influenced);
-    for (size_t i = 0; i < remnant_ids.size(); ++i) {
-      if (remnant_influenced[i] != 0) pairs->emplace_back(remnant_ids[i], idx);
-    }
-  }
-}
-
 /// CELF lazy greedy over prebuilt influence sets.
 void GreedySelect(const PreparedInstance& prepared, size_t k,
                   double min_separation, const InfluenceSets& sets,
@@ -434,14 +393,16 @@ InfluenceSets BuildInfluenceSets(const PreparedInstance& prepared,
                                  const MorselScheduler& scheduler) {
   const std::vector<Morsel> morsels =
       PlanRecordMorsels(prepared.store(), scheduler);
+  const size_t m = prepared.num_candidates();
   std::vector<PairChunk> morsel_pairs(morsels.size());
   scheduler.Run(morsels, [&](size_t, size_t mi, const Morsel& morsel) {
-    CollectInfluencePairs(prepared, kernel, morsel.first_record,
-                          morsel.last_record, &morsel_pairs[mi]);
+    PairChunk& pairs = morsel_pairs[mi];
+    PruneAndValidate(prepared.candidate_rtree(), prepared.store(), kernel,
+                     morsel.first_record, morsel.last_record, m, nullptr,
+                     [&](uint32_t j, uint32_t k) { pairs.emplace_back(j, k); });
   });
   InfluenceSets sets;
-  PairsToCsr(prepared.num_candidates(), morsel_pairs, &sets.offsets,
-             &sets.objects);
+  PairsToCsr(m, morsel_pairs, &sets.offsets, &sets.objects);
   return sets;
 }
 

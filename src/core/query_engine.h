@@ -116,6 +116,17 @@ struct CandidateBrackets {
   }
 };
 
+/// (candidate, record) pairs of one record range, in record-major order.
+using PairChunk = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/// Counting-sorts (candidate, record) pairs, concatenated in chunk order,
+/// into a CSR layout over `num_candidates`. Size-then-fill is stable, so
+/// the chunk concatenation order is each candidate's record order: one
+/// chunk per record morsel, in morsel order, gives the record-major layout
+/// at any thread budget.
+void PairsToCsr(size_t num_candidates, std::span<const PairChunk> chunks,
+                std::vector<uint32_t>* offsets, std::vector<uint32_t>* data);
+
 /// Runs the IA/NIB prune phase over record morsels and assembles the
 /// brackets. IA/NIB counters go to `stats` (may be null). Remnant pairs are
 /// collected per morsel and concatenated in morsel order, so the CSR is
@@ -275,9 +286,9 @@ SkylineResult SolveSkyline(const PreparedInstance& prepared,
 
 // ------------------------------------------------------------ diversified
 
-/// Per-candidate influenced-object sets in one flat CSR layout, built by
-/// the shared prune pipeline (IA certificates verbatim, remnants decided by
-/// the batch kernel); records ascend within each candidate's slice.
+/// Per-candidate influenced-object sets in one flat CSR layout: the
+/// influenced pairs of the shared prune-and-validate pass, with records
+/// ascending within each candidate's slice.
 struct InfluenceSets {
   std::vector<uint32_t> offsets;  // size m + 1
   std::vector<uint32_t> objects;  // record indices

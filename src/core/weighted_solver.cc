@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <utility>
 
 #include "core/prepared_instance.h"
 #include "core/prune_pipeline.h"
@@ -89,37 +88,15 @@ WeightedSolverResult SolveWeightedPinocchio(const PreparedInstance& prepared,
     return result;
   }
 
-  const ObjectStore& store = prepared.store();
+  // The boolean solver's prune-and-validate pass, crediting the object's
+  // weight instead of 1. It runs sequentially: records are visited in
+  // order, so each candidate's floating-point sum has one fixed order.
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
-
-  // Same classify-then-validate pipeline as the boolean solver; the only
-  // difference is that certificates credit the object's weight instead of 1.
-  std::vector<Point> remnant_points;
-  std::vector<uint32_t> remnant_ids;
-  std::vector<uint8_t> influenced;
-  for (size_t k = 0; k < store.records().size(); ++k) {
-    const double weight = weights[k];
-    remnant_points.clear();
-    remnant_ids.clear();
-    ClassifyCandidates(
-        prepared.candidate_rtree(), store, kernel, static_cast<uint32_t>(k),
-        static_cast<uint32_t>(k + 1), m, &result.stats,
-        [&](const RTreeEntry& e, uint32_t) { result.score[e.id] += weight; },
-        [&](const RTreeEntry& e, uint32_t) {
-          remnant_points.push_back(e.point);
-          remnant_ids.push_back(e.id);
-        });
-    if (remnant_points.empty()) continue;
-    influenced.assign(remnant_points.size(), 0);
-    const InfluenceBatchCounters counters =
-        kernel.DecideMany(remnant_points, store.positions(k), influenced);
-    result.stats.pairs_validated += static_cast<int64_t>(remnant_points.size());
-    result.stats.positions_scanned += counters.positions_seen;
-    result.stats.early_stops += counters.early_stops;
-    for (size_t i = 0; i < remnant_ids.size(); ++i) {
-      if (influenced[i] != 0) result.score[remnant_ids[i]] += weight;
-    }
-  }
+  PruneAndValidate(prepared.candidate_rtree(), prepared.store(), kernel, 0,
+                   static_cast<uint32_t>(prepared.num_objects()), m,
+                   &result.stats, [&](uint32_t j, uint32_t k) {
+                     result.score[j] += weights[k];
+                   });
 
   result.ranking.resize(m);
   std::iota(result.ranking.begin(), result.ranking.end(), 0u);
@@ -169,7 +146,7 @@ WeightedVOResult SolveWeightedPinocchioVO(const PreparedInstance& prepared,
   // stable size-then-fill pass over the collected remnant pairs.
   std::vector<double> min_score(m, 0.0);
   std::vector<double> undecided(m, 0.0);
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
+  query::PairChunk pairs;
   ClassifyCandidates(
       prepared.candidate_rtree(), store, kernel, 0,
       static_cast<uint32_t>(store.records().size()), m, &result.stats,
@@ -178,14 +155,9 @@ WeightedVOResult SolveWeightedPinocchioVO(const PreparedInstance& prepared,
         pairs.emplace_back(e.id, k);
         undecided[e.id] += weights[k];
       });
-  std::vector<uint32_t> vs_offsets(m + 1, 0);
-  for (const auto& [cand, rec] : pairs) ++vs_offsets[cand + 1];
-  for (size_t j = 0; j < m; ++j) vs_offsets[j + 1] += vs_offsets[j];
-  std::vector<uint32_t> vs_data(pairs.size());
-  {
-    std::vector<uint32_t> cursor(vs_offsets.begin(), vs_offsets.end() - 1);
-    for (const auto& [cand, rec] : pairs) vs_data[cursor[cand]++] = rec;
-  }
+  std::vector<uint32_t> vs_offsets;
+  std::vector<uint32_t> vs_data;
+  query::PairsToCsr(m, {&pairs, 1}, &vs_offsets, &vs_data);
 
   // Validation in decreasing upper-bound order with Strategy-1 cut-offs.
   std::vector<uint32_t> order(m);

@@ -1,9 +1,6 @@
 #include "prob/influence.h"
 
 #include <cmath>
-#include <limits>
-
-#include "util/logging.h"
 
 namespace pinocchio {
 
@@ -23,41 +20,6 @@ double CumulativeInfluenceProbability(const ProbabilityFunction& pf,
 bool Influences(const ProbabilityFunction& pf, const Point& candidate,
                 std::span<const Point> positions, double tau) {
   return CumulativeInfluenceProbability(pf, candidate, positions) >= tau;
-}
-
-PartialInfluenceEvaluator::PartialInfluenceEvaluator(double tau) : tau_(tau) {
-  PINO_CHECK_GT(tau, 0.0);
-  PINO_CHECK_LT(tau, 1.0);
-  log_non_influence_threshold_ = std::log1p(-tau);
-}
-
-void PartialInfluenceEvaluator::Add(double prob) {
-  PINO_CHECK_GE(prob, 0.0);
-  PINO_CHECK_LE(prob, 1.0);
-  if (prob >= 1.0) {
-    log_survival_ = -std::numeric_limits<double>::infinity();
-  } else {
-    log_survival_ += std::log1p(-prob);
-  }
-  ++positions_seen_;
-}
-
-double PartialInfluenceEvaluator::NonInfluenceProbability() const {
-  return std::exp(log_survival_);
-}
-
-double PartialInfluenceEvaluator::InfluenceProbability() const {
-  return -std::expm1(log_survival_);
-}
-
-bool PartialInfluenceEvaluator::InfluenceDecided() const {
-  // Pr^{n-n'} <= 1 - tau  <=>  log survival <= log(1 - tau).
-  return log_survival_ <= log_non_influence_threshold_;
-}
-
-void PartialInfluenceEvaluator::Reset() {
-  log_survival_ = 0.0;
-  positions_seen_ = 0;
 }
 
 }  // namespace pinocchio

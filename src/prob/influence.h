@@ -1,6 +1,5 @@
-// Cumulative influence probability (Definition 1) and the incremental
-// partial non-influence evaluator behind the early-stopping strategy
-// (Definition 4 / Lemma 4 / Strategy 2).
+// Cumulative influence probability (Definition 1): the scalar reference
+// every batch evaluator (prob/influence_kernel.h) must agree with.
 //
 // All products of survival probabilities are accumulated in log space
 // (sum of log1p(-p_i)), which stays accurate even for objects with hundreds
@@ -25,46 +24,6 @@ double CumulativeInfluenceProbability(const ProbabilityFunction& pf,
 /// Convenience: true iff Pr_c(O) >= tau (Definition 2).
 bool Influences(const ProbabilityFunction& pf, const Point& candidate,
                 std::span<const Point> positions, double tau);
-
-/// Incremental evaluator of the partial non-influence probability
-/// Pr_c^{n-n'}(O) as positions are fed one by one.
-///
-/// Feed positions with Add(); after n' positions, NonInfluenceProbability()
-/// equals prod_{i<=n'} (1 - Pr_c(p_i)), i.e. the survival probability of the
-/// n' positions seen so far. Lemma 4: as soon as that drops to <= 1 - tau,
-/// the candidate is guaranteed to influence the object and the scan can stop
-/// (reported by InfluenceDecided()).
-class PartialInfluenceEvaluator {
- public:
-  /// `tau` is the influence threshold used by InfluenceDecided().
-  explicit PartialInfluenceEvaluator(double tau);
-
-  /// Accounts for one more position with independent influence probability
-  /// `prob` in [0, 1].
-  void Add(double prob);
-
-  /// Survival (non-influence) probability of the positions seen so far.
-  double NonInfluenceProbability() const;
-
-  /// Cumulative influence probability of the positions seen so far.
-  double InfluenceProbability() const;
-
-  /// True once Lemma 4 applies: the object is influenced no matter what the
-  /// remaining positions contribute.
-  bool InfluenceDecided() const;
-
-  /// Number of positions consumed.
-  size_t positions_seen() const { return positions_seen_; }
-
-  /// Resets to the empty state (as if freshly constructed).
-  void Reset();
-
- private:
-  double tau_;
-  double log_non_influence_threshold_;  // log(1 - tau)
-  double log_survival_ = 0.0;           // sum of log1p(-p_i)
-  size_t positions_seen_ = 0;
-};
 
 }  // namespace pinocchio
 

@@ -149,7 +149,6 @@ Response InfluenceService::Do(const SolveRequest& request) {
 Response InfluenceService::Do(const TopKRequest& request) {
   const size_t k =
       std::min<size_t>(std::max<uint32_t>(1, request.k), kMaxResponseTopK);
-  if (options_.approx_default) return DoTopKViaApprox(k);
   const SnapshotPtr snap = holder_.Acquire();
   // The snapshot is prepared with top_k = prepared_top_k, so VO results
   // are exact for that many leading candidates; beyond it the exact PIN
@@ -186,55 +185,6 @@ Response InfluenceService::Do(const ApproxTopKRequest& request) {
   s.entries.reserve(result.entries.size());
   for (const ApproxEntry& e : result.entries) {
     s.entries.push_back({e.candidate, e.estimate, e.lo, e.hi, e.exact});
-  }
-  return response;
-}
-
-Response InfluenceService::DoTopKViaApprox(size_t k) {
-  const SnapshotPtr snap = holder_.Acquire();
-  Stopwatch watch;
-  const SketchParams params{options_.approx_epsilon, options_.approx_delta,
-                            options_.approx_seed};
-  const ApproxTopKResult approx =
-      SolveApproxTopK(snap->prepared, k, params, options_.solve_threads);
-
-  // Exact refinement: the approximate tier SELECTED the candidates; each
-  // one's influence is recomputed exactly, so every reported value (and
-  // the per-entry exact flag) is unconditional. Only the membership of
-  // the k-set carries the sketch's probabilistic guarantee.
-  struct Refined {
-    uint32_t candidate;
-    int64_t influence;
-  };
-  std::vector<Refined> refined;
-  refined.reserve(approx.entries.size());
-  for (const ApproxEntry& e : approx.entries) {
-    const int64_t influence =
-        e.exact ? e.estimate
-                : InfluenceOfCandidate(snap->prepared,
-                                       snap->prepared.candidate(e.candidate));
-    refined.push_back({e.candidate, influence});
-  }
-  std::sort(refined.begin(), refined.end(),
-            [](const Refined& a, const Refined& b) {
-              if (a.influence != b.influence) return a.influence > b.influence;
-              return a.candidate < b.candidate;
-            });
-
-  Response response;
-  response.type = ResponseType::kSolve;
-  SolveResponse& s = response.solve;
-  s.epoch = snap->epoch;
-  s.num_objects = snap->prepared.num_objects();
-  s.num_candidates = snap->prepared.num_candidates();
-  if (!refined.empty()) {
-    s.best_candidate = refined.front().candidate;
-    s.best_influence = refined.front().influence;
-  }
-  s.solve_seconds = watch.ElapsedSeconds();
-  s.topk.reserve(refined.size());
-  for (const Refined& r : refined) {
-    s.topk.push_back({r.candidate, r.influence, /*exact=*/true});
   }
   return response;
 }

@@ -65,15 +65,6 @@ struct ServiceOptions {
   /// observe frames — independent of the snapshot path (see
   /// docs/ARCHITECTURE.md, "Streaming ingestion").
   double stream_window_seconds = 0.0;
-  /// When true, kTopK requests ride the approximate tier at the default
-  /// (epsilon, delta) below and the returned candidates are then refined
-  /// to exact influences — the candidate SELECTION is approximate, every
-  /// reported influence is exact. kApproxTopK requests always use their
-  /// own parameters regardless of this flag.
-  bool approx_default = false;
-  double approx_epsilon = 0.05;
-  double approx_delta = 0.01;
-  uint64_t approx_seed = 0;
 };
 
 class InfluenceService {
@@ -121,9 +112,6 @@ class InfluenceService {
   Response Do(const ObserveRequest& request);
   Response Do(const AdvanceRequest& request);
   Response Do(const ApproxTopKRequest& request);
-  /// The approx_default fast-path behind kTopK: approximate selection,
-  /// exact per-candidate refinement.
-  Response DoTopKViaApprox(size_t k);
   static Response MakeError(ErrorCode code, std::string message);
 
   /// Fills a SolveResponse from a result computed against `snap`.

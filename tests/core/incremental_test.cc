@@ -161,6 +161,64 @@ TEST(IncrementalTest, TopKOrderedAndLive) {
   }
 }
 
+TEST(IncrementalTest, UpdateObjectMatchesBatchRecompute) {
+  const ProblemInstance instance = RandomInstance(409);
+  const SolverConfig config = DefaultConfig();
+  IncrementalPrimeLS inc(instance.candidates, config);
+  for (const MovingObject& o : instance.objects) inc.AddObject(o);
+
+  // Every other object takes over its successor's trajectory, so updates
+  // both gain and lose candidates.
+  ProblemInstance current = instance;
+  const size_t n = instance.objects.size();
+  for (size_t k = 0; k < n; k += 2) {
+    const std::vector<Point>& moved = instance.objects[(k + 1) % n].positions;
+    ASSERT_TRUE(inc.UpdateObject(instance.objects[k].id, moved));
+    current.objects[k].positions = moved;
+  }
+  EXPECT_EQ(inc.NumLiveObjects(), n);
+
+  const SolverResult naive = NaiveSolver().Solve(current, config);
+  for (size_t j = 0; j < instance.candidates.size(); ++j) {
+    EXPECT_EQ(inc.InfluenceOf(j), naive.influence[j]) << "candidate " << j;
+  }
+}
+
+TEST(IncrementalTest, UpdateUnknownObjectReturnsFalse) {
+  IncrementalPrimeLS inc({{0, 0}}, DefaultConfig());
+  EXPECT_FALSE(inc.UpdateObject(42, {{0, 0}}));
+  EXPECT_EQ(inc.NumLiveObjects(), 0u);
+  EXPECT_EQ(inc.InfluenceOf(0), 0);
+}
+
+TEST(IncrementalTest, SlidingWindowMatchesBatchRecompute) {
+  // Objects grown one position at a time and then trimmed from the front
+  // count exactly what a batch solve of their final windows counts.
+  const ProblemInstance instance = RandomInstance(410);
+  const SolverConfig config = DefaultConfig();
+  IncrementalPrimeLS inc(instance.candidates, config);
+  ProblemInstance current;
+  current.candidates = instance.candidates;
+  for (const MovingObject& o : instance.objects) {
+    for (const Point& p : o.positions) inc.AppendPosition(o.id, p);
+    const size_t expired = o.positions.size() / 3;
+    for (size_t i = 0; i < expired; ++i) {
+      ASSERT_TRUE(inc.ExpireOldestPosition(o.id));
+    }
+    MovingObject window = o;
+    window.positions.erase(
+        window.positions.begin(),
+        window.positions.begin() + static_cast<std::ptrdiff_t>(expired));
+    EXPECT_EQ(inc.NumPositionsOf(o.id), window.positions.size());
+    current.objects.push_back(std::move(window));
+  }
+
+  const SolverResult naive = NaiveSolver().Solve(current, config);
+  for (size_t j = 0; j < instance.candidates.size(); ++j) {
+    EXPECT_EQ(inc.InfluenceOf(j), naive.influence[j]) << "candidate " << j;
+  }
+}
+
 TEST(IncrementalDeathTest, DuplicateObjectIdRejected) {
   const ProblemInstance instance = RandomInstance(408);
   IncrementalPrimeLS inc(instance.candidates, DefaultConfig());

@@ -4,7 +4,6 @@
 
 #include "core/naive_solver.h"
 #include "prob/influence.h"
-#include "util/random.h"
 #include "testing/instance_helpers.h"
 
 namespace pinocchio {
@@ -116,40 +115,6 @@ TEST(WeightedInfluenceTest, WeightsScaleScore) {
   EXPECT_DOUBLE_EQ(WeightedInfluenceOfCandidate(store, triple, c, *config.pf),
                    3.0 * WeightedInfluenceOfCandidate(store, unit, c,
                                                       *config.pf));
-}
-
-TEST(WeightedInfluenceTest, SelectWeightedFindsHeavyObjectsCrowd) {
-  // Two crowds; the small crowd carries huge weights and must win.
-  ProblemInstance instance;
-  Rng rng(21);
-  std::vector<double> weights;
-  for (uint32_t k = 0; k < 30; ++k) {
-    MovingObject o;
-    o.id = k;
-    const bool heavy = k < 5;  // 5 heavy objects at (20000, 0)
-    const double cx = heavy ? 20000.0 : 0.0;
-    for (int i = 0; i < 6; ++i) {
-      o.positions.push_back({cx + rng.Gaussian(0, 200),
-                             rng.Gaussian(0, 200)});
-    }
-    instance.objects.push_back(std::move(o));
-    weights.push_back(heavy ? 100.0 : 1.0);
-  }
-  instance.candidates = {{0, 0}, {20000, 0}};
-  const auto [best, score] = SelectWeighted(instance.objects, weights,
-                                            instance.candidates,
-                                            DefaultConfig());
-  EXPECT_EQ(best, 1u);
-  EXPECT_GE(score, 500.0);
-}
-
-TEST(WeightedInfluenceTest, EmptyCandidates) {
-  const ProblemInstance instance = RandomInstance(908);
-  const std::vector<double> weights(instance.objects.size(), 1.0);
-  const auto [best, score] = SelectWeighted(
-      instance.objects, weights, std::vector<Point>{}, DefaultConfig());
-  EXPECT_EQ(best, 0u);
-  EXPECT_DOUBLE_EQ(score, 0.0);
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "core/naive_solver.h"
+#include "core/pinocchio_solver.h"
 #include "core/prepared_instance.h"
-#include "index/grid_index.h"
+#include "prob/influence.h"
 #include "prob/influence_kernel.h"
 #include "testing/instance_helpers.h"
 
@@ -21,7 +22,7 @@ using testing_helpers::RandomInstance;
 using PairList = std::vector<std::pair<uint32_t, uint32_t>>;  // (cand, rec)
 
 // Brute-force classification over every (candidate, record) pair, straight
-// from the region definitions; shared by the per-index-backend cases.
+// from the region definitions.
 struct BruteForceClassification {
   PairList ia;
   PairList remnant;
@@ -52,6 +53,19 @@ PairList Sorted(PairList pairs) {
   return pairs;
 }
 
+// The pass over records [first, last) of the prepared store, counting each
+// influenced pair per candidate.
+std::vector<int64_t> CountInfluence(const PreparedInstance& prepared,
+                                    const InfluenceKernel& kernel,
+                                    uint32_t first, uint32_t last,
+                                    SolverStats* stats) {
+  std::vector<int64_t> influence(prepared.num_candidates(), 0);
+  PruneAndValidate(prepared.candidate_rtree(), prepared.store(), kernel, first,
+                   last, prepared.num_candidates(), stats,
+                   [&](uint32_t j, uint32_t) { ++influence[j]; });
+  return influence;
+}
+
 TEST(PrunePipelineTest, ClassificationMatchesBruteForceGeometry) {
   const ProblemInstance instance = RandomInstance(91);
   const PreparedInstance prepared(instance, DefaultConfig());
@@ -77,34 +91,6 @@ TEST(PrunePipelineTest, ClassificationMatchesBruteForceGeometry) {
   EXPECT_EQ(stats.pairs_pruned_by_nib, want.nib_pruned);
 }
 
-// Mirror of the case above through the GridIndex overload: the grid-backed
-// classification must produce the identical pair sets and counters.
-TEST(PrunePipelineTest, GridClassificationMatchesBruteForceGeometry) {
-  const ProblemInstance instance = RandomInstance(91);
-  const PreparedInstance prepared(instance, DefaultConfig());
-  const ObjectStore& store = prepared.store();
-  const size_t m = prepared.num_candidates();
-  const auto r = static_cast<uint32_t>(store.size());
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
-  const GridIndex grid(prepared.candidate_entries(), 64);
-
-  PairList ia_pairs;
-  PairList remnant_pairs;
-  SolverStats stats;
-  ClassifyCandidates(
-      grid, store, kernel, 0, r, m, &stats,
-      [&](const RTreeEntry& e, uint32_t k) { ia_pairs.emplace_back(e.id, k); },
-      [&](const RTreeEntry& e, uint32_t k) {
-        remnant_pairs.emplace_back(e.id, k);
-      });
-
-  const BruteForceClassification want = BruteForceClassify(instance, store);
-  EXPECT_EQ(Sorted(ia_pairs), Sorted(want.ia));
-  EXPECT_EQ(Sorted(remnant_pairs), Sorted(want.remnant));
-  EXPECT_EQ(stats.pairs_pruned_by_ia, static_cast<int64_t>(want.ia.size()));
-  EXPECT_EQ(stats.pairs_pruned_by_nib, want.nib_pruned);
-}
-
 TEST(PrunePipelineTest, PruneAndValidateMatchesNaiveSolver) {
   const ProblemInstance instance = RandomInstance(92);
   const SolverConfig config = DefaultConfig();
@@ -114,10 +100,9 @@ TEST(PrunePipelineTest, PruneAndValidateMatchesNaiveSolver) {
   const auto r = static_cast<uint32_t>(store.size());
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
 
-  std::vector<int64_t> influence(m, 0);
   SolverStats stats;
-  PruneAndValidate(prepared.candidate_rtree(), store, kernel, 0, r, influence,
-                   &stats);
+  const std::vector<int64_t> influence =
+      CountInfluence(prepared, kernel, 0, r, &stats);
 
   const SolverResult naive = NaiveSolver().Solve(instance, config);
   EXPECT_EQ(influence, naive.influence);
@@ -128,30 +113,6 @@ TEST(PrunePipelineTest, PruneAndValidateMatchesNaiveSolver) {
             static_cast<int64_t>(m) * static_cast<int64_t>(r));
 }
 
-TEST(PrunePipelineTest, RTreeAndGridIndexBackendsAgree) {
-  const ProblemInstance instance = RandomInstance(93);
-  const PreparedInstance prepared(instance, DefaultConfig());
-  const ObjectStore& store = prepared.store();
-  const size_t m = prepared.num_candidates();
-  const auto r = static_cast<uint32_t>(store.size());
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
-
-  std::vector<int64_t> via_rtree(m, 0);
-  SolverStats rtree_stats;
-  PruneAndValidate(prepared.candidate_rtree(), store, kernel, 0, r, via_rtree,
-                   &rtree_stats);
-
-  const GridIndex grid(prepared.candidate_entries(), 64);
-  std::vector<int64_t> via_grid(m, 0);
-  SolverStats grid_stats;
-  PruneAndValidate(grid, store, kernel, 0, r, via_grid, &grid_stats);
-
-  EXPECT_EQ(via_rtree, via_grid);
-  EXPECT_EQ(rtree_stats.pairs_pruned_by_ia, grid_stats.pairs_pruned_by_ia);
-  EXPECT_EQ(rtree_stats.pairs_pruned_by_nib, grid_stats.pairs_pruned_by_nib);
-  EXPECT_EQ(rtree_stats.pairs_validated, grid_stats.pairs_validated);
-}
-
 TEST(PrunePipelineTest, RecordRangePartitionsComposeExactly) {
   const ProblemInstance instance = RandomInstance(94);
   const PreparedInstance prepared(instance, DefaultConfig());
@@ -160,10 +121,9 @@ TEST(PrunePipelineTest, RecordRangePartitionsComposeExactly) {
   const auto r = static_cast<uint32_t>(store.size());
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
 
-  std::vector<int64_t> full(m, 0);
   SolverStats full_stats;
-  PruneAndValidate(prepared.candidate_rtree(), store, kernel, 0, r, full,
-                   &full_stats);
+  const std::vector<int64_t> full =
+      CountInfluence(prepared, kernel, 0, r, &full_stats);
 
   // Disjoint record slices merged with plain addition — the contract the
   // parallel solver relies on.
@@ -172,10 +132,9 @@ TEST(PrunePipelineTest, RecordRangePartitionsComposeExactly) {
   const uint32_t mid = r / 2;
   for (const auto& [begin, end] :
        std::vector<std::pair<uint32_t, uint32_t>>{{0, mid}, {mid, r}}) {
-    std::vector<int64_t> part(m, 0);
     SolverStats part_stats;
-    PruneAndValidate(prepared.candidate_rtree(), store, kernel, begin, end,
-                     part, &part_stats);
+    const std::vector<int64_t> part =
+        CountInfluence(prepared, kernel, begin, end, &part_stats);
     for (size_t j = 0; j < m; ++j) merged[j] += part[j];
     merged_stats.pairs_pruned_by_ia += part_stats.pairs_pruned_by_ia;
     merged_stats.pairs_pruned_by_nib += part_stats.pairs_pruned_by_nib;
@@ -195,14 +154,165 @@ TEST(PrunePipelineTest, RecordRangePartitionsComposeExactly) {
 TEST(PrunePipelineTest, NullStatsIsAccepted) {
   const ProblemInstance instance = RandomInstance(95);
   const PreparedInstance prepared(instance, DefaultConfig());
-  const size_t m = prepared.num_candidates();
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
-  std::vector<int64_t> influence(m, 0);
-  PruneAndValidate(prepared.candidate_rtree(), prepared.store(), kernel, 0,
-                   static_cast<uint32_t>(prepared.store().size()), influence,
-                   nullptr);
+  const std::vector<int64_t> influence = CountInfluence(
+      prepared, kernel, 0, static_cast<uint32_t>(prepared.store().size()),
+      nullptr);
   const SolverResult naive = NaiveSolver().Solve(instance, DefaultConfig());
   EXPECT_EQ(influence, naive.influence);
+}
+
+// The visitor sees every influenced (candidate, record) pair exactly once —
+// the scalar Definition-2 test over every pair — and nothing else.
+TEST(PrunePipelineTest, VisitorSeesEachInfluencedPairOnce) {
+  const ProblemInstance instance = RandomInstance(96);
+  const PreparedInstance prepared(instance, DefaultConfig());
+  const ObjectStore& store = prepared.store();
+  const auto r = static_cast<uint32_t>(store.size());
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+
+  PairList got;
+  PruneAndValidate(prepared.candidate_rtree(), store, kernel, 0, r,
+                   prepared.num_candidates(), nullptr,
+                   [&](uint32_t j, uint32_t k) { got.emplace_back(j, k); });
+
+  PairList want;
+  for (uint32_t j = 0; j < prepared.num_candidates(); ++j) {
+    for (uint32_t k = 0; k < r; ++k) {
+      if (Influences(prepared.pf(), prepared.candidate(j), store.positions(k),
+                     prepared.tau())) {
+        want.emplace_back(j, k);
+      }
+    }
+  }
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(Sorted(got), want);
+}
+
+// The one-record form (objects outside a store) reports, per record, the
+// same candidates as the store pass, under record index 0.
+TEST(PrunePipelineTest, OneRecordFormMatchesStorePass) {
+  const ProblemInstance instance = RandomInstance(97);
+  const PreparedInstance prepared(instance, DefaultConfig());
+  const ObjectStore& store = prepared.store();
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+
+  for (uint32_t k = 0; k < store.size(); ++k) {
+    std::vector<uint32_t> via_store;
+    PruneAndValidate(prepared.candidate_rtree(), store, kernel, k, k + 1,
+                     prepared.num_candidates(), nullptr,
+                     [&](uint32_t j, uint32_t) { via_store.push_back(j); });
+    std::vector<uint32_t> via_record;
+    PruneAndValidate(prepared.candidate_rtree(), store.records()[k],
+                     store.positions(k), kernel, [&](uint32_t j, uint32_t rec) {
+                       EXPECT_EQ(rec, 0u);
+                       via_record.push_back(j);
+                     });
+    EXPECT_EQ(via_record, via_store) << "record " << k;
+  }
+}
+
+// PIN is the pass plus a counting visitor, so over the whole store the
+// pass's influence and all five pass counters are PIN's.
+TEST(PrunePipelineTest, PassCountersMatchPinSolver) {
+  const ProblemInstance instance = RandomInstance(98);
+  const PreparedInstance prepared(instance, DefaultConfig());
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+
+  SolverStats stats;
+  const std::vector<int64_t> influence = CountInfluence(
+      prepared, kernel, 0, static_cast<uint32_t>(prepared.store().size()),
+      &stats);
+
+  const SolverResult pin = PinocchioSolver().Solve(prepared);
+  EXPECT_EQ(influence, pin.influence);
+  EXPECT_EQ(stats.pairs_pruned_by_ia, pin.stats.pairs_pruned_by_ia);
+  EXPECT_EQ(stats.pairs_pruned_by_nib, pin.stats.pairs_pruned_by_nib);
+  EXPECT_EQ(stats.pairs_validated, pin.stats.pairs_validated);
+  EXPECT_EQ(stats.positions_scanned, pin.stats.positions_scanned);
+  EXPECT_EQ(stats.early_stops, pin.stats.early_stops);
+}
+
+// ClassifyCandidates is the pass's prune phase alone: the same prune
+// counters, and exactly one validation per remnant pair.
+TEST(PrunePipelineTest, ClassifyCountersMatchThePass) {
+  const ProblemInstance instance = RandomInstance(99);
+  const PreparedInstance prepared(instance, DefaultConfig());
+  const ObjectStore& store = prepared.store();
+  const size_t m = prepared.num_candidates();
+  const auto r = static_cast<uint32_t>(store.size());
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+
+  SolverStats classify_stats;
+  int64_t remnants = 0;
+  ClassifyCandidates(
+      prepared.candidate_rtree(), store, kernel, 0, r, m, &classify_stats,
+      [](const RTreeEntry&, uint32_t) {},
+      [&](const RTreeEntry&, uint32_t) { ++remnants; });
+  SolverStats pass_stats;
+  CountInfluence(prepared, kernel, 0, r, &pass_stats);
+
+  EXPECT_EQ(classify_stats.pairs_pruned_by_ia, pass_stats.pairs_pruned_by_ia);
+  EXPECT_EQ(classify_stats.pairs_pruned_by_nib,
+            pass_stats.pairs_pruned_by_nib);
+  EXPECT_EQ(classify_stats.pairs_validated, 0);
+  EXPECT_EQ(pass_stats.pairs_validated, remnants);
+}
+
+// Records arrive in ascending order; within a record the IA certificates
+// come first, in index-visit order, then the validated remnants in the
+// order classification found them.
+TEST(PrunePipelineTest, PairsArriveInRecordOrderIaFirst) {
+  const ProblemInstance instance = RandomInstance(100);
+  const PreparedInstance prepared(instance, DefaultConfig());
+  const ObjectStore& store = prepared.store();
+  const size_t m = prepared.num_candidates();
+  const auto r = static_cast<uint32_t>(store.size());
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+
+  PairList got;
+  PruneAndValidate(prepared.candidate_rtree(), store, kernel, 0, r, m, nullptr,
+                   [&](uint32_t j, uint32_t k) { got.emplace_back(j, k); });
+
+  PairList want;
+  for (uint32_t k = 0; k < r; ++k) {
+    PairList remnant;
+    ClassifyCandidates(
+        prepared.candidate_rtree(), store, kernel, k, k + 1, m, nullptr,
+        [&](const RTreeEntry& e, uint32_t rec) {
+          want.emplace_back(e.id, rec);
+        },
+        [&](const RTreeEntry& e, uint32_t rec) {
+          remnant.emplace_back(e.id, rec);
+        });
+    for (const auto& [j, rec] : remnant) {
+      if (Influences(prepared.pf(), prepared.candidate(j),
+                     store.positions(rec), prepared.tau())) {
+        want.emplace_back(j, rec);
+      }
+    }
+  }
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(got, want);
+}
+
+TEST(PrunePipelineTest, EmptyRecordRangeVisitsNothing) {
+  const ProblemInstance instance = RandomInstance(101);
+  const PreparedInstance prepared(instance, DefaultConfig());
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const auto mid = static_cast<uint32_t>(prepared.store().size() / 2);
+
+  SolverStats stats;
+  int64_t visits = 0;
+  PruneAndValidate(prepared.candidate_rtree(), prepared.store(), kernel, mid,
+                   mid, prepared.num_candidates(), &stats,
+                   [&](uint32_t, uint32_t) { ++visits; });
+  EXPECT_EQ(visits, 0);
+  EXPECT_EQ(stats.pairs_pruned_by_ia, 0);
+  EXPECT_EQ(stats.pairs_pruned_by_nib, 0);
+  EXPECT_EQ(stats.pairs_validated, 0);
+  EXPECT_EQ(stats.positions_scanned, 0);
+  EXPECT_EQ(stats.early_stops, 0);
 }
 
 }  // namespace

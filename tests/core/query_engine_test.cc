@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "core/pinocchio_vo_solver.h"
 #include "core/prepared_instance.h"
 #include "geo/point.h"
+#include "prob/influence.h"
 #include "prob/influence_kernel.h"
 #include "testing/instance_helpers.h"
 #include "util/random.h"
@@ -143,13 +145,23 @@ TEST(InfluenceSetsTest, ThreadBudgetsAreByteIdenticalAndExact) {
   const SolverConfig config = DefaultConfig();
   const PreparedInstance prepared(instance, config);
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
-  const SolverResult naive = NaiveSolver().Solve(prepared);
+  const ObjectStore& store = prepared.store();
 
   const query::InfluenceSets one = query::BuildInfluenceSets(prepared, kernel);
-  ASSERT_EQ(one.num_candidates(), naive.influence.size());
+  ASSERT_EQ(one.num_candidates(), prepared.num_candidates());
   for (uint32_t j = 0; j < one.num_candidates(); ++j) {
-    EXPECT_EQ(static_cast<int64_t>(one.Objects(j).size()), naive.influence[j]);
-    EXPECT_TRUE(std::is_sorted(one.Objects(j).begin(), one.Objects(j).end()));
+    // Exactly the records the scalar Definition-2 test says j influences,
+    // in ascending record order.
+    std::vector<uint32_t> want;
+    for (uint32_t k = 0; k < store.size(); ++k) {
+      if (Influences(prepared.pf(), prepared.candidate(j), store.positions(k),
+                     prepared.tau())) {
+        want.push_back(k);
+      }
+    }
+    const std::span<const uint32_t> got = one.Objects(j);
+    EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), want)
+        << "candidate " << j;
   }
   for (size_t threads : {2, 7}) {
     const query::InfluenceSets got =

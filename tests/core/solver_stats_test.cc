@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "core/naive_solver.h"
-#include "core/pinocchio_grid_solver.h"
 #include "core/pinocchio_hull_solver.h"
 #include "core/pinocchio_solver.h"
 #include "core/pinocchio_vo_solver.h"
@@ -32,7 +31,7 @@ std::vector<StatsCase> MakeCases() {
   std::vector<StatsCase> cases;
   const std::vector<std::pair<std::string, std::shared_ptr<Solver>>> solvers =
       {{"pin", std::make_shared<PinocchioSolver>()},
-       {"pin_grid", std::make_shared<PinocchioGridSolver>()},
+       {"na", std::make_shared<NaiveSolver>()},
        {"pin_hull", std::make_shared<PinocchioHullSolver>()},
        {"pin_t4", std::make_shared<PinocchioSolver>(4)}};
   uint64_t seed = 5000;

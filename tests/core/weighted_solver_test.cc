@@ -1,5 +1,8 @@
 #include "core/weighted_solver.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/influence_query.h"
@@ -27,7 +30,13 @@ TEST(WeightedSolverTest, UnitWeightsMatchUnweightedSolver) {
                      static_cast<double>(plain.influence[j]));
   }
   EXPECT_EQ(weighted.best_candidate, plain.best_candidate);
+  // Both run the same prune-and-validate pass, so every pass counter agrees.
+  EXPECT_EQ(weighted.stats.pairs_pruned_by_ia, plain.stats.pairs_pruned_by_ia);
+  EXPECT_EQ(weighted.stats.pairs_pruned_by_nib,
+            plain.stats.pairs_pruned_by_nib);
   EXPECT_EQ(weighted.stats.pairs_validated, plain.stats.pairs_validated);
+  EXPECT_EQ(weighted.stats.positions_scanned, plain.stats.positions_scanned);
+  EXPECT_EQ(weighted.stats.early_stops, plain.stats.early_stops);
 }
 
 TEST(WeightedSolverTest, MatchesQueryPathPerCandidate) {
@@ -69,6 +78,61 @@ TEST(WeightedSolverTest, RankingSortedByScore) {
     EXPECT_GE(result.score[result.ranking[i - 1]],
               result.score[result.ranking[i]]);
   }
+}
+
+TEST(WeightedSolverTest, HeavyCrowdWins) {
+  // Two crowds; the small crowd carries huge weights and must win.
+  ProblemInstance instance;
+  Rng rng(21);
+  std::vector<double> weights;
+  for (uint32_t k = 0; k < 30; ++k) {
+    MovingObject o;
+    o.id = k;
+    const bool heavy = k < 5;  // 5 heavy objects at (20000, 0)
+    const double cx = heavy ? 20000.0 : 0.0;
+    for (int i = 0; i < 6; ++i) {
+      o.positions.push_back({cx + rng.Gaussian(0, 200),
+                             rng.Gaussian(0, 200)});
+    }
+    instance.objects.push_back(std::move(o));
+    weights.push_back(heavy ? 100.0 : 1.0);
+  }
+  instance.candidates = {{0, 0}, {20000, 0}};
+  const WeightedSolverResult result =
+      SolveWeightedPinocchio(instance, weights, DefaultConfig());
+  EXPECT_EQ(result.best_candidate, 1u);
+  EXPECT_GE(result.best_score, 500.0);
+}
+
+TEST(WeightedSolverTest, EmptyCandidateSetScoresZero) {
+  ProblemInstance instance = RandomInstance(908);
+  instance.candidates.clear();
+  const std::vector<double> weights(instance.objects.size(), 1.0);
+  const WeightedSolverResult result =
+      SolveWeightedPinocchio(instance, weights, DefaultConfig());
+  EXPECT_EQ(result.best_candidate, 0u);
+  EXPECT_DOUBLE_EQ(result.best_score, 0.0);
+}
+
+TEST(WeightedSolverTest, PassCountersDoNotDependOnWeights) {
+  // Weights change only what the visitor adds up, never which pairs the
+  // pass prunes, validates or scans.
+  const ProblemInstance instance = RandomInstance(1511);
+  const SolverConfig config = DefaultConfig();
+  const std::vector<double> unit(instance.objects.size(), 1.0);
+  Rng rng(1511);
+  std::vector<double> weights;
+  for (size_t k = 0; k < instance.objects.size(); ++k) {
+    weights.push_back(rng.Uniform(0.0, 5.0));
+  }
+  const WeightedSolverResult a = SolveWeightedPinocchio(instance, unit, config);
+  const WeightedSolverResult b =
+      SolveWeightedPinocchio(instance, weights, config);
+  EXPECT_EQ(a.stats.pairs_pruned_by_ia, b.stats.pairs_pruned_by_ia);
+  EXPECT_EQ(a.stats.pairs_pruned_by_nib, b.stats.pairs_pruned_by_nib);
+  EXPECT_EQ(a.stats.pairs_validated, b.stats.pairs_validated);
+  EXPECT_EQ(a.stats.positions_scanned, b.stats.positions_scanned);
+  EXPECT_EQ(a.stats.early_stops, b.stats.early_stops);
 }
 
 TEST(WeightedVOTest, WinnerAttainsTrueMaximum) {

@@ -1,5 +1,6 @@
 #include "index/grid_index.h"
 
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -95,6 +96,37 @@ TEST(GridIndexTest, TargetCellsRespectedRoughly) {
   EXPECT_GE(cells, 25u);
   EXPECT_LE(cells, 400u);
 }
+
+// The cell count is a speed knob only: from a single cell to far more
+// cells than entries, rect and circle queries return the same ids.
+class GridResolutionTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(GridResolutionTest, ResolutionDoesNotChangeResults) {
+  Rng rng(803);
+  const auto entries = RandomEntries(600, rng);
+  const GridIndex grid(entries, GetParam());
+  for (int q = 0; q < 60; ++q) {
+    const double x = rng.Uniform(-50, 500), y = rng.Uniform(-50, 500);
+    const Mbr rect(x, y, x + rng.Uniform(0, 200), y + rng.Uniform(0, 200));
+    const Point center{rng.Uniform(-20, 520), rng.Uniform(-20, 520)};
+    const double radius = rng.Uniform(0, 150);
+    std::vector<uint32_t> want_rect;
+    std::vector<uint32_t> want_circle;
+    for (const auto& e : entries) {
+      if (rect.Contains(e.point)) want_rect.push_back(e.id);
+      if (Distance(center, e.point) <= radius) want_circle.push_back(e.id);
+    }
+    std::vector<uint32_t> rect_ids = grid.QueryRectIds(rect);
+    std::vector<uint32_t> circle_ids = grid.QueryCircleIds(center, radius);
+    std::sort(rect_ids.begin(), rect_ids.end());
+    std::sort(circle_ids.begin(), circle_ids.end());
+    EXPECT_EQ(rect_ids, want_rect) << "query " << q;
+    EXPECT_EQ(circle_ids, want_circle) << "query " << q;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Resolutions, GridResolutionTest,
+                         ::testing::Values<size_t>(1, 16, 256, 65536));
 
 }  // namespace
 }  // namespace pinocchio

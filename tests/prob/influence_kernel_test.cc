@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <numbers>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -192,6 +194,92 @@ TEST(InfluenceKernelTest, CertainPositionDecidesImmediately) {
   EXPECT_TRUE(d.influenced);
   EXPECT_EQ(d.positions_seen, 1u);
   EXPECT_TRUE(d.decided_early);
+}
+
+TEST(InfluenceKernelTest, Lemma4EarlyDecision) {
+  // Two positions at PF = 0.5 leave a partial survival of 0.25 <= 1 - tau:
+  // the object is influenced whatever the far third position contributes,
+  // so the scan stops after two positions.
+  const PowerLawPF pf(0.9, 1.0);
+  const InfluenceKernel kernel(pf, 0.7);
+  const double d = pf.Inverse(0.5);
+  const std::vector<Point> positions = {{d, 0}, {0, d}, {1e6, 1e6}};
+  const InfluenceDecision decision = kernel.Decide({0, 0}, positions);
+  EXPECT_TRUE(decision.influenced);
+  EXPECT_TRUE(decision.decided_early);
+  EXPECT_EQ(decision.positions_seen, 2u);
+}
+
+TEST(InfluenceKernelTest, EarlyDecisionIsCertifiedByTheSeenPrefix) {
+  // Lemma 4 stops only once the positions already read decide influence
+  // on their own: the prefix passes the full-scan test, and so does the
+  // whole span (more positions only lower the survival product).
+  const PowerLawPF pf(0.9, 1.0);
+  const Point c{0, 0};
+  Rng rng(5);
+  int early = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const double tau = rng.Uniform(0.05, 0.95);
+    const InfluenceKernel kernel(pf, tau);
+    std::vector<Point> positions;
+    for (int i = 0; i < 30; ++i) {
+      const double d = pf.Inverse(rng.Uniform(0.01, 0.4));
+      const double angle = rng.Uniform(0.0, 2.0 * std::numbers::pi);
+      positions.push_back({d * std::cos(angle), d * std::sin(angle)});
+    }
+    const InfluenceDecision decision = kernel.Decide(c, positions);
+    if (!decision.decided_early) continue;
+    ++early;
+    const std::span<const Point> prefix(positions.data(),
+                                        decision.positions_seen);
+    EXPECT_TRUE(Influences(pf, c, prefix, tau)) << "trial " << trial;
+    EXPECT_TRUE(Influences(pf, c, positions, tau)) << "trial " << trial;
+  }
+  EXPECT_GE(early, 100);
+}
+
+TEST(InfluenceKernelTest, ZeroProbabilityPositionsNeverInfluence) {
+  // Positions at or beyond the PF's range add nothing: however many there
+  // are, the object is not influenced and the scan reads every one.
+  const LinearPF pf(0.9, 1000.0);
+  const InfluenceKernel kernel(pf, 0.05);
+  std::vector<Point> positions;
+  for (int i = 0; i < 100; ++i) positions.push_back({1000.0 + 10.0 * i, 0.0});
+  const InfluenceDecision decision = kernel.Decide({0, 0}, positions);
+  EXPECT_FALSE(decision.influenced);
+  EXPECT_FALSE(decision.decided_early);
+  EXPECT_EQ(decision.positions_seen, 100u);
+  EXPECT_EQ(kernel.Probability({0, 0}, positions), 0.0);
+}
+
+TEST(InfluenceKernelTest, ReusedKernelMatchesFreshKernelPerCall) {
+  // Long-lived callers (the incremental engine) keep one kernel for every
+  // call: no decision or counter may depend on the calls made before it.
+  Rng rng(606ull);
+  const PowerLawPF pf(0.9, 1.0);
+  const InfluenceKernel reused(pf, 0.5);
+  for (int i = 0; i < 50; ++i) {
+    const size_t n = static_cast<size_t>(rng.UniformInt(1, 12));
+    const std::vector<Point> positions = RandomPositions(&rng, n, 3000.0);
+    const std::vector<Point> candidates = RandomPositions(&rng, 16, 3000.0);
+    const InfluenceKernel fresh(pf, 0.5);
+
+    const InfluenceDecision a = reused.Decide(candidates[0], positions);
+    const InfluenceDecision b = fresh.Decide(candidates[0], positions);
+    EXPECT_EQ(a.influenced, b.influenced) << "call " << i;
+    EXPECT_EQ(a.positions_seen, b.positions_seen) << "call " << i;
+    EXPECT_EQ(a.decided_early, b.decided_early) << "call " << i;
+
+    std::vector<uint8_t> got(candidates.size(), 0);
+    std::vector<uint8_t> want(candidates.size(), 0);
+    const InfluenceBatchCounters got_counters =
+        reused.DecideMany(candidates, positions, got);
+    const InfluenceBatchCounters want_counters =
+        fresh.DecideMany(candidates, positions, want);
+    EXPECT_EQ(got, want) << "call " << i;
+    EXPECT_EQ(got_counters.positions_seen, want_counters.positions_seen);
+    EXPECT_EQ(got_counters.early_stops, want_counters.early_stops);
+  }
 }
 
 TEST(InfluenceKernelDeathTest, RejectsInvalidTau) {

@@ -106,77 +106,5 @@ TEST(CumulativeInfluenceTest, NumericallyStableForManyFarPositions) {
   EXPECT_LT(pr, 1.0);
 }
 
-// ------------------------------------------------ PartialInfluenceEvaluator
-
-TEST(PartialInfluenceEvaluatorTest, MatchesDirectComputation) {
-  const PowerLawPF pf(0.9, 1.0);
-  Rng rng(4);
-  const Point c{0, 0};
-  std::vector<Point> positions;
-  for (int i = 0; i < 50; ++i) {
-    positions.push_back({rng.Uniform(-5000, 5000), rng.Uniform(-5000, 5000)});
-  }
-  PartialInfluenceEvaluator eval(0.7);
-  for (const Point& p : positions) eval.Add(pf(Distance(c, p)));
-  EXPECT_NEAR(eval.InfluenceProbability(),
-              CumulativeInfluenceProbability(pf, c, positions), 1e-12);
-  EXPECT_NEAR(eval.NonInfluenceProbability(),
-              1.0 - eval.InfluenceProbability(), 1e-12);
-  EXPECT_EQ(eval.positions_seen(), positions.size());
-}
-
-TEST(PartialInfluenceEvaluatorTest, Lemma4EarlyDecision) {
-  // Once the partial non-influence probability drops to <= 1 - tau, the
-  // object is influenced regardless of the remaining positions.
-  PartialInfluenceEvaluator eval(0.7);
-  eval.Add(0.5);
-  EXPECT_FALSE(eval.InfluenceDecided());  // survival 0.5 > 0.3
-  eval.Add(0.5);
-  EXPECT_TRUE(eval.InfluenceDecided());  // survival 0.25 <= 0.3
-  // And the influence probability indeed exceeds tau already.
-  EXPECT_GE(eval.InfluenceProbability(), 0.7);
-}
-
-TEST(PartialInfluenceEvaluatorTest, DecisionImpliesInfluenceProperty) {
-  Rng rng(5);
-  for (int trial = 0; trial < 200; ++trial) {
-    const double tau = rng.Uniform(0.05, 0.95);
-    PartialInfluenceEvaluator eval(tau);
-    for (int i = 0; i < 30 && !eval.InfluenceDecided(); ++i) {
-      eval.Add(rng.Uniform(0.0, 0.4));
-    }
-    if (eval.InfluenceDecided()) {
-      EXPECT_GE(eval.InfluenceProbability(), tau - 1e-12);
-    } else {
-      EXPECT_LT(eval.NonInfluenceProbability() , 1.0 + 1e-12);
-    }
-  }
-}
-
-TEST(PartialInfluenceEvaluatorTest, CertainProbabilityDecidesImmediately) {
-  PartialInfluenceEvaluator eval(0.99);
-  eval.Add(1.0);
-  EXPECT_TRUE(eval.InfluenceDecided());
-  EXPECT_DOUBLE_EQ(eval.NonInfluenceProbability(), 0.0);
-  EXPECT_DOUBLE_EQ(eval.InfluenceProbability(), 1.0);
-}
-
-TEST(PartialInfluenceEvaluatorTest, ResetClearsState) {
-  PartialInfluenceEvaluator eval(0.5);
-  eval.Add(0.9);
-  EXPECT_TRUE(eval.InfluenceDecided());
-  eval.Reset();
-  EXPECT_EQ(eval.positions_seen(), 0u);
-  EXPECT_FALSE(eval.InfluenceDecided());
-  EXPECT_DOUBLE_EQ(eval.NonInfluenceProbability(), 1.0);
-}
-
-TEST(PartialInfluenceEvaluatorTest, ZeroProbabilityIsNoOp) {
-  PartialInfluenceEvaluator eval(0.5);
-  for (int i = 0; i < 100; ++i) eval.Add(0.0);
-  EXPECT_FALSE(eval.InfluenceDecided());
-  EXPECT_DOUBLE_EQ(eval.InfluenceProbability(), 0.0);
-}
-
 }  // namespace
 }  // namespace pinocchio

@@ -115,6 +115,31 @@ TEST(ServiceTest, TopKBeyondPreparedKFallsBackToExactRanking) {
   }
 }
 
+TEST(ServiceTest, TopKWithinPreparedKReturnsExactInfluences) {
+  const ProblemInstance instance =
+      RandomInstance(34, InstanceOptions{.num_objects = 200});
+  InfluenceService service(instance, DefaultConfig(), TestOptions());
+  const SnapshotPtr snap = service.snapshot();
+  const SolverResult exact = NaiveSolver().Solve(snap->prepared);
+
+  Request request;
+  request.type = RequestType::kTopK;
+  request.top_k.k = 5;  // within prepared_top_k = 8
+  const Response response = service.Execute(request);
+  ASSERT_EQ(response.type, ResponseType::kSolve);
+  ASSERT_EQ(response.solve.topk.size(), 5u);
+  // Every entry is exact and flagged so, and the i-th entry carries the
+  // i-th largest exact influence (ties may order differently).
+  for (size_t i = 0; i < response.solve.topk.size(); ++i) {
+    const RankedCandidate& rc = response.solve.topk[i];
+    EXPECT_TRUE(rc.exact) << i;
+    EXPECT_EQ(rc.influence, exact.influence[rc.candidate]) << i;
+    EXPECT_EQ(rc.influence, exact.influence[exact.ranking[i]]) << i;
+  }
+  EXPECT_EQ(response.solve.best_candidate, response.solve.topk[0].candidate);
+  EXPECT_EQ(response.solve.best_influence, exact.best_influence);
+}
+
 TEST(ServiceTest, ProbeMatchesInfluenceOfCandidate) {
   const ProblemInstance instance = RandomInstance(13);
   InfluenceService service(instance, DefaultConfig(), TestOptions());
@@ -690,38 +715,6 @@ TEST(ServiceTest, ApproxTopKRejectsOutOfRangeParameters) {
   response = service.Execute(request);
   ASSERT_EQ(response.type, ResponseType::kError);
   EXPECT_EQ(response.error.code, ErrorCode::kBadRequest);
-}
-
-TEST(ServiceTest, ApproxDefaultTopKReturnsExactInfluences) {
-  const ProblemInstance instance =
-      RandomInstance(34, InstanceOptions{.num_objects = 200});
-  ServiceOptions options = TestOptions();
-  options.approx_default = true;
-  options.approx_epsilon = 0.2;
-  options.approx_delta = 0.05;
-  options.approx_seed = 17;
-  InfluenceService service(instance, DefaultConfig(), options);
-  const SnapshotPtr snap = service.snapshot();
-  const SolverResult exact = NaiveSolver().Solve(snap->prepared);
-
-  Request request;
-  request.type = RequestType::kTopK;
-  request.top_k.k = 5;
-  const Response response = service.Execute(request);
-  ASSERT_EQ(response.type, ResponseType::kSolve);
-  ASSERT_EQ(response.solve.topk.size(), 5u);
-  // Selection is approximate, but every reported influence is exact and
-  // flagged as such, and entries are influence-descending.
-  for (size_t i = 0; i < response.solve.topk.size(); ++i) {
-    const RankedCandidate& rc = response.solve.topk[i];
-    EXPECT_TRUE(rc.exact);
-    EXPECT_EQ(rc.influence, exact.influence[rc.candidate]);
-    if (i > 0) {
-      EXPECT_GE(response.solve.topk[i - 1].influence, rc.influence);
-    }
-  }
-  EXPECT_EQ(response.solve.best_candidate, response.solve.topk[0].candidate);
-  EXPECT_EQ(response.solve.best_influence, response.solve.topk[0].influence);
 }
 
 }  // namespace

@@ -114,6 +114,13 @@ TEST(SwapStressTest, ReadersSeeConsistentEpochsDuringSwaps) {
     });
   }
 
+  // Swap only once a reader is live, so every run overlaps reads with the
+  // swaps it checks: on a loaded machine the writer could otherwise finish
+  // all its rounds before any reader is scheduled.
+  while (reads.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+
   for (int round = 0; round < kWriterRounds; ++round) {
     Request update;
     update.type = RequestType::kUpdate;

@@ -17,7 +17,6 @@
 #include "core/multi_facility.h"
 #include "core/naive_solver.h"
 #include "core/object_store.h"
-#include "core/pinocchio_grid_solver.h"
 #include "core/pinocchio_hull_solver.h"
 #include "core/pinocchio_solver.h"
 #include "core/pinocchio_vo_solver.h"
@@ -262,7 +261,6 @@ class CaseChecker {
     const SolverResult naive = NaiveSolver().Solve(prepared);
 
     CheckExactSolver(PinocchioSolver(), prepared, naive);
-    CheckExactSolver(PinocchioGridSolver(), prepared, naive);
     CheckExactSolver(PinocchioHullSolver(), prepared, naive);
     CheckVOSolver(PinocchioVOSolver(), prepared, naive);
     CheckVOSolver(PinocchioVOStarSolver(), prepared, naive);

@@ -116,8 +116,7 @@ TEST(CliTest, SolveAllAlgorithmsAgreeOnWinnerClass) {
                 .code,
             0);
   for (const std::string algorithm :
-       {"na", "pin", "pin-grid", "pin-hull", "pin-vo", "pin-vo-star", "brnn",
-        "range"}) {
+       {"na", "pin", "pin-hull", "pin-vo", "pin-vo-star", "brnn", "range"}) {
     const CliOutcome r = RunCli({"solve", "--in=" + snapshot,
                                  "--algorithm=" + algorithm,
                                  "--candidates=30", "--top=3"});
@@ -181,6 +180,20 @@ TEST(CliTest, RemovedParallelSpellingsAreRejected) {
     EXPECT_EQ(r.code, 2) << algorithm;
   }
   EXPECT_EQ(RunCli({"solve", "--help"}).out.find("pin-par"),
+            std::string::npos);
+}
+
+TEST(CliTest, RemovedGridAlgorithmIsRejected) {
+  const std::string snapshot = TempPath("cli_removed_grid.pino");
+  ASSERT_EQ(RunCli({"generate", "--profile=foursquare", "--scale=0.01",
+                    "--out=" + snapshot})
+                .code,
+            0);
+  // PIN runs on the candidate R-tree only; the grid variant is gone.
+  const CliOutcome r =
+      RunCli({"solve", "--in=" + snapshot, "--algorithm=pin-grid"});
+  EXPECT_EQ(r.code, 2) << r.out;
+  EXPECT_EQ(RunCli({"solve", "--help"}).out.find("pin-grid"),
             std::string::npos);
 }
 

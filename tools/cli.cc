@@ -10,7 +10,6 @@
 #include "core/multi_facility.h"
 #include "core/naive_solver.h"
 #include "core/influence_query.h"
-#include "core/pinocchio_grid_solver.h"
 #include "core/pinocchio_hull_solver.h"
 #include "core/pinocchio_solver.h"
 #include "core/pinocchio_vo_solver.h"
@@ -51,7 +50,7 @@ Usage:
 Datasets are CSV check-ins (user_id,lat,lon[,venue_id]) or binary .pino
 snapshots written by `generate`.
 
-Algorithms: na, pin, pin-grid, pin-hull, pin-vo, pin-vo-star, brnn, range.
+Algorithms: na, pin, pin-hull, pin-vo, pin-vo-star, brnn, range.
 --threads (default 1, 0 = hardware concurrency) is the thread budget of
 pin, pin-vo and pin-vo-star; results are identical at every budget.
 )";
@@ -274,8 +273,6 @@ int RunSolve(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     solver = std::make_unique<NaiveSolver>();
   } else if (algorithm == "pin") {
     solver = std::make_unique<PinocchioSolver>(threads);
-  } else if (algorithm == "pin-grid") {
-    solver = std::make_unique<PinocchioGridSolver>();
   } else if (algorithm == "pin-hull") {
     solver = std::make_unique<PinocchioHullSolver>();
   } else if (algorithm == "pin-vo") {

@@ -45,12 +45,6 @@ constexpr char kUsage[] = R"(Usage: pinocchio_server [flags]
                     concurrency). NA solves stay sequential.
   --stream-window=F Streaming ingestion window in seconds; enables the
                     observe/advance request family (default 0 = off).
-  --approx-default  Route plain topk requests through the approximate
-                    tier (selection approximate, reported influences
-                    exact).
-  --approx-epsilon=F --approx-delta=F --approx-seed=N
-                    Certified error / failure probability / sampling
-                    seed for --approx-default (defaults 0.05 / 0.01 / 0).
   --help            Show this message.
 
 Stop with SIGINT/SIGTERM; the server drains in-flight requests and
@@ -70,8 +64,7 @@ int main(int argc, char** argv) {
   const auto unknown = flags.UnknownFlags(
       {"port", "bind", "workers", "in", "profile", "scale", "candidates",
        "seed", "tau", "rho", "lambda", "unit-km", "topk-limit",
-       "solve_threads", "stream-window", "approx-default", "approx-epsilon",
-       "approx-delta", "approx-seed", "help"});
+       "solve_threads", "stream-window", "help"});
   if (!unknown.empty() || !flags.errors().empty()) {
     for (const std::string& name : unknown) {
       std::cerr << "error: unknown flag --" << name << "\n";
@@ -172,21 +165,6 @@ int main(int argc, char** argv) {
       flags.GetDouble("stream-window", 0.0);
   if (service_options.stream_window_seconds < 0.0) {
     std::cerr << "--stream-window must be >= 0\n";
-    return 2;
-  }
-  service_options.approx_default = flags.GetBool("approx-default", false);
-  service_options.approx_epsilon = flags.GetDouble("approx-epsilon", 0.05);
-  service_options.approx_delta = flags.GetDouble("approx-delta", 0.01);
-  service_options.approx_seed =
-      static_cast<uint64_t>(flags.GetInt("approx-seed", 0));
-  if (!(service_options.approx_epsilon > 0.0) ||
-      !(service_options.approx_epsilon <= 1.0)) {
-    std::cerr << "--approx-epsilon must be in (0, 1]\n";
-    return 2;
-  }
-  if (!(service_options.approx_delta > 0.0) ||
-      !(service_options.approx_delta < 1.0)) {
-    std::cerr << "--approx-delta must be in (0, 1)\n";
     return 2;
   }
 
