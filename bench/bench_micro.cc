@@ -220,6 +220,10 @@ BENCHMARK(BM_ObjectStoreBuild);
 //   BM_ValidationSimd        — the same kernel on the auto-resolved SIMD
 //                              tier (filter-and-refine, see
 //                              prob/influence_kernel_simd.h)
+//   BM_ValidationOneCandidate — the same pairs on the same tier, one
+//                              candidate per DecideMany call: the unit of
+//                              the bound-ordered walk, the approx refine
+//                              and the probe
 
 /// Builds a kernel pinned to the scalar tier regardless of the CPU, so the
 /// KernelBatch rung keeps measuring the PR-3 scalar batch path.
@@ -292,6 +296,18 @@ struct ValidationWorkload {
     }
     return influenced;
   }
+
+  int64_t RunOneCandidate(const InfluenceKernel& kernel) const {
+    int64_t influenced = 0;
+    for (size_t k = 0; k < store.size(); ++k) {
+      for (const Point& c : candidates) {
+        uint8_t decided = 0;
+        kernel.DecideMany({&c, 1}, store.positions(k), {&decided, 1});
+        influenced += decided;
+      }
+    }
+    return influenced;
+  }
 };
 
 void BM_ValidationScalar(benchmark::State& state) {
@@ -335,6 +351,20 @@ void BM_ValidationSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidationSimd)->Arg(10)->Arg(72)->Arg(780);
 
+void BM_ValidationOneCandidate(benchmark::State& state) {
+  const PowerLawPF pf(0.9, 1.0);
+  const double tau = 0.7;
+  const auto n = static_cast<size_t>(state.range(0));
+  const ValidationWorkload workload(50, n, 200, pf, tau);
+  const InfluenceKernel kernel(pf, tau);  // auto-resolved tier
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(workload.RunOneCandidate(kernel));
+  }
+  state.SetLabel(SimdTierName(kernel.simd_tier()));
+  state.SetItemsProcessed(state.iterations() * 50 * 200);
+}
+BENCHMARK(BM_ValidationOneCandidate)->Arg(10)->Arg(72)->Arg(780);
+
 /// Head-to-head comparison printed after the google-benchmark run; appends
 /// JSON lines to $PINOCCHIO_BENCH_JSON when set. Each rung gets a line
 /// keyed by a google-benchmark-style "name" ("BM_ValidationSimd/780") —
@@ -346,8 +376,8 @@ void RunValidationKernelComparison() {
   const PowerLawPF pf(0.9, 1.0);
   const double tau = 0.7;
   std::cout << "\n[validation-kernel] full-scan scalar vs batch kernel "
-               "(forced scalar tier) vs SIMD filter-and-refine "
-               "(50 objects x 200 candidates)\n";
+               "(forced scalar tier) vs SIMD filter-and-refine, batched and "
+               "one candidate per call (50 objects x 200 candidates)\n";
 
   const char* json_path = std::getenv("PINOCCHIO_BENCH_JSON");
   std::ofstream json;
@@ -391,25 +421,38 @@ void RunValidationKernelComparison() {
     }
     const double simd_seconds = simd_watch.ElapsedSeconds() / reps;
 
+    const int64_t one_influenced = workload.RunOneCandidate(simd_kernel);
+    Stopwatch one_watch;
+    for (int i = 0; i < reps; ++i) {
+      benchmark::DoNotOptimize(workload.RunOneCandidate(simd_kernel));
+    }
+    const double one_seconds = one_watch.ElapsedSeconds() / reps;
+
     if (scalar_influenced != batch_influenced ||
-        scalar_influenced != simd_influenced) {
+        scalar_influenced != simd_influenced ||
+        scalar_influenced != one_influenced) {
       std::cerr << "[validation-kernel] DECISION MISMATCH at n=" << n
                 << ": scalar " << scalar_influenced << " vs batch "
                 << batch_influenced << " vs simd("
                 << SimdTierName(simd_kernel.simd_tier()) << ") "
-                << simd_influenced << "\n";
+                << simd_influenced << " vs one-candidate "
+                << one_influenced << "\n";
       std::exit(1);
     }
     const double batch_speedup =
         batch_seconds > 0.0 ? scalar_seconds / batch_seconds : 0.0;
     const double simd_speedup =
         simd_seconds > 0.0 ? scalar_seconds / simd_seconds : 0.0;
+    const double one_speedup =
+        one_seconds > 0.0 ? scalar_seconds / one_seconds : 0.0;
     std::cout << "  n=" << n << ": scalar " << scalar_seconds * 1e3
               << " ms, kernel " << batch_seconds * 1e3 << " ms ("
               << batch_speedup << "x), simd["
               << SimdTierName(simd_kernel.simd_tier()) << "] "
               << simd_seconds * 1e3 << " ms (" << simd_speedup
-              << "x; influenced pairs: " << simd_influenced << ")\n";
+              << "x), one-candidate " << one_seconds * 1e3 << " ms ("
+              << one_speedup << "x; influenced pairs: " << simd_influenced
+              << ")\n";
     if (json.is_open()) {
       const char* tier = SimdTierName(simd_kernel.simd_tier());
       json << "{\"name\": \"BM_ValidationScalar/" << n
@@ -419,6 +462,9 @@ void RunValidationKernelComparison() {
       json << "{\"name\": \"BM_ValidationSimd/" << n
            << "\", \"seconds\": " << simd_seconds << ", \"tier\": \"" << tier
            << "\", \"speedup_vs_scalar\": " << simd_speedup << "}\n";
+      json << "{\"name\": \"BM_ValidationOneCandidate/" << n
+           << "\", \"seconds\": " << one_seconds << ", \"tier\": \"" << tier
+           << "\", \"speedup_vs_scalar\": " << one_speedup << "}\n";
       json << "{\"bench\": \"micro_validation_kernel\", \"positions_per_object\": "
            << n << ", \"objects\": 50, \"candidates\": 200"
            << ", \"scalar_seconds\": " << scalar_seconds

@@ -12,6 +12,7 @@ namespace pinocchio {
 int64_t InfluenceOfCandidate(const ObjectStore& store, const Point& candidate,
                              const ProbabilityFunction& pf) {
   const InfluenceKernel kernel(pf, store.tau());
+  const std::span<const Point> one(&candidate, 1);
   int64_t influence = 0;
   for (const ObjectRecord& rec : store.records()) {
     if (!rec.nib.Contains(candidate)) continue;  // Lemma 3
@@ -19,7 +20,9 @@ int64_t InfluenceOfCandidate(const ObjectStore& store, const Point& candidate,
       ++influence;
       continue;
     }
-    if (kernel.Decide(candidate, store.positions(rec)).influenced) ++influence;
+    uint8_t influenced = 0;
+    kernel.DecideMany(one, store.positions(rec), {&influenced, 1});
+    influence += influenced;
   }
   return influence;
 }
@@ -42,14 +45,16 @@ double WeightedInfluenceOfCandidate(const ObjectStore& store,
                                     const ProbabilityFunction& pf) {
   PINO_CHECK_EQ(weights.size(), store.records().size());
   const InfluenceKernel kernel(pf, store.tau());
+  const std::span<const Point> one(&candidate, 1);
   double score = 0.0;
   for (size_t k = 0; k < store.records().size(); ++k) {
     const ObjectRecord& rec = store.records()[k];
     if (!rec.nib.Contains(candidate)) continue;
-    if ((!rec.ia.IsEmpty() && rec.ia.Contains(candidate)) ||
-        kernel.Decide(candidate, store.positions(rec)).influenced) {
-      score += weights[k];
+    uint8_t influenced = 1;
+    if (rec.ia.IsEmpty() || !rec.ia.Contains(candidate)) {
+      kernel.DecideMany(one, store.positions(rec), {&influenced, 1});
     }
+    if (influenced != 0) score += weights[k];
   }
   return score;
 }

@@ -80,10 +80,12 @@ SolverResult PinocchioHullSolver::Solve(const PreparedInstance& prepared) const 
         return;
       }
       ++result.stats.pairs_validated;
-      const InfluenceDecision decision = kernel.Decide(e.point, positions);
-      result.stats.positions_scanned += decision.positions_seen;
-      if (decision.decided_early) ++result.stats.early_stops;
-      if (decision.influenced) ++result.influence[e.id];
+      uint8_t influenced = 0;
+      const InfluenceBatchCounters counters =
+          kernel.DecideMany({&e.point, 1}, positions, {&influenced, 1});
+      result.stats.positions_scanned += counters.positions_seen;
+      result.stats.early_stops += counters.early_stops;
+      result.influence[e.id] += influenced;
     });
     result.stats.pairs_pruned_by_nib += static_cast<int64_t>(m) - inside_nib;
   }

@@ -166,9 +166,9 @@ class PrunePass {
           remnant_ids_.push_back(e.id);
         });
     if (remnant_points_.empty()) return;
-    // DecideMany routes batches of >=4 remnants through the SIMD
-    // filter-and-refine path; decisions stay bit-identical to per-pair
-    // Decide (see influence_kernel.h).
+    // DecideMany runs the SIMD filter-and-refine path on tiers above
+    // kScalar; decisions stay bit-identical to the scalar kernel (see
+    // influence_kernel.h).
     remnant_influenced_.assign(remnant_points_.size(), 0);
     const InfluenceBatchCounters counters =
         kernel_.DecideMany(remnant_points_, positions, remnant_influenced_);
@@ -211,6 +211,28 @@ void ClassifyCandidates(const RTree& index, const ObjectStore& store,
     const ObjectRecord& rec = store.records()[k];
     pass.Classify(rec, store.positions(rec), k, num_candidates, stats,
                   ia_certified, remnant);
+  }
+}
+
+void ClassifyCandidates(const RTree& index, const ObjectStore& store,
+                        const InfluenceKernel& kernel, uint32_t first_record,
+                        uint32_t last_record, size_t num_candidates,
+                        SolverStats* stats, std::span<int64_t> ia_credits,
+                        RecordCandidateLists* remnants) {
+  PrunePass pass(index, kernel);
+  remnants->first_record = first_record;
+  remnants->counts.assign(last_record - first_record, 0);
+  remnants->candidates.clear();
+  for (uint32_t k = first_record; k < last_record; ++k) {
+    const ObjectRecord& rec = store.records()[k];
+    uint32_t& count = remnants->counts[k - first_record];
+    pass.Classify(
+        rec, store.positions(rec), k, num_candidates, stats,
+        [&](const RTreeEntry& e, uint32_t) { ++ia_credits[e.id]; },
+        [&](const RTreeEntry& e, uint32_t) {
+          remnants->candidates.push_back(e.id);
+          ++count;
+        });
   }
 }
 

@@ -11,7 +11,8 @@
 // counter of SolverStats (pairs_pruned_by_ia / pairs_pruned_by_nib from
 // the prune phase, pairs_validated / positions_scanned / early_stops from
 // the batch kernel). ClassifyCandidates is its prune phase alone, for the
-// bound-ordered callers that validate later, one candidate at a time.
+// bound-ordered callers that validate later, one candidate at a time; its
+// list form writes the remnants as record-major candidate-id lists.
 //
 // The SIMD prune filter and the per-record scratch are set up once per
 // call and reused across its records; callers pass non-owning FunctionRef
@@ -90,6 +91,25 @@ void ClassifyCandidates(const RTree& index, const ObjectStore& store,
                         uint32_t last_record, size_t num_candidates,
                         SolverStats* stats, PruneIaFn ia_certified,
                         PruneRemnantFn remnant);
+
+/// Candidate ids of the record range [first_record, first_record +
+/// counts.size()) in record-major order: the first counts[0] ids belong to
+/// first_record, the next counts[1] to the record after it, and so on.
+struct RecordCandidateLists {
+  uint32_t first_record = 0;
+  std::vector<uint32_t> counts;
+  std::vector<uint32_t> candidates;
+};
+
+/// ClassifyCandidates with data outputs, for the bracket builder: each IA
+/// certificate adds one to ia_credits[id] (one slot per candidate), and
+/// `remnants` is reset to the range and receives every remnant pair, in
+/// the order the visitor form would report them.
+void ClassifyCandidates(const RTree& index, const ObjectStore& store,
+                        const InfluenceKernel& kernel, uint32_t first_record,
+                        uint32_t last_record, size_t num_candidates,
+                        SolverStats* stats, std::span<int64_t> ia_credits,
+                        RecordCandidateLists* remnants);
 
 /// The complete per-object PINOCCHIO pass (Algorithm 2) over records
 /// [first_record, last_record), in record order: classify, then validate

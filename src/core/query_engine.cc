@@ -11,21 +11,27 @@
 namespace pinocchio {
 namespace query {
 
-void PairsToCsr(size_t num_candidates, std::span<const PairChunk> chunks,
-                std::vector<uint32_t>* offsets, std::vector<uint32_t>* data) {
+void RecordListsToCsr(size_t num_candidates,
+                      std::span<const RecordCandidateLists> ranges,
+                      std::vector<uint32_t>* offsets,
+                      std::vector<uint32_t>* data) {
   offsets->assign(num_candidates + 1, 0);
-  size_t total = 0;
-  for (const PairChunk& chunk : chunks) {
-    total += chunk.size();
-    for (const auto& [cand, rec] : chunk) ++(*offsets)[cand + 1];
+  for (const RecordCandidateLists& range : ranges) {
+    for (uint32_t j : range.candidates) ++(*offsets)[j + 1];
   }
   for (size_t j = 0; j < num_candidates; ++j) {
     (*offsets)[j + 1] += (*offsets)[j];
   }
-  data->resize(total);
+  data->resize(offsets->back());
   std::vector<uint32_t> cursor(offsets->begin(), offsets->end() - 1);
-  for (const PairChunk& chunk : chunks) {
-    for (const auto& [cand, rec] : chunk) (*data)[cursor[cand]++] = rec;
+  for (const RecordCandidateLists& range : ranges) {
+    const uint32_t* id = range.candidates.data();
+    for (size_t i = 0; i < range.counts.size(); ++i) {
+      const auto rec = static_cast<uint32_t>(range.first_record + i);
+      for (uint32_t n = range.counts[i]; n > 0; --n) {
+        (*data)[cursor[*id++]++] = rec;
+      }
+    }
   }
 }
 
@@ -96,20 +102,17 @@ CandidateBrackets BuildCandidateBrackets(const PreparedInstance& prepared,
   }
 
   // minInf is a per-worker additive accumulator (any completion order
-  // sums the same); remnant pairs go to per-morsel lists whose morsel-order
+  // sums the same); remnants go to per-morsel lists whose morsel-order
   // concatenation is the record-major, query-visit-minor pair order.
   const std::vector<Morsel> morsels = PlanRecordMorsels(store, scheduler);
   std::vector<PruneWorkerShare> workers(scheduler.num_threads());
   for (PruneWorkerShare& w : workers) w.influence.assign(m, 0);
-  std::vector<PairChunk> morsel_pairs(morsels.size());
+  std::vector<RecordCandidateLists> remnants(morsels.size());
   scheduler.Run(morsels, [&](size_t w, size_t mi, const Morsel& morsel) {
     PruneWorkerShare& acc = workers[w];
-    PairChunk& pairs = morsel_pairs[mi];
-    ClassifyCandidates(
-        prepared.candidate_rtree(), store, kernel, morsel.first_record,
-        morsel.last_record, m, &acc.stats,
-        [&](const RTreeEntry& e, uint32_t) { ++acc.influence[e.id]; },
-        [&](const RTreeEntry& e, uint32_t k) { pairs.emplace_back(e.id, k); });
+    ClassifyCandidates(prepared.candidate_rtree(), store, kernel,
+                       morsel.first_record, morsel.last_record, m, &acc.stats,
+                       acc.influence, &remnants[mi]);
   });
 
   for (const PruneWorkerShare& w : workers) {
@@ -119,7 +122,7 @@ CandidateBrackets BuildCandidateBrackets(const PreparedInstance& prepared,
       stats->pairs_pruned_by_nib += w.stats.pairs_pruned_by_nib;
     }
   }
-  PairsToCsr(m, morsel_pairs, &brackets.vs_offsets, &brackets.vs_data);
+  RecordListsToCsr(m, remnants, &brackets.vs_offsets, &brackets.vs_data);
   for (size_t j = 0; j < m; ++j) {
     brackets.max_inf[j] = brackets.min_inf[j] + (brackets.vs_offsets[j + 1] -
                                                  brackets.vs_offsets[j]);
@@ -394,15 +397,20 @@ InfluenceSets BuildInfluenceSets(const PreparedInstance& prepared,
   const std::vector<Morsel> morsels =
       PlanRecordMorsels(prepared.store(), scheduler);
   const size_t m = prepared.num_candidates();
-  std::vector<PairChunk> morsel_pairs(morsels.size());
+  std::vector<RecordCandidateLists> influenced(morsels.size());
   scheduler.Run(morsels, [&](size_t, size_t mi, const Morsel& morsel) {
-    PairChunk& pairs = morsel_pairs[mi];
+    RecordCandidateLists& lists = influenced[mi];
+    lists.first_record = morsel.first_record;
+    lists.counts.assign(morsel.size(), 0);
     PruneAndValidate(prepared.candidate_rtree(), prepared.store(), kernel,
                      morsel.first_record, morsel.last_record, m, nullptr,
-                     [&](uint32_t j, uint32_t k) { pairs.emplace_back(j, k); });
+                     [&](uint32_t j, uint32_t k) {
+                       lists.candidates.push_back(j);
+                       ++lists.counts[k - morsel.first_record];
+                     });
   });
   InfluenceSets sets;
-  PairsToCsr(m, morsel_pairs, &sets.offsets, &sets.objects);
+  RecordListsToCsr(m, influenced, &sets.offsets, &sets.objects);
   return sets;
 }
 

@@ -9,8 +9,11 @@
 //
 // EvaluateBoundOrdered() owns the counter discipline (heap_pops,
 // pairs_validated, positions_scanned, early_stops, strategy1_cutoffs) so
-// every policy reports work identically — the refactored PinocchioVOSolver
-// is bit-identical, counters included, to the pre-engine loop.
+// every policy reports work identically. It decides each pair as a
+// one-candidate InfluenceKernel::DecideMany batch, so on SIMD tiers
+// positions_scanned and early_stops are chunk-granular (see
+// influence_kernel.h); decisions and the other counters equal the scalar
+// kernel's.
 //
 // The greedy diversified-selection family does not bracket influence per
 // candidate; it rides the engine's other shared substrate, the CSR
@@ -116,22 +119,22 @@ struct CandidateBrackets {
   }
 };
 
-/// (candidate, record) pairs of one record range, in record-major order.
-using PairChunk = std::vector<std::pair<uint32_t, uint32_t>>;
-
-/// Counting-sorts (candidate, record) pairs, concatenated in chunk order,
-/// into a CSR layout over `num_candidates`. Size-then-fill is stable, so
-/// the chunk concatenation order is each candidate's record order: one
-/// chunk per record morsel, in morsel order, gives the record-major layout
-/// at any thread budget.
-void PairsToCsr(size_t num_candidates, std::span<const PairChunk> chunks,
-                std::vector<uint32_t>* offsets, std::vector<uint32_t>* data);
+/// Transposes record-major candidate lists, taken in `ranges` order, into
+/// a CSR layout over `num_candidates`: data[offsets[j], offsets[j + 1])
+/// holds the records whose lists name candidate j. Size-then-fill is
+/// stable, so each candidate's records keep the range order: one range per
+/// record morsel, in morsel order, gives the same layout at any thread
+/// budget.
+void RecordListsToCsr(size_t num_candidates,
+                      std::span<const RecordCandidateLists> ranges,
+                      std::vector<uint32_t>* offsets,
+                      std::vector<uint32_t>* data);
 
 /// Runs the IA/NIB prune phase over record morsels and assembles the
-/// brackets. IA/NIB counters go to `stats` (may be null). Remnant pairs are
-/// collected per morsel and concatenated in morsel order, so the CSR is
-/// record-major and byte-identical at any budget. `use_pruning == false`
-/// skips the phase entirely (the VO* ablation).
+/// brackets. IA/NIB counters go to `stats` (may be null). Remnants are
+/// collected as per-morsel candidate lists and transposed in morsel order,
+/// so the CSR is record-major and byte-identical at any budget.
+/// `use_pruning == false` skips the phase entirely (the VO* ablation).
 CandidateBrackets BuildCandidateBrackets(
     const PreparedInstance& prepared, const InfluenceKernel& kernel,
     bool use_pruning, SolverStats* stats,
@@ -155,7 +158,8 @@ enum class CandidateAdmission : uint8_t {
 /// The bound-ordered evaluation loop (Algorithm 3 lines 13-27, with the
 /// acceptance decisions delegated to `policy`). Walks `order`; for each
 /// admitted candidate it validates the verification set record by record
-/// through the shared influence kernel (Strategy 2 early stops included),
+/// through the shared influence kernel's batch path, one candidate per
+/// call (Strategy 2 early stops included),
 /// asking the policy before each record whether to abort (the generalised
 /// Strategy-1 mid-validation cut-off, counted as strategy1_cutoffs).
 ///
@@ -189,7 +193,7 @@ void EvaluateBoundOrdered(
     if (admission == CandidateAdmission::kSkip) continue;
     ++stats->heap_pops;
 
-    const Point& c = prepared.candidate(j);
+    const std::span<const Point> c(&prepared.candidate(j), 1);
     bool complete = true;
     for (uint32_t rec_idx : verification_set(j)) {
       if (policy.AbortValidation(j)) {
@@ -200,13 +204,14 @@ void EvaluateBoundOrdered(
       ++stats->pairs_validated;
 
       // Strategy 2: the kernel scans the record's arena span until Lemma 4
-      // decides influence.
-      const InfluenceDecision decision =
-          kernel.Decide(c, store.positions(rec_idx));
-      stats->positions_scanned += decision.positions_seen;
-      if (decision.decided_early) ++stats->early_stops;
+      // decides influence, through the filter-and-refine batch path.
+      uint8_t influenced = 0;
+      const InfluenceBatchCounters counters =
+          kernel.DecideMany(c, store.positions(rec_idx), {&influenced, 1});
+      stats->positions_scanned += counters.positions_seen;
+      stats->early_stops += counters.early_stops;
 
-      policy.OnDecision(j, rec_idx, decision.influenced);
+      policy.OnDecision(j, rec_idx, influenced != 0);
     }
     policy.Settle(j, complete);
   }

@@ -142,22 +142,24 @@ WeightedVOResult SolveWeightedPinocchioVO(const PreparedInstance& prepared,
 
   // Prune phase: IA certificates raise the lower bound; the verification
   // set carries the undecided weight. Like the boolean VO solver, the sets
-  // live in one flat CSR layout (vs_data sliced by vs_offsets) built by a
-  // stable size-then-fill pass over the collected remnant pairs.
+  // live in one flat CSR layout (vs_data sliced by vs_offsets) transposed
+  // from the record-major remnant lists.
   std::vector<double> min_score(m, 0.0);
   std::vector<double> undecided(m, 0.0);
-  query::PairChunk pairs;
+  RecordCandidateLists remnants;
+  remnants.counts.assign(store.records().size(), 0);
   ClassifyCandidates(
       prepared.candidate_rtree(), store, kernel, 0,
       static_cast<uint32_t>(store.records().size()), m, &result.stats,
       [&](const RTreeEntry& e, uint32_t k) { min_score[e.id] += weights[k]; },
       [&](const RTreeEntry& e, uint32_t k) {
-        pairs.emplace_back(e.id, k);
+        remnants.candidates.push_back(e.id);
+        ++remnants.counts[k];
         undecided[e.id] += weights[k];
       });
   std::vector<uint32_t> vs_offsets;
   std::vector<uint32_t> vs_data;
-  query::PairsToCsr(m, {&pairs, 1}, &vs_offsets, &vs_data);
+  query::RecordListsToCsr(m, {&remnants, 1}, &vs_offsets, &vs_data);
 
   // Validation in decreasing upper-bound order with Strategy-1 cut-offs.
   std::vector<uint32_t> order(m);

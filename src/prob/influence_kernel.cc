@@ -78,11 +78,11 @@ InfluenceBatchCounters InfluenceKernel::DecideMany(
     std::span<uint8_t> influenced) const {
   PINO_CHECK_EQ(influenced.size(), candidates.size());
   InfluenceBatchCounters counters;
-  // Below one vector's worth of lanes the filter can't win; empty position
-  // spans are degenerate either way.
-  constexpr size_t kMinFilterBatch = 4;
-  if (filter_ != nullptr && candidates.size() >= kMinFilterBatch &&
-      !positions.empty()) {
+  // Any batch size runs the filter: a batch narrower than the tier's
+  // vector takes the portable one-lane code, which still replaces pow +
+  // log1p per position with two table loads. Empty position spans are
+  // degenerate and take the scalar path.
+  if (filter_ != nullptr && !positions.empty()) {
     thread_local std::vector<simd_internal::LaneOutcome> outcomes;
     outcomes.resize(candidates.size());
     filter_->Filter(candidates, positions, outcomes.data());

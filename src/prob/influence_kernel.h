@@ -73,18 +73,20 @@ class InfluenceKernel {
                            std::span<const Point> positions) const;
 
   /// Batch variant: decides every candidate against ONE object's position
-  /// span (the remnant-validation unit of the prune pipeline).
-  /// `influenced[i]` receives the decision for `candidates[i]`; the two
-  /// spans' contiguity is what the columnar arena buys.
+  /// span. It is the decision unit of every solver: the prune pipeline's
+  /// remnant batches, and one-candidate batches for the bound-ordered walk,
+  /// approx's refine, the hull solver and the probes. `influenced[i]`
+  /// receives the decision for `candidates[i]`; the two spans' contiguity
+  /// is what the columnar arena buys.
   ///
-  /// On tiers above kScalar the batch first runs the SIMD filter
-  /// (influence_kernel_simd.h): lanes whose conservative log-survival
-  /// bracket clears a threshold are decided in vector registers, the rest
-  /// are refined through the exact scalar Decide — so the decisions are
-  /// bit-identical to the scalar path on every input. Counters are
-  /// chunk-granular for vector-decided lanes: positions_seen per pair is
-  /// >= the scalar path's value and <= the span size, and deterministic
-  /// for a given (candidates, positions) batch.
+  /// On tiers above kScalar every batch, one candidate included, first
+  /// runs the SIMD filter (influence_kernel_simd.h): lanes whose
+  /// conservative log-survival bracket clears a threshold are decided from
+  /// the bound table, the rest are refined through the exact scalar
+  /// Decide — so the decisions are bit-identical to the scalar path on
+  /// every input. Counters are chunk-granular for filter-decided lanes:
+  /// positions_seen per pair is >= the scalar path's value and <= the span
+  /// size, and deterministic for a given (candidates, positions) batch.
   InfluenceBatchCounters DecideMany(std::span<const Point> candidates,
                                     std::span<const Point> positions,
                                     std::span<uint8_t> influenced) const;

@@ -35,15 +35,18 @@ inline __m256i TableIndices(__m256d q, __m256i bias, __m256i last) {
 
 }  // namespace
 
-void FilterAvx2(const FilterTable& table, const Point* candidates,
-                size_t num_candidates, const Point* positions,
-                size_t num_positions, LaneOutcome* outcomes) {
+void FilterAvx2(const FilterTable& table, const SpanThresholds& thresholds,
+                const Point* candidates, size_t num_candidates,
+                const Point* positions, size_t num_positions,
+                LaneOutcome* outcomes) {
   const double* g_lo = table.g_lo.data();
   const double* g_hi = table.g_hi.data();
   const __m256i bias = _mm256_set1_epi64x(table.first_key - 1);
   const __m256i last =
       _mm256_set1_epi64x(static_cast<int64_t>(table.g_lo.size()) - 1);
   const auto n = static_cast<uint32_t>(num_positions);
+  const __m256d thr = _mm256_set1_pd(thresholds.influence);
+  const __m256d rthr = _mm256_set1_pd(thresholds.reject);
 
   size_t j = 0;
   for (; j + 4 <= num_candidates; j += 4) {
@@ -74,8 +77,6 @@ void FilterAvx2(const FilterTable& table, const Point* candidates,
         acc_hi = _mm256_add_pd(
             acc_hi, _mm256_i64gather_pd(g_hi, idx, sizeof(double)));
       }
-      const __m256d thr =
-          _mm256_set1_pd(AdjustedInfluenceThreshold(table, k));
       const int crossed = _mm256_movemask_pd(
           _mm256_cmp_pd(acc_hi, thr, _CMP_LE_OQ));
       int fresh = crossed & ~decided_mask;
@@ -87,7 +88,6 @@ void FilterAvx2(const FilterTable& table, const Point* candidates,
       decided_mask |= crossed;
       if (decided_mask == 0xF) break;
     }
-    const __m256d rthr = _mm256_set1_pd(AdjustedRejectThreshold(table, n));
     const int rejected = _mm256_movemask_pd(
         _mm256_cmp_pd(acc_lo, rthr, _CMP_GE_OQ));
     for (int lane = 0; lane < 4; ++lane) {
@@ -101,8 +101,8 @@ void FilterAvx2(const FilterTable& table, const Point* candidates,
     }
   }
   if (j < num_candidates) {
-    FilterPortable(table, candidates + j, num_candidates - j, positions,
-                   num_positions, outcomes + j);
+    FilterPortable(table, thresholds, candidates + j, num_candidates - j,
+                   positions, num_positions, outcomes + j);
   }
 }
 

@@ -206,9 +206,10 @@ double AdjustedRejectThreshold(const FilterTable& table, uint64_t terms) {
   return std::nextafter(table.reject_threshold / denom, 0.0);
 }
 
-void FilterPortable(const FilterTable& table, const Point* candidates,
-                    size_t num_candidates, const Point* positions,
-                    size_t num_positions, LaneOutcome* outcomes) {
+void FilterPortable(const FilterTable& table, const SpanThresholds& thresholds,
+                    const Point* candidates, size_t num_candidates,
+                    const Point* positions, size_t num_positions,
+                    LaneOutcome* outcomes) {
   const double* g_lo = table.g_lo.data();
   const double* g_hi = table.g_hi.data();
   const auto last = static_cast<int64_t>(table.g_lo.size()) - 1;
@@ -234,14 +235,14 @@ void FilterPortable(const FilterTable& table, const Point* candidates,
         acc_lo += g_lo[idx];
         acc_hi += g_hi[idx];
       }
-      if (acc_hi <= AdjustedInfluenceThreshold(table, k)) {
+      if (acc_hi <= thresholds.influence) {
         influenced = true;
         break;
       }
     }
     if (influenced) {
       outcomes[j] = {LaneState::kInfluenced, k};
-    } else if (acc_lo >= AdjustedRejectThreshold(table, n)) {
+    } else if (acc_lo >= thresholds.reject) {
       outcomes[j] = {LaneState::kNotInfluenced, n};
     } else {
       outcomes[j] = {LaneState::kUndecided, 0};
@@ -254,14 +255,17 @@ void FilterPortable(const FilterTable& table, const Point* candidates,
 // Two candidate lanes per iteration: the squared distances are computed
 // with SSE2 vector arithmetic, the (tiny) bucket/bound lookups stay scalar
 // since SSE2 has neither 64-bit arithmetic compares nor gathers.
-void FilterSse2(const FilterTable& table, const Point* candidates,
-                size_t num_candidates, const Point* positions,
-                size_t num_positions, LaneOutcome* outcomes) {
+void FilterSse2(const FilterTable& table, const SpanThresholds& thresholds,
+                const Point* candidates, size_t num_candidates,
+                const Point* positions, size_t num_positions,
+                LaneOutcome* outcomes) {
   const double* g_lo = table.g_lo.data();
   const double* g_hi = table.g_hi.data();
   const auto last = static_cast<int64_t>(table.g_lo.size()) - 1;
   const int64_t bias = table.first_key - 1;
   const auto n = static_cast<uint32_t>(num_positions);
+  const __m128d thr = _mm_set1_pd(thresholds.influence);
+  const __m128d rthr = _mm_set1_pd(thresholds.reject);
 
   size_t j = 0;
   for (; j + 2 <= num_candidates; j += 2) {
@@ -291,7 +295,6 @@ void FilterSse2(const FilterTable& table, const Point* candidates,
         acc_lo = _mm_add_pd(acc_lo, _mm_set_pd(g_lo[i1], g_lo[i0]));
         acc_hi = _mm_add_pd(acc_hi, _mm_set_pd(g_hi[i1], g_hi[i0]));
       }
-      const __m128d thr = _mm_set1_pd(AdjustedInfluenceThreshold(table, k));
       const int crossed = _mm_movemask_pd(_mm_cmple_pd(acc_hi, thr));
       for (int lane = 0; lane < 2; ++lane) {
         if (!decided[lane] && (crossed & (1 << lane)) != 0) {
@@ -301,7 +304,6 @@ void FilterSse2(const FilterTable& table, const Point* candidates,
       }
       if (decided[0] && decided[1]) break;
     }
-    const __m128d rthr = _mm_set1_pd(AdjustedRejectThreshold(table, n));
     const int rejected = _mm_movemask_pd(_mm_cmpge_pd(acc_lo, rthr));
     for (int lane = 0; lane < 2; ++lane) {
       if (decided[lane]) {
@@ -314,8 +316,8 @@ void FilterSse2(const FilterTable& table, const Point* candidates,
     }
   }
   if (j < num_candidates) {
-    FilterPortable(table, candidates + j, num_candidates - j, positions,
-                   num_positions, outcomes + j);
+    FilterPortable(table, thresholds, candidates + j, num_candidates - j,
+                   positions, num_positions, outcomes + j);
   }
 }
 
@@ -405,21 +407,26 @@ SimdInfluenceFilter::SimdInfluenceFilter(const ProbabilityFunction& pf,
 void SimdInfluenceFilter::Filter(std::span<const Point> candidates,
                                  std::span<const Point> positions,
                                  simd_internal::LaneOutcome* outcomes) const {
+  const simd_internal::SpanThresholds thresholds{
+      simd_internal::AdjustedInfluenceThreshold(table_, positions.size()),
+      simd_internal::AdjustedRejectThreshold(table_, positions.size())};
   switch (tier_) {
 #if defined(PINOCCHIO_HAVE_AVX2)
     case SimdTier::kAvx2:
-      simd_internal::FilterAvx2(table_, candidates.data(), candidates.size(),
-                                positions.data(), positions.size(), outcomes);
+      simd_internal::FilterAvx2(table_, thresholds, candidates.data(),
+                                candidates.size(), positions.data(),
+                                positions.size(), outcomes);
       return;
 #endif
 #if defined(PINOCCHIO_SIMD_X86)
     case SimdTier::kSse2:
-      simd_internal::FilterSse2(table_, candidates.data(), candidates.size(),
-                                positions.data(), positions.size(), outcomes);
+      simd_internal::FilterSse2(table_, thresholds, candidates.data(),
+                                candidates.size(), positions.data(),
+                                positions.size(), outcomes);
       return;
 #endif
     default:
-      simd_internal::FilterPortable(table_, candidates.data(),
+      simd_internal::FilterPortable(table_, thresholds, candidates.data(),
                                     candidates.size(), positions.data(),
                                     positions.size(), outcomes);
   }

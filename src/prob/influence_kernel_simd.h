@@ -113,6 +113,14 @@ double AdjustedInfluenceThreshold(const FilterTable& table, uint64_t terms);
 /// implies the true sum never reaches the influence region.
 double AdjustedRejectThreshold(const FilterTable& table, uint64_t terms);
 
+/// Both adjusted thresholds of one n-position span, computed once per
+/// Filter call. The influence threshold only tightens as the term count
+/// grows, so its n-term value certifies every chunk of the span.
+struct SpanThresholds {
+  double influence = 0.0;
+  double reject = 0.0;
+};
+
 enum class LaneState : uint8_t {
   kUndecided = 0,     ///< bracket straddles a threshold: refine in scalar
   kInfluenced = 1,    ///< upper bound certified the influence test
@@ -127,21 +135,25 @@ struct LaneOutcome {
 };
 
 /// Tier entry points. Each fills outcomes[0, num_candidates); candidates
-/// and positions are the same spans the scalar DecideMany receives. The
-/// SSE2/AVX2 variants exist only on builds that can emit them; callers go
-/// through SimdInfluenceFilter::Filter which dispatches on the probed tier.
-void FilterPortable(const FilterTable& table, const Point* candidates,
-                    size_t num_candidates, const Point* positions,
-                    size_t num_positions, LaneOutcome* outcomes);
+/// and positions are the same spans the scalar DecideMany receives, and
+/// `thresholds` are the positions span's. The SSE2/AVX2 variants exist
+/// only on builds that can emit them; callers go through
+/// SimdInfluenceFilter::Filter which dispatches on the probed tier.
+void FilterPortable(const FilterTable& table, const SpanThresholds& thresholds,
+                    const Point* candidates, size_t num_candidates,
+                    const Point* positions, size_t num_positions,
+                    LaneOutcome* outcomes);
 #if defined(PINOCCHIO_SIMD_X86)
-void FilterSse2(const FilterTable& table, const Point* candidates,
-                size_t num_candidates, const Point* positions,
-                size_t num_positions, LaneOutcome* outcomes);
+void FilterSse2(const FilterTable& table, const SpanThresholds& thresholds,
+                const Point* candidates, size_t num_candidates,
+                const Point* positions, size_t num_positions,
+                LaneOutcome* outcomes);
 #endif
 #if defined(PINOCCHIO_HAVE_AVX2)
-void FilterAvx2(const FilterTable& table, const Point* candidates,
-                size_t num_candidates, const Point* positions,
-                size_t num_positions, LaneOutcome* outcomes);
+void FilterAvx2(const FilterTable& table, const SpanThresholds& thresholds,
+                const Point* candidates, size_t num_candidates,
+                const Point* positions, size_t num_positions,
+                LaneOutcome* outcomes);
 #endif
 
 }  // namespace simd_internal

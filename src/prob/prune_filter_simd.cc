@@ -1,6 +1,9 @@
 #include "prob/prune_filter_simd.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #if defined(PINOCCHIO_SIMD_X86)
@@ -19,18 +22,21 @@ namespace {
 // few ulps — correctness never depends on it being tight.
 constexpr int kSlackSteps = 12;
 
+// `steps` nextafter steps from a positive normal double. Non-negative
+// doubles are ordered like their bit patterns, so each step is one unit of
+// the pattern (saturating at +inf, where nextafter stops too). This runs
+// once per record of every prune pass, where the 24 libm calls it replaces
+// were a measurable share of the phase.
 double StepDown(double v, int steps) {
-  for (int i = 0; i < steps; ++i) {
-    v = std::nextafter(v, -std::numeric_limits<double>::infinity());
-  }
-  return v;
+  return std::bit_cast<double>(std::bit_cast<uint64_t>(v) -
+                               static_cast<uint64_t>(steps));
 }
 
 double StepUp(double v, int steps) {
-  for (int i = 0; i < steps; ++i) {
-    v = std::nextafter(v, std::numeric_limits<double>::infinity());
-  }
-  return v;
+  const uint64_t inf_bits =
+      std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity());
+  return std::bit_cast<double>(std::min(
+      std::bit_cast<uint64_t>(v) + static_cast<uint64_t>(steps), inf_bits));
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include "core/prune_pipeline.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -9,8 +13,10 @@
 #include "core/naive_solver.h"
 #include "core/pinocchio_solver.h"
 #include "core/prepared_instance.h"
+#include "core/query_engine.h"
 #include "prob/influence.h"
 #include "prob/influence_kernel.h"
+#include "prob/prune_filter_simd.h"
 #include "testing/instance_helpers.h"
 
 namespace pinocchio {
@@ -257,6 +263,101 @@ TEST(PrunePipelineTest, ClassifyCountersMatchThePass) {
             pass_stats.pairs_pruned_by_nib);
   EXPECT_EQ(classify_stats.pairs_validated, 0);
   EXPECT_EQ(pass_stats.pairs_validated, remnants);
+}
+
+// The list form reports what the visitor form does: the same IA credits
+// per candidate, the same remnant pairs in the same order, the same prune
+// counters; and its lists transpose to the record-ascending CSR.
+TEST(PrunePipelineTest, ListFormMatchesVisitorForm) {
+  const ProblemInstance instance = RandomInstance(102);
+  const PreparedInstance prepared(instance, DefaultConfig());
+  const ObjectStore& store = prepared.store();
+  const size_t m = prepared.num_candidates();
+  const auto r = static_cast<uint32_t>(store.size());
+  const uint32_t first = r / 3;
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+
+  std::vector<int64_t> want_credits(m, 0);
+  PairList want_remnants;
+  SolverStats want_stats;
+  ClassifyCandidates(
+      prepared.candidate_rtree(), store, kernel, first, r, m, &want_stats,
+      [&](const RTreeEntry& e, uint32_t) { ++want_credits[e.id]; },
+      [&](const RTreeEntry& e, uint32_t k) {
+        want_remnants.emplace_back(e.id, k);
+      });
+
+  std::vector<int64_t> credits(m, 0);
+  RecordCandidateLists lists;
+  lists.candidates.push_back(7);  // stale content must be reset
+  SolverStats stats;
+  ClassifyCandidates(prepared.candidate_rtree(), store, kernel, first, r, m,
+                     &stats, credits, &lists);
+  EXPECT_EQ(credits, want_credits);
+  EXPECT_EQ(stats.pairs_pruned_by_ia, want_stats.pairs_pruned_by_ia);
+  EXPECT_EQ(stats.pairs_pruned_by_nib, want_stats.pairs_pruned_by_nib);
+  EXPECT_EQ(lists.first_record, first);
+  ASSERT_EQ(lists.counts.size(), r - first);
+  PairList got_remnants;
+  size_t next = 0;
+  for (size_t i = 0; i < lists.counts.size(); ++i) {
+    for (uint32_t n = 0; n < lists.counts[i]; ++n) {
+      ASSERT_LT(next, lists.candidates.size());
+      got_remnants.emplace_back(lists.candidates[next++],
+                                static_cast<uint32_t>(first + i));
+    }
+  }
+  EXPECT_EQ(next, lists.candidates.size());
+  ASSERT_FALSE(want_remnants.empty());
+  EXPECT_EQ(got_remnants, want_remnants);
+
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> data;
+  query::RecordListsToCsr(m, {&lists, 1}, &offsets, &data);
+  const PairList sorted = Sorted(want_remnants);
+  ASSERT_EQ(offsets.size(), m + 1);
+  ASSERT_EQ(data.size(), sorted.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const auto [j, k] = sorted[i];
+    EXPECT_GE(i, offsets[j]);
+    EXPECT_LT(i, offsets[j + 1]);
+    EXPECT_EQ(data[i], k);
+  }
+}
+
+// The prune filter's certified thresholds are 12-step nextafter walks from
+// r^2 (down) and succ(r)^2 (up); the walks saturate at +inf and never run
+// from a square that is not a positive normal double.
+TEST(PruneThresholdsTest, MatchTheNextafterWalk) {
+  constexpr int kSteps = 12;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto walk = [](double v, double toward) {
+    for (int i = 0; i < kSteps; ++i) v = std::nextafter(v, toward);
+    return v;
+  };
+  std::vector<double> radii = {1e-200, 1e-150, 1e-3, 0.5, 1.0, 3.0,
+                               1234.5678, 1e6, 1e150};
+  double near_overflow = std::sqrt(std::numeric_limits<double>::max());
+  for (int i = 0; i < 40; ++i) {
+    radii.push_back(near_overflow);
+    near_overflow = std::nextafter(near_overflow, 0.0);
+  }
+  for (double r : radii) {
+    const prune_internal::PruneThresholds t =
+        prune_internal::MakePruneThresholds(r);
+    const double r_sq = r * r;
+    const double s = std::nextafter(r, kInf);
+    const double s_sq = s * s;
+    const double want_accept =
+        std::isnormal(r_sq) ? walk(r_sq, -kInf) : -1.0;
+    const double want_reject = std::isnormal(s_sq) ? walk(s_sq, kInf) : kInf;
+    EXPECT_EQ(std::bit_cast<uint64_t>(t.accept),
+              std::bit_cast<uint64_t>(want_accept))
+        << "r=" << r;
+    EXPECT_EQ(std::bit_cast<uint64_t>(t.reject),
+              std::bit_cast<uint64_t>(want_reject))
+        << "r=" << r;
+  }
 }
 
 // Records arrive in ascending order; within a record the IA certificates

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/approx_solver.h"
 #include "core/multi_facility.h"
 #include "core/naive_solver.h"
 #include "core/pinocchio_vo_solver.h"
@@ -16,6 +17,7 @@
 #include "prob/influence.h"
 #include "prob/influence_kernel.h"
 #include "testing/instance_helpers.h"
+#include "testing/scoped_env.h"
 #include "util/random.h"
 
 namespace pinocchio {
@@ -24,6 +26,7 @@ namespace {
 using testing_helpers::DefaultConfig;
 using testing_helpers::InstanceOptions;
 using testing_helpers::RandomInstance;
+using testing_helpers::ScopedEnv;
 
 // ------------------------------------------------- SolverResult::TopK
 
@@ -289,6 +292,102 @@ TEST(SkylineTest, ThreadBudgetsAreBitIdentical) {
     EXPECT_EQ(par.stats.heap_pops, seq.stats.heap_pops);
     EXPECT_EQ(par.stats.strategy1_cutoffs, seq.stats.strategy1_cutoffs);
   }
+}
+
+// --------------------------------------------------- counter contract
+
+/// The decision counters of a filtered solve equal the forced-scalar ones;
+/// the scan counters are chunk-granular on SIMD tiers: positions_scanned
+/// lies between the scalar early-exit count and `full_scan`, and no more
+/// early stops are reported than the scalar kernel found.
+void ExpectCounterContract(const SolverStats& got, const SolverStats& want,
+                           int64_t full_scan, const char* family) {
+  EXPECT_EQ(got.pairs_pruned_by_ia, want.pairs_pruned_by_ia) << family;
+  EXPECT_EQ(got.pairs_pruned_by_nib, want.pairs_pruned_by_nib) << family;
+  EXPECT_EQ(got.pairs_validated, want.pairs_validated) << family;
+  EXPECT_EQ(got.heap_pops, want.heap_pops) << family;
+  EXPECT_EQ(got.strategy1_cutoffs, want.strategy1_cutoffs) << family;
+  EXPECT_GE(got.positions_scanned, want.positions_scanned) << family;
+  EXPECT_LE(got.positions_scanned, full_scan) << family;
+  EXPECT_LE(got.early_stops, want.early_stops) << family;
+}
+
+// The bound-ordered families decide each pair as a one-candidate batch
+// through the SIMD filter. Forcing the scalar kernel around the solve must
+// leave every result and decision counter unchanged.
+TEST(CounterContractTest, FilteredSolvesMatchForcedScalar) {
+  constexpr int64_t kPositions = 24;  // every span: full scan = pairs * 24
+  InstanceOptions opts;
+  opts.num_objects = 80;
+  opts.num_candidates = 50;
+  opts.min_positions = kPositions;
+  opts.max_positions = kPositions;
+  const ProblemInstance instance = RandomInstance(7250, opts);
+  SolverConfig config = DefaultConfig();
+  config.top_k = 3;
+  const PreparedInstance prepared(instance, config);
+  Rng rng(7250);
+  std::vector<double> cost(instance.candidates.size());
+  for (double& c : cost) c = rng.Uniform(0.0, 50.0);
+  const SketchParams params{0.3, 0.05, 9};
+
+  struct Solves {
+    SolverResult vo;
+    query::SkylineResult skyline;
+    ApproxTopKResult approx;
+  };
+  const auto solve = [&] {
+    return Solves{PinocchioVOSolver().Solve(prepared),
+                  query::SolveSkyline(prepared, cost),
+                  SolveApproxTopK(prepared, config.top_k, params)};
+  };
+  const Solves filtered = [&] {
+    ScopedEnv force("PINOCCHIO_FORCE_SCALAR", nullptr);
+    ScopedEnv tier("PINOCCHIO_SIMD_TIER", nullptr);
+    return solve();
+  }();
+  const Solves scalar = [&] {
+    ScopedEnv force("PINOCCHIO_FORCE_SCALAR", "1");
+    return solve();
+  }();
+
+  EXPECT_EQ(filtered.vo.influence, scalar.vo.influence);
+  EXPECT_EQ(filtered.vo.ranking, scalar.vo.ranking);
+  EXPECT_EQ(filtered.vo.best_candidate, scalar.vo.best_candidate);
+  ASSERT_GT(scalar.vo.stats.pairs_validated, 0);
+  ExpectCounterContract(filtered.vo.stats, scalar.vo.stats,
+                        scalar.vo.stats.pairs_validated * kPositions, "vo");
+
+  ASSERT_EQ(filtered.skyline.members.size(), scalar.skyline.members.size());
+  for (size_t i = 0; i < scalar.skyline.members.size(); ++i) {
+    EXPECT_EQ(filtered.skyline.members[i].candidate,
+              scalar.skyline.members[i].candidate);
+    EXPECT_EQ(filtered.skyline.members[i].influence,
+              scalar.skyline.members[i].influence);
+  }
+  EXPECT_EQ(filtered.skyline.bound_skipped, scalar.skyline.bound_skipped);
+  ExpectCounterContract(filtered.skyline.stats, scalar.skyline.stats,
+                        scalar.skyline.stats.pairs_validated * kPositions,
+                        "skyline");
+
+  ASSERT_EQ(filtered.approx.entries.size(), scalar.approx.entries.size());
+  for (size_t i = 0; i < scalar.approx.entries.size(); ++i) {
+    const ApproxEntry& got = filtered.approx.entries[i];
+    const ApproxEntry& want = scalar.approx.entries[i];
+    EXPECT_EQ(got.candidate, want.candidate);
+    EXPECT_EQ(got.lo, want.lo);
+    EXPECT_EQ(got.hi, want.hi);
+    EXPECT_EQ(got.estimate, want.estimate);
+    EXPECT_EQ(got.exact, want.exact);
+  }
+  EXPECT_EQ(filtered.approx.pairs_skipped, scalar.approx.pairs_skipped);
+  EXPECT_EQ(filtered.approx.pairs_refined, scalar.approx.pairs_refined);
+  // The straddler refine scans positions outside pairs_validated.
+  ExpectCounterContract(
+      filtered.approx.stats, scalar.approx.stats,
+      (scalar.approx.stats.pairs_validated + scalar.approx.pairs_refined) *
+          kPositions,
+      "approx");
 }
 
 // ------------------------------------------------------- diversified

@@ -3,12 +3,12 @@
 // decisions bit-identical to the forced-scalar kernel on adversarial
 // inputs — the harness's randomized fuzz instances, all five PF families,
 // one-ulp boundary taus and candidates placed exactly on the minMaxRadius
-// rim — plus unit tests for the runtime dispatch env overrides.
+// rim — in whole batches and one candidate per call (the filter's one-lane
+// path), plus unit tests for the runtime dispatch env overrides.
 
 #include "prob/influence_kernel_simd.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,38 +20,13 @@
 #include "prob/influence_kernel.h"
 #include "prob/power_law.h"
 #include "testing/differential_harness.h"
+#include "testing/scoped_env.h"
 #include "util/random.h"
 
 namespace pinocchio {
 namespace {
 
-/// Sets (or clears, when `value` is null) an environment variable for the
-/// current scope and restores the previous state on destruction.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      setenv(name, value, /*overwrite=*/1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
+using testing_helpers::ScopedEnv;
 
 InfluenceKernel MakeKernelForTier(const ProbabilityFunction& pf, double tau,
                                   const char* tier_name) {
@@ -84,8 +59,9 @@ std::vector<PfCase> AllPfFamilies() {
   return pfs;
 }
 
-/// Diffs DecideMany and per-candidate Decide of `kernel` against the
-/// forced-scalar `reference` on one (candidates, positions) batch.
+/// Diffs DecideMany of `kernel` against the forced-scalar `reference` on
+/// one (candidates, positions) batch, first as one batch and then one
+/// candidate per call.
 void ExpectTierMatchesScalar(const InfluenceKernel& kernel,
                              const InfluenceKernel& reference,
                              std::span<const Point> candidates,
@@ -111,6 +87,28 @@ void ExpectTierMatchesScalar(const InfluenceKernel& kernel,
             static_cast<int64_t>(candidates.size() * positions.size()))
       << context;
   EXPECT_LE(simd_counters.early_stops, scalar_counters.early_stops) << context;
+
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const std::span<const Point> one = candidates.subspan(i, 1);
+    uint8_t got_one = 0xFF;
+    uint8_t want_one = 0xFF;
+    const InfluenceBatchCounters got_counters =
+        kernel.DecideMany(one, positions, {&got_one, 1});
+    const InfluenceBatchCounters want_counters =
+        reference.DecideMany(one, positions, {&want_one, 1});
+    ASSERT_EQ(got_one != 0, want_one != 0)
+        << context << ": one-candidate batch " << i << " at ("
+        << candidates[i].x << ", " << candidates[i].y << ") over "
+        << positions.size()
+        << " positions, tier=" << SimdTierName(kernel.simd_tier());
+    EXPECT_GE(got_counters.positions_seen, want_counters.positions_seen)
+        << context << ": one-candidate batch " << i;
+    EXPECT_LE(got_counters.positions_seen,
+              static_cast<int64_t>(positions.size()))
+        << context << ": one-candidate batch " << i;
+    EXPECT_LE(got_counters.early_stops, want_counters.early_stops)
+        << context << ": one-candidate batch " << i;
+  }
 }
 
 TEST(SimdDispatchTest, TierNamesRoundTrip) {
