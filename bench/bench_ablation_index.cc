@@ -16,7 +16,6 @@
 #include "bench_common.h"
 #include "core/object_store.h"
 #include "index/grid_index.h"
-#include "index/kdtree.h"
 #include "index/rtree.h"
 #include "util/stopwatch.h"
 
@@ -64,20 +63,6 @@ void RunDataset(const std::string& name, const CheckinDataset& dataset,
                      [&](const RTreeEntry&) { ++hits; });
     }
     table.AddRow({"uniform grid", FormatSeconds(build_s),
-                  FormatSeconds(query.ElapsedSeconds()),
-                  std::to_string(hits)});
-  }
-  {
-    Stopwatch build;
-    const KdTree kdtree(entries);
-    const double build_s = build.ElapsedSeconds();
-    Stopwatch query;
-    int64_t hits = 0;
-    for (const ObjectRecord& rec : store.records()) {
-      kdtree.QueryRect(rec.nib.BoundingBox(),
-                       [&](const RTreeEntry&) { ++hits; });
-    }
-    table.AddRow({"kd-tree", FormatSeconds(build_s),
                   FormatSeconds(query.ElapsedSeconds()),
                   std::to_string(hits)});
   }

@@ -1,7 +1,7 @@
 // Multi-facility ablation (extension beyond the paper, motivated by its
 // refs [11] GLS and [4] influence maximisation): union coverage of k
-// greedily selected facilities versus k independent top-k picks, plus the
-// CELF lazy-evaluation saving.
+// greedily selected facilities (diversified selection at separation 0)
+// versus k independent top-k picks, plus the CELF lazy-evaluation saving.
 //
 // Expected shape: strongly diminishing returns in k on check-in-shaped
 // data (dense hotspots make single facilities broadly influential); the
@@ -11,7 +11,8 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/multi_facility.h"
+#include "core/prepared_instance.h"
+#include "core/query_engine.h"
 #include "prob/influence.h"
 
 namespace pinocchio {
@@ -41,8 +42,9 @@ void RunDataset(const std::string& name, const CheckinDataset& dataset,
   const SolverConfig config = DefaultConfig();
 
   const size_t k_max = 10;
-  const MultiFacilityResult greedy =
-      SelectFacilities(instance, k_max, config);
+  const PreparedInstance prepared(instance, config);
+  const query::DiversifiedResult greedy =
+      query::SelectDiversified(prepared, k_max, /*min_separation=*/0.0);
   const SolverResult ranking = PinocchioVOSolver().Solve(instance, [&] {
     SolverConfig c = config;
     c.top_k = k_max;

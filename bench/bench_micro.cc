@@ -14,7 +14,6 @@
 #include "geo/regions.h"
 #include "geo/convex_hull.h"
 #include "index/grid_index.h"
-#include "index/kdtree.h"
 #include "index/rtree.h"
 #include "prob/influence.h"
 #include "prob/influence_kernel.h"
@@ -84,30 +83,6 @@ void BM_GridRectQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridRectQuery)->Arg(1000)->Arg(10000);
-
-void BM_KdTreeBuild(benchmark::State& state) {
-  const auto entries = MakeEntries(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    KdTree tree(entries);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_KdTreeBuild)->Arg(1000)->Arg(10000);
-
-void BM_KdTreeRectQuery(benchmark::State& state) {
-  const auto entries = MakeEntries(static_cast<size_t>(state.range(0)));
-  const KdTree tree(entries);
-  Rng rng(7);
-  for (auto _ : state) {
-    const double x = rng.Uniform(0, 30000), y = rng.Uniform(0, 20000);
-    const Mbr rect(x, y, x + 5000, y + 5000);
-    int64_t hits = 0;
-    tree.QueryRect(rect, [&](const RTreeEntry&) { ++hits; });
-    benchmark::DoNotOptimize(hits);
-  }
-}
-BENCHMARK(BM_KdTreeRectQuery)->Arg(1000)->Arg(10000);
 
 void BM_ConvexHullBuild(benchmark::State& state) {
   Rng rng(19);

@@ -55,7 +55,7 @@ class ApproxTopKPolicy {
 
   bool AbortValidation(uint32_t j) const { return Dominated(j); }
 
-  void OnDecision(uint32_t j, uint32_t /*rec_idx*/, bool influenced) {
+  void OnDecision(uint32_t j, bool influenced) {
     if (influenced) {
       ++brackets_->min_inf[j];
       ++influenced_count_;

@@ -5,7 +5,6 @@
 
 #include "core/prepared_instance.h"
 #include "prob/influence_kernel.h"
-#include "util/logging.h"
 
 namespace pinocchio {
 
@@ -37,33 +36,6 @@ int64_t InfluenceOfCandidate(const std::vector<MovingObject>& objects,
                              const SolverConfig& config) {
   const PreparedInstance prepared(objects, config);
   return InfluenceOfCandidate(prepared, candidate);
-}
-
-double WeightedInfluenceOfCandidate(const ObjectStore& store,
-                                    std::span<const double> weights,
-                                    const Point& candidate,
-                                    const ProbabilityFunction& pf) {
-  PINO_CHECK_EQ(weights.size(), store.records().size());
-  const InfluenceKernel kernel(pf, store.tau());
-  const std::span<const Point> one(&candidate, 1);
-  double score = 0.0;
-  for (size_t k = 0; k < store.records().size(); ++k) {
-    const ObjectRecord& rec = store.records()[k];
-    if (!rec.nib.Contains(candidate)) continue;
-    uint8_t influenced = 1;
-    if (rec.ia.IsEmpty() || !rec.ia.Contains(candidate)) {
-      kernel.DecideMany(one, store.positions(rec), {&influenced, 1});
-    }
-    if (influenced != 0) score += weights[k];
-  }
-  return score;
-}
-
-double WeightedInfluenceOfCandidate(const PreparedInstance& prepared,
-                                    std::span<const double> weights,
-                                    const Point& candidate) {
-  return WeightedInfluenceOfCandidate(prepared.store(), weights, candidate,
-                                      prepared.pf());
 }
 
 InfluenceExplanation ExplainInfluence(const PreparedInstance& prepared,

@@ -8,7 +8,6 @@
 #define PINOCCHIO_CORE_INFLUENCE_QUERY_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/moving_object.h"
@@ -69,19 +68,6 @@ InfluenceExplanation ExplainInfluence(const PreparedInstance& prepared,
 InfluenceExplanation ExplainInfluence(const std::vector<MovingObject>& objects,
                                       const Point& candidate,
                                       const SolverConfig& config);
-
-/// Weighted influence (the objective of Xia et al., the paper's ref [1]:
-/// total weight of influenced objects rather than their count).
-/// `weights[k]` weighs `store.records()[k]`; sizes must match.
-double WeightedInfluenceOfCandidate(const ObjectStore& store,
-                                    std::span<const double> weights,
-                                    const Point& candidate,
-                                    const ProbabilityFunction& pf);
-
-/// Prepared-instance counterpart of the weighted point query.
-double WeightedInfluenceOfCandidate(const PreparedInstance& prepared,
-                                    std::span<const double> weights,
-                                    const Point& candidate);
 
 }  // namespace pinocchio
 

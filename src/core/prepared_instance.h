@@ -78,7 +78,7 @@ class PreparedInstance {
   PreparedInstance(const ProblemInstance& instance, const SolverConfig& config);
 
   /// Candidate-less preparation for point queries (InfluenceOfCandidate,
-  /// ExplainInfluence, PlaceAnywhere): only the object store is built.
+  /// ExplainInfluence): only the object store is built.
   PreparedInstance(const std::vector<MovingObject>& objects,
                    const SolverConfig& config);
 

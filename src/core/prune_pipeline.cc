@@ -204,19 +204,6 @@ class PrunePass {
 void ClassifyCandidates(const RTree& index, const ObjectStore& store,
                         const InfluenceKernel& kernel, uint32_t first_record,
                         uint32_t last_record, size_t num_candidates,
-                        SolverStats* stats, PruneIaFn ia_certified,
-                        PruneRemnantFn remnant) {
-  PrunePass pass(index, kernel);
-  for (uint32_t k = first_record; k < last_record; ++k) {
-    const ObjectRecord& rec = store.records()[k];
-    pass.Classify(rec, store.positions(rec), k, num_candidates, stats,
-                  ia_certified, remnant);
-  }
-}
-
-void ClassifyCandidates(const RTree& index, const ObjectStore& store,
-                        const InfluenceKernel& kernel, uint32_t first_record,
-                        uint32_t last_record, size_t num_candidates,
                         SolverStats* stats, std::span<int64_t> ia_credits,
                         RecordCandidateLists* remnants) {
   PrunePass pass(index, kernel);

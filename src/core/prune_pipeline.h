@@ -6,18 +6,19 @@
 // influenced outright (Lemma 2), and hand the remnant set C'' to
 // validation. PruneAndValidate is the one loop that runs all of it: it
 // reports each influenced pair once to a visitor, so PIN counts, the
-// influence sets append, weighted PIN adds a weight and the incremental
-// engine collects ids through the same code. The pass owns every pass
-// counter of SolverStats (pairs_pruned_by_ia / pairs_pruned_by_nib from
-// the prune phase, pairs_validated / positions_scanned / early_stops from
-// the batch kernel). ClassifyCandidates is its prune phase alone, for the
-// bound-ordered callers that validate later, one candidate at a time; its
-// list form writes the remnants as record-major candidate-id lists.
+// influence sets append and the incremental engine collects ids through
+// the same code. The pass owns every pass counter of SolverStats
+// (pairs_pruned_by_ia / pairs_pruned_by_nib from the prune phase,
+// pairs_validated / positions_scanned / early_stops from the batch
+// kernel). ClassifyCandidates is its prune phase alone, for the bracket
+// builder behind the bound-ordered families, which validate later, one
+// candidate at a time: it credits IA certificates per candidate and writes
+// the remnants as record-major candidate-id lists.
 //
 // The SIMD prune filter and the per-record scratch are set up once per
-// call and reused across its records; callers pass non-owning FunctionRef
-// visitors, which keeps the per-object hot loop free of std::function
-// allocations.
+// call and reused across its records; callers pass a non-owning
+// FunctionRef visitor, which keeps the per-object hot loop free of
+// std::function allocations.
 //
 // Under PINOCCHIO_SELF_CHECK (util/self_check.h) every record's
 // classification is audited against the scalar reference: each IA-certified
@@ -71,26 +72,8 @@ class FunctionRef<R(Args...)> {
   R (*invoke_)(void*, Args...);
 };
 
-/// Visitor for pairs decided by Lemma 2 (candidate entry, record index).
-using PruneIaFn = FunctionRef<void(const RTreeEntry&, uint32_t)>;
-/// Visitor for remnant pairs that need cumulative-probability validation.
-using PruneRemnantFn = FunctionRef<void(const RTreeEntry&, uint32_t)>;
 /// Visitor for influenced pairs (candidate id, record index).
 using PruneInfluencedFn = FunctionRef<void(uint32_t, uint32_t)>;
-
-/// Classifies every candidate of `index` against records
-/// [first_record, last_record) of the store. Per pair inside the record's
-/// NIB: IA-certified pairs go to `ia_certified`, the rest to `remnant`.
-/// Pairs outside the NIB are pruned implicitly. `stats` (nullable) receives
-/// pairs_pruned_by_ia and pairs_pruned_by_nib; `num_candidates` is the
-/// total candidate count the NIB counter is accounted against. `kernel`
-/// carries the (pf, tau) the pruning regions were built for; it does no
-/// work outside self-check mode.
-void ClassifyCandidates(const RTree& index, const ObjectStore& store,
-                        const InfluenceKernel& kernel, uint32_t first_record,
-                        uint32_t last_record, size_t num_candidates,
-                        SolverStats* stats, PruneIaFn ia_certified,
-                        PruneRemnantFn remnant);
 
 /// Candidate ids of the record range [first_record, first_record +
 /// counts.size()) in record-major order: the first counts[0] ids belong to
@@ -101,10 +84,16 @@ struct RecordCandidateLists {
   std::vector<uint32_t> candidates;
 };
 
-/// ClassifyCandidates with data outputs, for the bracket builder: each IA
-/// certificate adds one to ia_credits[id] (one slot per candidate), and
-/// `remnants` is reset to the range and receives every remnant pair, in
-/// the order the visitor form would report them.
+/// Classifies every candidate of `index` against records
+/// [first_record, last_record) of the store. Per pair inside the record's
+/// NIB: each IA certificate (Lemma 2) adds one to ia_credits[id] (one slot
+/// per candidate), and `remnants` is reset to the range and receives every
+/// other pair, in index-visit order within each record. Pairs outside the
+/// NIB are pruned (Lemma 3). `stats` (nullable) receives
+/// pairs_pruned_by_ia and pairs_pruned_by_nib; `num_candidates` is the
+/// total candidate count the NIB counter is accounted against. `kernel`
+/// carries the (pf, tau) the pruning regions were built for; it does no
+/// work outside self-check mode.
 void ClassifyCandidates(const RTree& index, const ObjectStore& store,
                         const InfluenceKernel& kernel, uint32_t first_record,
                         uint32_t last_record, size_t num_candidates,

@@ -5,7 +5,8 @@
 // and validate verification sets one record at a time, letting a policy
 // decide when a candidate is admitted, aborted mid-validation or the walk
 // stops altogether. The exact top-k cut-off of Algorithm 3 is one such
-// policy; the influence/cost skyline and the weighted argmax are others.
+// policy; the influence/cost skyline and the approximate top-k tier
+// (core/approx_solver.h) are the others.
 //
 // EvaluateBoundOrdered() owns the counter discipline (heap_pops,
 // pairs_validated, positions_scanned, early_stops, strategy1_cutoffs) so
@@ -167,9 +168,11 @@ enum class CandidateAdmission : uint8_t {
 /// shape):
 ///   CandidateAdmission Admit(uint32_t j)             — before heap_pops
 ///   bool AbortValidation(uint32_t j)                 — before each record
-///   void OnDecision(uint32_t j, uint32_t rec, bool influenced)
+///   void OnDecision(uint32_t j, bool influenced)     — after each record
 ///   void Settle(uint32_t j, bool complete)           — after the set;
 ///       `complete` is false iff validation aborted early
+/// Every policy's AbortValidation compares j's integer bracket with a
+/// threshold that stays fixed while j is walked.
 ///
 /// `verification_set` need not return the full prune-phase set: the
 /// approximate tier (core/approx_solver.h) returns a deterministic sample
@@ -211,7 +214,7 @@ void EvaluateBoundOrdered(
       stats->positions_scanned += counters.positions_seen;
       stats->early_stops += counters.early_stops;
 
-      policy.OnDecision(j, rec_idx, influenced != 0);
+      policy.OnDecision(j, influenced != 0);
     }
     policy.Settle(j, complete);
   }
@@ -235,7 +238,7 @@ class TopKCutoffPolicy {
 
   bool AbortValidation(uint32_t j) const { return Dominated(j); }
 
-  void OnDecision(uint32_t j, uint32_t /*rec_idx*/, bool influenced) {
+  void OnDecision(uint32_t j, bool influenced) {
     if (influenced) {
       ++(*min_inf_)[j];
     } else {

@@ -112,16 +112,6 @@ double Mbr::MinDist(const Point& p) const {
   return std::sqrt(MinDistSquared(p));
 }
 
-double Mbr::MinDist(const Mbr& other) const {
-  PINO_CHECK(!IsEmpty());
-  PINO_CHECK(!other.IsEmpty());
-  const double dx =
-      std::max({min_x_ - other.max_x_, 0.0, other.min_x_ - max_x_});
-  const double dy =
-      std::max({min_y_ - other.max_y_, 0.0, other.min_y_ - max_y_});
-  return std::sqrt(dx * dx + dy * dy);
-}
-
 double Mbr::MaxDist(const Point& p) const {
   return std::sqrt(MaxDistSquared(p));
 }

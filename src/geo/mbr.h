@@ -64,9 +64,6 @@ class Mbr {
 
   /// Shortest distance from `p` to any point of the rectangle (0 inside).
   double MinDist(const Point& p) const;
-  /// Shortest distance between any pair of points of the two rectangles
-  /// (0 when they intersect).
-  double MinDist(const Mbr& other) const;
   /// Largest distance from `p` to any point of the rectangle; attained at
   /// the corner diagonally opposite `p`'s quadrant.
   double MaxDist(const Point& p) const;

@@ -91,31 +91,5 @@ TEST(ExplainInfluenceTest, DecisionAccountingCoversAllObjects) {
             static_cast<int64_t>(instance.objects.size()));
 }
 
-TEST(WeightedInfluenceTest, UnitWeightsEqualCounting) {
-  const ProblemInstance instance = RandomInstance(906);
-  const SolverConfig config = DefaultConfig();
-  const ObjectStore store(instance.objects, *config.pf, config.tau);
-  const std::vector<double> unit(instance.objects.size(), 1.0);
-  for (size_t j = 0; j < instance.candidates.size(); ++j) {
-    EXPECT_DOUBLE_EQ(
-        WeightedInfluenceOfCandidate(store, unit, instance.candidates[j],
-                                     *config.pf),
-        static_cast<double>(
-            InfluenceOfCandidate(store, instance.candidates[j], *config.pf)));
-  }
-}
-
-TEST(WeightedInfluenceTest, WeightsScaleScore) {
-  const ProblemInstance instance = RandomInstance(907);
-  const SolverConfig config = DefaultConfig();
-  const ObjectStore store(instance.objects, *config.pf, config.tau);
-  const std::vector<double> unit(instance.objects.size(), 1.0);
-  const std::vector<double> triple(instance.objects.size(), 3.0);
-  const Point& c = instance.candidates.front();
-  EXPECT_DOUBLE_EQ(WeightedInfluenceOfCandidate(store, triple, c, *config.pf),
-                   3.0 * WeightedInfluenceOfCandidate(store, unit, c,
-                                                      *config.pf));
-}
-
 }  // namespace
 }  // namespace pinocchio

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -36,9 +37,10 @@ struct BruteForceClassification {
 };
 
 BruteForceClassification BruteForceClassify(const ProblemInstance& instance,
-                                            const ObjectStore& store) {
+                                            const ObjectStore& store,
+                                            uint32_t first, uint32_t last) {
   BruteForceClassification want;
-  for (uint32_t k = 0; k < store.size(); ++k) {
+  for (uint32_t k = first; k < last; ++k) {
     const ObjectRecord& rec = store.records()[k];
     for (uint32_t j = 0; j < instance.candidates.size(); ++j) {
       const Point& c = instance.candidates[j];
@@ -72,30 +74,83 @@ std::vector<int64_t> CountInfluence(const PreparedInstance& prepared,
   return influence;
 }
 
-TEST(PrunePipelineTest, ClassificationMatchesBruteForceGeometry) {
+// Classification against the region definitions, over the whole store and
+// a range starting mid-store: per-candidate IA credits, the remnant pairs
+// of each record, both prune counters, the reset of stale list content,
+// and the transposition of the lists into the record-ascending CSR.
+void ExpectClassificationMatchesBruteForce(double tau) {
   const ProblemInstance instance = RandomInstance(91);
-  const PreparedInstance prepared(instance, DefaultConfig());
+  const PreparedInstance prepared(instance, DefaultConfig(tau));
   const ObjectStore& store = prepared.store();
   const size_t m = prepared.num_candidates();
   const auto r = static_cast<uint32_t>(store.size());
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
 
-  PairList ia_pairs;
-  PairList remnant_pairs;
-  SolverStats stats;
-  ClassifyCandidates(
-      prepared.candidate_rtree(), store, kernel, 0, r, m, &stats,
-      [&](const RTreeEntry& e, uint32_t k) { ia_pairs.emplace_back(e.id, k); },
-      [&](const RTreeEntry& e, uint32_t k) {
-        remnant_pairs.emplace_back(e.id, k);
-      });
+  for (const uint32_t first : {0u, r / 3}) {
+    SCOPED_TRACE("first record " + std::to_string(first));
+    std::vector<int64_t> credits(m, 0);
+    // Stale content must be reset.
+    RecordCandidateLists lists{.first_record = r, .counts = {1},
+                               .candidates = {7}};
+    SolverStats stats;
+    ClassifyCandidates(prepared.candidate_rtree(), store, kernel, first, r, m,
+                       &stats, credits, &lists);
 
-  const BruteForceClassification want = BruteForceClassify(instance, store);
-  EXPECT_EQ(Sorted(ia_pairs), Sorted(want.ia));
-  EXPECT_EQ(Sorted(remnant_pairs), Sorted(want.remnant));
-  EXPECT_EQ(stats.pairs_pruned_by_ia, static_cast<int64_t>(want.ia.size()));
-  EXPECT_EQ(stats.pairs_pruned_by_nib, want.nib_pruned);
+    const BruteForceClassification want =
+        BruteForceClassify(instance, store, first, r);
+    std::vector<int64_t> want_credits(m, 0);
+    for (const auto& [j, k] : want.ia) ++want_credits[j];
+    EXPECT_EQ(credits, want_credits);
+    EXPECT_EQ(stats.pairs_pruned_by_ia, static_cast<int64_t>(want.ia.size()));
+    EXPECT_EQ(stats.pairs_pruned_by_nib, want.nib_pruned);
+
+    EXPECT_EQ(lists.first_record, first);
+    ASSERT_EQ(lists.counts.size(), r - first);
+    PairList remnants;
+    size_t next = 0;
+    for (size_t i = 0; i < lists.counts.size(); ++i) {
+      for (uint32_t n = 0; n < lists.counts[i]; ++n) {
+        ASSERT_LT(next, lists.candidates.size());
+        remnants.emplace_back(lists.candidates[next++],
+                              static_cast<uint32_t>(first + i));
+      }
+    }
+    EXPECT_EQ(next, lists.candidates.size());
+    ASSERT_FALSE(want.remnant.empty());
+    const PairList sorted = Sorted(want.remnant);
+    EXPECT_EQ(Sorted(remnants), sorted);
+
+    std::vector<uint32_t> offsets;
+    std::vector<uint32_t> data;
+    query::RecordListsToCsr(m, {&lists, 1}, &offsets, &data);
+    ASSERT_EQ(offsets.size(), m + 1);
+    ASSERT_EQ(data.size(), sorted.size());
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      const auto [j, k] = sorted[i];
+      EXPECT_GE(i, offsets[j]);
+      EXPECT_LT(i, offsets[j + 1]);
+      EXPECT_EQ(data[i], k);
+    }
+  }
 }
+
+TEST(PrunePipelineTest, ClassificationMatchesBruteForceGeometry) {
+  ExpectClassificationMatchesBruteForce(0.7);
+}
+
+// Tau moves both region boundaries, so each tau is its own geometry.
+class PruneClassifyTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(PruneClassifyTest, ClassificationMatchesBruteForceGeometry) {
+  ExpectClassificationMatchesBruteForce(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(OtherTaus, PruneClassifyTest,
+                         ::testing::Values(0.3, 0.5, 0.9),
+                         [](const auto& info) {
+                           return "tau" + std::to_string(static_cast<int>(
+                                              info.param * 100 + 0.5));
+                         });
 
 TEST(PrunePipelineTest, PruneAndValidateMatchesNaiveSolver) {
   const ProblemInstance instance = RandomInstance(92);
@@ -250,11 +305,10 @@ TEST(PrunePipelineTest, ClassifyCountersMatchThePass) {
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
 
   SolverStats classify_stats;
-  int64_t remnants = 0;
-  ClassifyCandidates(
-      prepared.candidate_rtree(), store, kernel, 0, r, m, &classify_stats,
-      [](const RTreeEntry&, uint32_t) {},
-      [&](const RTreeEntry&, uint32_t) { ++remnants; });
+  std::vector<int64_t> credits(m, 0);
+  RecordCandidateLists remnants;
+  ClassifyCandidates(prepared.candidate_rtree(), store, kernel, 0, r, m,
+                     &classify_stats, credits, &remnants);
   SolverStats pass_stats;
   CountInfluence(prepared, kernel, 0, r, &pass_stats);
 
@@ -262,67 +316,8 @@ TEST(PrunePipelineTest, ClassifyCountersMatchThePass) {
   EXPECT_EQ(classify_stats.pairs_pruned_by_nib,
             pass_stats.pairs_pruned_by_nib);
   EXPECT_EQ(classify_stats.pairs_validated, 0);
-  EXPECT_EQ(pass_stats.pairs_validated, remnants);
-}
-
-// The list form reports what the visitor form does: the same IA credits
-// per candidate, the same remnant pairs in the same order, the same prune
-// counters; and its lists transpose to the record-ascending CSR.
-TEST(PrunePipelineTest, ListFormMatchesVisitorForm) {
-  const ProblemInstance instance = RandomInstance(102);
-  const PreparedInstance prepared(instance, DefaultConfig());
-  const ObjectStore& store = prepared.store();
-  const size_t m = prepared.num_candidates();
-  const auto r = static_cast<uint32_t>(store.size());
-  const uint32_t first = r / 3;
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
-
-  std::vector<int64_t> want_credits(m, 0);
-  PairList want_remnants;
-  SolverStats want_stats;
-  ClassifyCandidates(
-      prepared.candidate_rtree(), store, kernel, first, r, m, &want_stats,
-      [&](const RTreeEntry& e, uint32_t) { ++want_credits[e.id]; },
-      [&](const RTreeEntry& e, uint32_t k) {
-        want_remnants.emplace_back(e.id, k);
-      });
-
-  std::vector<int64_t> credits(m, 0);
-  RecordCandidateLists lists;
-  lists.candidates.push_back(7);  // stale content must be reset
-  SolverStats stats;
-  ClassifyCandidates(prepared.candidate_rtree(), store, kernel, first, r, m,
-                     &stats, credits, &lists);
-  EXPECT_EQ(credits, want_credits);
-  EXPECT_EQ(stats.pairs_pruned_by_ia, want_stats.pairs_pruned_by_ia);
-  EXPECT_EQ(stats.pairs_pruned_by_nib, want_stats.pairs_pruned_by_nib);
-  EXPECT_EQ(lists.first_record, first);
-  ASSERT_EQ(lists.counts.size(), r - first);
-  PairList got_remnants;
-  size_t next = 0;
-  for (size_t i = 0; i < lists.counts.size(); ++i) {
-    for (uint32_t n = 0; n < lists.counts[i]; ++n) {
-      ASSERT_LT(next, lists.candidates.size());
-      got_remnants.emplace_back(lists.candidates[next++],
-                                static_cast<uint32_t>(first + i));
-    }
-  }
-  EXPECT_EQ(next, lists.candidates.size());
-  ASSERT_FALSE(want_remnants.empty());
-  EXPECT_EQ(got_remnants, want_remnants);
-
-  std::vector<uint32_t> offsets;
-  std::vector<uint32_t> data;
-  query::RecordListsToCsr(m, {&lists, 1}, &offsets, &data);
-  const PairList sorted = Sorted(want_remnants);
-  ASSERT_EQ(offsets.size(), m + 1);
-  ASSERT_EQ(data.size(), sorted.size());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    const auto [j, k] = sorted[i];
-    EXPECT_GE(i, offsets[j]);
-    EXPECT_LT(i, offsets[j + 1]);
-    EXPECT_EQ(data[i], k);
-  }
+  EXPECT_EQ(pass_stats.pairs_validated,
+            static_cast<int64_t>(remnants.candidates.size()));
 }
 
 // The prune filter's certified thresholds are 12-step nextafter walks from
@@ -362,7 +357,9 @@ TEST(PruneThresholdsTest, MatchTheNextafterWalk) {
 
 // Records arrive in ascending order; within a record the IA certificates
 // come first, in index-visit order, then the validated remnants in the
-// order classification found them.
+// order classification found them. The expected sequence walks the
+// candidate R-tree over each record's NIB box with the exact region
+// predicates.
 TEST(PrunePipelineTest, PairsArriveInRecordOrderIaFirst) {
   const ProblemInstance instance = RandomInstance(100);
   const PreparedInstance prepared(instance, DefaultConfig());
@@ -377,19 +374,21 @@ TEST(PrunePipelineTest, PairsArriveInRecordOrderIaFirst) {
 
   PairList want;
   for (uint32_t k = 0; k < r; ++k) {
-    PairList remnant;
-    ClassifyCandidates(
-        prepared.candidate_rtree(), store, kernel, k, k + 1, m, nullptr,
-        [&](const RTreeEntry& e, uint32_t rec) {
-          want.emplace_back(e.id, rec);
-        },
-        [&](const RTreeEntry& e, uint32_t rec) {
-          remnant.emplace_back(e.id, rec);
+    const ObjectRecord& rec = store.records()[k];
+    std::vector<uint32_t> remnant;
+    prepared.candidate_rtree().QueryRect(
+        rec.nib.BoundingBox(), [&](const RTreeEntry& e) {
+          if (!rec.nib.Contains(e.point)) return;  // Lemma 3
+          if (!rec.ia.IsEmpty() && rec.ia.Contains(e.point)) {  // Lemma 2
+            want.emplace_back(e.id, k);
+          } else {
+            remnant.push_back(e.id);
+          }
         });
-    for (const auto& [j, rec] : remnant) {
-      if (Influences(prepared.pf(), prepared.candidate(j),
-                     store.positions(rec), prepared.tau())) {
-        want.emplace_back(j, rec);
+    for (uint32_t j : remnant) {
+      if (Influences(prepared.pf(), prepared.candidate(j), store.positions(k),
+                     prepared.tau())) {
+        want.emplace_back(j, k);
       }
     }
   }

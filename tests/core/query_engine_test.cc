@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <numeric>
+#include <set>
 #include <span>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/approx_solver.h"
-#include "core/multi_facility.h"
 #include "core/naive_solver.h"
 #include "core/pinocchio_vo_solver.h"
 #include "core/prepared_instance.h"
@@ -392,20 +397,136 @@ TEST(CounterContractTest, FilteredSolvesMatchForcedScalar) {
 
 // ------------------------------------------------------- diversified
 
-TEST(DiversifiedTest, ZeroSeparationEqualsMultiFacility) {
-  const ProblemInstance instance = RandomInstance(7301);
-  const SolverConfig config = DefaultConfig();
-  const PreparedInstance prepared(instance, config);
-
-  for (size_t k : {1, 3, 8}) {
-    const MultiFacilityResult mf = SelectFacilities(prepared, k);
-    const query::DiversifiedResult dv =
-        query::SelectDiversified(prepared, k, /*min_separation=*/0.0);
-    EXPECT_EQ(dv.selected, mf.selected);
-    EXPECT_EQ(dv.coverage, mf.coverage);
-    EXPECT_EQ(dv.gain_evaluations, mf.gain_evaluations);
-    EXPECT_EQ(dv.separation_rejections, 0);
+// Brute-force union coverage of a facility set: the records at least one
+// facility influences under the scalar Definition-2 test.
+int64_t UnionCoverage(const PreparedInstance& prepared,
+                      std::span<const uint32_t> facilities) {
+  const ObjectStore& store = prepared.store();
+  int64_t covered = 0;
+  for (uint32_t k = 0; k < store.size(); ++k) {
+    for (uint32_t j : facilities) {
+      if (Influences(prepared.pf(), prepared.candidate(j), store.positions(k),
+                     prepared.tau())) {
+        ++covered;
+        break;
+      }
+    }
   }
+  return covered;
+}
+
+// Greedy's invariants on random instances, with and without a separation
+// constraint (min_separation 0 is the classic multi-facility objective):
+// the first pick is a coverage maximum, every prefix covers exactly its
+// brute-force union, picks are distinct and separated with non-increasing
+// gains, and CELF evaluates fewer gains than plain greedy's m + (k - 1) * m.
+class DiversifiedPropertyTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, double>> {
+ protected:
+  void SetUp() override {
+    const auto [seed, delta] = GetParam();
+    delta_ = delta;
+    prepared_ = std::make_unique<PreparedInstance>(RandomInstance(seed),
+                                                   DefaultConfig());
+    naive_ = NaiveSolver().Solve(*prepared_);
+    for (size_t k : {1, 5, 10}) {
+      runs_.emplace_back(k, query::SelectDiversified(*prepared_, k, delta));
+      if (delta == 0.0) {
+        ASSERT_EQ(runs_.back().second.selected.size(), k);
+        EXPECT_EQ(runs_.back().second.separation_rejections, 0);
+      }
+      ASSERT_FALSE(runs_.back().second.selected.empty());
+      ASSERT_EQ(runs_.back().second.coverage.size(),
+                runs_.back().second.selected.size());
+    }
+  }
+
+  double delta_ = 0.0;
+  std::unique_ptr<PreparedInstance> prepared_;
+  SolverResult naive_;
+  std::vector<std::pair<size_t, query::DiversifiedResult>> runs_;
+};
+
+TEST_P(DiversifiedPropertyTest, FirstPickIsTheCoverageMaximum) {
+  for (const auto& [k, dv] : runs_) {
+    SCOPED_TRACE("k " + std::to_string(k));
+    EXPECT_EQ(naive_.influence[dv.selected[0]], naive_.best_influence);
+    EXPECT_EQ(dv.coverage[0], naive_.best_influence);
+  }
+}
+
+TEST_P(DiversifiedPropertyTest, PrefixCoverageMatchesBruteForceUnion) {
+  for (const auto& [k, dv] : runs_) {
+    for (size_t i = 0; i < dv.selected.size(); ++i) {
+      EXPECT_EQ(dv.coverage[i],
+                UnionCoverage(*prepared_, std::span(dv.selected).first(i + 1)))
+          << "k " << k << ", after " << i + 1 << " facilities";
+    }
+  }
+}
+
+TEST_P(DiversifiedPropertyTest, PicksAreDistinctSeparatedWithShrinkingGains) {
+  for (const auto& [k, dv] : runs_) {
+    SCOPED_TRACE("k " + std::to_string(k));
+    EXPECT_EQ(std::set<uint32_t>(dv.selected.begin(), dv.selected.end())
+                  .size(),
+              dv.selected.size());
+    int64_t last_gain = std::numeric_limits<int64_t>::max();
+    for (size_t i = 0; i < dv.selected.size(); ++i) {
+      for (size_t a = 0; a < i; ++a) {
+        EXPECT_GE(Distance(prepared_->candidate(dv.selected[a]),
+                           prepared_->candidate(dv.selected[i])),
+                  delta_);
+      }
+      const int64_t gain = dv.coverage[i] - (i > 0 ? dv.coverage[i - 1] : 0);
+      EXPECT_GE(gain, 0);
+      EXPECT_LE(gain, last_gain) << "greedy gains must be non-increasing";
+      last_gain = gain;
+    }
+  }
+}
+
+TEST_P(DiversifiedPropertyTest, CelfEvaluatesFewerGainsThanPlainGreedy) {
+  const auto m = static_cast<int64_t>(prepared_->num_candidates());
+  for (const auto& [k, dv] : runs_) {
+    if (k > 1) {
+      EXPECT_LT(dv.gain_evaluations, m + (static_cast<int64_t>(k) - 1) * m)
+          << "k " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, DiversifiedPropertyTest,
+    ::testing::Combine(::testing::Values(1601, 1602, 1603, 1604, 1606),
+                       ::testing::Values(0.0, 6000.0)),
+    [](const auto& info) {
+      return "seed" + std::to_string(std::get<0>(info.param)) + "_delta" +
+             std::to_string(static_cast<int>(std::get<1>(info.param)));
+    });
+
+// Two far-apart crowds: one facility covers half, two cover everyone.
+TEST(DiversifiedTest, TwoFarCrowdsNeedTwoFacilities) {
+  ProblemInstance instance;
+  Rng rng(31);
+  for (uint32_t k = 0; k < 40; ++k) {
+    MovingObject o;
+    o.id = k;
+    const double cx = (k < 20) ? 0.0 : 50000.0;
+    for (int i = 0; i < 6; ++i) {
+      o.positions.push_back({cx + rng.Gaussian(0, 300), rng.Gaussian(0, 300)});
+    }
+    instance.objects.push_back(std::move(o));
+  }
+  instance.candidates = {{0, 0}, {50000, 0}, {25000, 25000}};
+  const PreparedInstance prepared(instance, DefaultConfig());
+
+  const query::DiversifiedResult dv =
+      query::SelectDiversified(prepared, 2, /*min_separation=*/0.0);
+  ASSERT_EQ(dv.selected.size(), 2u);
+  EXPECT_EQ(dv.coverage, (std::vector<int64_t>{20, 40}));
+  EXPECT_EQ(std::set<uint32_t>(dv.selected.begin(), dv.selected.end()),
+            (std::set<uint32_t>{0, 1}));
 }
 
 TEST(DiversifiedTest, SeparationIsRespected) {
@@ -470,12 +591,26 @@ TEST(DiversifiedTest, ThreadBudgetsAreBitIdentical) {
 TEST(DiversifiedTest, KBeyondCandidatesClampsToAllFeasible) {
   const ProblemInstance instance =
       RandomInstance(7305, {.num_objects = 10, .num_candidates = 5});
-  const SolverConfig config = DefaultConfig();
-  const PreparedInstance prepared(instance, config);
+  const PreparedInstance prepared(instance, DefaultConfig());
 
   const query::DiversifiedResult dv =
       query::SelectDiversified(prepared, 100, /*min_separation=*/0.0);
-  EXPECT_EQ(dv.selected.size(), prepared.num_candidates());
+  EXPECT_EQ(dv.selected.size(), 5u);
+  EXPECT_EQ(dv.coverage.size(), 5u);
+}
+
+TEST(DiversifiedTest, EmptyCandidateSetSelectsNothing) {
+  const ProblemInstance instance =
+      RandomInstance(7305, {.num_objects = 10, .num_candidates = 0});
+  const PreparedInstance prepared(instance, DefaultConfig());
+
+  for (double delta : {0.0, 5000.0}) {
+    const query::DiversifiedResult dv =
+        query::SelectDiversified(prepared, 3, delta);
+    EXPECT_TRUE(dv.selected.empty());
+    EXPECT_TRUE(dv.coverage.empty());
+    EXPECT_EQ(dv.gain_evaluations, 0);
+  }
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include "baselines/range_solver.h"
 #include "core/approx_solver.h"
 #include "core/incremental.h"
-#include "core/multi_facility.h"
 #include "core/naive_solver.h"
 #include "core/object_store.h"
 #include "core/pinocchio_hull_solver.h"
@@ -23,7 +22,6 @@
 #include "core/prepared_instance.h"
 #include "core/query_engine.h"
 #include "core/streaming.h"
-#include "core/weighted_solver.h"
 #include "data/binary_io.h"
 #include "data/checkin_dataset.h"
 #include "geo/point.h"
@@ -274,8 +272,6 @@ class CaseChecker {
           prepared);
     }
     if (check_auxiliary) {
-      CheckWeighted(prepared, naive);
-      CheckMultiFacility(prepared, naive);
       CheckSkyline(prepared, naive);
       CheckDiversified(prepared, naive);
       CheckApprox(prepared, naive);
@@ -389,54 +385,6 @@ class CaseChecker {
             *std::max_element(a.influence.begin(), a.influence.end())) {
           Fail(solver.Name() + ": best_influence is not the vector maximum");
         }
-      }
-    });
-  }
-
-  void CheckWeighted(const PreparedInstance& prepared,
-                     const SolverResult& naive) {
-    Guard("Weighted(unit)", [&] {
-      const std::vector<double> unit(prepared.store().size(), 1.0);
-      const WeightedSolverResult w = SolveWeightedPinocchio(prepared, unit);
-      for (size_t j = 0; j < naive.influence.size(); ++j) {
-        // Unit weights make the score an integer count; == is exact.
-        if (w.score[j] != static_cast<double>(naive.influence[j])) {
-          std::ostringstream msg;
-          msg << "Weighted(unit): score[" << j << "] = " << w.score[j]
-              << " vs naive influence " << naive.influence[j];
-          Fail(msg.str());
-          break;
-        }
-      }
-      if (!naive.influence.empty()) {
-        const WeightedVOResult v = SolveWeightedPinocchioVO(prepared, unit);
-        if (v.best_score != static_cast<double>(naive.best_influence)) {
-          std::ostringstream msg;
-          msg << "WeightedVO(unit): best score " << v.best_score
-              << " vs naive best influence " << naive.best_influence;
-          Fail(msg.str());
-        }
-      }
-    });
-  }
-
-  void CheckMultiFacility(const PreparedInstance& prepared,
-                          const SolverResult& naive) {
-    if (naive.influence.empty()) return;
-    Guard("MultiFacility(k=1)", [&] {
-      const MultiFacilityResult mf = SelectFacilities(prepared, 1);
-      if (mf.selected.size() != 1 || mf.coverage.size() != 1) {
-        Fail("MultiFacility(k=1): expected exactly one selection");
-        return;
-      }
-      // Greedy's first pick is exactly the single-facility optimum.
-      if (mf.coverage[0] != naive.best_influence ||
-          naive.influence[mf.selected[0]] != naive.best_influence) {
-        std::ostringstream msg;
-        msg << "MultiFacility(k=1): coverage " << mf.coverage[0]
-            << " of candidate " << mf.selected[0]
-            << " vs naive best influence " << naive.best_influence;
-        Fail(msg.str());
       }
     });
   }
@@ -659,11 +607,10 @@ class CaseChecker {
 
   // Diversified selection against a recompute-every-round greedy built on
   // influence sets derived from first principles (Definition 2 per pair),
-  // sweeping min_separation 0 (plain multi-facility, also diffed against
-  // SelectFacilities), a random separation up to the candidate diameter,
-  // and one larger than the diameter (only a single pick can ever be
-  // feasible). Budgets 2 and 7 are diffed bit-identically against
-  // budget 1.
+  // sweeping min_separation 0 (plain multi-facility), a random separation
+  // up to the candidate diameter, and one larger than the diameter (only a
+  // single pick can ever be feasible). Budgets 2 and 7 are diffed
+  // bit-identically against budget 1.
   void CheckDiversified(const PreparedInstance& prepared,
                         const SolverResult& naive) {
     if (naive.influence.empty()) return;
@@ -755,15 +702,6 @@ class CaseChecker {
       }
       if (mode == 2 && got.selected.size() > 1) {
         Fail("Diversified: multiple picks despite delta beyond the diameter");
-      }
-
-      if (delta == 0.0) {
-        // min_separation 0 must reduce exactly to multi-facility greedy.
-        const MultiFacilityResult mf = SelectFacilities(prepared, k);
-        if (mf.selected != got.selected || mf.coverage != got.coverage ||
-            mf.gain_evaluations != got.gain_evaluations) {
-          Fail("Diversified(delta=0): diverges from SelectFacilities");
-        }
       }
 
       for (size_t threads : kSweepBudgets) {

@@ -1,11 +1,12 @@
 // Differential fuzzing harness: generates randomized PRIME-LS instances
 // (sweeping sizes, all PF families, boundary tau values and degenerate
-// geometries), runs every solver plus the streaming/incremental/weighted/
-// multi-facility paths, and diffs the results against the NaiveSolver
-// oracle. On a mismatch — or a PINOCCHIO_SELF_CHECK violation raised while
-// solving — it records a human-readable failure and, when a reproducer
-// directory is configured, dumps the instance as a binary dataset snapshot
-// (src/data/binary_io) next to a sidecar describing the configuration.
+// geometries), runs every solver plus the skyline/diversified/approx
+// families and the incremental/streaming paths, and diffs the results
+// against the NaiveSolver oracle. On a mismatch — or a
+// PINOCCHIO_SELF_CHECK violation raised while solving — it records a
+// human-readable failure and, when a reproducer directory is configured,
+// dumps the instance as a binary dataset snapshot (src/data/binary_io)
+// next to a sidecar describing the configuration.
 //
 // Instances are a pure function of the seed: replaying a failure is
 // `fuzz_driver --seed_begin=S --seed_end=S+1`; the dumped snapshot exists
@@ -52,9 +53,9 @@ struct FuzzOptions {
   /// Directory for reproducer dumps ("" disables dumping). Created on
   /// demand.
   std::string reproducer_dir;
-  /// Also exercise the auxiliary paths (weighted, multi-facility,
-  /// incremental, streaming, classical baselines). The core ten-solver
-  /// differential always runs.
+  /// Also exercise the auxiliary paths (skyline, diversified, approx,
+  /// incremental, streaming). The core ten-solver differential always
+  /// runs.
   bool check_auxiliary = true;
   /// Polled between cases; returning true stops the sweep early with the
   /// partial summary (FuzzSummary::interrupted set). The fuzz driver

@@ -1,10 +1,13 @@
 #include "tools/cli.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -208,7 +211,6 @@ TEST(CliTest, SolveRejectsBadInputs) {
   EXPECT_EQ(RunCli({"solve", "--in=" + snapshot, "--algorithm=warp"}).code,
             2);
   EXPECT_EQ(RunCli({"solve", "--in=" + snapshot, "--tau=1.5"}).code, 2);
-  EXPECT_EQ(RunCli({"solve", "--in=" + snapshot, "--threads=-1"}).code, 2);
 }
 
 TEST(CliTest, DetailedStatsPrintsDistributions) {
@@ -323,13 +325,70 @@ TEST(CliTest, SelectGreedyFacilitySet) {
 
 TEST(CliTest, SelectValidatesArguments) {
   EXPECT_EQ(RunCli({"select"}).code, 2);
-  const std::string snapshot = TempPath("cli_select2.pino");
+  EXPECT_EQ(RunCli({"select", "--in=/nonexistent.pino"}).code, 1);
+}
+
+// A count or index flag below its minimum exits 2 with a message, instead
+// of aborting on a solver check or wrapping through the cast to size_t.
+struct OutOfRangeFlag {
+  std::string command;
+  std::string flag;
+  int64_t min;
+};
+
+// "solve", "--top=-2" -> "solve_top_m2": the case name and its snapshot.
+std::string RowName(const OutOfRangeFlag& row) {
+  std::string name = row.command + "_" + row.flag.substr(2);
+  for (char& c : name) {
+    if (c == '=') c = '_';
+    if (c == '-') c = 'm';
+  }
+  return name;
+}
+
+void PrintTo(const OutOfRangeFlag& row, std::ostream* os) {
+  *os << row.command << " " << row.flag;
+}
+
+class CliOutOfRangeFlagTest : public ::testing::TestWithParam<OutOfRangeFlag> {
+};
+
+TEST_P(CliOutOfRangeFlagTest, ExitsTwoWithAMessage) {
+  const OutOfRangeFlag& p = GetParam();
+  const std::string snapshot = TempPath("cli_" + RowName(p) + ".pino");
   ASSERT_EQ(RunCli({"generate", "--profile=gowalla", "--scale=0.02",
                     "--seed=8", "--out=" + snapshot})
                 .code,
             0);
-  EXPECT_EQ(RunCli({"select", "--in=" + snapshot, "--k=0"}).code, 2);
+  std::vector<std::string> args = {p.command, "--in=" + snapshot, p.flag};
+  if (p.command == "explain" && p.flag.rfind("--candidate=", 0) != 0) {
+    args.push_back("--candidate=2");
+  }
+  const CliOutcome r = RunCli(args);
+  EXPECT_EQ(r.code, 2) << r.out;
+  const std::string name = p.flag.substr(2, p.flag.find('=') - 2);
+  EXPECT_NE(r.err.find("--" + name + " must be >= " + std::to_string(p.min)),
+            std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.out.find("selected"), std::string::npos);
+  EXPECT_EQ(r.out.find("influence"), std::string::npos);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Flags, CliOutOfRangeFlagTest,
+    ::testing::Values(OutOfRangeFlag{"solve", "--top=0", 1},
+                      OutOfRangeFlag{"solve", "--top=-2", 1},
+                      OutOfRangeFlag{"solve", "--candidates=0", 1},
+                      OutOfRangeFlag{"solve", "--candidates=-3", 1},
+                      OutOfRangeFlag{"solve", "--threads=-1", 0},
+                      OutOfRangeFlag{"select", "--k=0", 1},
+                      OutOfRangeFlag{"select", "--k=-1", 1},
+                      OutOfRangeFlag{"select", "--candidates=0", 1},
+                      OutOfRangeFlag{"select", "--candidates=-3", 1},
+                      OutOfRangeFlag{"explain", "--candidates=0", 1},
+                      OutOfRangeFlag{"explain", "--candidate=-1", 0},
+                      OutOfRangeFlag{"explain", "--top=-1", 0}),
+    [](const auto& info) { return RowName(info.param); });
 
 TEST(CliTest, StatsRequiresInput) {
   EXPECT_EQ(RunCli({"stats"}).code, 2);

@@ -7,13 +7,13 @@
 
 #include "baselines/brnn_star.h"
 #include "baselines/range_solver.h"
-#include "core/multi_facility.h"
 #include "core/naive_solver.h"
 #include "core/influence_query.h"
 #include "core/pinocchio_hull_solver.h"
 #include "core/pinocchio_solver.h"
 #include "core/pinocchio_vo_solver.h"
 #include "core/prepared_instance.h"
+#include "core/query_engine.h"
 #include "core/validation.h"
 #include "data/binary_io.h"
 #include "data/checkin_dataset.h"
@@ -71,6 +71,21 @@ int FailUnknownFlags(const FlagParser& flags,
   }
   err << "\n";
   return 2;
+}
+
+// Reads the integer flag `name` (default `fallback`) as a count or an
+// index. A value below `min` is refused with a message rather than wrapped
+// by the cast to size_t.
+bool GetCountFlag(const FlagParser& flags, const std::string& name,
+                  int64_t fallback, int64_t min, size_t* value,
+                  std::ostream& err) {
+  const int64_t raw = flags.GetInt(name, fallback);
+  if (raw < min) {
+    err << "--" << name << " must be >= " << min << "\n";
+    return false;
+  }
+  *value = static_cast<size_t>(raw);
+  return true;
 }
 
 bool LoadAnyDataset(const std::string& path, CheckinDataset* dataset,
@@ -216,16 +231,15 @@ int RunSolve(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   CheckinDataset dataset;
   if (!LoadAnyDataset(*path, &dataset, err)) return 1;
 
-  const auto num_candidates =
-      static_cast<size_t>(flags.GetInt("candidates", 600));
-  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  const auto top = static_cast<size_t>(flags.GetInt("top", 10));
-  const int64_t threads_flag = flags.GetInt("threads", 1);
-  if (threads_flag < 0) {
-    err << "--threads must be >= 0\n";
+  size_t num_candidates = 0;
+  size_t top = 0;
+  size_t threads = 0;
+  if (!GetCountFlag(flags, "candidates", 600, 1, &num_candidates, err) ||
+      !GetCountFlag(flags, "top", 10, 1, &top, err) ||
+      !GetCountFlag(flags, "threads", 1, 0, &threads, err)) {
     return 2;
   }
-  const auto threads = static_cast<size_t>(threads_flag);
+  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
   SolverConfig config;
   config.tau = flags.GetDouble("tau", 0.7);
@@ -367,13 +381,12 @@ int RunSelect(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   CheckinDataset dataset;
   if (!LoadAnyDataset(*path, &dataset, err)) return 1;
 
-  const auto k = static_cast<size_t>(flags.GetInt("k", 3));
-  if (k == 0) {
-    err << "--k must be positive\n";
+  size_t k = 0;
+  size_t num_candidates = 0;
+  if (!GetCountFlag(flags, "k", 3, 1, &k, err) ||
+      !GetCountFlag(flags, "candidates", 600, 1, &num_candidates, err)) {
     return 2;
   }
-  const auto num_candidates =
-      static_cast<size_t>(flags.GetInt("candidates", 600));
   const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
   SolverConfig config;
@@ -396,7 +409,9 @@ int RunSelect(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     return 1;
   }
 
-  const MultiFacilityResult result = SelectFacilities(instance, k, config);
+  const PreparedInstance prepared(instance, config);
+  const query::DiversifiedResult result =
+      query::SelectDiversified(prepared, k, /*min_separation=*/0.0);
   TablePrinter table("Greedy facility set (union influence)",
                      {"step", "facility", "union coverage", "marginal gain",
                       "coverage %"});
@@ -414,8 +429,9 @@ int RunSelect(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   }
   table.Print(out);
   out << "selected " << result.selected.size() << " facilities in "
-      << FormatSeconds(result.elapsed_seconds) << " ("
-      << result.gain_evaluations << " gain evaluations)\n";
+      << FormatSeconds(prepared.build_stats().build_seconds +
+                       result.solve_seconds)
+      << " (" << result.gain_evaluations << " gain evaluations)\n";
   return 0;
 }
 
@@ -484,12 +500,15 @@ int RunExplain(const FlagParser& flags, std::ostream& out,
   CheckinDataset dataset;
   if (!LoadAnyDataset(*path, &dataset, err)) return 1;
 
-  const auto num_candidates =
-      static_cast<size_t>(flags.GetInt("candidates", 600));
+  size_t num_candidates = 0;
+  size_t candidate_index = 0;
+  size_t top = 0;
+  if (!GetCountFlag(flags, "candidates", 600, 1, &num_candidates, err) ||
+      !GetCountFlag(flags, "candidate", 0, 0, &candidate_index, err) ||
+      !GetCountFlag(flags, "top", 10, 0, &top, err)) {
+    return 2;
+  }
   const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  const auto candidate_index =
-      static_cast<size_t>(flags.GetInt("candidate", 0));
-  const auto top = static_cast<size_t>(flags.GetInt("top", 10));
 
   SolverConfig config;
   config.tau = flags.GetDouble("tau", 0.7);

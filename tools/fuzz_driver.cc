@@ -1,9 +1,10 @@
 // Differential fuzz driver: sweeps a seed range through the differential
-// harness (tests/testing/differential_harness.h), which diffs every solver
-// and the streaming/incremental/weighted/multi-facility paths against the
-// NaiveSolver oracle on randomized instances. With --self_check (the
-// default) every pruning and validation decision is additionally
-// re-verified in-solver via the PINOCCHIO_SELF_CHECK machinery.
+// harness (tests/testing/differential_harness.h), which diffs every solver,
+// the skyline/diversified/approx families and the incremental/streaming
+// paths against the NaiveSolver oracle on randomized instances. With
+// --self_check (the default) every pruning and validation decision is
+// additionally re-verified in-solver via the PINOCCHIO_SELF_CHECK
+// machinery.
 //
 // --protocol=N switches to fuzzing the serving layer's wire codec
 // instead: N seeds each drive an encode/decode round-trip check on a
@@ -44,8 +45,9 @@ constexpr char kUsage[] = R"(Usage: fuzz_driver [flags]
   --self_check=BOOL    Re-verify every pruning/validation decision against
                        the scalar reference while solving (default true).
   --check_auxiliary=BOOL
-                       Also exercise streaming/incremental/weighted/
-                       multi-facility paths (default true).
+                       Also exercise the skyline/diversified/approx
+                       families and the incremental/streaming paths
+                       (default true).
   --protocol=N         Fuzz the wire-protocol codec for N seeds instead of
                        the solvers (round-trips, mutations, garbage).
   --help               Show this message.
