@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks for the building blocks: R-tree
-// construction and queries, cumulative influence evaluation (scalar and
+// bulk loading and queries, cumulative influence evaluation (scalar and
 // batch-arena kernel), minMaxRadius computation, and the pruning-region
 // containment tests.
 
@@ -12,7 +12,6 @@
 
 #include "core/object_store.h"
 #include "geo/regions.h"
-#include "geo/convex_hull.h"
 #include "index/grid_index.h"
 #include "index/rtree.h"
 #include "prob/influence.h"
@@ -45,17 +44,6 @@ void BM_RTreeBulkLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_RTreeBulkLoad)->Arg(200)->Arg(1000)->Arg(10000);
 
-void BM_RTreeInsertLoad(benchmark::State& state) {
-  const auto entries = MakeEntries(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    RTree tree(8);
-    for (const auto& e : entries) tree.Insert(e.point, e.id);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RTreeInsertLoad)->Arg(200)->Arg(1000);
-
 void BM_RTreeRectQuery(benchmark::State& state) {
   const auto entries = MakeEntries(static_cast<size_t>(state.range(0)));
   const RTree tree = RTree::BulkLoad(entries, 8);
@@ -83,36 +71,6 @@ void BM_GridRectQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridRectQuery)->Arg(1000)->Arg(10000);
-
-void BM_ConvexHullBuild(benchmark::State& state) {
-  Rng rng(19);
-  std::vector<Point> points;
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    points.push_back({rng.Uniform(0, 39220), rng.Uniform(0, 27030)});
-  }
-  for (auto _ : state) {
-    ConvexPolygon hull(points);
-    benchmark::DoNotOptimize(hull.vertices().size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ConvexHullBuild)->Arg(37)->Arg(72)->Arg(780);
-
-void BM_HullVsMbrMaxDist(benchmark::State& state) {
-  Rng rng(23);
-  std::vector<Point> points;
-  for (int i = 0; i < 72; ++i) {
-    points.push_back({rng.Uniform(0, 20000), rng.Uniform(0, 15000)});
-  }
-  const ConvexPolygon hull(points);
-  const Mbr mbr = Mbr::Of(points);
-  for (auto _ : state) {
-    const Point q{rng.Uniform(-5000, 25000), rng.Uniform(-5000, 20000)};
-    benchmark::DoNotOptimize(hull.MaxDist(q));
-    benchmark::DoNotOptimize(mbr.MaxDist(q));
-  }
-}
-BENCHMARK(BM_HullVsMbrMaxDist);
 
 void BM_RTreeKnn(benchmark::State& state) {
   const auto entries = MakeEntries(10000);

@@ -6,9 +6,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "core/object_store.h"
-#include "core/prune_pipeline.h"
-#include "prob/influence.h"
 #include "prob/influence_kernel.h"
 #include "util/logging.h"
 #include "util/self_check.h"
@@ -66,15 +63,16 @@ const ProbabilityFunction& CheckedPf(const SolverConfig& config) {
 IncrementalPrimeLS::IncrementalPrimeLS(std::vector<Point> candidates,
                                        SolverConfig config)
     : config_(std::move(config)),
-      candidates_(std::move(candidates)),
-      active_(candidates_.size(), true),
-      live_candidates_(candidates_.size()),
-      influence_(candidates_.size(), 0),
-      rtree_(config_.rtree_fanout),
+      influence_(candidates.size(), 0),
+      rtree_(BuildCandidateRTree(candidates, config_.rtree_fanout)),
       kernel_(CheckedPf(config_), config_.tau),
+      // Built for its threshold table only — Filter() is never called, so
+      // the portable tier is fine on every architecture and under every
+      // override.
+      delta_table_(*config_.pf, config_.tau, kernel_.early_exit_log_survival(),
+                   SimdTier::kPortable),
       self_check_(SelfCheckEnabled()) {
-  rtree_ = BuildCandidateRTree(candidates_, config_.rtree_fanout);
-  for (uint32_t j = 0; j < candidates_.size(); ++j) order_.emplace(0, j);
+  for (uint32_t j = 0; j < influence_.size(); ++j) order_.emplace(0, j);
 }
 
 double IncrementalPrimeLS::RadiusFor(size_t n) {
@@ -88,99 +86,20 @@ double IncrementalPrimeLS::RadiusFor(size_t n) {
 
 void IncrementalPrimeLS::BumpInfluence(uint32_t j, int64_t delta) {
   if (delta == 0) return;
-  if (active_[j]) {
-    order_.erase({influence_[j], j});
-    influence_[j] += delta;
-    order_.emplace(influence_[j], j);
-  } else {
-    influence_[j] += delta;  // retired slot: counter is unobservable
-  }
-}
-
-std::vector<uint32_t> IncrementalPrimeLS::InfluencedCandidates(
-    std::span<const Point> positions, const Mbr& mbr, double radius) const {
-  const ObjectRecord rec(0, 0, static_cast<uint32_t>(positions.size()), mbr,
-                        radius);
-  std::vector<uint32_t> influenced;
-  PruneAndValidate(rtree_, rec, positions, kernel_, [&](uint32_t j, uint32_t) {
-    if (active_[j]) influenced.push_back(j);
-  });
-  return influenced;
+  order_.erase({influence_[j], j});
+  influence_[j] += delta;
+  order_.emplace(influence_[j], j);
 }
 
 std::span<const Point> IncrementalPrimeLS::WindowSpan(
     const LiveObject& live) const {
-  const size_t head = live.delta ? live.delta->head : 0;
-  return std::span<const Point>(live.positions.data() + head,
-                                live.positions.size() - head);
+  return std::span<const Point>(live.positions).subspan(live.delta.head);
 }
 
 size_t IncrementalPrimeLS::NumPositionsOf(uint32_t object_id) const {
   const auto it = objects_.find(object_id);
   if (it == objects_.end()) return 0;
   return WindowSpan(it->second).size();
-}
-
-size_t IncrementalPrimeLS::AddObject(const MovingObject& object) {
-  PINO_CHECK(!object.positions.empty())
-      << "object " << object.id << " has no positions";
-  PINO_CHECK(objects_.find(object.id) == objects_.end())
-      << "object id " << object.id << " already live";
-  LiveObject live;
-  live.positions = object.positions;
-  live.mbr = object.ActivityMbr();
-  live.min_max_radius = RadiusFor(object.positions.size());
-  live.influenced =
-      InfluencedCandidates(live.positions, live.mbr, live.min_max_radius);
-  for (uint32_t j : live.influenced) BumpInfluence(j, +1);
-  const size_t count = live.influenced.size();
-  objects_.emplace(object.id, std::move(live));
-  return count;
-}
-
-void IncrementalPrimeLS::RemoveContributions(const LiveObject& live) {
-  if (live.delta) {
-    for (const WatchEntry& entry : live.delta->watch) {
-      if (entry.influenced) BumpInfluence(entry.candidate, -1);
-    }
-  } else {
-    for (uint32_t j : live.influenced) BumpInfluence(j, -1);
-  }
-}
-
-bool IncrementalPrimeLS::RemoveObject(uint32_t object_id) {
-  auto it = objects_.find(object_id);
-  if (it == objects_.end()) return false;
-  RemoveContributions(it->second);
-  objects_.erase(it);
-  return true;
-}
-
-bool IncrementalPrimeLS::UpdateObject(uint32_t object_id,
-                                      std::vector<Point> positions) {
-  PINO_CHECK(!positions.empty()) << "object " << object_id
-                                 << " would have no positions";
-  auto it = objects_.find(object_id);
-  if (it == objects_.end()) return false;
-  LiveObject& live = it->second;
-  RemoveContributions(live);
-  live.delta.reset();  // wholesale replacement: back to batch maintenance
-  live.positions = std::move(positions);
-  live.mbr = Mbr::Of(live.positions);
-  live.min_max_radius = RadiusFor(live.positions.size());
-  live.influenced =
-      InfluencedCandidates(live.positions, live.mbr, live.min_max_radius);
-  for (uint32_t j : live.influenced) BumpInfluence(j, +1);
-  return true;
-}
-
-void IncrementalPrimeLS::EnsureDeltaTable() {
-  if (delta_table_) return;
-  // Built for its threshold table only — Filter() is never called, so the
-  // portable tier is fine on every architecture and under every override.
-  delta_table_ = std::make_shared<const SimdInfluenceFilter>(
-      *config_.pf, config_.tau, kernel_.early_exit_log_survival(),
-      SimdTier::kPortable);
 }
 
 void IncrementalPrimeLS::RefoldEntry(WatchEntry& entry,
@@ -235,7 +154,7 @@ void IncrementalPrimeLS::DecideEntry(WatchEntry& entry,
                                      const LiveObject& live) {
   const std::span<const Point> span = WindowSpan(live);
   const auto terms = static_cast<uint64_t>(span.size());
-  const simd_internal::FilterTable& table = delta_table_->table();
+  const simd_internal::FilterTable& table = delta_table_.table();
   bool influenced;
   if (entry.certain > 0) {
     influenced = true;  // a saturated position alone decides (Lemma 4)
@@ -273,7 +192,7 @@ void IncrementalPrimeLS::DecideEntry(WatchEntry& entry,
 }
 
 void IncrementalPrimeLS::RebuildWatch(LiveObject& live) {
-  DeltaState& d = *live.delta;
+  DeltaState& d = live.delta;
   const std::span<const Point> span = WindowSpan(live);
   const size_t n = span.size();
   double pad_radius = RadiusFor(2 * n + kPadPositions);
@@ -322,102 +241,27 @@ void IncrementalPrimeLS::RebuildWatch(LiveObject& live) {
   d.pad_slack = pad_slack;
 }
 
-void IncrementalPrimeLS::EnsureDelta(LiveObject& live) {
-  if (live.delta) return;
-  EnsureDeltaTable();
-  auto delta = std::make_unique<DeltaState>();
-  for (size_t i = 0; i < live.positions.size(); ++i) {
-    const Point& p = live.positions[i];
-    const auto seq = static_cast<uint64_t>(i);
-    PushMin(delta->min_x, seq, p.x);
-    PushMax(delta->max_x, seq, p.x);
-    PushMin(delta->min_y, seq, p.y);
-    PushMax(delta->max_y, seq, p.y);
-  }
-  delta->next_seq = live.positions.size();
-  live.delta = std::move(delta);
-  // Seed the watch set from the batch state: flags come from the cached
-  // influenced list, so no counter moves here. RebuildWatch would bump
-  // counters for entrants, hence the manual build.
-  DeltaState& d = *live.delta;
-  const std::span<const Point> span = WindowSpan(live);
-  const size_t n = span.size();
-  double pad_radius = RadiusFor(2 * n + kPadPositions);
-  pad_radius = std::max(pad_radius, live.min_max_radius);
-  const double pad_slack =
-      std::max(kPadRadiusShare * std::max(pad_radius, 0.0), kMinPadSlack);
-  const std::unordered_set<uint32_t> influenced_set(live.influenced.begin(),
-                                                    live.influenced.end());
-  std::unordered_set<uint32_t> selected;
-  if (pad_radius >= 0.0) {
-    const double watch_radius = pad_radius + pad_slack;
-    rtree_.QueryRect(live.mbr.Inflated(watch_radius), [&](const RTreeEntry& e) {
-      if (live.mbr.MinDist(e.point) > watch_radius) return;
-      selected.insert(e.id);
-      WatchEntry entry;
-      entry.candidate = e.id;
-      entry.location = e.point;
-      RefoldEntry(entry, span);
-      entry.influenced = influenced_set.find(e.id) != influenced_set.end();
-      d.watch.push_back(entry);
-    });
-  }
-  // Influenced candidates outside the selection (retired slots the R-tree
-  // no longer holds, or — defensively — boundary rounding) stay watched.
-  for (uint32_t j : live.influenced) {
-    if (selected.find(j) != selected.end()) continue;
-    WatchEntry entry;
-    entry.candidate = j;
-    entry.location = candidates_[j];
-    RefoldEntry(entry, span);
-    entry.influenced = true;
-    d.watch.push_back(entry);
-  }
-  d.pad_mbr = live.mbr;
-  d.pad_radius = pad_radius;
-  d.pad_slack = pad_slack;
-  live.influenced.clear();  // superseded by the watch flags
-  live.influenced.shrink_to_fit();
-}
-
-size_t IncrementalPrimeLS::AppendPosition(uint32_t object_id,
-                                          const Point& position) {
-  EnsureDeltaTable();
-  auto it = objects_.find(object_id);
-  if (it == objects_.end()) {
-    // Delta-native creation: a one-position object through the batch path,
-    // then conversion — both are O(one R-tree query) at n = 1.
-    MovingObject object;
-    object.id = object_id;
-    object.positions.push_back(position);
-    AddObject(object);
-    EnsureDelta(objects_.find(object_id)->second);
-    return 1;
-  }
-  LiveObject& live = it->second;
-  EnsureDelta(live);
-  DeltaState& d = *live.delta;
-
-  live.positions.push_back(position);
-  const uint64_t seq = d.next_seq++;
-  PushMin(d.min_x, seq, position.x);
-  PushMax(d.max_x, seq, position.x);
-  PushMin(d.min_y, seq, position.y);
-  PushMax(d.max_y, seq, position.y);
+size_t IncrementalPrimeLS::ApplyDelta(LiveObject& live, const Point& position,
+                                      bool add, bool born,
+                                      uint32_t object_id) {
+  DeltaState& d = live.delta;
   live.mbr = Mbr(d.min_x.front().second, d.min_y.front().second,
                  d.max_x.front().second, d.max_y.front().second);
   const size_t n = live.positions.size() - d.head;
   live.min_max_radius = RadiusFor(n);
 
   for (WatchEntry& entry : d.watch) {
-    ApplyTerm(*config_.pf, entry.location, position, /*add=*/true,
-              &entry.certain, &entry.sum_lo, &entry.sum_hi);
+    ApplyTerm(*config_.pf, entry.location, position, add, &entry.certain,
+              &entry.sum_lo, &entry.sum_hi);
     DecideEntry(entry, live);
   }
 
-  // Pad escape: the grown certificate may admit candidates the watch set
-  // does not hold; re-query and decide entrants.
-  if (live.min_max_radius > d.pad_radius ||
+  // Birth or pad escape: a new object has no watch set yet, and a grown
+  // certificate may admit candidates the watch set does not hold; query
+  // the R-tree and decide entrants. A shrinking MBR/radius cannot escape
+  // the pad, but computed radii are only monotone to a few ulps, so
+  // expiries recheck rather than assume.
+  if (born || live.min_max_radius > d.pad_radius ||
       ExpansionBeyond(d.pad_mbr, live.mbr) * kExpansionSafety > d.pad_slack) {
     RebuildWatch(live);
   }
@@ -434,18 +278,33 @@ size_t IncrementalPrimeLS::AppendPosition(uint32_t object_id,
   return n;
 }
 
+size_t IncrementalPrimeLS::AppendPosition(uint32_t object_id,
+                                          const Point& position) {
+  const auto [it, born] = objects_.try_emplace(object_id);
+  LiveObject& live = it->second;
+  DeltaState& d = live.delta;
+  live.positions.push_back(position);
+  const uint64_t seq = d.next_seq++;
+  PushMin(d.min_x, seq, position.x);
+  PushMax(d.max_x, seq, position.x);
+  PushMin(d.min_y, seq, position.y);
+  PushMax(d.max_y, seq, position.y);
+  return ApplyDelta(live, position, /*add=*/true, born, object_id);
+}
+
 bool IncrementalPrimeLS::ExpireOldestPosition(uint32_t object_id) {
   auto it = objects_.find(object_id);
   if (it == objects_.end()) return false;
   LiveObject& live = it->second;
+  DeltaState& d = live.delta;
   if (WindowSpan(live).size() <= 1) {
     // Last in-window position: the object leaves entirely.
-    RemoveContributions(live);
+    for (const WatchEntry& entry : d.watch) {
+      if (entry.influenced) BumpInfluence(entry.candidate, -1);
+    }
     objects_.erase(it);
     return true;
   }
-  EnsureDelta(live);
-  DeltaState& d = *live.delta;
 
   const Point expired = live.positions[d.head];
   const uint64_t seq = d.base_seq++;
@@ -454,23 +313,7 @@ bool IncrementalPrimeLS::ExpireOldestPosition(uint32_t object_id) {
   PopExpired(d.max_x, seq);
   PopExpired(d.min_y, seq);
   PopExpired(d.max_y, seq);
-  live.mbr = Mbr(d.min_x.front().second, d.min_y.front().second,
-                 d.max_x.front().second, d.max_y.front().second);
-  const size_t n = live.positions.size() - d.head;
-  live.min_max_radius = RadiusFor(n);
-
-  for (WatchEntry& entry : d.watch) {
-    ApplyTerm(*config_.pf, entry.location, expired, /*add=*/false,
-              &entry.certain, &entry.sum_lo, &entry.sum_hi);
-    DecideEntry(entry, live);
-  }
-
-  // Shrinking MBR/radius cannot invalidate the pad, but computed radii are
-  // only monotone to a few ulps — recheck rather than assume.
-  if (live.min_max_radius > d.pad_radius ||
-      ExpansionBeyond(d.pad_mbr, live.mbr) * kExpansionSafety > d.pad_slack) {
-    RebuildWatch(live);
-  }
+  ApplyDelta(live, expired, /*add=*/false, /*born=*/false, object_id);
 
   // Compact the expired prefix once it dominates the allocation.
   if (d.head > 64 && d.head > live.positions.size() / 2) {
@@ -479,82 +322,12 @@ bool IncrementalPrimeLS::ExpireOldestPosition(uint32_t object_id) {
                              static_cast<std::ptrdiff_t>(d.head));
     d.head = 0;
   }
-
-  if (self_check_) {
-    const Mbr expect = Mbr::Of(WindowSpan(live));
-    if (!(expect == live.mbr)) {
-      std::ostringstream msg;
-      msg << "delta MBR diverged from Mbr::Of over the window for object "
-          << object_id;
-      ReportSelfCheckViolation(msg.str());
-    }
-  }
-  return true;
-}
-
-size_t IncrementalPrimeLS::AddCandidate(const Point& location) {
-  const auto j = static_cast<uint32_t>(candidates_.size());
-  candidates_.push_back(location);
-  active_.push_back(true);
-  influence_.push_back(0);
-  order_.emplace(0, j);
-  ++live_candidates_;
-  rtree_.Insert(location, j);
-  // Account the new candidate into every live object's influence, using the
-  // object's cached pruning geometry before paying for validation.
-  for (auto& [id, live] : objects_) {
-    (void)id;
-    if (live.delta) {
-      // Delta-maintained object: outside the padded certificate the
-      // candidate cannot be influenced until the next rebuild re-queries
-      // the R-tree (which now holds it); inside, it joins the watch set.
-      const double watch_radius = live.delta->pad_radius + live.delta->pad_slack;
-      if (live.delta->pad_radius < 0.0 ||
-          live.delta->pad_mbr.MinDist(location) > watch_radius) {
-        continue;
-      }
-      WatchEntry entry;
-      entry.candidate = j;
-      entry.location = location;
-      RefoldEntry(entry, WindowSpan(live));
-      live.delta->watch.push_back(entry);
-      DecideEntry(live.delta->watch.back(), live);
-      continue;
-    }
-    if (live.mbr.MinDist(location) > live.min_max_radius) continue;  // NIB
-    bool influenced;
-    if (live.mbr.MaxDist(location) <= live.min_max_radius) {  // IA
-      influenced = true;
-    } else {
-      influenced =
-          Influences(*config_.pf, location, live.positions, config_.tau);
-    }
-    if (influenced) {
-      live.influenced.push_back(j);
-      BumpInfluence(j, +1);
-    }
-  }
-  return j;
-}
-
-bool IncrementalPrimeLS::RetireCandidate(size_t candidate_index) {
-  if (candidate_index >= candidates_.size() || !active_[candidate_index]) {
-    return false;
-  }
-  order_.erase({influence_[candidate_index],
-                static_cast<uint32_t>(candidate_index)});
-  active_[candidate_index] = false;
-  --live_candidates_;
-  // Physically remove from the index so future object insertions stop
-  // paying for it; the influence counters keep their slot (reported as 0).
-  rtree_.Remove(candidates_[candidate_index],
-                static_cast<uint32_t>(candidate_index));
   return true;
 }
 
 int64_t IncrementalPrimeLS::InfluenceOf(size_t candidate_index) const {
   PINO_CHECK_LT(candidate_index, influence_.size());
-  return active_[candidate_index] ? influence_[candidate_index] : 0;
+  return influence_[candidate_index];
 }
 
 std::optional<std::pair<size_t, int64_t>> IncrementalPrimeLS::Best() const {

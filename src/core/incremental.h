@@ -1,18 +1,17 @@
-// Incremental PRIME-LS — the dynamic scenario the paper names as future
-// work (Section 7): candidate locations, objects and their positions keep
-// changing. This maintains exact influence counts under object insertion
-// and removal, candidate insertion and retirement, and — for streaming —
-// position-level deltas (append newest / expire oldest), reusing the
-// IA/NIB pruning rules per update instead of re-solving from scratch.
+// Incremental PRIME-LS over sliding position windows — the dynamic
+// scenario the paper leaves to future work (Section 7), as the streaming
+// engine (streaming.h) drives it. Objects are born by their first
+// position, grow by appending their newest position and shrink by
+// expiring their oldest; an object whose last position expires leaves.
+// The candidate set is fixed and indexed once by a bulk-loaded R-tree.
 //
-// Delta maintenance (AppendPosition / ExpireOldestPosition) keeps, per
-// object:
+// Each position-level delta keeps, per object:
 //   * the exact MBR under FIFO position churn via monotonic min/max
 //     deques (O(1) amortized per delta),
 //   * a *watch set* of candidates that could possibly be influenced — a
 //     superset of the non-NIB candidates at a padded certificate
 //     (mbr, radius) so the R-tree is re-queried only when the object
-//     outgrows the pad, and
+//     outgrows the pad (and once at birth, over an empty watch set), and
 //   * per watched candidate a certified bracket [sum_lo, sum_hi] on the
 //     true log-survival sum of the scalar per-position terms, updated by
 //     outward-rounded interval arithmetic as positions arrive and expire.
@@ -26,33 +25,25 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/moving_object.h"
 #include "core/solver.h"
+#include "geo/mbr.h"
 #include "index/rtree.h"
 #include "prob/influence_kernel.h"
 #include "prob/probability_function.h"
 
 namespace pinocchio {
 
-/// Maintains exact inf(c) for a dynamic set of objects and candidates.
-///
-/// Each live object caches which candidates it currently influences, so
-/// removal is a pure counter update. Object insertion runs the IA/NIB
-/// pruning rules against the candidate R-tree and validates only the
-/// remnant set — the same work PINOCCHIO spends per object, but on demand.
-/// Position-level deltas touch only the object's watch set (candidates
-/// whose classification can flip), not the full candidate set.
-///
-/// Best()/TopK() read a maintained ordered structure (influence desc,
-/// index asc) that every counter change keeps in step — O(log m) per
-/// touched candidate, O(k) per query.
+/// Maintains exact inf(c) of a fixed candidate set over objects whose
+/// position windows slide. Best()/TopK() read a maintained ordered
+/// structure (influence desc, index asc) that every counter change keeps
+/// in step — O(log m) per touched candidate, O(k) per query.
 class IncrementalPrimeLS {
  public:
   /// `config.pf` and `config.tau` fix the influence semantics for the
@@ -60,24 +51,10 @@ class IncrementalPrimeLS {
   /// radius, which is exactly a rebuild).
   IncrementalPrimeLS(std::vector<Point> candidates, SolverConfig config);
 
-  /// Inserts `object` (its id must be unused among live objects) and
-  /// updates all influence counters. Returns the number of candidates the
-  /// object influences.
-  size_t AddObject(const MovingObject& object);
-
-  /// Removes a live object by id; returns false if unknown.
-  bool RemoveObject(uint32_t object_id);
-
-  /// Replaces a live object's positions (the paper's dynamic scenario also
-  /// lets positions change); equivalent to remove + re-add but keeps the
-  /// id. Returns false if the object is unknown.
-  bool UpdateObject(uint32_t object_id, std::vector<Point> positions);
-
   /// Appends one position to `object_id`'s window (creating the object if
-  /// it is not live), updating influence counters by delta maintenance:
-  /// only watched candidates are touched, never the full candidate set and
-  /// never the object's full position history. Returns the object's
-  /// in-window position count after the append.
+  /// it is not live), updating influence counters through the object's
+  /// watch set only. Returns the object's in-window position count after
+  /// the append.
   size_t AppendPosition(uint32_t object_id, const Point& position);
 
   /// Expires `object_id`'s oldest in-window position (FIFO). An object
@@ -85,48 +62,38 @@ class IncrementalPrimeLS {
   /// false if the object is unknown.
   bool ExpireOldestPosition(uint32_t object_id);
 
-  /// Adds a candidate location; returns its index. Its influence over all
-  /// live objects is computed immediately.
-  size_t AddCandidate(const Point& location);
-
-  /// Retires a candidate (its slot stays allocated but it no longer
-  /// participates in queries); returns false if already retired or out of
-  /// range.
-  bool RetireCandidate(size_t candidate_index);
-
-  /// Exact inf(c) of a live candidate (0 for retired slots).
+  /// Exact inf(c) of a candidate.
   int64_t InfluenceOf(size_t candidate_index) const;
 
-  /// Current optimum: (candidate index, influence). Nullopt when no live
-  /// candidate exists. O(1): reads the maintained order.
+  /// Current optimum: (candidate index, influence). Nullopt when there is
+  /// no candidate. O(1): reads the maintained order.
   std::optional<std::pair<size_t, int64_t>> Best() const;
 
-  /// Exact top-k live candidates by influence (ties by index). O(k).
+  /// Exact top-k candidates by influence (ties by index). O(k).
   std::vector<std::pair<size_t, int64_t>> TopK(size_t k) const;
 
   size_t NumLiveObjects() const { return objects_.size(); }
-  size_t NumLiveCandidates() const { return live_candidates_; }
 
   /// In-window positions of a live object (0 if unknown); the denominator
   /// of its minMaxRadius certificate.
   size_t NumPositionsOf(uint32_t object_id) const;
 
  private:
-  /// One candidate the delta path tracks for an object: a certified
-  /// bracket on the true sum of the scalar log-survival terms over the
-  /// object's live finite-term positions, plus the count of positions
-  /// whose per-position probability saturates (>= 1, each alone decides
+  /// One candidate tracked for an object: a certified bracket on the true
+  /// sum of the scalar log-survival terms over the object's live
+  /// finite-term positions, plus the count of positions whose
+  /// per-position probability saturates (>= 1, each alone decides
   /// influence and would poison the log sum).
   struct WatchEntry {
     uint32_t candidate = 0;
     uint32_t certain = 0;
-    Point location;  ///< candidates_[candidate], inlined for the hot loop
+    Point location;  ///< the candidate's point, inlined for the hot loop
     double sum_lo = 0.0;
     double sum_hi = 0.0;
     bool influenced = false;
   };
 
-  /// Delta-maintenance state, built lazily on the first position-level op.
+  /// Delta-maintenance state of one live object.
   struct DeltaState {
     /// positions[head..] is the live window in arrival order; the prefix
     /// [0, head) is expired garbage compacted away periodically.
@@ -149,11 +116,7 @@ class IncrementalPrimeLS {
     std::vector<Point> positions;
     double min_max_radius = 0.0;
     Mbr mbr;
-    /// Candidate indices this object currently influences. Authoritative
-    /// for batch-maintained objects; superseded by the watch entries'
-    /// `influenced` flags once `delta` exists.
-    std::vector<uint32_t> influenced;
-    std::unique_ptr<DeltaState> delta;
+    DeltaState delta;
   };
 
   /// Ordered (influence desc, candidate index asc) — Best() is begin(),
@@ -167,28 +130,20 @@ class IncrementalPrimeLS {
     }
   };
 
-  /// Computes the live candidates influenced by (positions, mbr, radius)
-  /// through the shared prune-and-validate pass (IA certificates, NIB
-  /// exclusion, batch validation of the remnant).
-  std::vector<uint32_t> InfluencedCandidates(std::span<const Point> positions,
-                                             const Mbr& mbr,
-                                             double radius) const;
-
   double RadiusFor(size_t n);
 
   /// Adjusts influence_[j] by `delta`, keeping the order structure in step.
   void BumpInfluence(uint32_t j, int64_t delta);
 
-  /// Subtracts the object's contribution from every influence counter
-  /// (watch flags when delta state exists, the cached list otherwise).
-  void RemoveContributions(const LiveObject& live);
-
   std::span<const Point> WindowSpan(const LiveObject& live) const;
 
-  /// Lazily constructs the threshold table the delta path uses.
-  void EnsureDeltaTable();
-  /// Lazily converts a batch-maintained object to delta maintenance.
-  void EnsureDelta(LiveObject& live);
+  /// Finishes one position delta on `live`, whose window and deques
+  /// already include it (add) or exclude it (expire): refreshes the MBR
+  /// and radius, folds `position`'s term into every watch entry and
+  /// re-decides it, and rebuilds the watch set at birth or on pad escape.
+  /// Returns the in-window position count.
+  size_t ApplyDelta(LiveObject& live, const Point& position, bool add,
+                    bool born, uint32_t object_id);
   /// Recomputes the watch set against the R-tree at a freshly padded
   /// certificate. Entrants get a full-fold bracket and a decision;
   /// leavers must be (and are checked to be) uninfluenced.
@@ -201,24 +156,18 @@ class IncrementalPrimeLS {
   void DecideEntry(WatchEntry& entry, const LiveObject& live);
 
   SolverConfig config_;
-  std::vector<Point> candidates_;
-  std::vector<bool> active_;
-  size_t live_candidates_ = 0;
   std::vector<int64_t> influence_;
   std::set<std::pair<int64_t, uint32_t>, OrderCompare> order_;
   RTree rtree_;
   std::unordered_map<uint32_t, LiveObject> objects_;
   std::unordered_map<size_t, double> radius_by_n_;
-  /// The (pf, tau) kernel of every validation — object insertion's
-  /// prune-and-validate pass and the delta path's boundary refinements —
-  /// built once with the structure.
+  /// The (pf, tau) kernel that refines boundary-band brackets.
   InfluenceKernel kernel_;
-  /// Delta-path threshold table, built on first use: the certified
-  /// influence/reject thresholds the watch brackets are compared against.
-  /// The table is the SIMD filter's — the same machinery, used here purely
-  /// for its scalar thresholds, so the bracket decisions and the vector
-  /// filter share one proof.
-  std::shared_ptr<const SimdInfluenceFilter> delta_table_;
+  /// The certified influence/reject thresholds the watch brackets are
+  /// compared against. The table is the SIMD filter's — the same
+  /// machinery, used here purely for its scalar thresholds, so the bracket
+  /// decisions and the vector filter share one proof.
+  SimdInfluenceFilter delta_table_;
   bool self_check_ = false;
 };
 

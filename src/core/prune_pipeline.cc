@@ -234,11 +234,4 @@ void PruneAndValidate(const RTree& index, const ObjectStore& store,
   }
 }
 
-void PruneAndValidate(const RTree& index, const ObjectRecord& rec,
-                      std::span<const Point> positions,
-                      const InfluenceKernel& kernel,
-                      PruneInfluencedFn influenced) {
-  PrunePass(index, kernel).Run(rec, positions, 0, 0, nullptr, influenced);
-}
-
 }  // namespace pinocchio

@@ -5,15 +5,14 @@
 // the exact NIB test excludes (Lemma 3), credit candidates inside IA(O) as
 // influenced outright (Lemma 2), and hand the remnant set C'' to
 // validation. PruneAndValidate is the one loop that runs all of it: it
-// reports each influenced pair once to a visitor, so PIN counts, the
-// influence sets append and the incremental engine collects ids through
-// the same code. The pass owns every pass counter of SolverStats
-// (pairs_pruned_by_ia / pairs_pruned_by_nib from the prune phase,
-// pairs_validated / positions_scanned / early_stops from the batch
-// kernel). ClassifyCandidates is its prune phase alone, for the bracket
-// builder behind the bound-ordered families, which validate later, one
-// candidate at a time: it credits IA certificates per candidate and writes
-// the remnants as record-major candidate-id lists.
+// reports each influenced pair once to a visitor, so PIN counts and the
+// influence sets append through the same code. The pass owns every pass
+// counter of SolverStats (pairs_pruned_by_ia / pairs_pruned_by_nib from
+// the prune phase, pairs_validated / positions_scanned / early_stops from
+// the batch kernel). ClassifyCandidates is its prune phase alone, for the
+// bracket builder behind the bound-ordered families, which validate later,
+// one candidate at a time: it credits IA certificates per candidate and
+// writes the remnants as record-major candidate-id lists.
 //
 // The SIMD prune filter and the per-record scratch are set up once per
 // call and reused across its records; callers pass a non-owning
@@ -111,15 +110,6 @@ void PruneAndValidate(const RTree& index, const ObjectStore& store,
                       const InfluenceKernel& kernel, uint32_t first_record,
                       uint32_t last_record, size_t num_candidates,
                       SolverStats* stats, PruneInfluencedFn influenced);
-
-/// One-record form for objects kept outside an ObjectStore (the
-/// incremental engine): `rec`'s regions against `index`, validated over
-/// `positions`, the span they were derived from. Pairs are reported with
-/// record index 0; no counters.
-void PruneAndValidate(const RTree& index, const ObjectRecord& rec,
-                      std::span<const Point> positions,
-                      const InfluenceKernel& kernel,
-                      PruneInfluencedFn influenced);
 
 /// One morsel worker's share of a prune pass over records: influence
 /// credits (one slot per candidate) and counters, padded to its own cache

@@ -1,7 +1,7 @@
 // Streaming PRIME-LS over a sliding time window — the continuous scenario
 // the related-work section contrasts with (continuous RNN / continuous
-// maximal RNN, Section 2.2) and the dynamic setting of Section 7, built on
-// top of IncrementalPrimeLS.
+// maximal RNN, Section 2.2) and the dynamic setting of Section 7. It is
+// the one driver of IncrementalPrimeLS.
 //
 // Timestamped position observations arrive in non-decreasing time order;
 // only observations within the trailing `window_seconds` count towards an
@@ -13,10 +13,12 @@
 // Observe()/AdvanceTo() call, the counters equal what a batch solver would
 // compute on the window contents (positions with time >= now - window).
 //
-// Each observation flows into the inner index as a position-level delta (IncrementalPrimeLS::AppendPosition /
-// ExpireOldestPosition), so per-observation work scales with the object's
-// watch set, not its in-window position count. The inner index keeps the
-// in-window positions; this class keeps only the expiry order.
+// Each observation flows into the inner index as a position-level delta
+// (IncrementalPrimeLS::AppendPosition / ExpireOldestPosition): an object's
+// first observation creates it and the expiry of its last one removes it.
+// Per-observation work scales with the object's watch set, not its
+// in-window position count. The inner index keeps the in-window
+// positions; this class keeps only the expiry order.
 
 #ifndef PINOCCHIO_CORE_STREAMING_H_
 #define PINOCCHIO_CORE_STREAMING_H_

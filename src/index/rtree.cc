@@ -2,18 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace pinocchio {
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
-
-RTree::RTree(size_t max_entries)
-    : max_entries_(max_entries),
-      min_entries_(std::max<size_t>(2, (max_entries * 2 + 4) / 5)),
-      root_(nullptr) {
+RTree::RTree(size_t max_entries) : max_entries_(max_entries), root_(nullptr) {
   PINO_CHECK_GE(max_entries, 4u);
 }
 
@@ -34,291 +26,6 @@ size_t RTree::Height() const {
 }
 
 Mbr RTree::Bounds() const { return root_ ? root_->mbr : Mbr(); }
-
-// --------------------------------------------------------------- insertion
-
-RTree::Node* RTree::ChooseLeaf(Node* node, const Point& point,
-                               std::vector<Node*>* path) const {
-  while (!node->is_leaf) {
-    path->push_back(node);
-    // Least-enlargement child; ties broken by smallest area (Guttman CL3/4).
-    Node* best = nullptr;
-    double best_enlargement = kInf;
-    double best_area = kInf;
-    for (const auto& child : node->children) {
-      Mbr grown = child->mbr;
-      grown.Expand(point);
-      const double area = child->mbr.Area();
-      const double enlargement = grown.Area() - area;
-      if (enlargement < best_enlargement ||
-          (enlargement == best_enlargement && area < best_area)) {
-        best = child.get();
-        best_enlargement = enlargement;
-        best_area = area;
-      }
-    }
-    node = best;
-  }
-  path->push_back(node);
-  return node;
-}
-
-void RTree::RecomputeMbr(Node* node) {
-  node->mbr = Mbr();
-  if (node->is_leaf) {
-    for (const RTreeEntry& e : node->entries) node->mbr.Expand(e.point);
-  } else {
-    for (const auto& child : node->children) node->mbr.Expand(child->mbr);
-  }
-}
-
-std::unique_ptr<RTree::Node> RTree::SplitNode(Node* node) {
-  // Quadratic split (Guttman): pick the pair of items whose combined MBR
-  // wastes the most area as seeds, then assign the rest greedily by the
-  // difference of enlargement costs.
-  auto item_mbr = [&](size_t i) -> Mbr {
-    if (node->is_leaf) {
-      Mbr m;
-      m.Expand(node->entries[i].point);
-      return m;
-    }
-    return node->children[i]->mbr;
-  };
-  const size_t count = node->Count();
-  PINO_CHECK_GT(count, max_entries_);
-
-  // PickSeeds.
-  size_t seed_a = 0, seed_b = 1;
-  double worst_waste = -kInf;
-  for (size_t i = 0; i < count; ++i) {
-    const Mbr mi = item_mbr(i);
-    for (size_t j = i + 1; j < count; ++j) {
-      const Mbr mj = item_mbr(j);
-      const double waste = mi.Union(mj).Area() - mi.Area() - mj.Area();
-      if (waste > worst_waste) {
-        worst_waste = waste;
-        seed_a = i;
-        seed_b = j;
-      }
-    }
-  }
-
-  auto sibling = std::make_unique<Node>();
-  sibling->is_leaf = node->is_leaf;
-
-  std::vector<char> assigned(count, 0);
-  Mbr mbr_a = item_mbr(seed_a);
-  Mbr mbr_b = item_mbr(seed_b);
-  std::vector<size_t> group_a{seed_a};
-  std::vector<size_t> group_b{seed_b};
-  assigned[seed_a] = assigned[seed_b] = 1;
-  size_t remaining = count - 2;
-
-  while (remaining > 0) {
-    // If one group must take all remaining items to reach minimum fill,
-    // assign them wholesale.
-    if (group_a.size() + remaining == min_entries_) {
-      for (size_t i = 0; i < count; ++i) {
-        if (!assigned[i]) {
-          group_a.push_back(i);
-          mbr_a.Expand(item_mbr(i));
-          assigned[i] = 1;
-        }
-      }
-      remaining = 0;
-      break;
-    }
-    if (group_b.size() + remaining == min_entries_) {
-      for (size_t i = 0; i < count; ++i) {
-        if (!assigned[i]) {
-          group_b.push_back(i);
-          mbr_b.Expand(item_mbr(i));
-          assigned[i] = 1;
-        }
-      }
-      remaining = 0;
-      break;
-    }
-    // PickNext: the item with the greatest preference for one group.
-    size_t next = count;
-    double best_diff = -kInf;
-    double d_a_best = 0.0, d_b_best = 0.0;
-    for (size_t i = 0; i < count; ++i) {
-      if (assigned[i]) continue;
-      const Mbr mi = item_mbr(i);
-      const double d_a = mbr_a.Union(mi).Area() - mbr_a.Area();
-      const double d_b = mbr_b.Union(mi).Area() - mbr_b.Area();
-      const double diff = std::abs(d_a - d_b);
-      if (diff > best_diff) {
-        best_diff = diff;
-        next = i;
-        d_a_best = d_a;
-        d_b_best = d_b;
-      }
-    }
-    PINO_CHECK_LT(next, count);
-    bool to_a;
-    if (d_a_best != d_b_best) {
-      to_a = d_a_best < d_b_best;
-    } else if (mbr_a.Area() != mbr_b.Area()) {
-      to_a = mbr_a.Area() < mbr_b.Area();
-    } else {
-      to_a = group_a.size() <= group_b.size();
-    }
-    if (to_a) {
-      group_a.push_back(next);
-      mbr_a.Expand(item_mbr(next));
-    } else {
-      group_b.push_back(next);
-      mbr_b.Expand(item_mbr(next));
-    }
-    assigned[next] = 1;
-    --remaining;
-  }
-
-  // Materialise the two groups: group A stays in `node`, group B moves to
-  // the sibling.
-  if (node->is_leaf) {
-    std::vector<RTreeEntry> keep;
-    keep.reserve(group_a.size());
-    for (size_t i : group_a) keep.push_back(node->entries[i]);
-    sibling->entries.reserve(group_b.size());
-    for (size_t i : group_b) sibling->entries.push_back(node->entries[i]);
-    node->entries = std::move(keep);
-  } else {
-    std::vector<std::unique_ptr<Node>> keep;
-    keep.reserve(group_a.size());
-    for (size_t i : group_a) keep.push_back(std::move(node->children[i]));
-    sibling->children.reserve(group_b.size());
-    for (size_t i : group_b)
-      sibling->children.push_back(std::move(node->children[i]));
-    node->children = std::move(keep);
-  }
-  node->mbr = mbr_a;
-  sibling->mbr = mbr_b;
-  return sibling;
-}
-
-void RTree::Insert(const Point& point, uint32_t id) {
-  if (!root_) {
-    root_ = std::make_unique<Node>();
-    root_->is_leaf = true;
-  }
-  std::vector<Node*> path;
-  Node* leaf = ChooseLeaf(root_.get(), point, &path);
-  leaf->entries.push_back({point, id});
-  ++size_;
-
-  // Adjust MBRs bottom-up and split overfull nodes.
-  std::unique_ptr<Node> carried_split;  // new sibling produced below
-  for (size_t level = path.size(); level-- > 0;) {
-    Node* node = path[level];
-    node->mbr.Expand(point);
-    if (carried_split) {
-      node->children.push_back(std::move(carried_split));
-      node->mbr.Expand(node->children.back()->mbr);
-    }
-    if (node->Count() > max_entries_) {
-      carried_split = SplitNode(node);
-    }
-  }
-  if (carried_split) {
-    // Root was split: grow the tree by one level.
-    auto new_root = std::make_unique<Node>();
-    new_root->is_leaf = false;
-    new_root->mbr = root_->mbr.Union(carried_split->mbr);
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(carried_split));
-    root_ = std::move(new_root);
-  }
-}
-
-// ---------------------------------------------------------------- removal
-
-RTree::Node* RTree::FindLeaf(Node* node, const Point& point, uint32_t id,
-                             std::vector<Node*>* path) {
-  path->push_back(node);
-  if (node->is_leaf) {
-    for (const RTreeEntry& e : node->entries) {
-      if (e.id == id && e.point == point) return node;
-    }
-    path->pop_back();
-    return nullptr;
-  }
-  for (const auto& child : node->children) {
-    if (child->mbr.Contains(point)) {
-      Node* found = FindLeaf(child.get(), point, id, path);
-      if (found != nullptr) return found;
-    }
-  }
-  path->pop_back();
-  return nullptr;
-}
-
-void RTree::CondenseTree(std::vector<Node*>& path,
-                         std::vector<RTreeEntry>* orphans) {
-  // Walk from the leaf upward: dissolve underfull non-root nodes, collect
-  // their entries, and tighten ancestors' MBRs.
-  for (size_t level = path.size(); level-- > 1;) {
-    Node* node = path[level];
-    Node* parent = path[level - 1];
-    if (node->Count() < min_entries_) {
-      // Collect every entry below `node` (point leaves only, so a simple
-      // recursive drain suffices) and unlink it from its parent.
-      std::vector<Node*> stack{node};
-      while (!stack.empty()) {
-        Node* current = stack.back();
-        stack.pop_back();
-        if (current->is_leaf) {
-          orphans->insert(orphans->end(), current->entries.begin(),
-                          current->entries.end());
-        } else {
-          for (auto& child : current->children) stack.push_back(child.get());
-        }
-      }
-      for (size_t i = 0; i < parent->children.size(); ++i) {
-        if (parent->children[i].get() == node) {
-          parent->children.erase(parent->children.begin() +
-                                 static_cast<ptrdiff_t>(i));
-          break;
-        }
-      }
-    }
-    RecomputeMbr(parent);
-  }
-  if (!path.empty()) RecomputeMbr(path.front());
-}
-
-bool RTree::Remove(const Point& point, uint32_t id) {
-  if (!root_) return false;
-  std::vector<Node*> path;
-  Node* leaf = FindLeaf(root_.get(), point, id, &path);
-  if (leaf == nullptr) return false;
-  for (size_t i = 0; i < leaf->entries.size(); ++i) {
-    if (leaf->entries[i].id == id && leaf->entries[i].point == point) {
-      leaf->entries.erase(leaf->entries.begin() + static_cast<ptrdiff_t>(i));
-      break;
-    }
-  }
-  RecomputeMbr(leaf);
-  --size_;
-
-  std::vector<RTreeEntry> orphans;
-  CondenseTree(path, &orphans);
-
-  // Shrink the root: an internal root with one child is replaced by it;
-  // an empty tree resets to null.
-  while (root_ != nullptr && !root_->is_leaf && root_->children.size() == 1) {
-    root_ = std::move(root_->children.front());
-  }
-  if (root_ != nullptr && root_->Count() == 0) root_.reset();
-
-  // Reinsert orphaned entries (size_ already counts them; Insert would
-  // double-count, so adjust first).
-  size_ -= orphans.size();
-  for (const RTreeEntry& e : orphans) Insert(e.point, e.id);
-  return true;
-}
 
 // -------------------------------------------------------------- bulk load
 
@@ -458,8 +165,8 @@ size_t RTree::CheckNode(const Node& node, bool is_root, size_t depth,
                         size_t* leaf_depth) const {
   PINO_CHECK_LE(node.Count(), max_entries_);
   if (!is_root) {
-    // Bulk-loaded trees may have one under-filled node per level; accept
-    // any non-empty node to cover both construction paths.
+    // Sort-Tile-Recursive packing leaves at most one under-filled node per
+    // level, so any non-empty node is valid.
     PINO_CHECK_GE(node.Count(), 1u);
   }
   Mbr expected;

@@ -1,10 +1,9 @@
-// In-memory R-tree over planar points (Guttman [26], quadratic split).
+// In-memory R-tree over planar points (Guttman [26]), bulk-loaded once.
 //
 // The paper indexes candidate locations with an R-tree whose nodes hold at
-// most 8 elements (Section 6.1); that is the default fanout here. The tree
+// most 8 elements (Section 6.1); that is the default fanout here. A tree is
+// built once by Sort-Tile-Recursive bulk loading and never changed; it
 // supports:
-//   * one-by-one insertion (ChooseLeaf + quadratic split),
-//   * Sort-Tile-Recursive bulk loading,
 //   * rectangle and circle range queries (visitor-based, allocation-free),
 //   * best-first k-nearest-neighbour search, and
 //   * structural invariant checking used by the tests.
@@ -13,10 +12,10 @@
 // caller-side arrays indexed by id, which keeps the index reusable across
 // solvers.
 //
-// Thread-safety: all query methods (range/circle search, k-NN, CheckValid)
-// are const and touch no mutable or lazily-built state — a built tree may
-// be searched from any number of threads concurrently. Insert and BulkLoad
-// are mutations requiring exclusive access.
+// Thread-safety: a built tree is immutable, and every query method
+// (range/circle search, k-NN, CheckInvariants) is const and touches no
+// lazily-built state, so it may be searched from any number of threads
+// concurrently.
 
 #ifndef PINOCCHIO_INDEX_RTREE_H_
 #define PINOCCHIO_INDEX_RTREE_H_
@@ -43,8 +42,7 @@ struct RTreeEntry {
 /// Point R-tree with configurable fanout.
 class RTree {
  public:
-  /// Creates an empty tree. `max_entries` is the node capacity M (>= 4);
-  /// the minimum fill is ceil(0.4 * M) per Guttman's recommendation.
+  /// Creates an empty tree. `max_entries` is the node capacity M (>= 4).
   explicit RTree(size_t max_entries = 8);
 
   RTree(RTree&&) noexcept = default;
@@ -56,14 +54,6 @@ class RTree {
   /// faster and better-clustered than repeated insertion.
   static RTree BulkLoad(std::span<const RTreeEntry> entries,
                         size_t max_entries = 8);
-
-  /// Inserts one entry.
-  void Insert(const Point& point, uint32_t id);
-
-  /// Removes the entry with this exact (point, id) pair, condensing the
-  /// tree per Guttman's CondenseTree (underfull nodes are dissolved and
-  /// their entries reinserted). Returns false if no such entry exists.
-  bool Remove(const Point& point, uint32_t id);
 
   /// Number of stored entries.
   size_t size() const { return size_; }
@@ -125,19 +115,6 @@ class RTree {
 
   explicit RTree(size_t max_entries, std::unique_ptr<Node> root, size_t size);
 
-  Node* ChooseLeaf(Node* node, const Point& point,
-                   std::vector<Node*>* path) const;
-  // Splits an overfull node in place; returns the newly created sibling.
-  std::unique_ptr<Node> SplitNode(Node* node);
-  void RecomputeMbr(Node* node);
-  // Locates the leaf containing (point, id); fills `path` root..leaf.
-  Node* FindLeaf(Node* node, const Point& point, uint32_t id,
-                 std::vector<Node*>* path);
-  // Post-removal cleanup along `path`; collects entries of dissolved
-  // nodes into `orphans`.
-  void CondenseTree(std::vector<Node*>& path,
-                    std::vector<RTreeEntry>* orphans);
-
   template <typename Visitor>
   void QueryRectNode(const Node& node, const Mbr& rect, Visitor& visit) const {
     if (node.is_leaf) {
@@ -171,7 +148,6 @@ class RTree {
                    size_t* leaf_depth) const;
 
   size_t max_entries_;
-  size_t min_entries_;
   std::unique_ptr<Node> root_;
   size_t size_ = 0;
 };

@@ -75,7 +75,7 @@ class InfluenceKernel {
   /// Batch variant: decides every candidate against ONE object's position
   /// span. It is the decision unit of every solver: the prune pipeline's
   /// remnant batches, and one-candidate batches for the bound-ordered walk,
-  /// approx's refine, the hull solver and the probes. `influenced[i]`
+  /// approx's refine and the probes. `influenced[i]`
   /// receives the decision for `candidates[i]`; the two spans' contiguity
   /// is what the columnar arena buys.
   ///

@@ -38,4 +38,12 @@ std::string PowerLawPF::Name() const {
   return os.str();
 }
 
+std::string PowerLawParameterError(double rho, double lambda,
+                                   double unit_meters) {
+  if (!(rho > 0.0 && rho <= 1.0)) return "--rho must be in (0, 1]";
+  if (!(lambda > 0.0)) return "--lambda must be > 0";
+  if (!(unit_meters > 0.0)) return "--unit-km must be > 0";
+  return "";
+}
+
 }  // namespace pinocchio

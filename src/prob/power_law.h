@@ -4,6 +4,8 @@
 #ifndef PINOCCHIO_PROB_POWER_LAW_H_
 #define PINOCCHIO_PROB_POWER_LAW_H_
 
+#include <string>
+
 #include "prob/probability_function.h"
 
 namespace pinocchio {
@@ -34,6 +36,15 @@ class PowerLawPF : public ProbabilityFunction {
   double d0_;
   double unit_meters_;
 };
+
+/// Checks PowerLawPF parameters (d0 = 1) that come from users, so callers
+/// refuse bad ones instead of tripping the constructor's checks. Returns
+/// "" when rho is in (0, 1] and lambda and unit_meters are positive (NaN
+/// is none of these); otherwise a message on the first bad one, named by
+/// the flag the CLI and the server read it from: "--rho must be in (0, 1]",
+/// "--lambda must be > 0" or "--unit-km must be > 0".
+std::string PowerLawParameterError(double rho, double lambda,
+                                   double unit_meters);
 
 }  // namespace pinocchio
 

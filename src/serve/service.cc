@@ -1,6 +1,8 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "core/approx_solver.h"
@@ -67,6 +69,7 @@ InfluenceService::InfluenceService(ProblemInstance instance,
     stream_ = std::make_unique<StreamingPrimeLS>(instance.candidates,
                                                  std::move(stream_options));
   }
+  for (const MovingObject& o : instance.objects) object_ids_.insert(o.id);
   holder_.Publish(std::make_shared<const ServerSnapshot>(
       /*epoch=*/1, std::move(instance), config));
   rebuild_thread_ = std::thread(&InfluenceService::RebuildLoop, this);
@@ -150,15 +153,9 @@ Response InfluenceService::Do(const TopKRequest& request) {
   const size_t k =
       std::min<size_t>(std::max<uint32_t>(1, request.k), kMaxResponseTopK);
   const SnapshotPtr snap = holder_.Acquire();
-  // The snapshot is prepared with top_k = prepared_top_k, so VO results
-  // are exact for that many leading candidates; beyond it the exact PIN
-  // solver ranks every candidate.
-  SolverResult result;
-  if (k <= snap->prepared.config().top_k) {
-    result = PinocchioVOSolver(options_.solve_threads).Solve(snap->prepared);
-  } else {
-    result = PinocchioSolver(options_.solve_threads).Solve(snap->prepared);
-  }
+  // PIN ranks every candidate exactly, so every entry is exact at any k.
+  const SolverResult result =
+      PinocchioSolver(options_.solve_threads).Solve(snap->prepared);
   return MakeSolveResponse(*snap, result, k);
 }
 
@@ -207,7 +204,9 @@ Response InfluenceService::Do(const WhatIfRequest& request) {
   if (!(request.tau > 0.0 && request.tau < 1.0)) {
     return MakeError(ErrorCode::kBadRequest, "tau must be in (0, 1)");
   }
-  if (request.rho <= 0.0 || request.rho > 1.0 || request.lambda <= 0.0) {
+  if (!PowerLawParameterError(request.rho, request.lambda,
+                              options_.pf_unit_meters)
+           .empty()) {
     return MakeError(ErrorCode::kBadRequest,
                      "rho must be in (0, 1] and lambda positive");
   }
@@ -254,6 +253,18 @@ Response InfluenceService::Do(const UpdateRequest& request) {
     if (stopping_) {
       return MakeError(ErrorCode::kShuttingDown, "service stopping");
     }
+    // An id already in a snapshot, queued, or repeated in this request
+    // would make the next snapshot count two objects under one id.
+    std::unordered_set<uint32_t> fresh;
+    for (const UpdateObject& o : request.objects) {
+      if (object_ids_.contains(o.object_id) ||
+          !fresh.insert(o.object_id).second) {
+        return MakeError(ErrorCode::kBadRequest,
+                         "object id " + std::to_string(o.object_id) +
+                             " is already live, queued or repeated");
+      }
+    }
+    object_ids_.insert(fresh.begin(), fresh.end());
     pending_updates_.push_back(request);
     response.update.pending_updates = pending_updates_.size();
   }

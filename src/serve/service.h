@@ -9,12 +9,13 @@
 //     and run entirely against that immutable state — a response is
 //     internally consistent with exactly one epoch, and solve responses
 //     are bit-identical to a direct Solve(const PreparedInstance&) on
-//     the same snapshot.
+//     the same snapshot. kTopK is PIN's exact ranking at every k.
 //   * kWhatIf re-parameterises a private scratch PreparedInstance via
 //     Reprepare (cheap: positions and MBRs are reused) under a mutex, so
 //     tau/rho/lambda exploration never touches the published snapshot.
-//   * kUpdate validates and enqueues appended objects/candidates and
-//     returns immediately; the rebuild thread coalesces pending updates,
+//   * kUpdate validates and enqueues appended objects/candidates (object
+//     ids must be new to every snapshot and the queue) and returns
+//     immediately; the rebuild thread coalesces pending updates,
 //     builds the next snapshot off to the side and publishes it with an
 //     atomic swap. Readers never block on a rebuild.
 //
@@ -32,6 +33,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "core/moving_object.h"
@@ -45,10 +47,9 @@ namespace pinocchio {
 namespace serve {
 
 struct ServiceOptions {
-  /// top_k the snapshots are prepared with: VO solves guarantee exact
-  /// influence for this many leading candidates, so kTopK requests up to
-  /// this k ride the fast solver. Larger k falls back to the exact PIN
-  /// solver (full ranking).
+  /// top_k the snapshots are prepared with: a kSolve naming pin-vo and a
+  /// what-if guarantee exact influence for this many leading candidates
+  /// (their exact prefix). kTopK runs PIN and is exact at every k.
   size_t prepared_top_k = 16;
   /// Distance unit (metres) of the power-law PF rebuilt by what-if
   /// requests; must match the PF the service was constructed with.
@@ -130,6 +131,9 @@ class InfluenceService {
   std::condition_variable update_cv_;     // signals: work or shutdown
   std::condition_variable drained_cv_;    // signals: queue empty + idle
   std::vector<UpdateRequest> pending_updates_;
+  // Every object id of the epoch-1 instance and of each accepted update:
+  // a new update's ids must be absent from it.
+  std::unordered_set<uint32_t> object_ids_;
   bool rebuild_in_progress_ = false;
   bool stopping_ = false;
   std::thread rebuild_thread_;

@@ -130,4 +130,20 @@ std::vector<std::string> FlagParser::UnknownFlags(
   return unknown;
 }
 
+bool GetCountFlag(const FlagParser& flags, const std::string& name,
+                  int64_t fallback, int64_t min, size_t* value,
+                  std::ostream& err, int64_t max) {
+  const int64_t raw = flags.GetInt(name, fallback);
+  if (raw < min) {
+    err << "--" << name << " must be >= " << min << "\n";
+    return false;
+  }
+  if (raw > max) {
+    err << "--" << name << " must be <= " << max << "\n";
+    return false;
+  }
+  *value = static_cast<size_t>(raw);
+  return true;
+}
+
 }  // namespace pinocchio

@@ -8,8 +8,10 @@
 #define PINOCCHIO_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -75,6 +77,15 @@ class FlagParser {
   std::vector<std::string> positional_;
   std::vector<std::string> errors_;
 };
+
+/// Reads the integer flag `name` (default `fallback`) as a count, an index
+/// or a port. A value outside [min, max] is refused with a message naming
+/// the flag on `err` ("--<name> must be >= <min>" or "... <= <max>")
+/// rather than wrapped by the cast to size_t.
+bool GetCountFlag(const FlagParser& flags, const std::string& name,
+                  int64_t fallback, int64_t min, size_t* value,
+                  std::ostream& err,
+                  int64_t max = std::numeric_limits<int64_t>::max());
 
 }  // namespace pinocchio
 

@@ -1,5 +1,8 @@
 #include "core/incremental.h"
 
+#include <optional>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/naive_solver.h"
@@ -11,10 +14,53 @@ namespace {
 using testing_helpers::DefaultConfig;
 using testing_helpers::RandomInstance;
 
+// Feeds every position of `objects` through AppendPosition, object by
+// object, so each object is born by its first position.
+void AppendAll(IncrementalPrimeLS& inc,
+               const std::vector<MovingObject>& objects) {
+  for (const MovingObject& o : objects) {
+    for (const Point& p : o.positions) inc.AppendPosition(o.id, p);
+  }
+}
+
+// Expires every in-window position of `id`, which removes the object.
+void ExpireAll(IncrementalPrimeLS& inc, uint32_t id) {
+  while (inc.NumPositionsOf(id) > 0) {
+    ASSERT_TRUE(inc.ExpireOldestPosition(id));
+  }
+}
+
+std::vector<int64_t> Influences(const IncrementalPrimeLS& inc, size_t m) {
+  std::vector<int64_t> influence;
+  for (size_t j = 0; j < m; ++j) influence.push_back(inc.InfluenceOf(j));
+  return influence;
+}
+
+// Expires every third object completely, then appends half of those again,
+// so the re-appended objects are born a second time. Returns the objects
+// live afterwards.
+std::vector<MovingObject> Churn(IncrementalPrimeLS& inc,
+                                const std::vector<MovingObject>& objects) {
+  std::vector<MovingObject> survivors;
+  std::vector<MovingObject> expired;
+  for (size_t k = 0; k < objects.size(); ++k) {
+    if (k % 3 == 0) {
+      ExpireAll(inc, objects[k].id);
+      expired.push_back(objects[k]);
+    } else {
+      survivors.push_back(objects[k]);
+    }
+  }
+  for (size_t i = 0; i < expired.size(); i += 2) {
+    AppendAll(inc, {expired[i]});
+    survivors.push_back(expired[i]);
+  }
+  return survivors;
+}
+
 TEST(IncrementalTest, EmptyStructure) {
   IncrementalPrimeLS inc({}, DefaultConfig());
   EXPECT_EQ(inc.NumLiveObjects(), 0u);
-  EXPECT_EQ(inc.NumLiveCandidates(), 0u);
   EXPECT_FALSE(inc.Best().has_value());
 }
 
@@ -22,12 +68,11 @@ TEST(IncrementalTest, MatchesBatchAfterAllInsertions) {
   const ProblemInstance instance = RandomInstance(401);
   const SolverConfig config = DefaultConfig();
   IncrementalPrimeLS inc(instance.candidates, config);
-  for (const MovingObject& o : instance.objects) inc.AddObject(o);
+  AppendAll(inc, instance.objects);
+  EXPECT_EQ(inc.NumLiveObjects(), instance.objects.size());
 
   const SolverResult naive = NaiveSolver().Solve(instance, config);
-  for (size_t j = 0; j < instance.candidates.size(); ++j) {
-    EXPECT_EQ(inc.InfluenceOf(j), naive.influence[j]) << "candidate " << j;
-  }
+  EXPECT_EQ(Influences(inc, instance.candidates.size()), naive.influence);
   const auto best = inc.Best();
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(best->second, naive.best_influence);
@@ -36,120 +81,62 @@ TEST(IncrementalTest, MatchesBatchAfterAllInsertions) {
 TEST(IncrementalTest, RemovalRestoresPreviousState) {
   const ProblemInstance instance = RandomInstance(402);
   const SolverConfig config = DefaultConfig();
+  const size_t m = instance.candidates.size();
   IncrementalPrimeLS inc(instance.candidates, config);
-  for (size_t k = 0; k + 1 < instance.objects.size(); ++k) {
-    inc.AddObject(instance.objects[k]);
-  }
-  std::vector<int64_t> before;
-  for (size_t j = 0; j < instance.candidates.size(); ++j) {
-    before.push_back(inc.InfluenceOf(j));
-  }
+  const std::vector<MovingObject> head(instance.objects.begin(),
+                                       instance.objects.end() - 1);
+  AppendAll(inc, head);
+  const std::vector<int64_t> before = Influences(inc, m);
+
   const MovingObject& last = instance.objects.back();
-  inc.AddObject(last);
-  EXPECT_TRUE(inc.RemoveObject(last.id));
-  for (size_t j = 0; j < instance.candidates.size(); ++j) {
-    EXPECT_EQ(inc.InfluenceOf(j), before[j]);
-  }
+  AppendAll(inc, {last});
+  ExpireAll(inc, last.id);
+  EXPECT_EQ(inc.NumLiveObjects(), head.size());
+  EXPECT_EQ(Influences(inc, m), before);
 }
 
 TEST(IncrementalTest, RemoveUnknownObjectReturnsFalse) {
   IncrementalPrimeLS inc({{0, 0}}, DefaultConfig());
-  EXPECT_FALSE(inc.RemoveObject(12345));
+  EXPECT_FALSE(inc.ExpireOldestPosition(12345));
+  EXPECT_EQ(inc.NumLiveObjects(), 0u);
+  EXPECT_EQ(inc.InfluenceOf(0), 0);
+}
+
+// A one-position object standing on a candidate influences it from birth,
+// and the expiry of that position takes the influence away again.
+TEST(IncrementalTest, BirthAndLastExpiryMoveTheCounters) {
+  using Entry = std::pair<size_t, int64_t>;
+  IncrementalPrimeLS inc({{5000, 5000}, {0, 0}}, DefaultConfig());
+  EXPECT_EQ(inc.AppendPosition(7, {0, 0}), 1u);
+  EXPECT_EQ(inc.InfluenceOf(1), 1);
+  EXPECT_EQ(inc.InfluenceOf(0), 0);
+  EXPECT_EQ(inc.Best(), std::make_optional(Entry{1, 1}));
+
+  ASSERT_TRUE(inc.ExpireOldestPosition(7));
+  EXPECT_EQ(inc.NumLiveObjects(), 0u);
+  EXPECT_EQ(inc.InfluenceOf(1), 0);
+  EXPECT_EQ(inc.Best(), std::make_optional(Entry{0, 0}));
 }
 
 TEST(IncrementalTest, ChurnMatchesBatchRecompute) {
   const ProblemInstance instance = RandomInstance(403);
   const SolverConfig config = DefaultConfig();
   IncrementalPrimeLS inc(instance.candidates, config);
-
-  // Insert everything, remove every third object, re-add half of those.
-  for (const MovingObject& o : instance.objects) inc.AddObject(o);
-  std::vector<MovingObject> live(instance.objects);
-  std::vector<MovingObject> removed;
-  for (size_t k = 0; k < instance.objects.size(); k += 3) {
-    inc.RemoveObject(instance.objects[k].id);
-    removed.push_back(instance.objects[k]);
-  }
-  std::vector<MovingObject> survivors;
-  for (size_t k = 0; k < instance.objects.size(); ++k) {
-    if (k % 3 != 0) survivors.push_back(instance.objects[k]);
-  }
-  for (size_t i = 0; i < removed.size(); i += 2) {
-    inc.AddObject(removed[i]);
-    survivors.push_back(removed[i]);
-  }
+  AppendAll(inc, instance.objects);
 
   ProblemInstance current;
-  current.objects = survivors;
+  current.objects = Churn(inc, instance.objects);
   current.candidates = instance.candidates;
-  const SolverResult naive = NaiveSolver().Solve(current, config);
-  for (size_t j = 0; j < instance.candidates.size(); ++j) {
-    EXPECT_EQ(inc.InfluenceOf(j), naive.influence[j]) << "candidate " << j;
-  }
-}
-
-TEST(IncrementalTest, AddCandidateComputesItsInfluence) {
-  ProblemInstance instance = RandomInstance(404);
-  const SolverConfig config = DefaultConfig();
-  const Point extra = instance.candidates.back();
-  instance.candidates.pop_back();
-
-  IncrementalPrimeLS inc(instance.candidates, config);
-  for (const MovingObject& o : instance.objects) inc.AddObject(o);
-  const size_t idx = inc.AddCandidate(extra);
-  EXPECT_EQ(idx, instance.candidates.size());
-
-  instance.candidates.push_back(extra);
-  const SolverResult naive = NaiveSolver().Solve(instance, config);
-  EXPECT_EQ(inc.InfluenceOf(idx), naive.influence[idx]);
-}
-
-TEST(IncrementalTest, AddCandidateThenObjectsSeesBoth) {
-  // Objects added after a late candidate must count it too.
-  ProblemInstance instance = RandomInstance(405);
-  const SolverConfig config = DefaultConfig();
-  const Point extra = instance.candidates.back();
-  instance.candidates.pop_back();
-
-  IncrementalPrimeLS inc(instance.candidates, config);
-  const size_t half = instance.objects.size() / 2;
-  for (size_t k = 0; k < half; ++k) inc.AddObject(instance.objects[k]);
-  const size_t idx = inc.AddCandidate(extra);
-  for (size_t k = half; k < instance.objects.size(); ++k) {
-    inc.AddObject(instance.objects[k]);
-  }
-
-  instance.candidates.push_back(extra);
-  const SolverResult naive = NaiveSolver().Solve(instance, config);
-  for (size_t j = 0; j < instance.candidates.size(); ++j) {
-    EXPECT_EQ(inc.InfluenceOf(j), naive.influence[j]) << "candidate " << j;
-  }
-  EXPECT_EQ(inc.InfluenceOf(idx), naive.influence[idx]);
-}
-
-TEST(IncrementalTest, RetiredCandidateExcludedFromBest) {
-  const ProblemInstance instance = RandomInstance(406);
-  const SolverConfig config = DefaultConfig();
-  IncrementalPrimeLS inc(instance.candidates, config);
-  for (const MovingObject& o : instance.objects) inc.AddObject(o);
-  const auto best = inc.Best();
-  ASSERT_TRUE(best.has_value());
-  EXPECT_TRUE(inc.RetireCandidate(best->first));
-  EXPECT_FALSE(inc.RetireCandidate(best->first));  // already retired
-  EXPECT_EQ(inc.InfluenceOf(best->first), 0);
-  const auto next_best = inc.Best();
-  if (next_best.has_value()) {
-    EXPECT_NE(next_best->first, best->first);
-    EXPECT_LE(next_best->second, best->second);
-  }
-  EXPECT_EQ(inc.NumLiveCandidates(), instance.candidates.size() - 1);
+  EXPECT_EQ(inc.NumLiveObjects(), current.objects.size());
+  EXPECT_EQ(Influences(inc, instance.candidates.size()),
+            NaiveSolver().Solve(current, config).influence);
 }
 
 TEST(IncrementalTest, TopKOrderedAndLive) {
   const ProblemInstance instance = RandomInstance(407);
   const SolverConfig config = DefaultConfig();
   IncrementalPrimeLS inc(instance.candidates, config);
-  for (const MovingObject& o : instance.objects) inc.AddObject(o);
+  AppendAll(inc, instance.objects);
   const auto top = inc.TopK(5);
   ASSERT_LE(top.size(), 5u);
   for (size_t i = 1; i < top.size(); ++i) {
@@ -159,36 +146,6 @@ TEST(IncrementalTest, TopKOrderedAndLive) {
   for (size_t i = 0; i < top.size(); ++i) {
     EXPECT_EQ(top[i].second, naive.influence[naive.ranking[i]]);
   }
-}
-
-TEST(IncrementalTest, UpdateObjectMatchesBatchRecompute) {
-  const ProblemInstance instance = RandomInstance(409);
-  const SolverConfig config = DefaultConfig();
-  IncrementalPrimeLS inc(instance.candidates, config);
-  for (const MovingObject& o : instance.objects) inc.AddObject(o);
-
-  // Every other object takes over its successor's trajectory, so updates
-  // both gain and lose candidates.
-  ProblemInstance current = instance;
-  const size_t n = instance.objects.size();
-  for (size_t k = 0; k < n; k += 2) {
-    const std::vector<Point>& moved = instance.objects[(k + 1) % n].positions;
-    ASSERT_TRUE(inc.UpdateObject(instance.objects[k].id, moved));
-    current.objects[k].positions = moved;
-  }
-  EXPECT_EQ(inc.NumLiveObjects(), n);
-
-  const SolverResult naive = NaiveSolver().Solve(current, config);
-  for (size_t j = 0; j < instance.candidates.size(); ++j) {
-    EXPECT_EQ(inc.InfluenceOf(j), naive.influence[j]) << "candidate " << j;
-  }
-}
-
-TEST(IncrementalTest, UpdateUnknownObjectReturnsFalse) {
-  IncrementalPrimeLS inc({{0, 0}}, DefaultConfig());
-  EXPECT_FALSE(inc.UpdateObject(42, {{0, 0}}));
-  EXPECT_EQ(inc.NumLiveObjects(), 0u);
-  EXPECT_EQ(inc.InfluenceOf(0), 0);
 }
 
 TEST(IncrementalTest, SlidingWindowMatchesBatchRecompute) {
@@ -213,18 +170,69 @@ TEST(IncrementalTest, SlidingWindowMatchesBatchRecompute) {
     current.objects.push_back(std::move(window));
   }
 
-  const SolverResult naive = NaiveSolver().Solve(current, config);
-  for (size_t j = 0; j < instance.candidates.size(); ++j) {
-    EXPECT_EQ(inc.InfluenceOf(j), naive.influence[j]) << "candidate " << j;
-  }
+  EXPECT_EQ(Influences(inc, instance.candidates.size()),
+            NaiveSolver().Solve(current, config).influence);
 }
 
-TEST(IncrementalDeathTest, DuplicateObjectIdRejected) {
-  const ProblemInstance instance = RandomInstance(408);
-  IncrementalPrimeLS inc(instance.candidates, DefaultConfig());
-  inc.AddObject(instance.objects[0]);
-  EXPECT_DEATH(inc.AddObject(instance.objects[0]), "already live");
+// The same invariants over more random instances, one case per invariant
+// and per seed. Every object is born by AppendPosition over an empty watch
+// set, so these pin the creation path against NaiveSolver.
+class IncrementalSeedTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  void SetUp() override { instance_ = RandomInstance(GetParam()); }
+
+  SolverResult Naive(const std::vector<MovingObject>& objects) const {
+    ProblemInstance current;
+    current.objects = objects;
+    current.candidates = instance_.candidates;
+    return NaiveSolver().Solve(current, config_);
+  }
+
+  ProblemInstance instance_;
+  SolverConfig config_ = DefaultConfig();
+};
+
+TEST_P(IncrementalSeedTest, InfluenceMatchesNaiveAfterAppends) {
+  IncrementalPrimeLS inc(instance_.candidates, config_);
+  AppendAll(inc, instance_.objects);
+  EXPECT_EQ(Influences(inc, instance_.candidates.size()),
+            Naive(instance_.objects).influence);
 }
+
+TEST_P(IncrementalSeedTest, TopKMatchesNaiveRanking) {
+  IncrementalPrimeLS inc(instance_.candidates, config_);
+  AppendAll(inc, instance_.objects);
+  const SolverResult naive = Naive(instance_.objects);
+  const auto top = inc.TopK(5);
+  ASSERT_EQ(top.size(), std::min<size_t>(5, instance_.candidates.size()));
+  for (size_t i = 0; i < top.size(); ++i) {
+    EXPECT_EQ(top[i].first, naive.ranking[i]) << "rank " << i;
+    EXPECT_EQ(top[i].second, naive.influence[naive.ranking[i]]) << "rank " << i;
+  }
+  ASSERT_TRUE(inc.Best().has_value());
+  EXPECT_EQ(*inc.Best(), top.front());
+}
+
+TEST_P(IncrementalSeedTest, ExpiringEveryObjectEmptiesTheStructure) {
+  IncrementalPrimeLS inc(instance_.candidates, config_);
+  AppendAll(inc, instance_.objects);
+  for (const MovingObject& o : instance_.objects) ExpireAll(inc, o.id);
+  EXPECT_EQ(inc.NumLiveObjects(), 0u);
+  EXPECT_EQ(Influences(inc, instance_.candidates.size()),
+            std::vector<int64_t>(instance_.candidates.size(), 0));
+}
+
+TEST_P(IncrementalSeedTest, RebornObjectsMatchNaive) {
+  IncrementalPrimeLS inc(instance_.candidates, config_);
+  AppendAll(inc, instance_.objects);
+  const std::vector<MovingObject> live = Churn(inc, instance_.objects);
+  EXPECT_EQ(inc.NumLiveObjects(), live.size());
+  EXPECT_EQ(Influences(inc, instance_.candidates.size()),
+            Naive(live).influence);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSeedTest,
+                         ::testing::Values(411, 412, 413, 414, 415));
 
 }  // namespace
 }  // namespace pinocchio

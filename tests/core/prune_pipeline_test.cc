@@ -250,29 +250,6 @@ TEST(PrunePipelineTest, VisitorSeesEachInfluencedPairOnce) {
   EXPECT_EQ(Sorted(got), want);
 }
 
-// The one-record form (objects outside a store) reports, per record, the
-// same candidates as the store pass, under record index 0.
-TEST(PrunePipelineTest, OneRecordFormMatchesStorePass) {
-  const ProblemInstance instance = RandomInstance(97);
-  const PreparedInstance prepared(instance, DefaultConfig());
-  const ObjectStore& store = prepared.store();
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
-
-  for (uint32_t k = 0; k < store.size(); ++k) {
-    std::vector<uint32_t> via_store;
-    PruneAndValidate(prepared.candidate_rtree(), store, kernel, k, k + 1,
-                     prepared.num_candidates(), nullptr,
-                     [&](uint32_t j, uint32_t) { via_store.push_back(j); });
-    std::vector<uint32_t> via_record;
-    PruneAndValidate(prepared.candidate_rtree(), store.records()[k],
-                     store.positions(k), kernel, [&](uint32_t j, uint32_t rec) {
-                       EXPECT_EQ(rec, 0u);
-                       via_record.push_back(j);
-                     });
-    EXPECT_EQ(via_record, via_store) << "record " << k;
-  }
-}
-
 // PIN is the pass plus a counting visitor, so over the whole store the
 // pass's influence and all five pass counters are PIN's.
 TEST(PrunePipelineTest, PassCountersMatchPinSolver) {

@@ -11,7 +11,6 @@
 #include "baselines/brnn_star.h"
 #include "baselines/range_solver.h"
 #include "core/naive_solver.h"
-#include "core/pinocchio_hull_solver.h"
 #include "core/pinocchio_solver.h"
 #include "core/pinocchio_vo_solver.h"
 #include "core/prepared_instance.h"
@@ -131,15 +130,14 @@ TEST_P(SolverEquivalenceTest, SharedPreparedInstanceMatchesLegacyPath) {
   const PinocchioSolver pin;
   const PinocchioVOSolver vo;
   const PinocchioVOStarSolver star;
-  const PinocchioHullSolver hull;
   const PinocchioSolver pin_t2(2);
   const PinocchioVOSolver vo_t2(2);
   const BrnnStarSolver brnn;
   const RangeSolver range(0.5, 2000.0);
 
-  const std::vector<const Solver*> solvers = {&na,     &pin,   &vo,
-                                              &star,   &hull,  &pin_t2,
-                                              &vo_t2,  &brnn,  &range};
+  const std::vector<const Solver*> solvers = {&na,    &pin,  &vo,
+                                              &star,  &pin_t2, &vo_t2,
+                                              &brnn,  &range};
   for (const Solver* solver : solvers) {
     const SolverResult from_prepared = solver->Solve(prepared);
     const SolverResult legacy = solver->Solve(instance, config);

@@ -52,8 +52,7 @@ TEST(RTreeTest, EmptyTree) {
 }
 
 TEST(RTreeTest, SingleEntry) {
-  RTree tree;
-  tree.Insert({5, 5}, 42);
+  const RTree tree = RTree::BulkLoad(std::vector<RTreeEntry>{{{5, 5}, 42}});
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.Height(), 1u);
   EXPECT_EQ(tree.QueryRectIds(Mbr(0, 0, 10, 10)),
@@ -62,23 +61,12 @@ TEST(RTreeTest, SingleEntry) {
   tree.CheckInvariants();
 }
 
-TEST(RTreeTest, InsertGrowsAndKeepsInvariants) {
-  Rng rng(1);
-  RTree tree(8);
-  const auto entries = RandomEntries(500, rng);
-  for (const auto& e : entries) {
-    tree.Insert(e.point, e.id);
-  }
-  EXPECT_EQ(tree.size(), 500u);
-  EXPECT_GT(tree.Height(), 1u);
-  tree.CheckInvariants();
-}
-
 TEST(RTreeTest, BulkLoadKeepsInvariants) {
   Rng rng(2);
   const auto entries = RandomEntries(1000, rng);
   const RTree tree = RTree::BulkLoad(entries, 8);
   EXPECT_EQ(tree.size(), 1000u);
+  EXPECT_GT(tree.Height(), 1u);
   tree.CheckInvariants();
 }
 
@@ -98,8 +86,7 @@ TEST(RTreeTest, BulkLoadSmallSizes) {
 TEST(RTreeTest, RectQueryMatchesBruteForceInserted) {
   Rng rng(4);
   const auto entries = RandomEntries(400, rng);
-  RTree tree(8);
-  for (const auto& e : entries) tree.Insert(e.point, e.id);
+  const RTree tree = RTree::BulkLoad(entries, 8);
   for (int q = 0; q < 100; ++q) {
     const double x = rng.Uniform(0, 1000), y = rng.Uniform(0, 1000);
     const Mbr rect(x, y, x + rng.Uniform(0, 400), y + rng.Uniform(0, 400));
@@ -163,8 +150,9 @@ TEST(RTreeTest, NearestNeighborKExceedsSize) {
 }
 
 TEST(RTreeTest, DuplicatePointsAllRetrievable) {
-  RTree tree(8);
-  for (uint32_t i = 0; i < 40; ++i) tree.Insert({1, 1}, i);
+  std::vector<RTreeEntry> entries;
+  for (uint32_t i = 0; i < 40; ++i) entries.push_back({{1, 1}, i});
+  const RTree tree = RTree::BulkLoad(entries, 8);
   tree.CheckInvariants();
   const auto ids = tree.QueryRectIds(Mbr(0, 0, 2, 2));
   EXPECT_EQ(ids.size(), 40u);
@@ -187,8 +175,9 @@ TEST(RTreeTest, MoveSemantics) {
   moved.CheckInvariants();
 }
 
-// Sweep over (size, fanout) pairs: inserted and bulk-loaded trees agree
-// with brute force on random rect queries.
+// Sweep over (size, fanout) pairs: trees bulk-loaded from the entries in
+// two input orders (as given and reversed) agree with brute force on
+// random rect queries.
 class RTreeParamTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
@@ -197,18 +186,18 @@ TEST_P(RTreeParamTest, BothConstructionsMatchBruteForce) {
   Rng rng(1000 + n * 31 + fanout);
   const auto entries = RandomEntries(n, rng);
 
-  RTree inserted(fanout);
-  for (const auto& e : entries) inserted.Insert(e.point, e.id);
+  const std::vector<RTreeEntry> reversed(entries.rbegin(), entries.rend());
   const RTree bulk = RTree::BulkLoad(entries, fanout);
-  inserted.CheckInvariants();
+  const RTree reloaded = RTree::BulkLoad(reversed, fanout);
   bulk.CheckInvariants();
+  reloaded.CheckInvariants();
 
   for (int q = 0; q < 25; ++q) {
     const double x = rng.Uniform(0, 1000), y = rng.Uniform(0, 1000);
     const Mbr rect(x, y, x + rng.Uniform(0, 500), y + rng.Uniform(0, 500));
     const auto expected = BruteForceRect(entries, rect);
-    auto a = inserted.QueryRectIds(rect);
-    auto b = bulk.QueryRectIds(rect);
+    auto a = bulk.QueryRectIds(rect);
+    auto b = reloaded.QueryRectIds(rect);
     EXPECT_EQ(std::set<uint32_t>(a.begin(), a.end()), expected);
     EXPECT_EQ(std::set<uint32_t>(b.begin(), b.end()), expected);
   }
@@ -219,8 +208,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<size_t>(1, 9, 50, 333, 1024),
                        ::testing::Values<size_t>(4, 8, 16, 50)));
 
-// Clustered (skewed) data exercises the split heuristics differently from
-// uniform data.
+// Clustered (skewed) data exercises the Sort-Tile-Recursive tiling
+// differently from uniform data.
 TEST(RTreeTest, SkewedClusteredData) {
   Rng rng(11);
   std::vector<RTreeEntry> entries;
@@ -229,8 +218,7 @@ TEST(RTreeTest, SkewedClusteredData) {
     const double cy = (i % 3) * 300.0;
     entries.push_back({{cx + rng.Gaussian(0, 5), cy + rng.Gaussian(0, 5)}, i});
   }
-  RTree tree(8);
-  for (const auto& e : entries) tree.Insert(e.point, e.id);
+  const RTree tree = RTree::BulkLoad(entries, 8);
   tree.CheckInvariants();
   for (int q = 0; q < 40; ++q) {
     const Point center{rng.Uniform(-50, 900), rng.Uniform(-50, 700)};

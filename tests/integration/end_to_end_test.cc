@@ -134,7 +134,10 @@ TEST_F(EndToEndTest, PrimeLsBeatsOrMatchesBaselinesOnPrecision) {
 TEST_F(EndToEndTest, IncrementalMatchesBatchOnCheckinData) {
   const SolverConfig config = PaperConfig();
   IncrementalPrimeLS inc(instance_->candidates, config);
-  for (const MovingObject& o : instance_->objects) inc.AddObject(o);
+  for (const MovingObject& o : instance_->objects) {
+    for (const Point& p : o.positions) inc.AppendPosition(o.id, p);
+  }
+  EXPECT_EQ(inc.NumLiveObjects(), instance_->objects.size());
   const SolverResult naive = NaiveSolver().Solve(*instance_, config);
   for (size_t j = 0; j < instance_->candidates.size(); ++j) {
     ASSERT_EQ(inc.InfluenceOf(j), naive.influence[j]) << "candidate " << j;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -53,6 +54,49 @@ TEST(PowerLawTest, NameMentionsParameters) {
   EXPECT_NE(name.find("0.7"), std::string::npos);
   EXPECT_NE(name.find("1.25"), std::string::npos);
 }
+
+// The shared check of user-supplied power-law parameters: one row per
+// parameter and side of its range, plus the inclusive and valid points.
+struct PowerLawParams {
+  const char* name;
+  double rho;
+  double lambda;
+  double unit_meters;
+  const char* error;  ///< "" when the parameters are valid
+};
+
+class PowerLawParameterTest : public ::testing::TestWithParam<PowerLawParams> {
+};
+
+TEST_P(PowerLawParameterTest, NamesTheFirstBadParameter) {
+  const PowerLawParams& p = GetParam();
+  EXPECT_EQ(PowerLawParameterError(p.rho, p.lambda, p.unit_meters), p.error);
+  if (std::string(p.error).empty()) {
+    const PowerLawPF pf(p.rho, p.lambda, 1.0, p.unit_meters);  // no abort
+    EXPECT_DOUBLE_EQ(pf(0.0), p.rho);
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, PowerLawParameterTest,
+    ::testing::Values(
+        PowerLawParams{"defaults", 0.9, 1.0, 100.0, ""},
+        PowerLawParams{"rho_one", 1.0, 1.0, 100.0, ""},
+        PowerLawParams{"rho_zero", 0.0, 1.0, 100.0, "--rho must be in (0, 1]"},
+        PowerLawParams{"rho_above_one", 1.5, 1.0, 100.0,
+                       "--rho must be in (0, 1]"},
+        PowerLawParams{"rho_nan", kNaN, 1.0, 100.0, "--rho must be in (0, 1]"},
+        PowerLawParams{"lambda_zero", 0.9, 0.0, 100.0, "--lambda must be > 0"},
+        PowerLawParams{"lambda_negative", 0.9, -1.0, 100.0,
+                       "--lambda must be > 0"},
+        PowerLawParams{"unit_zero", 0.9, 1.0, 0.0, "--unit-km must be > 0"},
+        PowerLawParams{"unit_negative", 0.9, 1.0, -100.0,
+                       "--unit-km must be > 0"},
+        PowerLawParams{"rho_before_lambda", 0.0, -1.0, -100.0,
+                       "--rho must be in (0, 1]"}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // ----------------------------------------------------- alternative PFs
 

@@ -4,7 +4,10 @@
 // are visible after DrainUpdates(), and malformed requests come back as
 // typed errors.
 
+#include <algorithm>
+#include <initializer_list>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -93,52 +96,39 @@ TEST(ServiceTest, SolveMatchesDirectSolveOnTheSameSnapshot) {
   }
 }
 
-TEST(ServiceTest, TopKBeyondPreparedKFallsBackToExactRanking) {
+// kTopK is PIN's exact ranking at every k, on both sides of the prepared
+// top_k (8): one case per k, up to every candidate.
+class ServiceTopKTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(ServiceTopKTest, RanksLikePinWithEveryEntryExact) {
   const ProblemInstance instance =
       RandomInstance(12, InstanceOptions{.num_candidates = 40});
-  InfluenceService service(instance, DefaultConfig(), TestOptions(4));
-  const SnapshotPtr snap = service.snapshot();
-
-  Request request;
-  request.type = RequestType::kTopK;
-  request.top_k.k = 20;  // beyond prepared_top_k = 4
-  const Response response = service.Execute(request);
-  ASSERT_EQ(response.type, ResponseType::kSolve);
-  ASSERT_EQ(response.solve.topk.size(), 20u);
-
-  // Must match the exact PIN ranking, not VO's truncated one.
-  const SolverResult exact = PinocchioSolver().Solve(snap->prepared);
-  for (size_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(response.solve.topk[i].candidate, exact.ranking[i]) << i;
-    EXPECT_EQ(response.solve.topk[i].influence,
-              exact.influence[exact.ranking[i]]);
-  }
-}
-
-TEST(ServiceTest, TopKWithinPreparedKReturnsExactInfluences) {
-  const ProblemInstance instance =
-      RandomInstance(34, InstanceOptions{.num_objects = 200});
   InfluenceService service(instance, DefaultConfig(), TestOptions());
   const SnapshotPtr snap = service.snapshot();
-  const SolverResult exact = NaiveSolver().Solve(snap->prepared);
+  const SolverResult pin = PinocchioSolver().Solve(snap->prepared);
+  const SolverResult naive = NaiveSolver().Solve(snap->prepared);
 
   Request request;
   request.type = RequestType::kTopK;
-  request.top_k.k = 5;  // within prepared_top_k = 8
+  request.top_k.k = GetParam();
   const Response response = service.Execute(request);
   ASSERT_EQ(response.type, ResponseType::kSolve);
-  ASSERT_EQ(response.solve.topk.size(), 5u);
-  // Every entry is exact and flagged so, and the i-th entry carries the
-  // i-th largest exact influence (ties may order differently).
+  ASSERT_EQ(response.solve.topk.size(), GetParam());
   for (size_t i = 0; i < response.solve.topk.size(); ++i) {
     const RankedCandidate& rc = response.solve.topk[i];
+    EXPECT_EQ(rc.candidate, pin.ranking[i]) << i;
+    EXPECT_EQ(rc.influence, naive.influence[rc.candidate]) << i;
     EXPECT_TRUE(rc.exact) << i;
-    EXPECT_EQ(rc.influence, exact.influence[rc.candidate]) << i;
-    EXPECT_EQ(rc.influence, exact.influence[exact.ranking[i]]) << i;
   }
-  EXPECT_EQ(response.solve.best_candidate, response.solve.topk[0].candidate);
-  EXPECT_EQ(response.solve.best_influence, exact.best_influence);
+  EXPECT_EQ(response.solve.best_candidate, pin.best_candidate);
+  EXPECT_EQ(response.solve.best_influence, naive.best_influence);
 }
+
+INSTANTIATE_TEST_SUITE_P(AroundPreparedK, ServiceTopKTest,
+                         ::testing::Values(1u, 5u, 8u, 9u, 20u, 40u),
+                         [](const auto& info) {
+                           return "k" + std::to_string(info.param);
+                         });
 
 TEST(ServiceTest, ProbeMatchesInfluenceOfCandidate) {
   const ProblemInstance instance = RandomInstance(13);
@@ -263,11 +253,82 @@ TEST(ServiceTest, EmptyAndInvalidUpdatesAreRejected) {
   EXPECT_EQ(response.error.code, ErrorCode::kBadRequest);
 
   UpdateObject empty_object;
-  empty_object.object_id = 1;
+  empty_object.object_id = 90000;
   request.update.objects.push_back(empty_object);  // zero positions
   response = service.Execute(request);
   ASSERT_EQ(response.type, ResponseType::kError);
   EXPECT_EQ(service.snapshot()->epoch, 1u);
+}
+
+Request UpdateWithIds(std::initializer_list<uint32_t> ids) {
+  Request request;
+  request.type = RequestType::kUpdate;
+  for (uint32_t id : ids) {
+    UpdateObject object;
+    object.object_id = id;
+    object.positions = {{1000.0, 2000.0}};
+    request.update.objects.push_back(object);
+  }
+  return request;
+}
+
+// A refused update leaves the epoch and the queue as they were.
+void ExpectRefusedAndNothingQueued(InfluenceService& service,
+                                   const Request& update,
+                                   uint64_t epoch) {
+  const Response response = service.Execute(update);
+  ASSERT_EQ(response.type, ResponseType::kError);
+  EXPECT_EQ(response.error.code, ErrorCode::kBadRequest);
+  Request stats;
+  stats.type = RequestType::kStats;
+  EXPECT_EQ(service.Execute(stats).stats.pending_updates, 0u);
+  service.DrainUpdates();
+  EXPECT_EQ(service.snapshot()->epoch, epoch);
+}
+
+size_t CountObjectsWithId(const InfluenceService& service, uint32_t id) {
+  const SnapshotPtr snap = service.snapshot();
+  const std::vector<MovingObject>& objects = snap->instance.objects;
+  return static_cast<size_t>(
+      std::count_if(objects.begin(), objects.end(),
+                    [id](const MovingObject& o) { return o.id == id; }));
+}
+
+TEST(ServiceTest, UpdateRefusesAnIdTheSnapshotHolds) {
+  const ProblemInstance instance = RandomInstance(18);
+  InfluenceService service(instance, DefaultConfig(), TestOptions());
+  ExpectRefusedAndNothingQueued(
+      service, UpdateWithIds({instance.objects[3].id}), 1);
+  EXPECT_EQ(CountObjectsWithId(service, instance.objects[3].id), 1u);
+  EXPECT_EQ(service.snapshot_swaps(), 0u);
+}
+
+TEST(ServiceTest, UpdateRefusesAnIdAlreadyAccepted) {
+  InfluenceService service(RandomInstance(18), DefaultConfig(),
+                           TestOptions());
+  ASSERT_EQ(service.Execute(UpdateWithIds({70000})).type,
+            ResponseType::kUpdate);
+  // Refused while the first update may still be queued or rebuilding, and
+  // again once it is in the published snapshot.
+  const Response queued = service.Execute(UpdateWithIds({70000}));
+  ASSERT_EQ(queued.type, ResponseType::kError);
+  EXPECT_EQ(queued.error.code, ErrorCode::kBadRequest);
+  service.DrainUpdates();
+  ExpectRefusedAndNothingQueued(service, UpdateWithIds({70000}), 2);
+  EXPECT_EQ(CountObjectsWithId(service, 70000), 1u);
+  EXPECT_EQ(service.snapshot_swaps(), 1u);
+}
+
+TEST(ServiceTest, UpdateRefusesAnIdRepeatedInTheRequest) {
+  InfluenceService service(RandomInstance(18), DefaultConfig(),
+                           TestOptions());
+  ExpectRefusedAndNothingQueued(service, UpdateWithIds({71000, 71000}), 1);
+  EXPECT_EQ(CountObjectsWithId(service, 71000), 0u);
+  // The refused request recorded no id: the same id alone is accepted.
+  ASSERT_EQ(service.Execute(UpdateWithIds({71000})).type,
+            ResponseType::kUpdate);
+  service.DrainUpdates();
+  EXPECT_EQ(CountObjectsWithId(service, 71000), 1u);
 }
 
 TEST(ServiceTest, MultiThreadedSolvesMatchSequentialBitForBit) {

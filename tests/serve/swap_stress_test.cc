@@ -208,10 +208,10 @@ TEST(SwapStressTest, DestructionWithQueuedUpdatesIsClean) {
       Request update;
       update.type = RequestType::kUpdate;
       UpdateObject object;
-      object.object_id = static_cast<uint32_t>(i);
+      object.object_id = static_cast<uint32_t>(60000 + i);
       object.positions = {{1.0 * i, 2.0 * i}};
       update.update.objects.push_back(object);
-      service.Execute(update);
+      ASSERT_EQ(service.Execute(update).type, ResponseType::kUpdate);
     }
     // Destructor runs here with the queue possibly non-empty.
   }

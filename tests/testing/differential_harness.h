@@ -1,8 +1,9 @@
 // Differential fuzzing harness: generates randomized PRIME-LS instances
 // (sweeping sizes, all PF families, boundary tau values and degenerate
 // geometries), runs every solver plus the skyline/diversified/approx
-// families and the incremental/streaming paths, and diffs the results
-// against the NaiveSolver oracle. On a mismatch — or a
+// families and the stream engine's position-delta path (IncrementalPrimeLS
+// and StreamingPrimeLS), and diffs the results against the NaiveSolver
+// oracle, or against PIN over the slid windows. On a mismatch — or a
 // PINOCCHIO_SELF_CHECK violation raised while solving — it records a
 // human-readable failure and, when a reproducer directory is configured,
 // dumps the instance as a binary dataset snapshot (src/data/binary_io)
@@ -53,8 +54,9 @@ struct FuzzOptions {
   /// Directory for reproducer dumps ("" disables dumping). Created on
   /// demand.
   std::string reproducer_dir;
-  /// Also exercise the auxiliary paths (skyline, diversified, approx,
-  /// incremental, streaming). The core ten-solver differential always
+  /// Also exercise the auxiliary paths (skyline, diversified, approx and
+  /// the position-delta engine). The core solver differential (PIN,
+  /// PIN-VO, PIN-VO*, their thread sweeps and the two baselines) always
   /// runs.
   bool check_auxiliary = true;
   /// Polled between cases; returning true stops the sweep early with the

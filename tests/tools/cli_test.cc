@@ -119,7 +119,7 @@ TEST(CliTest, SolveAllAlgorithmsAgreeOnWinnerClass) {
                 .code,
             0);
   for (const std::string algorithm :
-       {"na", "pin", "pin-hull", "pin-vo", "pin-vo-star", "brnn", "range"}) {
+       {"na", "pin", "pin-vo", "pin-vo-star", "brnn", "range"}) {
     const CliOutcome r = RunCli({"solve", "--in=" + snapshot,
                                  "--algorithm=" + algorithm,
                                  "--candidates=30", "--top=3"});
@@ -328,12 +328,13 @@ TEST(CliTest, SelectValidatesArguments) {
   EXPECT_EQ(RunCli({"select", "--in=/nonexistent.pino"}).code, 1);
 }
 
-// A count or index flag below its minimum exits 2 with a message, instead
-// of aborting on a solver check or wrapping through the cast to size_t.
+// A count, index or power-law flag out of range exits 2 with a message
+// naming the flag, instead of aborting on a solver or PF check or wrapping
+// through the cast to size_t.
 struct OutOfRangeFlag {
   std::string command;
   std::string flag;
-  int64_t min;
+  std::string must;  ///< the message reads "--<flag> must <must>"
 };
 
 // "solve", "--top=-2" -> "solve_top_m2": the case name and its snapshot.
@@ -342,6 +343,7 @@ std::string RowName(const OutOfRangeFlag& row) {
   for (char& c : name) {
     if (c == '=') c = '_';
     if (c == '-') c = 'm';
+    if (c == '.') c = 'p';
   }
   return name;
 }
@@ -367,8 +369,7 @@ TEST_P(CliOutOfRangeFlagTest, ExitsTwoWithAMessage) {
   const CliOutcome r = RunCli(args);
   EXPECT_EQ(r.code, 2) << r.out;
   const std::string name = p.flag.substr(2, p.flag.find('=') - 2);
-  EXPECT_NE(r.err.find("--" + name + " must be >= " + std::to_string(p.min)),
-            std::string::npos)
+  EXPECT_NE(r.err.find("--" + name + " must " + p.must), std::string::npos)
       << r.err;
   EXPECT_EQ(r.out.find("selected"), std::string::npos);
   EXPECT_EQ(r.out.find("influence"), std::string::npos);
@@ -376,18 +377,24 @@ TEST_P(CliOutOfRangeFlagTest, ExitsTwoWithAMessage) {
 
 INSTANTIATE_TEST_SUITE_P(
     Flags, CliOutOfRangeFlagTest,
-    ::testing::Values(OutOfRangeFlag{"solve", "--top=0", 1},
-                      OutOfRangeFlag{"solve", "--top=-2", 1},
-                      OutOfRangeFlag{"solve", "--candidates=0", 1},
-                      OutOfRangeFlag{"solve", "--candidates=-3", 1},
-                      OutOfRangeFlag{"solve", "--threads=-1", 0},
-                      OutOfRangeFlag{"select", "--k=0", 1},
-                      OutOfRangeFlag{"select", "--k=-1", 1},
-                      OutOfRangeFlag{"select", "--candidates=0", 1},
-                      OutOfRangeFlag{"select", "--candidates=-3", 1},
-                      OutOfRangeFlag{"explain", "--candidates=0", 1},
-                      OutOfRangeFlag{"explain", "--candidate=-1", 0},
-                      OutOfRangeFlag{"explain", "--top=-1", 0}),
+    ::testing::Values(
+        OutOfRangeFlag{"solve", "--top=0", "be >= 1"},
+        OutOfRangeFlag{"solve", "--top=-2", "be >= 1"},
+        OutOfRangeFlag{"solve", "--candidates=0", "be >= 1"},
+        OutOfRangeFlag{"solve", "--candidates=-3", "be >= 1"},
+        OutOfRangeFlag{"solve", "--threads=-1", "be >= 0"},
+        OutOfRangeFlag{"solve", "--rho=0", "be in (0, 1]"},
+        OutOfRangeFlag{"solve", "--lambda=-1", "be > 0"},
+        OutOfRangeFlag{"solve", "--unit-km=0", "be > 0"},
+        OutOfRangeFlag{"select", "--k=0", "be >= 1"},
+        OutOfRangeFlag{"select", "--k=-1", "be >= 1"},
+        OutOfRangeFlag{"select", "--candidates=0", "be >= 1"},
+        OutOfRangeFlag{"select", "--candidates=-3", "be >= 1"},
+        OutOfRangeFlag{"select", "--rho=1.5", "be in (0, 1]"},
+        OutOfRangeFlag{"explain", "--candidates=0", "be >= 1"},
+        OutOfRangeFlag{"explain", "--candidate=-1", "be >= 0"},
+        OutOfRangeFlag{"explain", "--top=-1", "be >= 0"},
+        OutOfRangeFlag{"explain", "--lambda=0", "be > 0"}),
     [](const auto& info) { return RowName(info.param); });
 
 TEST(CliTest, StatsRequiresInput) {

@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 namespace pinocchio {
@@ -132,6 +134,46 @@ TEST(FlagParserTest, FlagNamesSorted) {
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "a");
   EXPECT_EQ(names[1], "b");
+}
+
+TEST(GetCountFlagTest, ReadsTheValueOrTheFallback) {
+  const FlagParser flags({"--count=5"});
+  std::ostringstream err;
+  size_t value = 0;
+  ASSERT_TRUE(GetCountFlag(flags, "count", 9, 1, &value, err));
+  EXPECT_EQ(value, 5u);
+  ASSERT_TRUE(GetCountFlag(flags, "missing", 9, 1, &value, err));
+  EXPECT_EQ(value, 9u);
+  EXPECT_TRUE(err.str().empty());
+}
+
+TEST(GetCountFlagTest, RefusesBelowTheMinimumNamingTheFlag) {
+  const FlagParser flags({"--workers=-1"});
+  std::ostringstream err;
+  size_t value = 7;
+  EXPECT_FALSE(GetCountFlag(flags, "workers", 0, 0, &value, err));
+  EXPECT_EQ(value, 7u);
+  EXPECT_EQ(err.str(), "--workers must be >= 0\n");
+}
+
+TEST(GetCountFlagTest, RefusesAboveTheMaximumNamingTheFlag) {
+  const FlagParser flags({"--port=70000"});
+  std::ostringstream err;
+  size_t value = 7;
+  EXPECT_FALSE(GetCountFlag(flags, "port", 0, 0, &value, err, 65535));
+  EXPECT_EQ(value, 7u);
+  EXPECT_EQ(err.str(), "--port must be <= 65535\n");
+}
+
+TEST(GetCountFlagTest, BoundsAreInclusive) {
+  std::ostringstream err;
+  size_t value = 0;
+  ASSERT_TRUE(GetCountFlag(FlagParser({"--port=65535"}), "port", 0, 0, &value,
+                           err, 65535));
+  EXPECT_EQ(value, 65535u);
+  ASSERT_TRUE(GetCountFlag(FlagParser({"--k=1"}), "k", 3, 1, &value, err));
+  EXPECT_EQ(value, 1u);
+  EXPECT_TRUE(err.str().empty());
 }
 
 }  // namespace

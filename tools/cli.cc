@@ -9,7 +9,6 @@
 #include "baselines/range_solver.h"
 #include "core/naive_solver.h"
 #include "core/influence_query.h"
-#include "core/pinocchio_hull_solver.h"
 #include "core/pinocchio_solver.h"
 #include "core/pinocchio_vo_solver.h"
 #include "core/prepared_instance.h"
@@ -50,7 +49,7 @@ Usage:
 Datasets are CSV check-ins (user_id,lat,lon[,venue_id]) or binary .pino
 snapshots written by `generate`.
 
-Algorithms: na, pin, pin-hull, pin-vo, pin-vo-star, brnn, range.
+Algorithms: na, pin, pin-vo, pin-vo-star, brnn, range.
 --threads (default 1, 0 = hardware concurrency) is the thread budget of
 pin, pin-vo and pin-vo-star; results are identical at every budget.
 )";
@@ -73,18 +72,20 @@ int FailUnknownFlags(const FlagParser& flags,
   return 2;
 }
 
-// Reads the integer flag `name` (default `fallback`) as a count or an
-// index. A value below `min` is refused with a message rather than wrapped
-// by the cast to size_t.
-bool GetCountFlag(const FlagParser& flags, const std::string& name,
-                  int64_t fallback, int64_t min, size_t* value,
-                  std::ostream& err) {
-  const int64_t raw = flags.GetInt(name, fallback);
-  if (raw < min) {
-    err << "--" << name << " must be >= " << min << "\n";
+// Sets config->pf to the power-law PF of --rho, --lambda and --unit-km,
+// refusing out-of-range values with a message instead of aborting.
+bool SetPowerLawPF(const FlagParser& flags, SolverConfig* config,
+                   std::ostream& err) {
+  const double rho = flags.GetDouble("rho", 0.9);
+  const double lambda = flags.GetDouble("lambda", 1.0);
+  const double unit_meters = flags.GetDouble("unit-km", 0.1) * 1000.0;
+  const std::string error = PowerLawParameterError(rho, lambda, unit_meters);
+  if (!error.empty()) {
+    err << error << "\n";
     return false;
   }
-  *value = static_cast<size_t>(raw);
+  config->pf = std::make_shared<PowerLawPF>(rho, lambda, /*d0=*/1.0,
+                                            unit_meters);
   return true;
 }
 
@@ -243,9 +244,7 @@ int RunSolve(const FlagParser& flags, std::ostream& out, std::ostream& err) {
 
   SolverConfig config;
   config.tau = flags.GetDouble("tau", 0.7);
-  config.pf = std::make_shared<PowerLawPF>(
-      flags.GetDouble("rho", 0.9), flags.GetDouble("lambda", 1.0),
-      /*d0=*/1.0, /*unit_meters=*/flags.GetDouble("unit-km", 0.1) * 1000.0);
+  if (!SetPowerLawPF(flags, &config, err)) return 2;
   config.top_k = top;
   if (config.tau <= 0.0 || config.tau >= 1.0) {
     err << "--tau must be in (0, 1)\n";
@@ -287,8 +286,6 @@ int RunSolve(const FlagParser& flags, std::ostream& out, std::ostream& err) {
     solver = std::make_unique<NaiveSolver>();
   } else if (algorithm == "pin") {
     solver = std::make_unique<PinocchioSolver>(threads);
-  } else if (algorithm == "pin-hull") {
-    solver = std::make_unique<PinocchioHullSolver>();
   } else if (algorithm == "pin-vo") {
     solver = std::make_unique<PinocchioVOSolver>(threads);
   } else if (algorithm == "pin-vo-star") {
@@ -391,9 +388,7 @@ int RunSelect(const FlagParser& flags, std::ostream& out, std::ostream& err) {
 
   SolverConfig config;
   config.tau = flags.GetDouble("tau", 0.7);
-  config.pf = std::make_shared<PowerLawPF>(
-      flags.GetDouble("rho", 0.9), flags.GetDouble("lambda", 1.0),
-      /*d0=*/1.0, /*unit_meters=*/flags.GetDouble("unit-km", 0.1) * 1000.0);
+  if (!SetPowerLawPF(flags, &config, err)) return 2;
   if (config.tau <= 0.0 || config.tau >= 1.0) {
     err << "--tau must be in (0, 1)\n";
     return 2;
@@ -512,9 +507,7 @@ int RunExplain(const FlagParser& flags, std::ostream& out,
 
   SolverConfig config;
   config.tau = flags.GetDouble("tau", 0.7);
-  config.pf = std::make_shared<PowerLawPF>(
-      flags.GetDouble("rho", 0.9), flags.GetDouble("lambda", 1.0),
-      /*d0=*/1.0, /*unit_meters=*/flags.GetDouble("unit-km", 0.1) * 1000.0);
+  if (!SetPowerLawPF(flags, &config, err)) return 2;
   if (config.tau <= 0.0 || config.tau >= 1.0) {
     err << "--tau must be in (0, 1)\n";
     return 2;

@@ -1,7 +1,8 @@
 // Differential fuzz driver: sweeps a seed range through the differential
 // harness (tests/testing/differential_harness.h), which diffs every solver,
-// the skyline/diversified/approx families and the incremental/streaming
-// paths against the NaiveSolver oracle on randomized instances. With
+// the skyline/diversified/approx families and the stream engine's
+// position-delta path against the NaiveSolver oracle on randomized
+// instances. With
 // --self_check (the default) every pruning and validation decision is
 // additionally re-verified in-solver via the PINOCCHIO_SELF_CHECK
 // machinery.
@@ -46,7 +47,7 @@ constexpr char kUsage[] = R"(Usage: fuzz_driver [flags]
                        the scalar reference while solving (default true).
   --check_auxiliary=BOOL
                        Also exercise the skyline/diversified/approx
-                       families and the incremental/streaming paths
+                       families and the position-delta stream engine
                        (default true).
   --protocol=N         Fuzz the wire-protocol codec for N seeds instead of
                        the solvers (round-trips, mutations, garbage).

@@ -39,7 +39,9 @@ constexpr char kUsage[] = R"(Usage: pinocchio_server [flags]
   --tau=F           Influence threshold (default 0.7).
   --rho=F --lambda=F --unit-km=F
                     Power-law PF parameters (defaults 0.9 / 1.0 / 0.1).
-  --topk-limit=N    top_k the snapshots are prepared with (default 16).
+  --topk-limit=N    Exact prefix of pin-vo solves and what-ifs: the top_k
+                    the snapshots are prepared with (default 16). Top-k
+                    requests are exact at every k.
   --solve_threads=N Thread budget of solve/topk/skyline/diverse/approx
                     requests (default 1 = inline; 0 = hardware
                     concurrency). NA solves stay sequential.
@@ -73,6 +75,47 @@ int main(int argc, char** argv) {
       std::cerr << "error: " << error << "\n";
     }
     std::cerr << kUsage;
+    return 2;
+  }
+
+  // --------------------------------------------------------------- flags
+  serve::ServiceOptions service_options;
+  serve::ServerOptions server_options;
+  size_t port = 0;
+  size_t num_candidates = 0;
+  if (!GetCountFlag(flags, "port", 7741, 0, &port, std::cerr, 65535) ||
+      !GetCountFlag(flags, "workers", 0, 0, &server_options.num_workers,
+                    std::cerr) ||
+      !GetCountFlag(flags, "candidates", 600, 1, &num_candidates,
+                    std::cerr) ||
+      !GetCountFlag(flags, "topk-limit", 16, 1,
+                    &service_options.prepared_top_k, std::cerr) ||
+      !GetCountFlag(flags, "solve_threads", 1, 0,
+                    &service_options.solve_threads, std::cerr)) {
+    return 2;
+  }
+  SolverConfig config;
+  config.tau = flags.GetDouble("tau", 0.7);
+  if (config.tau <= 0.0 || config.tau >= 1.0) {
+    std::cerr << "--tau must be in (0, 1)\n";
+    return 2;
+  }
+  const double rho = flags.GetDouble("rho", 0.9);
+  const double lambda = flags.GetDouble("lambda", 1.0);
+  const double unit_meters = flags.GetDouble("unit-km", 0.1) * 1000.0;
+  if (const std::string error =
+          PowerLawParameterError(rho, lambda, unit_meters);
+      !error.empty()) {
+    std::cerr << error << "\n";
+    return 2;
+  }
+  config.pf =
+      std::make_shared<PowerLawPF>(rho, lambda, /*d0=*/1.0, unit_meters);
+  service_options.pf_unit_meters = unit_meters;
+  service_options.stream_window_seconds =
+      flags.GetDouble("stream-window", 0.0);
+  if (service_options.stream_window_seconds < 0.0) {
+    std::cerr << "--stream-window must be >= 0\n";
     return 2;
   }
 
@@ -121,8 +164,6 @@ int main(int argc, char** argv) {
   }
 
   const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  const auto num_candidates =
-      static_cast<size_t>(flags.GetInt("candidates", 600));
   ProblemInstance instance;
   instance.objects = dataset.objects;
   if (!dataset.venues.empty()) {
@@ -144,40 +185,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  SolverConfig config;
-  config.tau = flags.GetDouble("tau", 0.7);
-  if (config.tau <= 0.0 || config.tau >= 1.0) {
-    std::cerr << "--tau must be in (0, 1)\n";
-    return 2;
-  }
-  const double unit_meters = flags.GetDouble("unit-km", 0.1) * 1000.0;
-  config.pf = std::make_shared<PowerLawPF>(flags.GetDouble("rho", 0.9),
-                                           flags.GetDouble("lambda", 1.0),
-                                           /*d0=*/1.0, unit_meters);
-
-  serve::ServiceOptions service_options;
-  service_options.prepared_top_k =
-      static_cast<size_t>(flags.GetInt("topk-limit", 16));
-  service_options.pf_unit_meters = unit_meters;
-  service_options.solve_threads =
-      static_cast<size_t>(flags.GetInt("solve_threads", 1));
-  service_options.stream_window_seconds =
-      flags.GetDouble("stream-window", 0.0);
-  if (service_options.stream_window_seconds < 0.0) {
-    std::cerr << "--stream-window must be >= 0\n";
-    return 2;
-  }
-
   std::cout << "preparing " << instance.objects.size() << " objects / "
             << instance.candidates.size() << " candidates (tau "
             << config.tau << ")...\n";
   serve::InfluenceService service(std::move(instance), config,
                                   service_options);
 
-  serve::ServerOptions server_options;
-  server_options.port = static_cast<uint16_t>(flags.GetInt("port", 7741));
-  server_options.num_workers =
-      static_cast<size_t>(flags.GetInt("workers", 0));
+  server_options.port = static_cast<uint16_t>(port);
   const std::string bind = flags.GetString("bind", "127.0.0.1");
   server_options.bind_address = bind.c_str();
 
