@@ -78,13 +78,19 @@ void AuditClassification(const RTree& index, const ObjectRecord& rec,
 
 /// One call's prune pass: the self-check flag, the SIMD prune filter and
 /// the scratch its records refill, all set up once and reused per record.
+/// Run() also counts each candidate's pairs by class into `ia_credits` and
+/// `remnants` when they are non-empty.
 class PrunePass {
  public:
-  PrunePass(const RTree& index, const InfluenceKernel& kernel)
+  PrunePass(const RTree& index, const InfluenceKernel& kernel,
+            std::span<int64_t> ia_credits = {},
+            std::span<int64_t> remnants = {})
       : index_(index),
         kernel_(kernel),
         self_check_(SelfCheckEnabled()),
-        filter_(kernel.simd_tier()) {}
+        filter_(kernel.simd_tier()),
+        ia_credits_(ia_credits),
+        remnants_(remnants) {}
 
   // The single QueryRect site of the prune phase: one record against every
   // candidate of the index. With a filter (tiers above kScalar) the
@@ -160,8 +166,12 @@ class PrunePass {
     remnant_ids_.clear();
     Classify(
         rec, positions, record_index, num_candidates, stats,
-        [&](const RTreeEntry& e, uint32_t k) { influenced(e.id, k); },
+        [&](const RTreeEntry& e, uint32_t k) {
+          if (!ia_credits_.empty()) ++ia_credits_[e.id];
+          influenced(e.id, k);
+        },
         [&](const RTreeEntry& e, uint32_t) {
+          if (!remnants_.empty()) ++remnants_[e.id];
           remnant_points_.push_back(e.point);
           remnant_ids_.push_back(e.id);
         });
@@ -189,6 +199,8 @@ class PrunePass {
   const InfluenceKernel& kernel_;
   const bool self_check_;
   const SimdPruneFilter filter_;
+  const std::span<int64_t> ia_credits_;
+  const std::span<int64_t> remnants_;
   // Filter batch: the range-query hits, their points and lane classes.
   std::vector<RTreeEntry> entries_;
   std::vector<Point> points_;
@@ -226,8 +238,10 @@ void ClassifyCandidates(const RTree& index, const ObjectStore& store,
 void PruneAndValidate(const RTree& index, const ObjectStore& store,
                       const InfluenceKernel& kernel, uint32_t first_record,
                       uint32_t last_record, size_t num_candidates,
-                      SolverStats* stats, PruneInfluencedFn influenced) {
-  PrunePass pass(index, kernel);
+                      SolverStats* stats, PruneInfluencedFn influenced,
+                      std::span<int64_t> ia_credits,
+                      std::span<int64_t> remnants) {
+  PrunePass pass(index, kernel, ia_credits, remnants);
   for (uint32_t k = first_record; k < last_record; ++k) {
     const ObjectRecord& rec = store.records()[k];
     pass.Run(rec, store.positions(rec), k, num_candidates, stats, influenced);

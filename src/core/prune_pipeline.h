@@ -6,7 +6,8 @@
 // influenced outright (Lemma 2), and hand the remnant set C'' to
 // validation. PruneAndValidate is the one loop that runs all of it: it
 // reports each influenced pair once to a visitor, so PIN counts and the
-// influence sets append through the same code. The pass owns every pass
+// influence sets append through the same code, and on request it also
+// counts each candidate's pairs by prune class. The pass owns every pass
 // counter of SolverStats (pairs_pruned_by_ia / pairs_pruned_by_nib from
 // the prune phase, pairs_validated / positions_scanned / early_stops from
 // the batch kernel). ClassifyCandidates is its prune phase alone, for the
@@ -105,19 +106,27 @@ void ClassifyCandidates(const RTree& index, const ObjectStore& store,
 /// influenced pair goes to `influenced` exactly once — IA certificates of
 /// a record first, in index-visit order, then its validated remnants.
 /// `stats` (nullable) receives every pass counter; `num_candidates` is as
-/// for ClassifyCandidates.
+/// for ClassifyCandidates. When `ia_credits` and `remnants` are non-empty
+/// (one slot per candidate each), the same loop also counts every pair
+/// inside the NIB by its class: one to ia_credits[id] per IA certificate,
+/// one to remnants[id] per remnant pair: the starting bracket
+/// [ia_credits, ia_credits + remnants] of query::BuildCandidateBrackets.
 void PruneAndValidate(const RTree& index, const ObjectStore& store,
                       const InfluenceKernel& kernel, uint32_t first_record,
                       uint32_t last_record, size_t num_candidates,
-                      SolverStats* stats, PruneInfluencedFn influenced);
+                      SolverStats* stats, PruneInfluencedFn influenced,
+                      std::span<int64_t> ia_credits = {},
+                      std::span<int64_t> remnants = {});
 
 /// One morsel worker's share of a prune pass over records: influence
-/// credits (one slot per candidate) and counters, padded to its own cache
-/// lines so one worker's hot increments never invalidate another's. The
-/// pass sums the shares once at the end — integer sums, so the totals are
-/// the same at any thread budget.
+/// credits (one slot per candidate), remnant counts (sized only by a pass
+/// that counts them) and counters, padded to its own cache lines so one
+/// worker's hot increments never invalidate another's. The pass sums the
+/// shares once at the end — integer sums, so the totals are the same at
+/// any thread budget.
 struct alignas(128) PruneWorkerShare {
   std::vector<int64_t> influence;
+  std::vector<int64_t> remnants;
   SolverStats stats;
 };
 

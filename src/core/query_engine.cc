@@ -174,9 +174,12 @@ namespace {
 /// candidates).
 class SkylinePolicy {
  public:
-  SkylinePolicy(std::span<const double> cost, CandidateBrackets* brackets,
-                SkylineResult* result)
-      : cost_(cost), brackets_(brackets), result_(result) {}
+  SkylinePolicy(std::span<const double> cost, std::vector<int64_t> min_inf,
+                std::vector<int64_t> max_inf, SkylineResult* result)
+      : cost_(cost),
+        min_inf_(std::move(min_inf)),
+        max_inf_(std::move(max_inf)),
+        result_(result) {}
 
   CandidateAdmission Admit(uint32_t j) {
     if (!have_group_ || cost_[j] != group_cost_) {
@@ -197,18 +200,22 @@ class SkylinePolicy {
 
   void OnDecision(uint32_t j, bool influenced) {
     if (influenced) {
-      ++brackets_->min_inf[j];
+      ++min_inf_[j];
     } else {
-      --brackets_->max_inf[j];
+      --max_inf_[j];
     }
   }
 
   void Settle(uint32_t j, bool complete) {
     // An aborted candidate is dominated; its exact influence is unknown
-    // and irrelevant.
-    if (!complete) return;
-    // Fully validated: the bracket has collapsed, minInf is exact.
-    const int64_t influence = brackets_->min_inf[j];
+    // and irrelevant. Fully validated: the bracket has collapsed, minInf
+    // is exact.
+    if (complete) SettleExact(j, min_inf_[j]);
+  }
+
+  // Admits j to the pool at a known exact influence; the replay over an
+  // exact pass settles every admitted candidate this way.
+  void SettleExact(uint32_t j, int64_t influence) {
     pool_.push_back({j, influence, cost_[j]});
     best_in_group_ = std::max(best_in_group_, influence);
   }
@@ -243,13 +250,14 @@ class SkylinePolicy {
 
  private:
   bool Dominated(uint32_t j) const {
-    const int64_t upper = brackets_->max_inf[j];
+    const int64_t upper = max_inf_[j];
     return best_strictly_cheaper_ >= upper ||
            std::max(best_strictly_cheaper_, best_in_group_) > upper;
   }
 
   std::span<const double> cost_;
-  CandidateBrackets* brackets_;
+  std::vector<int64_t> min_inf_;
+  std::vector<int64_t> max_inf_;
   SkylineResult* result_;
   std::vector<SkylineMember> pool_;
   double group_cost_ = 0.0;
@@ -258,14 +266,33 @@ class SkylinePolicy {
   int64_t best_in_group_ = -1;
 };
 
+void CheckSkylineCosts(std::span<const double> cost, size_t m) {
+  PINO_CHECK_EQ(cost.size(), m);
+  for (double c : cost) PINO_CHECK(std::isfinite(c)) << "skyline cost " << c;
+}
+
+/// Cost ascending, then the engine's canonical bound order: cheapest
+/// candidates settle first so their exact influences dominate everything
+/// more expensive with a smaller upper bound.
+std::vector<uint32_t> SkylineOrder(std::span<const double> cost,
+                                   std::span<const int64_t> min_inf,
+                                   std::span<const int64_t> max_inf) {
+  std::vector<uint32_t> order(cost.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    if (cost[a] != cost[b]) return cost[a] < cost[b];
+    return OrderBefore(min_inf, max_inf, a, b);
+  });
+  return order;
+}
+
 }  // namespace
 
 SkylineResult SolveSkyline(const PreparedInstance& prepared,
                            std::span<const double> cost,
                            size_t num_threads) {
   const size_t m = prepared.num_candidates();
-  PINO_CHECK_EQ(cost.size(), m);
-  for (double c : cost) PINO_CHECK(std::isfinite(c)) << "skyline cost " << c;
+  CheckSkylineCosts(cost, m);
   Stopwatch watch;
   SkylineResult result;
   if (m == 0) {
@@ -273,26 +300,34 @@ SkylineResult SolveSkyline(const PreparedInstance& prepared,
     return result;
   }
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
-  CandidateBrackets brackets =
+  const CandidateBrackets brackets =
       BuildCandidateBrackets(prepared, kernel, /*use_pruning=*/true,
                              &result.stats, MorselScheduler(num_threads));
+  const std::vector<uint32_t> order =
+      SkylineOrder(cost, brackets.min_inf, brackets.max_inf);
 
-  // Cost ascending, then the engine's canonical bound order: cheapest
-  // candidates settle first so their exact influences dominate everything
-  // more expensive with a smaller upper bound.
-  std::vector<uint32_t> order(m);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (cost[a] != cost[b]) return cost[a] < cost[b];
-    return OrderBefore(brackets.min_inf, brackets.max_inf, a, b);
-  });
-
-  SkylinePolicy policy(cost, &brackets, &result);
+  SkylinePolicy policy(cost, brackets.min_inf, brackets.max_inf, &result);
   const auto verification_set = [&](uint32_t j) -> std::span<const uint32_t> {
     return brackets.VerificationSet(j);
   };
   EvaluateBoundOrdered(prepared, kernel, order, verification_set,
                        &result.stats, policy);
+  policy.Finish();
+  internal::FinishSolveTiming(&result.stats, watch.ElapsedSeconds());
+  return result;
+}
+
+SkylineResult SolveSkyline(const InfluenceSets& pass,
+                           std::span<const double> cost) {
+  CheckSkylineCosts(cost, pass.num_candidates());
+  Stopwatch watch;
+  SkylineResult result;
+  SkylinePolicy policy(cost, pass.min_inf, pass.max_inf, &result);
+  for (uint32_t j : SkylineOrder(cost, pass.min_inf, pass.max_inf)) {
+    if (policy.Admit(j) == CandidateAdmission::kEvaluate) {
+      policy.SettleExact(j, pass.Influence(j));
+    }
+  }
   policy.Finish();
   internal::FinishSolveTiming(&result.stats, watch.ElapsedSeconds());
   return result;
@@ -329,8 +364,7 @@ void GreedySelect(const PreparedInstance& prepared, size_t k,
   std::priority_queue<HeapEntry> heap;
   for (size_t j = 0; j < m; ++j) {
     // Initial gains are exact (round 0, nothing covered yet).
-    heap.push({static_cast<int64_t>(sets.Objects(static_cast<uint32_t>(j))
-                                        .size()),
+    heap.push({sets.Influence(static_cast<uint32_t>(j)),
                static_cast<uint32_t>(j), 0});
     ++result->gain_evaluations;
   }
@@ -398,7 +432,12 @@ InfluenceSets BuildInfluenceSets(const PreparedInstance& prepared,
       PlanRecordMorsels(prepared.store(), scheduler);
   const size_t m = prepared.num_candidates();
   std::vector<RecordCandidateLists> influenced(morsels.size());
-  scheduler.Run(morsels, [&](size_t, size_t mi, const Morsel& morsel) {
+  std::vector<PruneWorkerShare> workers(scheduler.num_threads());
+  for (PruneWorkerShare& w : workers) {
+    w.influence.assign(m, 0);
+    w.remnants.assign(m, 0);
+  }
+  scheduler.Run(morsels, [&](size_t w, size_t mi, const Morsel& morsel) {
     RecordCandidateLists& lists = influenced[mi];
     lists.first_record = morsel.first_record;
     lists.counts.assign(morsel.size(), 0);
@@ -407,29 +446,45 @@ InfluenceSets BuildInfluenceSets(const PreparedInstance& prepared,
                      [&](uint32_t j, uint32_t k) {
                        lists.candidates.push_back(j);
                        ++lists.counts[k - morsel.first_record];
-                     });
+                     },
+                     workers[w].influence, workers[w].remnants);
   });
   InfluenceSets sets;
   RecordListsToCsr(m, influenced, &sets.offsets, &sets.objects);
+  sets.min_inf.assign(m, 0);
+  sets.max_inf.assign(m, 0);
+  for (const PruneWorkerShare& w : workers) {
+    for (size_t j = 0; j < m; ++j) {
+      sets.min_inf[j] += w.influence[j];
+      sets.max_inf[j] += w.influence[j] + w.remnants[j];
+    }
+  }
   return sets;
 }
 
 DiversifiedResult SelectDiversified(const PreparedInstance& prepared, size_t k,
                                     double min_separation,
                                     size_t num_threads) {
+  Stopwatch watch;
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  DiversifiedResult result = SelectDiversified(
+      prepared,
+      BuildInfluenceSets(prepared, kernel, MorselScheduler(num_threads)), k,
+      min_separation);
+  result.solve_seconds = watch.ElapsedSeconds();
+  result.elapsed_seconds = result.prepare_seconds + result.solve_seconds;
+  return result;
+}
+
+DiversifiedResult SelectDiversified(const PreparedInstance& prepared,
+                                    const InfluenceSets& pass, size_t k,
+                                    double min_separation) {
   PINO_CHECK_GT(k, 0u);
   PINO_CHECK_GE(min_separation, 0.0);
+  PINO_CHECK_EQ(pass.num_candidates(), prepared.num_candidates());
   Stopwatch watch;
   DiversifiedResult result;
-  if (prepared.num_candidates() == 0) {
-    result.solve_seconds = watch.ElapsedSeconds();
-    result.elapsed_seconds = result.prepare_seconds + result.solve_seconds;
-    return result;
-  }
-  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
-  const InfluenceSets sets =
-      BuildInfluenceSets(prepared, kernel, MorselScheduler(num_threads));
-  GreedySelect(prepared, k, min_separation, sets, &result);
+  GreedySelect(prepared, k, min_separation, pass, &result);
   result.solve_seconds = watch.ElapsedSeconds();
   result.elapsed_seconds = result.prepare_seconds + result.solve_seconds;
   return result;

@@ -16,9 +16,12 @@
 // influence_kernel.h); decisions and the other counters equal the scalar
 // kernel's.
 //
-// The greedy diversified-selection family does not bracket influence per
-// candidate; it rides the engine's other shared substrate, the CSR
-// influence sets built by the same prune pipeline.
+// The engine's other substrate is the exact pass (InfluenceSets): the
+// CSR influence sets of Algorithm 2's prune-and-validate loop, which also
+// carry every candidate's starting bracket. The greedy diversified
+// selection runs over it, and a skyline replayed over it equals the
+// engine walk's (a server builds it once per snapshot and answers both
+// families, and exact top-k, from it).
 //
 // Thread budget: the builders take a MorselScheduler and the families a
 // `num_threads` (default 1, 0 = hardware concurrency). The prune phases run
@@ -258,6 +261,40 @@ class TopKCutoffPolicy {
   std::vector<int64_t>* max_inf_;
 };
 
+// ------------------------------------------------------------- exact pass
+
+/// The exact pass of Algorithm 2 over the whole store: per-candidate
+/// influenced-object sets in one flat CSR layout, records ascending within
+/// each candidate's slice, plus every candidate's prune bracket as
+/// BuildCandidateBrackets starts it (min_inf the IA credits, max_inf
+/// min_inf plus the verification set's size). A candidate's exact
+/// influence is the size of its set.
+struct InfluenceSets {
+  std::vector<uint32_t> offsets;  // size m + 1
+  std::vector<uint32_t> objects;  // record indices
+  std::vector<int64_t> min_inf;
+  std::vector<int64_t> max_inf;
+
+  size_t num_candidates() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
+
+  std::span<const uint32_t> Objects(uint32_t j) const {
+    return std::span<const uint32_t>(objects).subspan(
+        offsets[j], offsets[j + 1] - offsets[j]);
+  }
+
+  int64_t Influence(uint32_t j) const { return offsets[j + 1] - offsets[j]; }
+};
+
+/// Builds the exact pass over record morsels in one prune-and-validate
+/// loop: influenced pairs go to per-morsel lists transposed in morsel
+/// order, the prune classes to per-worker counts summed once, so every
+/// byte is the same at any budget.
+InfluenceSets BuildInfluenceSets(
+    const PreparedInstance& prepared, const InfluenceKernel& kernel,
+    const MorselScheduler& scheduler = MorselScheduler(1));
+
 // ---------------------------------------------------------------- skyline
 
 /// One member of the influence/cost skyline, with its exact influence.
@@ -292,29 +329,17 @@ SkylineResult SolveSkyline(const PreparedInstance& prepared,
                            std::span<const double> cost,
                            size_t num_threads = 1);
 
+/// The same skyline replayed over an exact pass: the walk in the same
+/// order on the pass's brackets, the same admission test (so the same
+/// bound_skipped), and every admitted candidate settled with its exact
+/// influence instead of being validated. A candidate the engine walk
+/// aborts is at most as influential as the maxima that dominated it, so
+/// settling it moves neither maximum and Finish() drops it: the members
+/// equal SolveSkyline's. Validates nothing, so `stats` holds timing only.
+SkylineResult SolveSkyline(const InfluenceSets& pass,
+                           std::span<const double> cost);
+
 // ------------------------------------------------------------ diversified
-
-/// Per-candidate influenced-object sets in one flat CSR layout: the
-/// influenced pairs of the shared prune-and-validate pass, with records
-/// ascending within each candidate's slice.
-struct InfluenceSets {
-  std::vector<uint32_t> offsets;  // size m + 1
-  std::vector<uint32_t> objects;  // record indices
-
-  size_t num_candidates() const {
-    return offsets.empty() ? 0 : offsets.size() - 1;
-  }
-
-  std::span<const uint32_t> Objects(uint32_t j) const {
-    return std::span<const uint32_t>(objects).subspan(
-        offsets[j], offsets[j + 1] - offsets[j]);
-  }
-};
-
-/// Influence sets for the whole store, built over record morsels.
-InfluenceSets BuildInfluenceSets(
-    const PreparedInstance& prepared, const InfluenceKernel& kernel,
-    const MorselScheduler& scheduler = MorselScheduler(1));
 
 /// Result of diversified greedy selection.
 struct DiversifiedResult {
@@ -342,10 +367,16 @@ struct DiversifiedResult {
 /// brute-force greedy reference. `min_separation == 0` degenerates to the
 /// classic multi-facility objective. May return fewer than k facilities
 /// when the separation constraint (or the candidate count) leaves nothing
-/// selectable. `num_threads` is the influence-set build's budget.
+/// selectable. Builds the exact pass at `num_threads`, then runs the
+/// greedy below over it.
 DiversifiedResult SelectDiversified(const PreparedInstance& prepared, size_t k,
                                     double min_separation,
                                     size_t num_threads = 1);
+
+/// The greedy over an exact pass already built for `prepared`.
+DiversifiedResult SelectDiversified(const PreparedInstance& prepared,
+                                    const InfluenceSets& pass, size_t k,
+                                    double min_separation);
 
 }  // namespace query
 }  // namespace pinocchio

@@ -1,11 +1,11 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <unordered_set>
 #include <utility>
 
-#include "core/approx_solver.h"
 #include "core/influence_query.h"
 #include "core/morsel_scheduler.h"
 #include "core/naive_solver.h"
@@ -38,6 +38,19 @@ std::unique_ptr<Solver> MakeSolver(WireAlgorithm algorithm,
       return std::make_unique<NaiveSolver>();
   }
   return nullptr;
+}
+
+// PIN's result read off an exact pass: the same influences, ranking and
+// best candidate as PinocchioSolver on the snapshot the pass belongs to.
+SolverResult RankPass(const query::InfluenceSets& pass) {
+  SolverResult result;
+  result.influence.resize(pass.num_candidates());
+  for (uint32_t j = 0; j < result.influence.size(); ++j) {
+    result.influence[j] = pass.Influence(j);
+  }
+  result.influence_exact = true;
+  internal::FinalizeResultFromInfluence(&result);
+  return result;
 }
 
 bool ValidUpdate(const UpdateRequest& update, std::string* reason) {
@@ -153,9 +166,11 @@ Response InfluenceService::Do(const TopKRequest& request) {
   const size_t k =
       std::min<size_t>(std::max<uint32_t>(1, request.k), kMaxResponseTopK);
   const SnapshotPtr snap = holder_.Acquire();
-  // PIN ranks every candidate exactly, so every entry is exact at any k.
-  const SolverResult result =
-      PinocchioSolver(options_.solve_threads).Solve(snap->prepared);
+  // PIN's exact ranking from the snapshot's pass: every entry is exact at
+  // any k.
+  Stopwatch watch;
+  SolverResult result = RankPass(snap->ExactPass(options_.solve_threads));
+  result.stats.solve_seconds = watch.ElapsedSeconds();
   return MakeSolveResponse(*snap, result, k);
 }
 
@@ -168,9 +183,11 @@ Response InfluenceService::Do(const ApproxTopKRequest& request) {
   const SnapshotPtr snap = holder_.Acquire();
   const size_t k =
       std::min<size_t>(std::max<uint32_t>(1, request.k), kMaxResponseTopK);
-  const SketchParams params{request.epsilon, request.delta, request.seed};
-  const ApproxTopKResult result =
-      SolveApproxTopK(snap->prepared, k, params, options_.solve_threads);
+  // The snapshot's pass gives PIN's exact top-k: a degenerate bracket at
+  // the exact influence satisfies every (epsilon, delta) certificate.
+  Stopwatch watch;
+  const SolverResult exact =
+      RankPass(snap->ExactPass(options_.solve_threads));
 
   Response response;
   response.type = ResponseType::kApprox;
@@ -178,11 +195,15 @@ Response InfluenceService::Do(const ApproxTopKRequest& request) {
   s.epoch = snap->epoch;
   s.num_objects = snap->prepared.num_objects();
   s.num_candidates = snap->prepared.num_candidates();
-  s.solve_seconds = result.stats.solve_seconds;
-  s.entries.reserve(result.entries.size());
-  for (const ApproxEntry& e : result.entries) {
-    s.entries.push_back({e.candidate, e.estimate, e.lo, e.hi, e.exact});
+  const size_t count = std::min(k, exact.ranking.size());
+  s.entries.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    const uint32_t candidate = exact.ranking[i];
+    const int64_t influence = exact.influence[candidate];
+    s.entries.push_back(
+        {candidate, influence, influence, influence, /*exact=*/true});
   }
+  s.solve_seconds = watch.ElapsedSeconds();
   return response;
 }
 
@@ -306,14 +327,23 @@ Response InfluenceService::Do(const StatsRequest&) {
 
 Response InfluenceService::Do(const SkylineRequest& request) {
   const SnapshotPtr snap = holder_.Acquire();
+  Stopwatch watch;
   const size_t m = snap->prepared.num_candidates();
   std::vector<double> cost(m);
   for (size_t j = 0; j < m; ++j) {
     cost[j] = Distance(snap->prepared.candidate(static_cast<uint32_t>(j)),
                        request.cost_origin);
+    // Finite coordinates far enough apart overflow the distance; the
+    // skyline's finite-cost check must stay unreachable from the wire.
+    if (!std::isfinite(cost[j])) {
+      return MakeError(ErrorCode::kBadRequest,
+                       "skyline cost " + std::to_string(cost[j]) +
+                           " of candidate " + std::to_string(j) +
+                           " is not finite");
+    }
   }
   const query::SkylineResult result =
-      query::SolveSkyline(snap->prepared, cost, options_.solve_threads);
+      query::SolveSkyline(snap->ExactPass(options_.solve_threads), cost);
 
   Response response;
   response.type = ResponseType::kSkyline;
@@ -322,7 +352,7 @@ Response InfluenceService::Do(const SkylineRequest& request) {
   s.num_objects = snap->prepared.num_objects();
   s.num_candidates = m;
   s.bound_skipped = static_cast<uint64_t>(result.bound_skipped);
-  s.solve_seconds = result.stats.solve_seconds;
+  s.solve_seconds = watch.ElapsedSeconds();
   const size_t count = std::min(result.members.size(), kMaxResponseTopK);
   s.skyline.reserve(count);
   for (size_t i = 0; i < count; ++i) {
@@ -337,6 +367,7 @@ Response InfluenceService::Do(const DiversifiedRequest& request) {
     return MakeError(ErrorCode::kBadRequest, "negative min separation");
   }
   const SnapshotPtr snap = holder_.Acquire();
+  Stopwatch watch;
   const size_t k =
       std::min<size_t>(std::max<uint32_t>(1, request.k), kMaxResponseTopK);
 
@@ -349,9 +380,10 @@ Response InfluenceService::Do(const DiversifiedRequest& request) {
   if (snap->prepared.num_candidates() == 0) return response;
 
   const query::DiversifiedResult result = query::SelectDiversified(
-      snap->prepared, k, request.min_separation, options_.solve_threads);
+      snap->prepared, snap->ExactPass(options_.solve_threads), k,
+      request.min_separation);
   s.gain_evaluations = static_cast<uint64_t>(result.gain_evaluations);
-  s.solve_seconds = result.solve_seconds;
+  s.solve_seconds = watch.ElapsedSeconds();
   s.selected.reserve(result.selected.size());
   for (size_t i = 0; i < result.selected.size(); ++i) {
     s.selected.push_back({result.selected[i], result.coverage[i]});

@@ -5,11 +5,20 @@
 // thread. Execute() is safe to call concurrently from any number of
 // request threads:
 //
-//   * kSolve / kTopK / kProbe acquire the current snapshot (lock-free)
-//     and run entirely against that immutable state — a response is
-//     internally consistent with exactly one epoch, and solve responses
-//     are bit-identical to a direct Solve(const PreparedInstance&) on
-//     the same snapshot. kTopK is PIN's exact ranking at every k.
+//   * Every read op acquires the current snapshot (one pointer copy
+//     under the holder's mutex) and runs entirely against that immutable
+//     state, so a response is internally consistent with exactly one
+//     epoch.
+//   * kTopK, kSkyline, kDiversified and kApproxTopK read the snapshot's
+//     exact pass (ServerSnapshot::ExactPass), which the first of them in
+//     an epoch builds: kTopK is PIN's exact ranking at every k, kSkyline
+//     and kDiversified equal query::SolveSkyline and
+//     query::SelectDiversified on the snapshot (bound_skipped and
+//     gain_evaluations included), and kApproxTopK answers PIN's exact
+//     top-k with degenerate brackets.
+//   * kSolve still runs the named algorithm and kProbe the point query;
+//     solve responses are bit-identical to a direct
+//     Solve(const PreparedInstance&) on the same snapshot.
 //   * kWhatIf re-parameterises a private scratch PreparedInstance via
 //     Reprepare (cheap: positions and MBRs are reused) under a mutex, so
 //     tau/rho/lambda exploration never touches the published snapshot.
@@ -49,16 +58,19 @@ namespace serve {
 struct ServiceOptions {
   /// top_k the snapshots are prepared with: a kSolve naming pin-vo and a
   /// what-if guarantee exact influence for this many leading candidates
-  /// (their exact prefix). kTopK runs PIN and is exact at every k.
+  /// (their exact prefix). kTopK reads the exact pass and is exact at
+  /// every k.
   size_t prepared_top_k = 16;
   /// Distance unit (metres) of the power-law PF rebuilt by what-if
   /// requests; must match the PF the service was constructed with.
   double pf_unit_meters = 100.0;
-  /// Thread budget of PIN, PIN-VO, skyline, diversified and approx
-  /// requests (0 selects the hardware concurrency; 1 runs inline on the
-  /// request thread). Results are bit-identical at any setting. A kSolve
-  /// naming kNaive runs the sequential NA oracle whatever the budget, and
-  /// what-if solves run at budget 1 (they hold a mutex anyway).
+  /// Thread budget of PIN and PIN-VO solves and of each snapshot's exact
+  /// pass, which the first top-k, skyline, diversified or approx request
+  /// of an epoch builds (0 selects the hardware concurrency; 1 runs inline
+  /// on the request thread). Results are bit-identical at any setting. A
+  /// kSolve naming kNaive runs the sequential NA oracle whatever the
+  /// budget, and what-if solves run at budget 1 (they hold a mutex
+  /// anyway).
   size_t solve_threads = 1;
   /// Width of the streaming ingestion window in seconds; 0 disables the
   /// kObserve/kAdvance request family. When enabled, the service runs a
@@ -86,7 +98,7 @@ class InfluenceService {
   /// unserviceable requests yield a kError response.
   Response Execute(const Request& request);
 
-  /// The current snapshot (lock-free). Exposed so callers can run direct
+  /// The current snapshot. Exposed so callers can run direct
   /// Solve() calls against the very same state a response came from.
   SnapshotPtr snapshot() const { return holder_.Acquire(); }
 
@@ -148,7 +160,7 @@ class InfluenceService {
   std::unique_ptr<StreamingPrimeLS> stream_;
 
   // What-if scratch state, guarded by whatif_mu_: a PreparedInstance
-  // cloned from the current snapshot's instance and Repepared per
+  // cloned from the current snapshot's instance and Reprepared per
   // request. Rebuilt from scratch only when the snapshot epoch moved.
   std::mutex whatif_mu_;
   std::unique_ptr<PreparedInstance> whatif_prepared_;

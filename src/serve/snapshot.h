@@ -3,28 +3,37 @@
 // A ServerSnapshot is an immutable unit of serving state — the source
 // ProblemInstance, the PreparedInstance built from it, and a monotonically
 // increasing epoch. Readers obtain the current snapshot through
-// SnapshotHolder::Acquire(), which is a lock-free atomic shared_ptr load:
-// queries never block, never see a half-built snapshot, and keep "their"
-// snapshot alive for the duration of the query even if a writer publishes
-// a replacement mid-flight. Writers build the next snapshot off to the
-// side (full prepare or Reprepare) and Publish() it with one atomic store;
-// the old snapshot is destroyed when its last in-flight reader drops it.
+// SnapshotHolder::Acquire(), which copies the shared_ptr under a mutex
+// held only for that copy: queries never wait for a rebuild, never see a
+// half-built snapshot, and keep "their" snapshot alive for the duration of
+// the query even if a writer publishes a replacement mid-flight. Writers
+// build the next snapshot off to the side (full prepare or Reprepare) and
+// Publish() it with one pointer swap under the same mutex; the old
+// snapshot is destroyed when its last in-flight reader drops it.
 //
-// Thread-safety: Acquire() and Publish() may race freely from any number
-// of threads. The PreparedInstance inside a published snapshot must never
-// be mutated (no Reprepare) — that is what the epoch discipline is for:
-// parameter changes produce a *new* snapshot.
+// One member is written after publication: the snapshot's exact pass
+// (ExactPass()), built once by the first request that needs it, under
+// std::call_once. Every other caller waits for that build or finds it
+// done, and nobody writes it again.
+//
+// Thread-safety: Acquire(), Publish() and ExactPass() may race freely from
+// any number of threads. The PreparedInstance inside a published snapshot
+// must never be mutated (no Reprepare) — that is what the epoch discipline
+// is for: parameter changes produce a *new* snapshot.
 
 #ifndef PINOCCHIO_SERVE_SNAPSHOT_H_
 #define PINOCCHIO_SERVE_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <utility>
 
+#include "core/morsel_scheduler.h"
 #include "core/moving_object.h"
 #include "core/prepared_instance.h"
+#include "core/query_engine.h"
+#include "prob/influence_kernel.h"
 
 namespace pinocchio {
 namespace serve {
@@ -45,12 +54,35 @@ struct ServerSnapshot {
       : epoch(epoch_in),
         instance(std::move(instance_in)),
         prepared(instance, config) {}
+
+  /// Algorithm 2's exact pass over `prepared` (query::BuildInfluenceSets):
+  /// every candidate's influence set, exact influence and starting
+  /// bracket. The first caller builds it at `num_threads` (0 = hardware
+  /// concurrency); concurrent first callers wait for that one build. The
+  /// pass is byte-identical at any budget, so the first caller's serves
+  /// every later one.
+  const query::InfluenceSets& ExactPass(size_t num_threads) const {
+    std::call_once(pass_once_, [&] {
+      pass_ = query::BuildInfluenceSets(
+          prepared, InfluenceKernel(prepared.pf(), prepared.tau()),
+          MorselScheduler(num_threads));
+    });
+    return pass_;
+  }
+
+ private:
+  mutable std::once_flag pass_once_;
+  mutable query::InfluenceSets pass_;
 };
 
 using SnapshotPtr = std::shared_ptr<const ServerSnapshot>;
 
-/// The RCU handle. Readers Acquire(), writers Publish(); both are single
-/// atomic shared_ptr operations (lock-free on this toolchain).
+/// The RCU handle. Readers Acquire(), writers Publish(); each holds the
+/// mutex for one shared_ptr copy or swap. A mutex rather than
+/// std::atomic<std::shared_ptr>: libstdc++'s atomic (GCC 12) is not
+/// lock-free either — it spins on a lock bit inside the pointer — and
+/// ThreadSanitizer cannot see that lock, so it reports every swap as a
+/// race.
 class SnapshotHolder {
  public:
   SnapshotHolder() = default;
@@ -61,18 +93,24 @@ class SnapshotHolder {
 
   /// The current snapshot; never null once a snapshot has been published.
   /// The returned shared_ptr pins the snapshot for the caller's lifetime.
-  SnapshotPtr Acquire() const { return current_.load(std::memory_order_acquire); }
+  SnapshotPtr Acquire() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return current_;
+  }
 
-  /// Atomically replaces the current snapshot. The caller must have
-  /// finished building `next` (including its PreparedInstance) before
-  /// publishing; the store's release ordering makes the build visible to
-  /// every subsequent Acquire().
+  /// Replaces the current snapshot. The caller must have finished building
+  /// `next` (including its PreparedInstance) before publishing; the mutex
+  /// makes the build visible to every subsequent Acquire(). The replaced
+  /// snapshot leaves with `next`, after the lock, so dropping a last
+  /// reference never destroys a snapshot while readers wait.
   void Publish(SnapshotPtr next) {
-    current_.store(std::move(next), std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mu_);
+    current_.swap(next);
   }
 
  private:
-  std::atomic<SnapshotPtr> current_;
+  mutable std::mutex mu_;
+  SnapshotPtr current_;
 };
 
 }  // namespace serve

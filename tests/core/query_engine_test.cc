@@ -157,6 +157,11 @@ TEST(InfluenceSetsTest, ThreadBudgetsAreByteIdenticalAndExact) {
 
   const query::InfluenceSets one = query::BuildInfluenceSets(prepared, kernel);
   ASSERT_EQ(one.num_candidates(), prepared.num_candidates());
+  // The pass's brackets are the ones the bound-ordered families start from.
+  const query::CandidateBrackets brackets = query::BuildCandidateBrackets(
+      prepared, kernel, /*use_pruning=*/true, nullptr);
+  EXPECT_EQ(one.min_inf, brackets.min_inf);
+  EXPECT_EQ(one.max_inf, brackets.max_inf);
   for (uint32_t j = 0; j < one.num_candidates(); ++j) {
     // Exactly the records the scalar Definition-2 test says j influences,
     // in ascending record order.
@@ -170,12 +175,15 @@ TEST(InfluenceSetsTest, ThreadBudgetsAreByteIdenticalAndExact) {
     const std::span<const uint32_t> got = one.Objects(j);
     EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()), want)
         << "candidate " << j;
+    EXPECT_EQ(one.Influence(j), static_cast<int64_t>(want.size()));
   }
   for (size_t threads : {2, 7}) {
     const query::InfluenceSets got =
         query::BuildInfluenceSets(prepared, kernel, MorselScheduler(threads));
     EXPECT_EQ(got.offsets, one.offsets);
     EXPECT_EQ(got.objects, one.objects);
+    EXPECT_EQ(got.min_inf, one.min_inf);
+    EXPECT_EQ(got.max_inf, one.max_inf);
   }
 }
 
@@ -297,6 +305,48 @@ TEST(SkylineTest, ThreadBudgetsAreBitIdentical) {
     EXPECT_EQ(par.stats.heap_pops, seq.stats.heap_pops);
     EXPECT_EQ(par.stats.strategy1_cutoffs, seq.stats.strategy1_cutoffs);
   }
+}
+
+// The skyline replayed over the exact pass equals the engine walk, members
+// and bound_skipped, in the three cost regimes: distances from an origin,
+// uniform costs and one shared cost. At least one walk must abort a
+// candidate mid-validation, the case the replay settles exactly instead.
+TEST(SkylineTest, ReplayOverTheExactPassMatchesTheEngineWalk) {
+  int64_t aborted = 0;
+  for (uint64_t seed : {7211u, 7212u, 7213u, 7214u, 7215u, 7216u}) {
+    const ProblemInstance instance =
+        RandomInstance(seed, InstanceOptions{.num_candidates = 60});
+    const PreparedInstance prepared(instance, DefaultConfig());
+    const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+    const query::InfluenceSets pass =
+        query::BuildInfluenceSets(prepared, kernel);
+    const size_t m = prepared.num_candidates();
+
+    Rng rng(seed);
+    const Point origin{rng.Uniform(0.0, 30000.0), rng.Uniform(0.0, 30000.0)};
+    std::vector<std::vector<double>> regimes(3, std::vector<double>(m));
+    for (uint32_t j = 0; j < m; ++j) {
+      regimes[0][j] = Distance(prepared.candidate(j), origin);
+      regimes[1][j] = rng.Uniform(0.0, 50.0);
+      regimes[2][j] = 7.5;
+    }
+    for (size_t mode = 0; mode < regimes.size(); ++mode) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", cost mode " +
+                   std::to_string(mode));
+      const std::vector<double>& cost = regimes[mode];
+      const query::SkylineResult walk = query::SolveSkyline(prepared, cost);
+      const query::SkylineResult replay = query::SolveSkyline(pass, cost);
+      aborted += walk.stats.strategy1_cutoffs;
+      EXPECT_EQ(replay.bound_skipped, walk.bound_skipped);
+      ASSERT_EQ(replay.members.size(), walk.members.size());
+      for (size_t i = 0; i < walk.members.size(); ++i) {
+        EXPECT_EQ(replay.members[i].candidate, walk.members[i].candidate);
+        EXPECT_EQ(replay.members[i].influence, walk.members[i].influence);
+        EXPECT_EQ(replay.members[i].cost, walk.members[i].cost);
+      }
+    }
+  }
+  EXPECT_GT(aborted, 0);
 }
 
 // --------------------------------------------------- counter contract
@@ -584,6 +634,29 @@ TEST(DiversifiedTest, ThreadBudgetsAreBitIdentical) {
       EXPECT_EQ(par.coverage, seq.coverage);
       EXPECT_EQ(par.gain_evaluations, seq.gain_evaluations);
       EXPECT_EQ(par.separation_rejections, seq.separation_rejections);
+    }
+  }
+}
+
+// The greedy over a prebuilt pass, at any of its build budgets, is the
+// selection SelectDiversified makes, CELF's gain evaluations included.
+TEST(DiversifiedTest, GreedyOverTheExactPassMatchesSelection) {
+  const ProblemInstance instance = RandomInstance(7306);
+  const PreparedInstance prepared(instance, DefaultConfig());
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+
+  for (size_t threads : {1, 3}) {
+    const query::InfluenceSets pass =
+        query::BuildInfluenceSets(prepared, kernel, MorselScheduler(threads));
+    for (double delta : {0.0, 5000.0}) {
+      const query::DiversifiedResult want =
+          query::SelectDiversified(prepared, 4, delta);
+      const query::DiversifiedResult got =
+          query::SelectDiversified(prepared, pass, 4, delta);
+      EXPECT_EQ(got.selected, want.selected);
+      EXPECT_EQ(got.coverage, want.coverage);
+      EXPECT_EQ(got.gain_evaluations, want.gain_evaluations);
+      EXPECT_EQ(got.separation_rejections, want.separation_rejections);
     }
   }
 }

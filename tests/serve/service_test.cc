@@ -6,13 +6,15 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <iterator>
+#include <latch>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/approx_solver.h"
 #include "core/influence_query.h"
 #include "core/naive_solver.h"
 #include "core/query_engine.h"
@@ -693,51 +695,50 @@ TEST(ServiceTest, ObserveBatchIsAllOrNothingOnBadTimes) {
   EXPECT_EQ(after.stats.stream_window_seconds, 50.0);
 }
 
-TEST(ServiceTest, ApproxTopKMatchesDirectApproxSolveOnTheSameSnapshot) {
+// Served approx answers PIN's exact top-k from the snapshot's pass: every
+// bracket is degenerate at the exact influence, which satisfies any
+// (epsilon, delta) certificate, so no parameter changes the answer.
+TEST(ServiceTest, ApproxTopKIsPinsExactTopKForEveryParameter) {
   const ProblemInstance instance =
       RandomInstance(31, InstanceOptions{.num_objects = 200});
   InfluenceService service(instance, DefaultConfig(), TestOptions());
   const SnapshotPtr snap = service.snapshot();
+  const SolverResult pin = PinocchioSolver().Solve(snap->prepared);
 
-  Request request;
-  request.type = RequestType::kApproxTopK;
-  request.approx.k = 5;
-  request.approx.epsilon = 0.2;
-  request.approx.delta = 0.05;
-  request.approx.seed = 99;
-  const Response response = service.Execute(request);
-  ASSERT_EQ(response.type, ResponseType::kApprox);
-  EXPECT_EQ(response.approx.epoch, snap->epoch);
-  EXPECT_EQ(response.approx.num_objects, snap->prepared.num_objects());
-  EXPECT_EQ(response.approx.num_candidates, snap->prepared.num_candidates());
-
-  const ApproxTopKResult direct =
-      SolveApproxTopK(snap->prepared, 5, {0.2, 0.05, 99});
-  ASSERT_EQ(response.approx.entries.size(), direct.entries.size());
-  for (size_t i = 0; i < direct.entries.size(); ++i) {
-    EXPECT_EQ(response.approx.entries[i].candidate,
-              direct.entries[i].candidate);
-    EXPECT_EQ(response.approx.entries[i].estimate, direct.entries[i].estimate);
-    EXPECT_EQ(response.approx.entries[i].lo, direct.entries[i].lo);
-    EXPECT_EQ(response.approx.entries[i].hi, direct.entries[i].hi);
-    EXPECT_EQ(response.approx.entries[i].exact, direct.entries[i].exact);
-  }
-
-  // Approximate answers are deterministic: the same request against the
-  // same epoch is bit-identical.
-  const Response again = service.Execute(request);
-  ASSERT_EQ(again.type, ResponseType::kApprox);
-  ASSERT_EQ(again.approx.entries.size(), response.approx.entries.size());
-  for (size_t i = 0; i < again.approx.entries.size(); ++i) {
-    EXPECT_EQ(again.approx.entries[i].estimate,
-              response.approx.entries[i].estimate);
+  const ApproxTopKRequest params[] = {
+      {5, 0.2, 0.05, 99}, {5, 0.01, 0.5, 1}, {5, 1.0, 1e-9, 12345},
+      {5, 0.5, 0.99, 0},  {1, 0.3, 0.1, 7},  {64, 0.1, 0.05, 99}};
+  for (const ApproxTopKRequest& p : params) {
+    SCOPED_TRACE("k " + std::to_string(p.k) + " epsilon " +
+                 std::to_string(p.epsilon) + " delta " +
+                 std::to_string(p.delta) + " seed " + std::to_string(p.seed));
+    Request request;
+    request.type = RequestType::kApproxTopK;
+    request.approx = p;
+    const Response response = service.Execute(request);
+    ASSERT_EQ(response.type, ResponseType::kApprox);
+    EXPECT_EQ(response.approx.epoch, snap->epoch);
+    EXPECT_EQ(response.approx.num_objects, snap->prepared.num_objects());
+    EXPECT_EQ(response.approx.num_candidates,
+              snap->prepared.num_candidates());
+    ASSERT_EQ(response.approx.entries.size(),
+              std::min<size_t>(p.k, pin.ranking.size()));
+    for (size_t i = 0; i < response.approx.entries.size(); ++i) {
+      const ApproxRankedCandidate& e = response.approx.entries[i];
+      const int64_t exact = pin.influence[pin.ranking[i]];
+      EXPECT_EQ(e.candidate, pin.ranking[i]) << i;
+      EXPECT_EQ(e.estimate, exact) << i;
+      EXPECT_EQ(e.lo, exact) << i;
+      EXPECT_EQ(e.hi, exact) << i;
+      EXPECT_TRUE(e.exact) << i;
+    }
   }
 
   Request stats;
   stats.type = RequestType::kStats;
   const Response after = service.Execute(stats);
   ASSERT_EQ(after.type, ResponseType::kStats);
-  EXPECT_EQ(after.stats.approx_requests, 2u);
+  EXPECT_EQ(after.stats.approx_requests, std::size(params));
 }
 
 TEST(ServiceTest, ApproxTopKBracketsContainExactInfluence) {
@@ -776,6 +777,173 @@ TEST(ServiceTest, ApproxTopKRejectsOutOfRangeParameters) {
   response = service.Execute(request);
   ASSERT_EQ(response.type, ResponseType::kError);
   EXPECT_EQ(response.error.code, ErrorCode::kBadRequest);
+}
+
+// A refused skyline leaves the service answering: the stats request that
+// follows gets its reply and counts exactly one error.
+void ExpectSkylineRefusedAndStillServing(InfluenceService& service,
+                                         const Point& origin) {
+  Request skyline;
+  skyline.type = RequestType::kSkyline;
+  skyline.skyline.cost_origin = origin;
+  const Response response = service.Execute(skyline);
+  ASSERT_EQ(response.type, ResponseType::kError);
+  EXPECT_EQ(response.error.code, ErrorCode::kBadRequest);
+  EXPECT_NE(response.error.message.find("skyline cost inf"),
+            std::string::npos)
+      << response.error.message;
+
+  Request stats;
+  stats.type = RequestType::kStats;
+  const Response after = service.Execute(stats);
+  ASSERT_EQ(after.type, ResponseType::kStats);
+  EXPECT_EQ(after.stats.skyline_requests, 1u);
+  EXPECT_EQ(after.stats.error_responses, 1u);
+}
+
+// A finite origin far enough away squares past DBL_MAX for every
+// candidate.
+TEST(ServiceTest, SkylineRefusesAFarOriginAndKeepsServing) {
+  InfluenceService service(RandomInstance(34), DefaultConfig(),
+                           TestOptions());
+  ExpectSkylineRefusedAndStillServing(service, Point{1e200, 0.0});
+}
+
+// A far candidate, accepted by an update, overflows the cost of an
+// ordinary origin; the rest of its snapshot still serves.
+TEST(ServiceTest, SkylineRefusesAFarCandidateAndKeepsServing) {
+  InfluenceService service(RandomInstance(35), DefaultConfig(),
+                           TestOptions());
+  Request update;
+  update.type = RequestType::kUpdate;
+  update.update.candidates.push_back(Point{1e200, 1e200});
+  ASSERT_EQ(service.Execute(update).type, ResponseType::kUpdate);
+  service.DrainUpdates();
+  ASSERT_EQ(service.snapshot()->epoch, 2u);
+  ExpectSkylineRefusedAndStillServing(service, Point{0.0, 0.0});
+
+  Request topk;
+  topk.type = RequestType::kTopK;
+  topk.top_k.k = 3;
+  const Response ranked = service.Execute(topk);
+  ASSERT_EQ(ranked.type, ResponseType::kSolve);
+  EXPECT_EQ(ranked.solve.epoch, 2u);
+}
+
+// The first top-k, skyline, diversified and approx requests of an epoch
+// race to build its one exact pass; every answer equals the in-process
+// result on that snapshot. Checked on the epoch-1 snapshot and again on a
+// rebuilt one.
+TEST(ServiceTest, FirstRequestsOfAnEpochRaceToOnePassAndAnswerExactly) {
+  constexpr size_t kThreads = 8;
+  ServiceOptions options = TestOptions();
+  options.solve_threads = 2;
+  InfluenceService service(
+      RandomInstance(36, InstanceOptions{.num_objects = 120,
+                                         .num_candidates = 30}),
+      DefaultConfig(), options);
+
+  Request topk;
+  topk.type = RequestType::kTopK;
+  topk.top_k.k = 6;
+  Request skyline;
+  skyline.type = RequestType::kSkyline;
+  skyline.skyline.cost_origin = Point{12000.0, 8000.0};
+  Request diverse;
+  diverse.type = RequestType::kDiversified;
+  diverse.diversified.k = 3;
+  diverse.diversified.min_separation = 4000.0;
+  Request approx;
+  approx.type = RequestType::kApproxTopK;
+  approx.approx = ApproxTopKRequest{6, 0.2, 0.05, 3};
+  const Request requests[] = {topk, skyline, diverse, approx};
+
+  for (uint64_t epoch : {1u, 2u}) {
+    if (epoch == 2) {
+      ASSERT_EQ(service.Execute(UpdateWithIds({80000})).type,
+                ResponseType::kUpdate);
+      service.DrainUpdates();
+    }
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    const SnapshotPtr snap = service.snapshot();
+    ASSERT_EQ(snap->epoch, epoch);
+
+    std::latch start(kThreads);
+    std::vector<Response> responses(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        responses[t] = service.Execute(requests[t % std::size(requests)]);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    const PreparedInstance& prepared = snap->prepared;
+    const SolverResult pin = PinocchioSolver().Solve(prepared);
+    std::vector<double> cost(prepared.num_candidates());
+    for (uint32_t j = 0; j < cost.size(); ++j) {
+      cost[j] = Distance(prepared.candidate(j), skyline.skyline.cost_origin);
+    }
+    const query::SkylineResult sky = query::SolveSkyline(prepared, cost);
+    const query::DiversifiedResult div =
+        query::SelectDiversified(prepared, 3, 4000.0);
+
+    for (size_t t = 0; t < kThreads; ++t) {
+      SCOPED_TRACE("thread " + std::to_string(t));
+      const Response& r = responses[t];
+      switch (t % std::size(requests)) {
+        case 0:
+          ASSERT_EQ(r.type, ResponseType::kSolve);
+          EXPECT_EQ(r.solve.epoch, epoch);
+          ASSERT_EQ(r.solve.topk.size(), 6u);
+          for (size_t i = 0; i < 6; ++i) {
+            EXPECT_EQ(r.solve.topk[i].candidate, pin.ranking[i]);
+            EXPECT_EQ(r.solve.topk[i].influence,
+                      pin.influence[pin.ranking[i]]);
+            EXPECT_TRUE(r.solve.topk[i].exact);
+          }
+          break;
+        case 1:
+          ASSERT_EQ(r.type, ResponseType::kSkyline);
+          EXPECT_EQ(r.skyline.epoch, epoch);
+          EXPECT_EQ(r.skyline.bound_skipped,
+                    static_cast<uint64_t>(sky.bound_skipped));
+          ASSERT_EQ(r.skyline.skyline.size(), sky.members.size());
+          for (size_t i = 0; i < sky.members.size(); ++i) {
+            EXPECT_EQ(r.skyline.skyline[i].candidate,
+                      sky.members[i].candidate);
+            EXPECT_EQ(r.skyline.skyline[i].influence,
+                      sky.members[i].influence);
+            EXPECT_EQ(r.skyline.skyline[i].cost, sky.members[i].cost);
+          }
+          break;
+        case 2:
+          ASSERT_EQ(r.type, ResponseType::kDiversified);
+          EXPECT_EQ(r.diverse.epoch, epoch);
+          EXPECT_EQ(r.diverse.gain_evaluations,
+                    static_cast<uint64_t>(div.gain_evaluations));
+          ASSERT_EQ(r.diverse.selected.size(), div.selected.size());
+          for (size_t i = 0; i < div.selected.size(); ++i) {
+            EXPECT_EQ(r.diverse.selected[i].candidate, div.selected[i]);
+            EXPECT_EQ(r.diverse.selected[i].coverage, div.coverage[i]);
+          }
+          break;
+        default:
+          ASSERT_EQ(r.type, ResponseType::kApprox);
+          EXPECT_EQ(r.approx.epoch, epoch);
+          ASSERT_EQ(r.approx.entries.size(), 6u);
+          for (size_t i = 0; i < 6; ++i) {
+            const int64_t exact = pin.influence[pin.ranking[i]];
+            EXPECT_EQ(r.approx.entries[i].candidate, pin.ranking[i]);
+            EXPECT_EQ(r.approx.entries[i].lo, exact);
+            EXPECT_EQ(r.approx.entries[i].hi, exact);
+            EXPECT_TRUE(r.approx.entries[i].exact);
+          }
+          break;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Snapshot-swap concurrency contract, pinned under ThreadSanitizer (this
 // test is part of the TSan CI job): N reader threads hammer the service
-// with solve/topk/probe/stats requests while a writer thread keeps
-// appending objects (forcing background rebuilds and atomic snapshot
-// swaps) — every response must be internally consistent with exactly one
-// epoch, epochs must be monotonic per reader, and nothing may tear.
+// with solve/topk/skyline/diversified/approx/probe/stats requests while a
+// writer thread keeps appending objects (forcing background rebuilds and
+// snapshot swaps, and so first-of-epoch builds of the exact pass that race
+// the swaps and each other) — every response must be internally
+// consistent with exactly one epoch, epochs must be monotonic per reader,
+// and nothing may tear.
 
 #include <atomic>
 #include <cstdint>
@@ -57,7 +59,7 @@ TEST(SwapStressTest, ReadersSeeConsistentEpochsDuringSwaps) {
       uint64_t last_epoch = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         Request request;
-        switch (rng.UniformInt(0, 3)) {
+        switch (rng.UniformInt(0, 6)) {
           case 0:
             request.type = RequestType::kSolve;
             request.solve.top_k = 3;
@@ -70,6 +72,20 @@ TEST(SwapStressTest, ReadersSeeConsistentEpochsDuringSwaps) {
             request.type = RequestType::kProbe;
             request.probe.location =
                 Point{rng.Uniform(0.0, 30000.0), rng.Uniform(0.0, 30000.0)};
+            break;
+          case 3:
+            request.type = RequestType::kSkyline;
+            request.skyline.cost_origin =
+                Point{rng.Uniform(0.0, 30000.0), rng.Uniform(0.0, 30000.0)};
+            break;
+          case 4:
+            request.type = RequestType::kDiversified;
+            request.diversified.k = 2;
+            request.diversified.min_separation = 3000.0;
+            break;
+          case 5:
+            request.type = RequestType::kApproxTopK;
+            request.approx = ApproxTopKRequest{2, 0.2, 0.05, r};
             break;
           default:
             request.type = RequestType::kStats;
@@ -92,6 +108,18 @@ TEST(SwapStressTest, ReadersSeeConsistentEpochsDuringSwaps) {
           case ResponseType::kStats:
             epoch = response.stats.epoch;
             num_objects = response.stats.num_objects;
+            break;
+          case ResponseType::kSkyline:
+            epoch = response.skyline.epoch;
+            num_objects = response.skyline.num_objects;
+            break;
+          case ResponseType::kDiversified:
+            epoch = response.diverse.epoch;
+            num_objects = response.diverse.num_objects;
+            break;
+          case ResponseType::kApprox:
+            epoch = response.approx.epoch;
+            num_objects = response.approx.num_objects;
             break;
           default:
             violations.fetch_add(1, std::memory_order_relaxed);

@@ -14,6 +14,7 @@
 #include "baselines/range_solver.h"
 #include "core/approx_solver.h"
 #include "core/incremental.h"
+#include "core/morsel_scheduler.h"
 #include "core/naive_solver.h"
 #include "core/object_store.h"
 #include "core/pinocchio_solver.h"
@@ -26,6 +27,7 @@
 #include "geo/point.h"
 #include "prob/alternative_pfs.h"
 #include "prob/influence.h"
+#include "prob/influence_kernel.h"
 #include "prob/power_law.h"
 #include "testing/instance_helpers.h"
 #include "util/random.h"
@@ -181,6 +183,36 @@ bool SameStats(const SolverStats& a, const SolverStats& b) {
          a.strategy1_cutoffs == b.strategy1_cutoffs;
 }
 
+// Same members (candidate, influence, cost, in order) and bound_skipped.
+bool SameSkyline(const query::SkylineResult& a, const query::SkylineResult& b) {
+  if (a.bound_skipped != b.bound_skipped ||
+      a.members.size() != b.members.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.members.size(); ++i) {
+    if (a.members[i].candidate != b.members[i].candidate ||
+        a.members[i].influence != b.members[i].influence ||
+        a.members[i].cost != b.members[i].cost) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Same picks, coverage and CELF counters.
+bool SameDiversified(const query::DiversifiedResult& a,
+                     const query::DiversifiedResult& b) {
+  return a.selected == b.selected && a.coverage == b.coverage &&
+         a.gain_evaluations == b.gain_evaluations &&
+         a.separation_rejections == b.separation_rejections;
+}
+
+// The exact pass built at one thread budget.
+struct BudgetedPass {
+  size_t threads = 1;
+  query::InfluenceSets pass;
+};
+
 // Empty when `got` equals `want` bit for bit — influence vector, ranking,
 // best and every stats counter — else a description of the first
 // difference.
@@ -270,8 +302,10 @@ class CaseChecker {
           prepared);
     }
     if (check_auxiliary) {
-      CheckSkyline(prepared, naive);
-      CheckDiversified(prepared, naive);
+      std::vector<BudgetedPass> passes;
+      CheckPass(prepared, naive, &passes);
+      CheckSkyline(prepared, naive, passes);
+      CheckDiversified(prepared, naive, passes);
       CheckApprox(prepared, naive);
       CheckIncremental(naive);
       CheckStreaming(naive);
@@ -387,14 +421,54 @@ class CaseChecker {
     });
   }
 
+  // The exact pass a server caches per snapshot, built at budget 1 and at
+  // each sweep budget into `passes`: every build must be byte-identical to
+  // budget 1, its set sizes must be NA's influences, and its brackets the
+  // ones BuildCandidateBrackets starts the bound-ordered families from.
+  void CheckPass(const PreparedInstance& prepared, const SolverResult& naive,
+                 std::vector<BudgetedPass>* passes) {
+    Guard("ExactPass", [&] {
+      const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+      passes->push_back({1, query::BuildInfluenceSets(prepared, kernel)});
+      for (size_t threads : kSweepBudgets) {
+        passes->push_back({threads, query::BuildInfluenceSets(
+                                        prepared, kernel,
+                                        MorselScheduler(threads))});
+      }
+      const query::InfluenceSets& one = passes->front().pass;
+      std::vector<int64_t> sizes(one.num_candidates());
+      for (uint32_t j = 0; j < sizes.size(); ++j) sizes[j] = one.Influence(j);
+      if (sizes != naive.influence) {
+        Fail(DescribeVectorDiff("ExactPass set sizes", sizes,
+                                naive.influence));
+      }
+      const query::CandidateBrackets brackets = query::BuildCandidateBrackets(
+          prepared, kernel, /*use_pruning=*/true, nullptr);
+      if (one.min_inf != brackets.min_inf ||
+          one.max_inf != brackets.max_inf) {
+        Fail("ExactPass: brackets differ from BuildCandidateBrackets");
+      }
+      for (const BudgetedPass& p : *passes) {
+        if (p.pass.offsets != one.offsets || p.pass.objects != one.objects ||
+            p.pass.min_inf != one.min_inf || p.pass.max_inf != one.max_inf) {
+          Fail("ExactPass at " + std::to_string(p.threads) +
+               " threads diverges from budget 1");
+        }
+      }
+    });
+  }
+
   // Skyline over (influence, cost) against a brute-force O(m^2) domination
   // sweep on the naive influence vector, with three cost regimes: distances
   // from a random origin (the serving path), arbitrary uniform costs, and
   // all-equal costs (every candidate in one group, so the result is exactly
   // the maximum-influence set — the all-dominated edge case). Budgets 2 and
-  // 7 are then diffed bit-identically against budget 1.
+  // 7 are then diffed bit-identically against budget 1, and the replay over
+  // the exact pass of each budget must equal the engine walk, members and
+  // bound_skipped.
   void CheckSkyline(const PreparedInstance& prepared,
-                    const SolverResult& naive) {
+                    const SolverResult& naive,
+                    const std::vector<BudgetedPass>& passes) {
     if (naive.influence.empty()) return;
     Guard("Skyline", [&] {
       Rng rng(result_->seed * 0x9E3779B97F4A7C15ull ^ kSkylineSalt);
@@ -451,17 +525,18 @@ class CaseChecker {
       for (size_t threads : kSweepBudgets) {
         const query::SkylineResult par =
             query::SolveSkyline(prepared, cost, threads);
-        bool same = par.members.size() == got.members.size() &&
-                    par.bound_skipped == got.bound_skipped &&
-                    SameStats(par.stats, got.stats);
-        for (size_t i = 0; same && i < got.members.size(); ++i) {
-          same = par.members[i].candidate == got.members[i].candidate &&
-                 par.members[i].influence == got.members[i].influence &&
-                 par.members[i].cost == got.members[i].cost;
-        }
-        if (!same) {
+        if (!SameSkyline(par, got) || !SameStats(par.stats, got.stats)) {
           std::ostringstream msg;
           msg << "Skyline at " << threads << " threads diverges from budget 1";
+          Fail(msg.str());
+        }
+      }
+      for (const BudgetedPass& p : passes) {
+        if (!SameSkyline(query::SolveSkyline(p.pass, cost), got)) {
+          std::ostringstream msg;
+          msg << "Skyline replay over the exact pass built at " << p.threads
+              << " threads differs from SolveSkyline (cost mode " << mode
+              << ")";
           Fail(msg.str());
         }
       }
@@ -608,9 +683,11 @@ class CaseChecker {
   // sweeping min_separation 0 (plain multi-facility), a random separation
   // up to the candidate diameter, and one larger than the diameter (only a
   // single pick can ever be feasible). Budgets 2 and 7 are diffed
-  // bit-identically against budget 1.
+  // bit-identically against budget 1, and so is the greedy over the exact
+  // pass of each budget.
   void CheckDiversified(const PreparedInstance& prepared,
-                        const SolverResult& naive) {
+                        const SolverResult& naive,
+                        const std::vector<BudgetedPass>& passes) {
     if (naive.influence.empty()) return;
     Guard("Diversified", [&] {
       Rng rng(result_->seed * 0x9E3779B97F4A7C15ull ^ kDiverseSalt);
@@ -705,12 +782,19 @@ class CaseChecker {
       for (size_t threads : kSweepBudgets) {
         const query::DiversifiedResult par =
             query::SelectDiversified(prepared, k, delta, threads);
-        if (par.selected != got.selected || par.coverage != got.coverage ||
-            par.gain_evaluations != got.gain_evaluations ||
-            par.separation_rejections != got.separation_rejections) {
+        if (!SameDiversified(par, got)) {
           std::ostringstream msg;
           msg << "Diversified at " << threads
               << " threads diverges from budget 1";
+          Fail(msg.str());
+        }
+      }
+      for (const BudgetedPass& p : passes) {
+        if (!SameDiversified(
+                query::SelectDiversified(prepared, p.pass, k, delta), got)) {
+          std::ostringstream msg;
+          msg << "Diversified over the exact pass built at " << p.threads
+              << " threads differs from SelectDiversified";
           Fail(msg.str());
         }
       }

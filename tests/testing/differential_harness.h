@@ -1,8 +1,10 @@
 // Differential fuzzing harness: generates randomized PRIME-LS instances
 // (sweeping sizes, all PF families, boundary tau values and degenerate
 // geometries), runs every solver plus the skyline/diversified/approx
-// families and the stream engine's position-delta path (IncrementalPrimeLS
-// and StreamingPrimeLS), and diffs the results against the NaiveSolver
+// families, the exact pass a server caches per snapshot (with the skyline
+// and diversified families replayed over it) and the stream engine's
+// position-delta path (IncrementalPrimeLS and StreamingPrimeLS), and
+// diffs the results against the NaiveSolver
 // oracle, or against PIN over the slid windows. On a mismatch — or a
 // PINOCCHIO_SELF_CHECK violation raised while solving — it records a
 // human-readable failure and, when a reproducer directory is configured,
@@ -54,10 +56,10 @@ struct FuzzOptions {
   /// Directory for reproducer dumps ("" disables dumping). Created on
   /// demand.
   std::string reproducer_dir;
-  /// Also exercise the auxiliary paths (skyline, diversified, approx and
-  /// the position-delta engine). The core solver differential (PIN,
-  /// PIN-VO, PIN-VO*, their thread sweeps and the two baselines) always
-  /// runs.
+  /// Also exercise the auxiliary paths (the exact pass, skyline,
+  /// diversified, approx and the position-delta engine). The core solver
+  /// differential (PIN, PIN-VO, PIN-VO*, their thread sweeps and the two
+  /// baselines) always runs.
   bool check_auxiliary = true;
   /// Polled between cases; returning true stops the sweep early with the
   /// partial summary (FuzzSummary::interrupted set). The fuzz driver

@@ -42,9 +42,10 @@ constexpr char kUsage[] = R"(Usage: pinocchio_server [flags]
   --topk-limit=N    Exact prefix of pin-vo solves and what-ifs: the top_k
                     the snapshots are prepared with (default 16). Top-k
                     requests are exact at every k.
-  --solve_threads=N Thread budget of solve/topk/skyline/diverse/approx
-                    requests (default 1 = inline; 0 = hardware
-                    concurrency). NA solves stay sequential.
+  --solve_threads=N Thread budget of solve requests and of each
+                    snapshot's exact pass, which the first topk/skyline/
+                    diverse/approx request builds (default 1 = inline;
+                    0 = hardware concurrency). NA solves stay sequential.
   --stream-window=F Streaming ingestion window in seconds; enables the
                     observe/advance request family (default 0 = off).
   --help            Show this message.
