@@ -14,7 +14,7 @@ namespace {
 /// set (PrepareSample below is the `verification_set` callback), every
 /// sampled record is decided exactly, and the caller's bracket vectors
 /// track the certain envelope [min_inf + influenced, max_inf - refuted] —
-/// so the engine's Strategy-1 abort stays sound mid-walk. At Settle the
+/// so the engine's Strategy-1 budget stays sound mid-walk. At Settle the
 /// observed fraction is scaled into the Hoeffding bracket and the
 /// candidate is settled per the header contract: miss -> discard,
 /// clear -> accept approximately, straddle -> exact refinement of the
@@ -40,7 +40,6 @@ class ApproxTopKPolicy {
     const std::span<const uint32_t> records = brackets_->VerificationSet(j);
     set_size_ = records.size();
     lo_base_ = brackets_->min_inf[j];
-    influenced_count_ = 0;
     positions_ = sketch_->SamplePositions(j, set_size_);
     sampled_records_.clear();
     sampled_records_.reserve(positions_.size());
@@ -53,18 +52,15 @@ class ApproxTopKPolicy {
                         : query::CandidateAdmission::kEvaluate;
   }
 
-  bool AbortValidation(uint32_t j) const { return Dominated(j); }
-
-  void OnDecision(uint32_t j, bool influenced) {
-    if (influenced) {
-      ++brackets_->min_inf[j];
-      ++influenced_count_;
-    } else {
-      --brackets_->max_inf[j];
-    }
+  int64_t RefutationBudget(uint32_t j) const {
+    return cutoff_.Saturated() ? brackets_->max_inf[j] - cutoff_.Value()
+                               : kUnlimitedRefutations;
   }
 
-  void Settle(uint32_t j, bool complete) {
+  void Settle(uint32_t j, int64_t influenced, int64_t refuted,
+              bool complete) {
+    brackets_->min_inf[j] += influenced;
+    brackets_->max_inf[j] -= refuted;
     if (!complete) {
       // Strategy-1 abort: the certain lower bound is still a valid floor.
       cutoff_.Push(brackets_->min_inf[j]);
@@ -72,8 +68,8 @@ class ApproxTopKPolicy {
     }
 
     const size_t sampled = positions_.size();
-    const SketchBracket bracket =
-        sketch_->Bracket(set_size_, sampled, influenced_count_);
+    const SketchBracket bracket = sketch_->Bracket(
+        set_size_, sampled, static_cast<size_t>(influenced));
     int64_t lo = lo_base_ + bracket.lo;
     int64_t hi = lo_base_ + bracket.hi;
     bool exact = bracket.exact;
@@ -126,31 +122,29 @@ class ApproxTopKPolicy {
   }
 
   // Decides the records the sample skipped (the complement of the sorted
-  // sample positions) through the exact batch kernel. Afterwards
+  // sample positions) in one exact set call. Afterwards
   // min_inf[j] == max_inf[j] == inf(j) by the bracket invariant.
   void Refine(uint32_t j) {
     const std::span<const uint32_t> records = brackets_->VerificationSet(j);
-    const Point candidate = prepared_->candidate(j);
-    const std::span<const Point> one(&candidate, 1);
-    const ObjectStore& store = prepared_->store();
-    uint8_t influenced = 0;
+    unsampled_.clear();
     size_t next = 0;  // cursor into the sorted sample positions
     for (uint32_t p = 0; p < set_size_; ++p) {
       if (next < positions_.size() && positions_[next] == p) {
         ++next;
-        continue;
-      }
-      const InfluenceBatchCounters counters = kernel_->DecideMany(
-          one, store.positions(records[p]), std::span<uint8_t>(&influenced, 1));
-      result_->stats.positions_scanned += counters.positions_seen;
-      result_->stats.early_stops += counters.early_stops;
-      ++result_->pairs_refined;
-      if (influenced != 0) {
-        ++brackets_->min_inf[j];
       } else {
-        --brackets_->max_inf[j];
+        unsampled_.push_back(records[p]);
       }
     }
+    const ObjectStore& store = prepared_->store();
+    const InfluenceSetCounters decided = kernel_->DecideSet(
+        prepared_->candidate(j), unsampled_,
+        [&store](uint32_t rec) { return store.positions(rec); },
+        kUnlimitedRefutations);
+    result_->stats.positions_scanned += decided.positions_seen;
+    result_->stats.early_stops += decided.early_stops;
+    result_->pairs_refined += decided.influenced + decided.refuted;
+    brackets_->min_inf[j] += decided.influenced;
+    brackets_->max_inf[j] -= decided.refuted;
   }
 
   query::CutoffTracker cutoff_;
@@ -164,9 +158,9 @@ class ApproxTopKPolicy {
   // Context of the candidate currently under validation.
   size_t set_size_ = 0;
   int64_t lo_base_ = 0;
-  size_t influenced_count_ = 0;
   std::vector<uint32_t> positions_;
   std::vector<uint32_t> sampled_records_;
+  std::vector<uint32_t> unsampled_;
 
   std::vector<ApproxEntry> settled_;
 };

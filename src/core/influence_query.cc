@@ -10,7 +10,13 @@ namespace pinocchio {
 
 int64_t InfluenceOfCandidate(const ObjectStore& store, const Point& candidate,
                              const ProbabilityFunction& pf) {
-  const InfluenceKernel kernel(pf, store.tau());
+  return InfluenceOfCandidate(store, InfluenceKernel(pf, store.tau()),
+                              candidate);
+}
+
+int64_t InfluenceOfCandidate(const ObjectStore& store,
+                             const InfluenceKernel& kernel,
+                             const Point& candidate) {
   const std::span<const Point> one(&candidate, 1);
   int64_t influence = 0;
   for (const ObjectRecord& rec : store.records()) {

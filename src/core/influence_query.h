@@ -16,6 +16,7 @@
 
 namespace pinocchio {
 
+class InfluenceKernel;
 class PreparedInstance;
 
 /// Exact inf(c) of a single location over `objects`, using the IA/NIB
@@ -23,6 +24,12 @@ class PreparedInstance;
 /// wherever a pruning rule decides the pair.
 int64_t InfluenceOfCandidate(const ObjectStore& store, const Point& candidate,
                              const ProbabilityFunction& pf);
+
+/// The same query through a kernel built for the store's (pf, tau), so
+/// repeated probes skip the kernel's construction (its SIMD bound table).
+int64_t InfluenceOfCandidate(const ObjectStore& store,
+                             const InfluenceKernel& kernel,
+                             const Point& candidate);
 
 /// Same query against a prepared instance's store — the point-query
 /// counterpart of `Solver::Solve(const PreparedInstance&)`. `candidate`

@@ -11,27 +11,56 @@
 namespace pinocchio {
 namespace query {
 
+std::vector<uint32_t> ShortObjectsFirst(const ObjectStore& store) {
+  const std::vector<ObjectRecord>& records = store.records();
+  uint32_t max_n = 0;
+  for (const ObjectRecord& rec : records) {
+    max_n = std::max(max_n, rec.position_count);
+  }
+  std::vector<uint32_t> start(static_cast<size_t>(max_n) + 2, 0);
+  for (const ObjectRecord& rec : records) ++start[rec.position_count + 1];
+  for (size_t n = 1; n < start.size(); ++n) start[n] += start[n - 1];
+  std::vector<uint32_t> order(records.size());
+  for (uint32_t k = 0; k < records.size(); ++k) {
+    order[start[records[k].position_count]++] = k;
+  }
+  return order;
+}
+
 void RecordListsToCsr(size_t num_candidates,
                       std::span<const RecordCandidateLists> ranges,
                       std::vector<uint32_t>* offsets,
-                      std::vector<uint32_t>* data) {
+                      std::vector<uint32_t>* data,
+                      std::span<const uint32_t> record_order) {
   offsets->assign(num_candidates + 1, 0);
+  size_t num_records = record_order.size();
   for (const RecordCandidateLists& range : ranges) {
     for (uint32_t j : range.candidates) ++(*offsets)[j + 1];
+    num_records =
+        std::max(num_records, range.first_record + range.counts.size());
   }
   for (size_t j = 0; j < num_candidates; ++j) {
     (*offsets)[j + 1] += (*offsets)[j];
   }
-  data->resize(offsets->back());
-  std::vector<uint32_t> cursor(offsets->begin(), offsets->end() - 1);
+  // Each record's list, located once, then filled in `record_order`.
+  std::vector<std::span<const uint32_t>> lists(num_records);
   for (const RecordCandidateLists& range : ranges) {
     const uint32_t* id = range.candidates.data();
     for (size_t i = 0; i < range.counts.size(); ++i) {
-      const auto rec = static_cast<uint32_t>(range.first_record + i);
-      for (uint32_t n = range.counts[i]; n > 0; --n) {
-        (*data)[cursor[*id++]++] = rec;
-      }
+      lists[range.first_record + i] = {id, range.counts[i]};
+      id += range.counts[i];
     }
+  }
+  std::vector<uint32_t> identity;
+  if (record_order.empty()) {
+    identity.resize(num_records);
+    std::iota(identity.begin(), identity.end(), 0u);
+    record_order = identity;
+  }
+  data->resize(offsets->back());
+  std::vector<uint32_t> cursor(offsets->begin(), offsets->end() - 1);
+  for (uint32_t rec : record_order) {
+    for (uint32_t j : lists[rec]) (*data)[cursor[j]++] = rec;
   }
 }
 
@@ -96,8 +125,7 @@ CandidateBrackets BuildCandidateBrackets(const PreparedInstance& prepared,
   brackets.max_inf.assign(m, r);
   if (!use_pruning) {
     // PINOCCHIO-VO*: no pruning phase; every object must be verified.
-    brackets.all_records.resize(static_cast<size_t>(r));
-    std::iota(brackets.all_records.begin(), brackets.all_records.end(), 0u);
+    brackets.all_records = ShortObjectsFirst(store);
     return brackets;
   }
 
@@ -122,7 +150,8 @@ CandidateBrackets BuildCandidateBrackets(const PreparedInstance& prepared,
       stats->pairs_pruned_by_nib += w.stats.pairs_pruned_by_nib;
     }
   }
-  RecordListsToCsr(m, remnants, &brackets.vs_offsets, &brackets.vs_data);
+  RecordListsToCsr(m, remnants, &brackets.vs_offsets, &brackets.vs_data,
+                   ShortObjectsFirst(store));
   for (size_t j = 0; j < m; ++j) {
     brackets.max_inf[j] = brackets.min_inf[j] + (brackets.vs_offsets[j + 1] -
                                                  brackets.vs_offsets[j]);
@@ -196,17 +225,14 @@ class SkylinePolicy {
     return CandidateAdmission::kEvaluate;
   }
 
-  bool AbortValidation(uint32_t j) const { return Dominated(j); }
-
-  void OnDecision(uint32_t j, bool influenced) {
-    if (influenced) {
-      ++min_inf_[j];
-    } else {
-      --max_inf_[j];
-    }
+  int64_t RefutationBudget(uint32_t j) const {
+    return max_inf_[j] - Threshold();
   }
 
-  void Settle(uint32_t j, bool complete) {
+  void Settle(uint32_t j, int64_t influenced, int64_t refuted,
+              bool complete) {
+    min_inf_[j] += influenced;
+    max_inf_[j] -= refuted;
     // An aborted candidate is dominated; its exact influence is unknown
     // and irrelevant. Fully validated: the bracket has collapsed, minInf
     // is exact.
@@ -249,11 +275,15 @@ class SkylinePolicy {
   }
 
  private:
-  bool Dominated(uint32_t j) const {
-    const int64_t upper = max_inf_[j];
-    return best_strictly_cheaper_ >= upper ||
-           std::max(best_strictly_cheaper_, best_in_group_) > upper;
+  // The smallest upper bound no settled maximum dominates:
+  // best_strictly_cheaper_ >= upper or max(best_strictly_cheaper_,
+  // best_in_group_) > upper is upper < Threshold().
+  int64_t Threshold() const {
+    return std::max(best_strictly_cheaper_ + 1,
+                    std::max(best_strictly_cheaper_, best_in_group_));
   }
+
+  bool Dominated(uint32_t j) const { return max_inf_[j] < Threshold(); }
 
   std::span<const double> cost_;
   std::vector<int64_t> min_inf_;

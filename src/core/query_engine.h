@@ -2,19 +2,24 @@
 // family. PINOCCHIO-VO's Strategy-1 machinery (Section 5) is in essence a
 // generic loop: maintain a [minInf, maxInf] bracket per candidate from the
 // IA/NIB prune phase, walk the candidates in decreasing-upper-bound order
-// and validate verification sets one record at a time, letting a policy
-// decide when a candidate is admitted, aborted mid-validation or the walk
-// stops altogether. The exact top-k cut-off of Algorithm 3 is one such
-// policy; the influence/cost skyline and the approximate top-k tier
-// (core/approx_solver.h) are the others.
+// and validate each verification set, letting a policy decide when a
+// candidate is admitted, how many refutations abort it mid-validation and
+// when the walk stops altogether. The exact top-k cut-off of Algorithm 3
+// is one such policy; the influence/cost skyline and the approximate top-k
+// tier (core/approx_solver.h) are the others.
+//
+// Verification sets list short objects first: ascending by (position
+// count, record index). Objects with few positions are rarely influenced
+// (the paper's Fig. 11), so they are the cheap refutations a Strategy-1
+// abort needs, and the order is fixed once by the prune phase's transpose.
 //
 // EvaluateBoundOrdered() owns the counter discipline (heap_pops,
 // pairs_validated, positions_scanned, early_stops, strategy1_cutoffs) so
-// every policy reports work identically. It decides each pair as a
-// one-candidate InfluenceKernel::DecideMany batch, so on SIMD tiers
-// positions_scanned and early_stops are chunk-granular (see
-// influence_kernel.h); decisions and the other counters equal the scalar
-// kernel's.
+// every policy reports work identically. It decides each admitted
+// candidate's set in one InfluenceKernel::DecideSet call under the
+// policy's integer refutation budget, so on SIMD tiers positions_scanned
+// and early_stops are chunk-granular (see influence_kernel.h); decisions
+// and the other counters equal the scalar kernel's.
 //
 // The engine's other substrate is the exact pass (InfluenceSets): the
 // CSR influence sets of Algorithm 2's prune-and-validate loop, which also
@@ -102,16 +107,18 @@ inline bool OrderBefore(std::span<const int64_t> min_inf,
 ///   VS(j)      — record indices whose NIB contains candidate j but whose
 ///                IA does not, in one flat CSR layout (vs_data sliced by
 ///                vs_offsets) so the prune phase performs O(1) allocations
-///                however large the candidate set grows.
+///                however large the candidate set grows. Each slice is
+///                ascending by (position count, record index).
 ///
 /// When built without pruning (PINOCCHIO-VO*) every candidate starts with
-/// bounds [0, r] and shares the identity verification set `all_records`.
+/// bounds [0, r] and shares the verification set `all_records`: every
+/// record, in the same (position count, record index) order.
 struct CandidateBrackets {
   std::vector<int64_t> min_inf;
   std::vector<int64_t> max_inf;
   std::vector<uint32_t> vs_offsets;  // size m + 1; empty when !pruned
   std::vector<uint32_t> vs_data;
-  std::vector<uint32_t> all_records;  // identity set when !pruned
+  std::vector<uint32_t> all_records;  // every record when !pruned
   bool pruned = true;
 
   size_t num_candidates() const { return min_inf.size(); }
@@ -123,21 +130,30 @@ struct CandidateBrackets {
   }
 };
 
-/// Transposes record-major candidate lists, taken in `ranges` order, into
-/// a CSR layout over `num_candidates`: data[offsets[j], offsets[j + 1])
-/// holds the records whose lists name candidate j. Size-then-fill is
-/// stable, so each candidate's records keep the range order: one range per
-/// record morsel, in morsel order, gives the same layout at any thread
-/// budget.
+/// Record indices ascending by (position count, record index): a counting
+/// sort over the store's position counts, O(r + max n).
+std::vector<uint32_t> ShortObjectsFirst(const ObjectStore& store);
+
+/// Transposes record-major candidate lists (disjoint record ranges) into a
+/// CSR layout over `num_candidates`: data[offsets[j], offsets[j + 1])
+/// holds the records whose lists name candidate j, filled record by
+/// record in `record_order`, so every slice lists its records in that
+/// order. `record_order` is a permutation of [0, R) for some R past every
+/// range's last record (e.g. ShortObjectsFirst); empty means ascending
+/// record index. The layout depends on the lists, not on how the records
+/// are split into ranges: one range per record morsel gives the same
+/// layout at any thread budget.
 void RecordListsToCsr(size_t num_candidates,
                       std::span<const RecordCandidateLists> ranges,
                       std::vector<uint32_t>* offsets,
-                      std::vector<uint32_t>* data);
+                      std::vector<uint32_t>* data,
+                      std::span<const uint32_t> record_order = {});
 
 /// Runs the IA/NIB prune phase over record morsels and assembles the
 /// brackets. IA/NIB counters go to `stats` (may be null). Remnants are
-/// collected as per-morsel candidate lists and transposed in morsel order,
-/// so the CSR is record-major and byte-identical at any budget.
+/// collected as per-morsel candidate lists and transposed in
+/// ShortObjectsFirst order, so every slice is ascending by (position
+/// count, record) and the CSR is byte-identical at any budget.
 /// `use_pruning == false` skips the phase entirely (the VO* ablation).
 CandidateBrackets BuildCandidateBrackets(
     const PreparedInstance& prepared, const InfluenceKernel& kernel,
@@ -161,21 +177,26 @@ enum class CandidateAdmission : uint8_t {
 
 /// The bound-ordered evaluation loop (Algorithm 3 lines 13-27, with the
 /// acceptance decisions delegated to `policy`). Walks `order`; for each
-/// admitted candidate it validates the verification set record by record
-/// through the shared influence kernel's batch path, one candidate per
-/// call (Strategy 2 early stops included),
-/// asking the policy before each record whether to abort (the generalised
-/// Strategy-1 mid-validation cut-off, counted as strategy1_cutoffs).
+/// admitted candidate it decides the verification set, in its order, in
+/// one InfluenceKernel::DecideSet call (Strategy-2 early stops included)
+/// that stops once the candidate's refutations exceed the policy's budget
+/// with records left (the generalised Strategy-1 mid-validation cut-off,
+/// counted as strategy1_cutoffs).
 ///
 /// Policy contract (duck-typed; see TopKCutoffPolicy for the canonical
 /// shape):
 ///   CandidateAdmission Admit(uint32_t j)             — before heap_pops
-///   bool AbortValidation(uint32_t j)                 — before each record
-///   void OnDecision(uint32_t j, bool influenced)     — after each record
-///   void Settle(uint32_t j, bool complete)           — after the set;
-///       `complete` is false iff validation aborted early
-/// Every policy's AbortValidation compares j's integer bracket with a
-/// threshold that stays fixed while j is walked.
+///   int64_t RefutationBudget(uint32_t j)             — after admission
+///   void Settle(uint32_t j, int64_t influenced, int64_t refuted,
+///               bool complete)                       — after the set
+/// Every policy aborts j once max_inf[j] < T for a threshold T that stays
+/// fixed while j is walked, and each refutation lowers max_inf[j] by one:
+/// the budget is max_inf[j] - T (>= 0 for an admitted candidate), or
+/// kUnlimitedRefutations while the policy has no threshold yet. Settle
+/// receives the walk's counts, which the policy adds to j's bracket;
+/// `complete` is false iff validation aborted early. The walk aborts
+/// exactly where a record-at-a-time loop testing max_inf[j] < T before
+/// each record would, so both agree on every counter.
 ///
 /// `verification_set` need not return the full prune-phase set: the
 /// approximate tier (core/approx_solver.h) returns a deterministic sample
@@ -193,33 +214,23 @@ void EvaluateBoundOrdered(
     FunctionRef<std::span<const uint32_t>(uint32_t)> verification_set,
     SolverStats* stats, Policy& policy) {
   const ObjectStore& store = prepared.store();
+  const auto positions = [&store](uint32_t rec) {
+    return store.positions(rec);
+  };
   for (uint32_t j : order) {
     const CandidateAdmission admission = policy.Admit(j);
     if (admission == CandidateAdmission::kStop) break;
     if (admission == CandidateAdmission::kSkip) continue;
     ++stats->heap_pops;
 
-    const std::span<const Point> c(&prepared.candidate(j), 1);
-    bool complete = true;
-    for (uint32_t rec_idx : verification_set(j)) {
-      if (policy.AbortValidation(j)) {
-        ++stats->strategy1_cutoffs;
-        complete = false;
-        break;
-      }
-      ++stats->pairs_validated;
-
-      // Strategy 2: the kernel scans the record's arena span until Lemma 4
-      // decides influence, through the filter-and-refine batch path.
-      uint8_t influenced = 0;
-      const InfluenceBatchCounters counters =
-          kernel.DecideMany(c, store.positions(rec_idx), {&influenced, 1});
-      stats->positions_scanned += counters.positions_seen;
-      stats->early_stops += counters.early_stops;
-
-      policy.OnDecision(j, influenced != 0);
-    }
-    policy.Settle(j, complete);
+    const std::span<const uint32_t> records = verification_set(j);
+    const InfluenceSetCounters decided = kernel.DecideSet(
+        prepared.candidate(j), records, positions, policy.RefutationBudget(j));
+    stats->pairs_validated += decided.influenced + decided.refuted;
+    stats->positions_scanned += decided.positions_seen;
+    stats->early_stops += decided.early_stops;
+    if (!decided.complete) ++stats->strategy1_cutoffs;
+    policy.Settle(j, decided.influenced, decided.refuted, decided.complete);
   }
 }
 
@@ -239,17 +250,17 @@ class TopKCutoffPolicy {
                         : CandidateAdmission::kEvaluate;
   }
 
-  bool AbortValidation(uint32_t j) const { return Dominated(j); }
-
-  void OnDecision(uint32_t j, bool influenced) {
-    if (influenced) {
-      ++(*min_inf_)[j];
-    } else {
-      --(*max_inf_)[j];
-    }
+  int64_t RefutationBudget(uint32_t j) const {
+    return cutoff_.Saturated() ? (*max_inf_)[j] - cutoff_.Value()
+                               : kUnlimitedRefutations;
   }
 
-  void Settle(uint32_t j, bool /*complete*/) { cutoff_.Push((*min_inf_)[j]); }
+  void Settle(uint32_t j, int64_t influenced, int64_t refuted,
+              bool /*complete*/) {
+    (*min_inf_)[j] += influenced;
+    (*max_inf_)[j] -= refuted;
+    cutoff_.Push((*min_inf_)[j]);
+  }
 
  private:
   bool Dominated(uint32_t j) const {

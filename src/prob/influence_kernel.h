@@ -13,12 +13,14 @@
 #define PINOCCHIO_PROB_INFLUENCE_KERNEL_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 
 #include "geo/point.h"
 #include "prob/influence_kernel_simd.h"
 #include "prob/probability_function.h"
+#include "util/function_ref.h"
 
 namespace pinocchio {
 
@@ -37,6 +39,21 @@ struct InfluenceBatchCounters {
   int64_t positions_seen = 0;
   int64_t early_stops = 0;
 };
+
+/// Outcome and work of one InfluenceKernel::DecideSet call.
+struct InfluenceSetCounters {
+  /// Records decided influenced and not influenced (refuted).
+  int64_t influenced = 0;
+  int64_t refuted = 0;
+  int64_t positions_seen = 0;
+  int64_t early_stops = 0;
+  /// False iff the refutation budget stopped the walk with records left.
+  bool complete = true;
+};
+
+/// A refutation budget that never stops a DecideSet walk.
+inline constexpr int64_t kUnlimitedRefutations =
+    std::numeric_limits<int64_t>::max();
 
 /// Immutable (PF, tau) evaluation context with the precomputed Lemma-4
 /// log-survival threshold. Cheap to construct per solve; safe to share
@@ -73,27 +90,55 @@ class InfluenceKernel {
                            std::span<const Point> positions) const;
 
   /// Batch variant: decides every candidate against ONE object's position
-  /// span. It is the decision unit of every solver: the prune pipeline's
-  /// remnant batches, and one-candidate batches for the bound-ordered walk,
-  /// approx's refine and the probes. `influenced[i]`
-  /// receives the decision for `candidates[i]`; the two spans' contiguity
-  /// is what the columnar arena buys.
+  /// span: the prune pipeline's remnant batches and the probes.
+  /// `influenced[i]` receives the decision for `candidates[i]`; the two
+  /// spans' contiguity is what the columnar arena buys.
   ///
-  /// On tiers above kScalar every batch, one candidate included, first
-  /// runs the SIMD filter (influence_kernel_simd.h): lanes whose
-  /// conservative log-survival bracket clears a threshold are decided from
-  /// the bound table, the rest are refined through the exact scalar
-  /// Decide — so the decisions are bit-identical to the scalar path on
-  /// every input. Counters are chunk-granular for filter-decided lanes:
-  /// positions_seen per pair is >= the scalar path's value and <= the span
-  /// size, and deterministic for a given (candidates, positions) batch.
+  /// On tiers above kScalar every batch first runs the SIMD filter
+  /// (influence_kernel_simd.h): lanes whose conservative log-survival
+  /// bracket clears a threshold are decided from the bound table, the rest
+  /// are refined through the exact scalar Decide — so the decisions are
+  /// bit-identical to the scalar path on every input. Lanes past the
+  /// tier's last full vector, and so a one-candidate batch, take the
+  /// portable one-lane loop, DecideSet's per-record unit. Counters are
+  /// chunk-granular for filter-decided lanes: positions_seen per pair is
+  /// >= the scalar path's value and <= the span size, and deterministic
+  /// for a given (candidates, positions) batch.
   InfluenceBatchCounters DecideMany(std::span<const Point> candidates,
                                     std::span<const Point> positions,
                                     std::span<uint8_t> influenced) const;
 
+  /// Set-at-a-time variant: decides ONE candidate against the objects
+  /// `records`, in order, where `positions(r)` is record r's span. It stops
+  /// before the next record once more than `refutation_budget` records
+  /// have been refuted (complete = false); a walk whose budget runs out on
+  /// its last record is complete. This is the bound-ordered walk's
+  /// Strategy-1 abort, and approx's refine with an unlimited budget. Every
+  /// pair's decision, positions_seen and early stop equal a one-candidate
+  /// DecideMany's on the same tier, self-check included; the span
+  /// thresholds are computed once per run of equal span sizes, so a set
+  /// ordered by position count computes them once per distinct n.
+  InfluenceSetCounters DecideSet(
+      const Point& candidate, std::span<const uint32_t> records,
+      FunctionRef<std::span<const Point>(uint32_t)> positions,
+      int64_t refutation_budget) const;
+
  private:
   InfluenceDecision DecideImpl(const Point& candidate,
                                std::span<const Point> positions) const;
+
+  /// The filter's verdict on one pair turned into a decision: undecided
+  /// lanes are refined through Decide, decided ones re-verified against
+  /// the naive test under self-check.
+  InfluenceDecision Resolve(const Point& candidate,
+                            std::span<const Point> positions,
+                            const simd_internal::LaneOutcome& lane) const;
+
+  /// Self-check of one filter-decided pair against Pr_c(O) >= tau. Out of
+  /// line so Resolve, which runs per lane, stays small enough to inline.
+  [[gnu::cold, gnu::noinline]] void VerifyFilterDecision(
+      const Point& candidate, std::span<const Point> positions,
+      bool influenced) const;
 
   const ProbabilityFunction* pf_;
   double tau_;

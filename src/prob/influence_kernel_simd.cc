@@ -404,12 +404,17 @@ SimdInfluenceFilter::SimdInfluenceFilter(const ProbabilityFunction& pf,
   t.g_hi[buckets + 1] = 0.0;
 }
 
+simd_internal::SpanThresholds SimdInfluenceFilter::Thresholds(
+    size_t num_positions) const {
+  return {simd_internal::AdjustedInfluenceThreshold(table_, num_positions),
+          simd_internal::AdjustedRejectThreshold(table_, num_positions)};
+}
+
 void SimdInfluenceFilter::Filter(std::span<const Point> candidates,
                                  std::span<const Point> positions,
                                  simd_internal::LaneOutcome* outcomes) const {
-  const simd_internal::SpanThresholds thresholds{
-      simd_internal::AdjustedInfluenceThreshold(table_, positions.size()),
-      simd_internal::AdjustedRejectThreshold(table_, positions.size())};
+  const simd_internal::SpanThresholds thresholds =
+      Thresholds(positions.size());
   switch (tier_) {
 #if defined(PINOCCHIO_HAVE_AVX2)
     case SimdTier::kAvx2:

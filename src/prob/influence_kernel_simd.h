@@ -177,6 +177,25 @@ class SimdInfluenceFilter {
               std::span<const Point> positions,
               simd_internal::LaneOutcome* outcomes) const;
 
+  /// Both adjusted thresholds of an n-position span (a division and a
+  /// nextafter each, so callers walking many spans compute them once per
+  /// distinct n).
+  simd_internal::SpanThresholds Thresholds(size_t num_positions) const;
+
+  /// One candidate against one span under that span's Thresholds(): the
+  /// portable one-lane loop on every tier, as a one-candidate Filter()
+  /// runs it (the vector tiers hand lanes past their last full vector to
+  /// it).
+  simd_internal::LaneOutcome FilterOne(
+      const Point& candidate, std::span<const Point> positions,
+      const simd_internal::SpanThresholds& thresholds) const {
+    simd_internal::LaneOutcome outcome;
+    simd_internal::FilterPortable(table_, thresholds, &candidate, 1,
+                                  positions.data(), positions.size(),
+                                  &outcome);
+    return outcome;
+  }
+
  private:
   SimdTier tier_;
   simd_internal::FilterTable table_;

@@ -14,10 +14,13 @@ namespace {
 // rounded addition makes this the worst case over any n positions whose
 // per-position probabilities are all >= prob (and the best case when all
 // are <= prob), which is what lets a single radius serve both theorems.
+// The per-position term is the same for every position, so it is
+// computed once and summed n times: the same values in the same order.
 bool CertifiesInfluence(double prob, size_t n, double tau) {
   if (prob >= 1.0) return true;
+  const double term = std::log1p(-prob);
   double log_survival = 0.0;
-  for (size_t i = 0; i < n; ++i) log_survival += std::log1p(-prob);
+  for (size_t i = 0; i < n; ++i) log_survival += term;
   return -std::expm1(log_survival) >= tau;
 }
 

@@ -210,8 +210,8 @@ Response InfluenceService::Do(const ApproxTopKRequest& request) {
 Response InfluenceService::Do(const ProbeRequest& request) {
   const SnapshotPtr snap = holder_.Acquire();
   Stopwatch watch;
-  const int64_t influence =
-      InfluenceOfCandidate(snap->prepared, request.location);
+  const int64_t influence = InfluenceOfCandidate(
+      snap->prepared.store(), snap->kernel, request.location);
   Response response;
   response.type = ResponseType::kProbe;
   response.probe.epoch = snap->epoch;
@@ -252,7 +252,8 @@ Response InfluenceService::Do(const WhatIfRequest& request) {
     // position arena and MBRs are reused) and keeps the R-tree.
     whatif_prepared_->Reprepare(config);
   }
-  const SolverResult result = PinocchioVOSolver().Solve(*whatif_prepared_);
+  const SolverResult result =
+      PinocchioVOSolver(options_.solve_threads).Solve(*whatif_prepared_);
   // What-if answers are stamped with the epoch of the snapshot whose
   // data they were derived from.
   Response response = MakeSolveResponse(*snap, result, k);

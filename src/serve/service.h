@@ -64,13 +64,12 @@ struct ServiceOptions {
   /// Distance unit (metres) of the power-law PF rebuilt by what-if
   /// requests; must match the PF the service was constructed with.
   double pf_unit_meters = 100.0;
-  /// Thread budget of PIN and PIN-VO solves and of each snapshot's exact
-  /// pass, which the first top-k, skyline, diversified or approx request
-  /// of an epoch builds (0 selects the hardware concurrency; 1 runs inline
-  /// on the request thread). Results are bit-identical at any setting. A
-  /// kSolve naming kNaive runs the sequential NA oracle whatever the
-  /// budget, and what-if solves run at budget 1 (they hold a mutex
-  /// anyway).
+  /// Thread budget of PIN and PIN-VO solves, what-if included, and of
+  /// each snapshot's exact pass, which the first top-k, skyline,
+  /// diversified or approx request of an epoch builds (0 selects the
+  /// hardware concurrency; 1 runs inline on the request thread). Results
+  /// are bit-identical at any setting. A kSolve naming kNaive runs the
+  /// sequential NA oracle whatever the budget.
   size_t solve_threads = 1;
   /// Width of the streaming ingestion window in seconds; 0 disables the
   /// kObserve/kAdvance request family. When enabled, the service runs a

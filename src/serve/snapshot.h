@@ -48,12 +48,16 @@ struct ServerSnapshot {
   ProblemInstance instance;
   /// Indexes built over `instance` under `prepared.config()`.
   PreparedInstance prepared;
+  /// The influence kernel of `prepared`'s (pf, tau), built once with its
+  /// SIMD bound table: probes and the exact pass share it.
+  InfluenceKernel kernel;
 
   ServerSnapshot(uint64_t epoch_in, ProblemInstance instance_in,
                  const SolverConfig& config)
       : epoch(epoch_in),
         instance(std::move(instance_in)),
-        prepared(instance, config) {}
+        prepared(instance, config),
+        kernel(prepared.pf(), prepared.tau()) {}
 
   /// Algorithm 2's exact pass over `prepared` (query::BuildInfluenceSets):
   /// every candidate's influence set, exact influence and starting
@@ -63,9 +67,8 @@ struct ServerSnapshot {
   /// every later one.
   const query::InfluenceSets& ExactPass(size_t num_threads) const {
     std::call_once(pass_once_, [&] {
-      pass_ = query::BuildInfluenceSets(
-          prepared, InfluenceKernel(prepared.pf(), prepared.tau()),
-          MorselScheduler(num_threads));
+      pass_ = query::BuildInfluenceSets(prepared, kernel,
+                                        MorselScheduler(num_threads));
     });
     return pass_;
   }

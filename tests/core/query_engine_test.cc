@@ -133,7 +133,7 @@ TEST(CandidateBracketsTest, ThreadBudgetsAreByteIdentical) {
   });
   EXPECT_EQ(query::BoundDominationOrder(one), sorted);
 
-  for (size_t threads : {2, 3, 5}) {
+  for (size_t threads : {2, 3, 5, 7}) {
     SolverStats stats;
     const MorselScheduler scheduler(threads);
     const query::CandidateBrackets got = query::BuildCandidateBrackets(
@@ -146,6 +146,95 @@ TEST(CandidateBracketsTest, ThreadBudgetsAreByteIdentical) {
     EXPECT_EQ(stats.pairs_pruned_by_nib, one_stats.pairs_pruned_by_nib);
     EXPECT_EQ(query::BoundDominationOrder(got, scheduler), sorted);
   }
+}
+
+// Every verification set lists short objects first: strictly ascending by
+// (position count, record), holding exactly the records of the prune
+// phase's record-order transpose, at budgets 1, 2 and 7. PIN-VO*'s shared
+// set is every record in the same order.
+TEST(CandidateBracketsTest, SetsListShortObjectsFirst) {
+  const ProblemInstance instance = RandomInstance(7107);
+  const PreparedInstance prepared(instance, DefaultConfig());
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const ObjectStore& store = prepared.store();
+  const size_t m = prepared.num_candidates();
+  const auto before = [&](uint32_t a, uint32_t b) {
+    const uint32_t na = store.records()[a].position_count;
+    const uint32_t nb = store.records()[b].position_count;
+    return na != nb ? na < nb : a < b;
+  };
+
+  std::vector<int64_t> ia_credits(m, 0);
+  RecordCandidateLists lists;
+  ClassifyCandidates(prepared.candidate_rtree(), store, kernel, 0,
+                     static_cast<uint32_t>(store.size()), m, nullptr,
+                     ia_credits, &lists);
+  std::vector<uint32_t> offsets, data;
+  query::RecordListsToCsr(m, {&lists, 1}, &offsets, &data);
+
+  const query::CandidateBrackets one = query::BuildCandidateBrackets(
+      prepared, kernel, /*use_pruning=*/true, nullptr);
+  ASSERT_EQ(one.vs_offsets, offsets);
+  size_t reordered = 0;
+  for (uint32_t j = 0; j < m; ++j) {
+    const std::span<const uint32_t> got = one.VerificationSet(j);
+    EXPECT_EQ(std::adjacent_find(got.begin(), got.end(),
+                                 [&](uint32_t a, uint32_t b) {
+                                   return !before(a, b);
+                                 }),
+              got.end())
+        << "candidate " << j;
+    std::vector<uint32_t> records(got.begin(), got.end());
+    std::sort(records.begin(), records.end());
+    EXPECT_TRUE(std::equal(records.begin(), records.end(),
+                           data.begin() + offsets[j],
+                           data.begin() + offsets[j + 1]))
+        << "candidate " << j;
+    if (!std::equal(got.begin(), got.end(), records.begin())) ++reordered;
+  }
+  EXPECT_GT(reordered, 0u);  // position counts vary, so the order bites
+
+  for (size_t threads : {2, 7}) {
+    const query::CandidateBrackets got = query::BuildCandidateBrackets(
+        prepared, kernel, /*use_pruning=*/true, nullptr,
+        MorselScheduler(threads));
+    EXPECT_EQ(got.vs_offsets, one.vs_offsets) << threads << " threads";
+    EXPECT_EQ(got.vs_data, one.vs_data) << threads << " threads";
+  }
+
+  std::vector<uint32_t> all(store.size());
+  std::iota(all.begin(), all.end(), 0u);
+  std::sort(all.begin(), all.end(), before);
+  EXPECT_EQ(query::ShortObjectsFirst(store), all);
+  EXPECT_EQ(query::BuildCandidateBrackets(prepared, kernel,
+                                          /*use_pruning=*/false, nullptr)
+                .all_records,
+            all);
+}
+
+// The transpose fills each slice in the given record order, ascending
+// record index by default, however the records are split into ranges and
+// in whatever order the ranges come.
+TEST(RecordListsToCsrTest, FillsInRecordOrderWhateverTheRanges) {
+  RecordCandidateLists low;  // records 0-2: {0}, {0, 2}, {}
+  low.first_record = 0;
+  low.counts = {1, 2, 0};
+  low.candidates = {0, 0, 2};
+  RecordCandidateLists high;  // records 3-4: {2, 0}, {1}
+  high.first_record = 3;
+  high.counts = {2, 1};
+  high.candidates = {2, 0, 1};
+  const std::vector<RecordCandidateLists> ranges = {high, low};
+
+  std::vector<uint32_t> offsets, data;
+  query::RecordListsToCsr(3, ranges, &offsets, &data);
+  EXPECT_EQ(offsets, (std::vector<uint32_t>{0, 3, 4, 6}));
+  EXPECT_EQ(data, (std::vector<uint32_t>{0, 1, 3, 4, 1, 3}));
+
+  const std::vector<uint32_t> reversed = {4, 3, 2, 1, 0};
+  query::RecordListsToCsr(3, ranges, &offsets, &data, reversed);
+  EXPECT_EQ(offsets, (std::vector<uint32_t>{0, 3, 4, 6}));
+  EXPECT_EQ(data, (std::vector<uint32_t>{3, 1, 0, 4, 3, 1}));
 }
 
 TEST(InfluenceSetsTest, ThreadBudgetsAreByteIdenticalAndExact) {

@@ -8,8 +8,11 @@
 
 #include "prob/influence_kernel_simd.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -298,6 +301,120 @@ TEST(SimdKernelDifferentialTest, BulkClusteredWorkloadAgreesAcrossTiers) {
                               "bulk rep " + std::to_string(rep));
     }
   }
+}
+
+/// The record-at-a-time loop DecideSet replaces: one one-candidate
+/// DecideMany per record, stopping before a record once more than `budget`
+/// records have been refuted.
+InfluenceSetCounters PerRecordReference(
+    const InfluenceKernel& kernel, const Point& candidate,
+    std::span<const uint32_t> records,
+    const std::vector<std::vector<Point>>& spans, int64_t budget) {
+  InfluenceSetCounters out;
+  for (uint32_t rec : records) {
+    if (out.refuted > budget) {
+      out.complete = false;
+      break;
+    }
+    uint8_t influenced = 0;
+    const InfluenceBatchCounters counters =
+        kernel.DecideMany({&candidate, 1}, spans[rec], {&influenced, 1});
+    out.positions_seen += counters.positions_seen;
+    out.early_stops += counters.early_stops;
+    ++(influenced != 0 ? out.influenced : out.refuted);
+  }
+  return out;
+}
+
+// DecideSet on every tier, forced scalar included, against the per-record
+// reference on the same tier: random record sets of 1-19-position spans in
+// random and position-count order, taus drawn and snapped one ulp around a
+// realised cumulative probability, and budgets of 0, one below and at the
+// set's refutation count (the boundary where the last refutation may or
+// may not leave records), and unlimited. Every count and `complete` must
+// be equal.
+TEST(SimdKernelDifferentialTest, DecideSetMatchesPerRecordDecideMany) {
+  Rng rng(4242ull);
+  std::vector<const char*> tiers = AvailableFilterTiers();
+  tiers.insert(tiers.begin(), "scalar");
+  int64_t aborted = 0;
+  int64_t completed_at_boundary = 0;
+  for (const PfCase& c : AllPfFamilies()) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const Point candidate{rng.Uniform(-1000.0, 1000.0),
+                            rng.Uniform(-1000.0, 1000.0)};
+      std::vector<std::vector<Point>> spans(40);
+      for (std::vector<Point>& span : spans) {
+        const Point anchor{rng.Uniform(-5000.0, 5000.0),
+                           rng.Uniform(-5000.0, 5000.0)};
+        span.resize(static_cast<size_t>(rng.UniformInt(1, 19)));
+        for (Point& p : span) {
+          p = {anchor.x + rng.Gaussian(0.0, 600.0),
+               anchor.y + rng.Gaussian(0.0, 600.0)};
+        }
+      }
+      std::vector<uint32_t> records;
+      for (uint32_t k = 0; k < spans.size(); ++k) {
+        if (rng.Uniform(0.0, 1.0) < 0.8) records.push_back(k);
+      }
+      rng.Shuffle(records);
+      if (trial % 2 == 1) {
+        std::stable_sort(records.begin(), records.end(),
+                         [&](uint32_t a, uint32_t b) {
+                           return spans[a].size() < spans[b].size();
+                         });
+      }
+      std::vector<double> taus = {rng.Uniform(0.05, 0.95)};
+      const double p = CumulativeInfluenceProbability(
+          *c.pf, candidate, spans[records.empty() ? 0 : records.front()]);
+      if (p > 0.0 && p < 1.0) {
+        for (double t : {p, std::nextafter(p, 0.0), std::nextafter(p, 1.0)}) {
+          if (t > 0.0 && t < 1.0) taus.push_back(t);
+        }
+      }
+      const auto positions = [&](uint32_t rec) -> std::span<const Point> {
+        return spans[rec];
+      };
+      for (double tau : taus) {
+        for (const char* tier : tiers) {
+          const InfluenceKernel kernel = [&] {
+            ScopedEnv force("PINOCCHIO_FORCE_SCALAR",
+                            std::string(tier) == "scalar" ? "1" : nullptr);
+            ScopedEnv name("PINOCCHIO_SIMD_TIER", tier);
+            return InfluenceKernel(*c.pf, tau);
+          }();
+          const int64_t refutations =
+              PerRecordReference(kernel, candidate, records, spans,
+                                 kUnlimitedRefutations)
+                  .refuted;
+          for (int64_t budget : {int64_t{0}, refutations - 1, refutations,
+                                 kUnlimitedRefutations}) {
+            if (budget < 0) continue;
+            const InfluenceSetCounters want = PerRecordReference(
+                kernel, candidate, records, spans, budget);
+            const InfluenceSetCounters got =
+                kernel.DecideSet(candidate, records, positions, budget);
+            const std::string context =
+                std::string(c.label) + " tier=" + tier +
+                " trial=" + std::to_string(trial) +
+                " budget=" + std::to_string(budget);
+            EXPECT_EQ(got.influenced, want.influenced) << context;
+            EXPECT_EQ(got.refuted, want.refuted) << context;
+            EXPECT_EQ(got.positions_seen, want.positions_seen) << context;
+            EXPECT_EQ(got.early_stops, want.early_stops) << context;
+            EXPECT_EQ(got.complete, want.complete) << context;
+            if (!got.complete) ++aborted;
+            if (got.complete && budget == refutations - 1) {
+              ++completed_at_boundary;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both sides of the boundary occur.
+  EXPECT_GT(aborted, 0);
+  EXPECT_GT(completed_at_boundary, 0);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Tests of Definition 5 (minMaxRadius) and Theorems 1-2 — the foundations
 // of both pruning rules.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -104,6 +106,67 @@ TEST(MinMaxRadiusTest, LargeNStaysFinitePowerLaw) {
   const double radius = pf.MinMaxRadius(0.7, 780);
   EXPECT_TRUE(std::isfinite(radius));
   EXPECT_GT(radius, pf.MinMaxRadius(0.7, 10));
+}
+
+// MinMaxRadius with the cumulative test written as a per-position loop,
+// log1p evaluated once per term: the reference that the library's
+// bisection, which evaluates the term once per test, must equal bit for
+// bit.
+double PerTermMinMaxRadius(const ProbabilityFunction& pf, double tau,
+                           size_t n) {
+  const auto certifies = [&](double prob) {
+    if (prob >= 1.0) return true;
+    double log_survival = 0.0;
+    for (size_t i = 0; i < n; ++i) log_survival += std::log1p(-prob);
+    return -std::expm1(log_survival) >= tau;
+  };
+  if (!certifies(pf(0.0))) return ProbabilityFunction::kUninfluenceable;
+  double lo = 0.0;
+  double hi =
+      pf.Inverse(-std::expm1(std::log1p(-tau) / static_cast<double>(n)));
+  if (!(hi > 0.0)) hi = 1.0;
+  while (certifies(pf(hi))) {
+    lo = hi;
+    if (std::isinf(hi)) return hi;
+    hi *= 2.0;
+  }
+  while (true) {
+    const double mid = lo + 0.5 * (hi - lo);
+    if (mid <= lo || mid >= hi) break;
+    (certifies(pf(mid)) ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+// The radius is bit-identical to the per-term reference over a (tau, n)
+// sweep up to n = 1000, including the taus one ulp either side of the
+// reachability boundary -expm1(n log1p(-PF(0))), where the sentinel flips.
+TEST(MinMaxRadiusTest, BitIdenticalToPerTermReference) {
+  const PowerLawPF power(0.9, 1.0);
+  const PowerLawPF half(0.5, 1.0);
+  const LinearPF linear(0.5, 2000.0);
+  for (const ProbabilityFunction* pf :
+       {static_cast<const ProbabilityFunction*>(&power),
+        static_cast<const ProbabilityFunction*>(&half),
+        static_cast<const ProbabilityFunction*>(&linear)}) {
+    for (size_t n : {1u, 2u, 3u, 7u, 16u, 64u, 171u, 500u, 1000u}) {
+      std::vector<double> taus = {0.1, 0.3, 0.5, 0.7, 0.9, 0.99};
+      double boundary = 0.0;
+      for (size_t i = 0; i < n; ++i) boundary += std::log1p(-(*pf)(0.0));
+      const double reach = -std::expm1(boundary);
+      for (double t : {std::nextafter(reach, 0.0), reach,
+                       std::nextafter(reach, 1.0)}) {
+        if (t > 0.0 && t < 1.0) taus.push_back(t);
+      }
+      for (double tau : taus) {
+        const double got = pf->MinMaxRadius(tau, n);
+        const double want = PerTermMinMaxRadius(*pf, tau, n);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+            << pf->Name() << " tau=" << tau << " n=" << n << ": " << got
+            << " vs " << want;
+      }
+    }
+  }
 }
 
 // Theorems 1 and 2, exercised across PFs, taus and ns: positions placed

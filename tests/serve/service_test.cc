@@ -132,22 +132,42 @@ INSTANTIATE_TEST_SUITE_P(AroundPreparedK, ServiceTopKTest,
                            return "k" + std::to_string(info.param);
                          });
 
+// Probes run on the snapshot's one kernel; before and after a rebuild
+// they answer what a fresh InfluenceOfCandidate does on that snapshot.
 TEST(ServiceTest, ProbeMatchesInfluenceOfCandidate) {
   const ProblemInstance instance = RandomInstance(13);
   InfluenceService service(instance, DefaultConfig(), TestOptions());
-  const SnapshotPtr snap = service.snapshot();
+  const std::vector<Point> locations = {
+      instance.candidates[0], Point{0.0, 0.0}, Point{15000.0, 9000.0}};
+  const auto expect_probes_match = [&](uint64_t epoch) {
+    const SnapshotPtr snap = service.snapshot();
+    ASSERT_EQ(snap->epoch, epoch);
+    for (const Point& location : locations) {
+      Request request;
+      request.type = RequestType::kProbe;
+      request.probe.location = location;
+      const Response response = service.Execute(request);
+      ASSERT_EQ(response.type, ResponseType::kProbe);
+      EXPECT_EQ(response.probe.influence,
+                InfluenceOfCandidate(snap->prepared, location));
+      EXPECT_EQ(response.probe.epoch, epoch);
+    }
+  };
+  expect_probes_match(1);
 
-  for (const Point location :
-       {instance.candidates[0], Point{0.0, 0.0}, Point{15000.0, 9000.0}}) {
-    Request request;
-    request.type = RequestType::kProbe;
-    request.probe.location = location;
-    const Response response = service.Execute(request);
-    ASSERT_EQ(response.type, ResponseType::kProbe);
-    EXPECT_EQ(response.probe.influence,
-              InfluenceOfCandidate(snap->prepared, location));
-    EXPECT_EQ(response.probe.epoch, snap->epoch);
+  // New objects around the probe locations move their influences.
+  Request update;
+  update.type = RequestType::kUpdate;
+  for (uint32_t i = 0; i < locations.size(); ++i) {
+    UpdateObject object;
+    object.object_id = 9000 + i;
+    object.positions = {locations[i],
+                        {locations[i].x + 50.0, locations[i].y - 30.0}};
+    update.update.objects.push_back(object);
   }
+  ASSERT_EQ(service.Execute(update).type, ResponseType::kUpdate);
+  service.DrainUpdates();
+  expect_probes_match(2);
 }
 
 TEST(ServiceTest, WhatIfMatchesFreshPrepareUnderAlteredParameters) {

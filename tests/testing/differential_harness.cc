@@ -174,6 +174,36 @@ bool MaybeSnapBoundaryTau(Rng& rng, const ProblemInstance& instance,
   return true;
 }
 
+// BuildCandidateBrackets with every verification set sorted into record
+// order: the reference walks run over it, because the walks' results,
+// heap_pops and bound_skipped must not depend on the order of the sets.
+query::CandidateBrackets RecordOrderBrackets(const PreparedInstance& prepared) {
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  query::CandidateBrackets brackets = query::BuildCandidateBrackets(
+      prepared, kernel, /*use_pruning=*/true, nullptr);
+  for (size_t j = 0; j < brackets.num_candidates(); ++j) {
+    std::sort(brackets.vs_data.begin() + brackets.vs_offsets[j],
+              brackets.vs_data.begin() + brackets.vs_offsets[j + 1]);
+  }
+  return brackets;
+}
+
+// PIN-VO's exact top-k walk at `capacity` over `brackets`, whose min_inf
+// it leaves exact for every fully validated candidate.
+SolverStats TopKWalk(const PreparedInstance& prepared, size_t capacity,
+                     query::CandidateBrackets* brackets) {
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const std::vector<uint32_t> order = query::BoundDominationOrder(*brackets);
+  query::TopKCutoffPolicy policy(std::min(capacity, order.size()),
+                                 &brackets->min_inf, &brackets->max_inf);
+  SolverStats stats;
+  query::EvaluateBoundOrdered(
+      prepared, kernel, order,
+      [&](uint32_t j) { return brackets->VerificationSet(j); }, &stats,
+      policy);
+  return stats;
+}
+
 bool SameStats(const SolverStats& a, const SolverStats& b) {
   return a.pairs_pruned_by_ia == b.pairs_pruned_by_ia &&
          a.pairs_pruned_by_nib == b.pairs_pruned_by_nib &&
@@ -292,6 +322,7 @@ class CaseChecker {
     CheckExactSolver(PinocchioSolver(), prepared, naive);
     CheckVOSolver(PinocchioVOSolver(), prepared, naive);
     CheckVOSolver(PinocchioVOStarSolver(), prepared, naive);
+    CheckRecordOrderTopK(prepared);
     CheckThreadSweep<PinocchioSolver>(prepared);
     CheckThreadSweep<PinocchioVOSolver>(prepared);
     CheckThreadSweep<PinocchioVOStarSolver>(prepared);
@@ -369,6 +400,43 @@ class CaseChecker {
           msg << solver.Name() << ": top-" << fuzz_.config.top_k
               << " entry " << j << " reported " << r.influence[j]
               << " but exact is " << naive.influence[j];
+          Fail(msg.str());
+          break;
+        }
+      }
+    });
+  }
+
+  // PIN-VO's walk over sets that list short objects first against the
+  // same walk over record-order sets: the same heap_pops and the same
+  // exact top-k prefix (aborted candidates' lower bounds may differ, but
+  // they sit below the cut-off either way).
+  void CheckRecordOrderTopK(const PreparedInstance& prepared) {
+    if (prepared.num_candidates() == 0) return;
+    Guard("PIN-VO record-order walk", [&] {
+      const SolverResult got = PinocchioVOSolver().Solve(prepared);
+      query::CandidateBrackets reference = RecordOrderBrackets(prepared);
+      const SolverStats stats =
+          TopKWalk(prepared, fuzz_.config.top_k, &reference);
+      SolverResult want;
+      want.influence = std::move(reference.min_inf);
+      internal::FinalizeResultFromInfluence(&want);
+      if (got.stats.heap_pops != stats.heap_pops) {
+        std::ostringstream msg;
+        msg << "PIN-VO: heap_pops " << got.stats.heap_pops
+            << " vs record-order walk " << stats.heap_pops;
+        Fail(msg.str());
+      }
+      const size_t exact_k =
+          std::min(fuzz_.config.top_k, prepared.num_candidates());
+      for (size_t i = 0; i < exact_k; ++i) {
+        const uint32_t j = got.ranking[i];
+        if (j != want.ranking[i] || got.influence[j] != want.influence[j]) {
+          std::ostringstream msg;
+          msg << "PIN-VO: top-" << exact_k << " entry " << i << " ("
+              << j << ", " << got.influence[j] << ") vs record-order walk ("
+              << want.ranking[i] << ", " << want.influence[want.ranking[i]]
+              << ")";
           Fail(msg.str());
           break;
         }
@@ -522,6 +590,17 @@ class CaseChecker {
         Fail(msg.str());
       }
 
+      // The skyline admits every candidate it does not skip by its bound,
+      // whatever order the verification sets list their records in; the
+      // replay over the exact pass below pins members and bound_skipped.
+      if (got.stats.heap_pops != static_cast<int64_t>(m) - got.bound_skipped) {
+        std::ostringstream msg;
+        msg << "Skyline: heap_pops " << got.stats.heap_pops << " vs "
+            << m << " candidates - " << got.bound_skipped
+            << " bound-skipped (cost mode " << mode << ")";
+        Fail(msg.str());
+      }
+
       for (size_t threads : kSweepBudgets) {
         const query::SkylineResult par =
             query::SolveSkyline(prepared, cost, threads);
@@ -649,6 +728,16 @@ class CaseChecker {
               Fail(msg.str());
               break;
             }
+          }
+          // Sampling nothing away, the walk is PIN-VO's at capacity k: its
+          // heap_pops equal that walk's over record-order sets.
+          query::CandidateBrackets reference = RecordOrderBrackets(prepared);
+          const int64_t pops = TopKWalk(prepared, k, &reference).heap_pops;
+          if (res.stats.heap_pops != pops) {
+            std::ostringstream msg;
+            msg << tag.str() << ": heap_pops " << res.stats.heap_pops
+                << " vs record-order walk " << pops;
+            Fail(msg.str());
           }
         }
 
