@@ -7,8 +7,8 @@
 // "BM_ParallelScaling/PIN/<threads>" and "BM_ParallelScaling/PINVO/<threads>"
 // with speedup/efficiency fields — which scripts/check_bench_regression.py
 // gates in CI (--min-parallel-efficiency). Exits nonzero if any budget's
-// result diverges from the budget-1 result: the solvers' contract is
-// bit-identity at every thread budget.
+// result or work counter diverges from the budget-1 solve: the solvers'
+// contract is bit-identity at every thread budget.
 
 #include <algorithm>
 #include <cstdlib>
@@ -46,10 +46,20 @@ double TimeSolve(Solver& solver, const PreparedInstance& prepared,
   return best;
 }
 
+/// Same answer and the same work: every result field and every counter the
+/// bit-identity contract covers.
 bool SameResult(const SolverResult& a, const SolverResult& b) {
-  return a.influence == b.influence && a.ranking == b.ranking &&
+  return a.influence == b.influence &&
+         a.influence_exact == b.influence_exact && a.ranking == b.ranking &&
          a.best_candidate == b.best_candidate &&
-         a.best_influence == b.best_influence;
+         a.best_influence == b.best_influence &&
+         a.stats.pairs_pruned_by_ia == b.stats.pairs_pruned_by_ia &&
+         a.stats.pairs_pruned_by_nib == b.stats.pairs_pruned_by_nib &&
+         a.stats.pairs_validated == b.stats.pairs_validated &&
+         a.stats.positions_scanned == b.stats.positions_scanned &&
+         a.stats.early_stops == b.stats.early_stops &&
+         a.stats.heap_pops == b.stats.heap_pops &&
+         a.stats.strategy1_cutoffs == b.stats.strategy1_cutoffs;
 }
 
 void Main() {

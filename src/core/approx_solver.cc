@@ -52,10 +52,11 @@ class ApproxTopKPolicy {
                         : query::CandidateAdmission::kEvaluate;
   }
 
-  int64_t RefutationBudget(uint32_t j) const {
-    return cutoff_.Saturated() ? brackets_->max_inf[j] - cutoff_.Value()
-                               : kUnlimitedRefutations;
+  int64_t Threshold() const {
+    return cutoff_.Saturated() ? cutoff_.Value() : query::kNoThreshold;
   }
+
+  int64_t UpperBound(uint32_t j) const { return brackets_->max_inf[j]; }
 
   void Settle(uint32_t j, int64_t influenced, int64_t refuted,
               bool complete) {
@@ -117,9 +118,7 @@ class ApproxTopKPolicy {
   }
 
  private:
-  bool Dominated(uint32_t j) const {
-    return cutoff_.Saturated() && brackets_->max_inf[j] < cutoff_.Value();
-  }
+  bool Dominated(uint32_t j) const { return UpperBound(j) < Threshold(); }
 
   // Decides the records the sample skipped (the complement of the sorted
   // sample positions) in one exact set call. Afterwards
@@ -198,6 +197,8 @@ ApproxTopKResult SolveApproxTopK(const PreparedInstance& prepared, size_t k,
   const auto verification_set = [&](uint32_t j) -> std::span<const uint32_t> {
     return policy.PrepareSample(j);
   };
+  // PrepareSample keeps the candidate under validation in the policy, so
+  // the walk stays at budget 1 whatever the prune phase's budget.
   query::EvaluateBoundOrdered(prepared, kernel, order, verification_set,
                               &result.stats, policy);
   result.entries = policy.TakeEntries(k);

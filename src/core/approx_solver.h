@@ -30,8 +30,11 @@
 //
 // Determinism: samples are pure in (seed, candidate index), the prune
 // phase's verification sets and the bound order are byte-identical at
-// every thread budget, and the evaluation walk is sequential — so results,
-// certified brackets included, are bit-identical at every budget.
+// every thread budget, and the evaluation walk runs at budget 1 on the
+// calling thread — so results, certified brackets included, are
+// bit-identical at every budget. The walk does not decide ahead like exact
+// PIN-VO's: the sample callback keeps the candidate under validation in the
+// policy, so no helper may call it.
 
 #ifndef PINOCCHIO_CORE_APPROX_SOLVER_H_
 #define PINOCCHIO_CORE_APPROX_SOLVER_H_
@@ -78,7 +81,8 @@ struct ApproxTopKResult {
 
 /// Approximate top-k over a prepared instance at the sketch's (eps, delta).
 /// `num_threads` is the budget of the prune and order phases (0 = hardware
-/// concurrency); the evaluation walk runs on the calling thread.
+/// concurrency); the evaluation walk runs at budget 1 on the calling
+/// thread, whatever `num_threads` is.
 ApproxTopKResult SolveApproxTopK(const PreparedInstance& prepared, size_t k,
                                  const SketchParams& params,
                                  size_t num_threads = 1);

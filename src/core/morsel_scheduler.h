@@ -116,6 +116,11 @@ class MorselScheduler {
   size_t num_threads_;
 };
 
+/// The largest thread budget the tools accept: each phase of a solve starts
+/// up to budget - 1 threads, so a flag is refused above this rather than
+/// left to fail thread creation mid-request.
+inline constexpr size_t kMaxThreadBudget = 256;
+
 /// Morsels dealt per worker by PlanRecordMorsels; more than one so drained
 /// workers find work to steal.
 inline constexpr size_t kMorselsPerWorker = 4;

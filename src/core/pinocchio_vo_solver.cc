@@ -56,7 +56,7 @@ SolverResult PinocchioVOSolver::Solve(const PreparedInstance& prepared) const {
     return brackets.VerificationSet(j);
   };
   query::EvaluateBoundOrdered(prepared, kernel, order, verification_set,
-                              &result.stats, policy);
+                              &result.stats, policy, scheduler);
 
   // minInf is exact for every fully validated candidate and a valid lower
   // bound for the rest; by construction the k best exact values dominate

@@ -25,10 +25,12 @@ namespace pinocchio {
 ///
 /// Thread budget (`num_threads`, 0 = hardware concurrency): the prune phase
 /// runs over record morsels and the bound order over per-worker shards
-/// (query_engine.h); the cut-off-driven validation walk is order-dependent
-/// by design — the cut-off after candidate i gates candidate i+1 — and runs
-/// on the calling thread. Results and every stats counter are bit-identical
-/// at every budget.
+/// (query_engine.h). The cut-off-driven validation walk stays in bound
+/// order, since the cut-off after candidate i gates candidate i+1, but runs
+/// on the morsel engine: helpers decide the next few candidates' sets ahead
+/// under the cut-off the walk last published, which only rises, and the
+/// walk replays each set or decides it again at its true budget. Results
+/// and every stats counter are bit-identical at every budget.
 class PinocchioVOSolver : public Solver {
  public:
   explicit PinocchioVOSolver(size_t num_threads = 1)

@@ -1,6 +1,7 @@
 #include "core/query_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -181,6 +182,176 @@ std::vector<uint32_t> BoundDominationOrder(const CandidateBrackets& brackets,
   return TournamentMerge(std::move(runs), m, before);
 }
 
+// ------------------------------------------------------------ decide-ahead
+
+namespace {
+
+// A slot is kClosed while it lies beyond the window and kOpen inside it
+// until the walk (kWalk) or a helper (kRunning, then kDone) claims it.
+// When the walk ends it cancels every slot nobody claimed.
+enum SlotState : uint32_t {
+  kClosed,
+  kOpen,
+  kRunning,
+  kDone,
+  kWalk,
+  kCancelled,
+};
+
+}  // namespace
+
+struct alignas(64) SetDecider::Slot {
+  std::atomic<uint32_t> state{kClosed};
+  int64_t budget = 0;  // < 0 when the candidate was dominated already
+  InfluenceSetCounters decided;
+};
+
+SetDecider::SetDecider(
+    const PreparedInstance& prepared, const InfluenceKernel& kernel,
+    std::span<const uint32_t> order,
+    FunctionRef<std::span<const uint32_t>(uint32_t)> verification_set,
+    FunctionRef<int64_t(uint32_t)> upper_bound,
+    const MorselScheduler& scheduler)
+    : prepared_(prepared),
+      kernel_(kernel),
+      order_(order),
+      verification_set_(verification_set),
+      upper_bound_(upper_bound),
+      scheduler_(scheduler) {
+  const size_t budget = scheduler.num_threads();
+  if (budget < 2 || order.size() < 2) return;
+  window_ = kLookaheadPerThread * budget;
+  helpers_ = std::min(budget - 1, order.size() - 1);
+  slots_ = std::make_unique<Slot[]>(order.size());
+  for (size_t i = 0; i < std::min(window_, order.size()); ++i) {
+    slots_[i].state.store(kOpen, std::memory_order_relaxed);
+  }
+}
+
+SetDecider::~SetDecider() = default;
+
+DecideAheadCounts SetDecider::Run(FunctionRef<void()> walk) {
+  if (slots_ == nullptr) {
+    walk();
+    return counts_;
+  }
+  // The first body to start walks, so the walk never waits for a thread
+  // that has yet to start; every later one helps.
+  std::atomic<bool> walking{false};
+  const std::vector<Morsel> bodies = PlanUniformMorsels(helpers_ + 1, 1);
+  scheduler_.Run(bodies, [&](size_t, size_t, const Morsel&) {
+    if (walking.exchange(true, std::memory_order_relaxed)) {
+      Help();
+      return;
+    }
+    try {
+      walk();
+    } catch (...) {
+      Cancel();
+      throw;
+    }
+    Cancel();
+  });
+  return counts_;
+}
+
+InfluenceSetCounters SetDecider::DecideSet(size_t i, int64_t budget) const {
+  const uint32_t j = order_[i];
+  const ObjectStore& store = prepared_.store();
+  return kernel_.DecideSet(
+      prepared_.candidate(j), verification_set_(j),
+      [&store](uint32_t rec) { return store.positions(rec); }, budget);
+}
+
+InfluenceSetCounters SetDecider::Decide(size_t i, int64_t budget) {
+  if (slots_ == nullptr) return DecideSet(i, budget);
+  Slot& slot = slots_[i];
+  uint32_t state = kOpen;
+  if (slot.state.compare_exchange_strong(state, kWalk,
+                                         std::memory_order_acquire)) {
+    return DecideSet(i, budget);
+  }
+  // A helper holds the slot: decide unclaimed slots ahead, as a helper
+  // would, until it is done, and block only when none is left.
+  while (state == kRunning) {
+    if (!SpeculateAhead(i)) {
+      slot.state.wait(kRunning, std::memory_order_acquire);
+    }
+    state = slot.state.load(std::memory_order_acquire);
+  }
+  PINO_CHECK_EQ(state, kDone);
+  PINO_CHECK_GE(slot.budget, budget)
+      << "a helper's refutation budget fell below the walk's";
+  // A walk under the larger budget that never refuted past `budget`
+  // decided the same records as one under `budget` would have.
+  if (slot.budget == budget || slot.decided.refuted <= budget) {
+    ++counts_.taken;
+    return slot.decided;
+  }
+  ++counts_.redecided;
+  return DecideSet(i, budget);
+}
+
+void SetDecider::Advance(size_t i, int64_t threshold) {
+  if (slots_ == nullptr) return;
+  threshold_.store(threshold, std::memory_order_relaxed);
+  if (i + window_ < order_.size()) {
+    Slot& slot = slots_[i + window_];
+    slot.state.store(kOpen, std::memory_order_release);
+    slot.state.notify_one();
+  }
+}
+
+bool SetDecider::Speculate(size_t q) {
+  Slot& slot = slots_[q];
+  uint32_t state = kOpen;
+  if (!slot.state.compare_exchange_strong(state, kRunning,
+                                          std::memory_order_acquire)) {
+    return false;
+  }
+  const int64_t threshold = threshold_.load(std::memory_order_relaxed);
+  slot.budget = RefutationBudget(upper_bound_(order_[q]), threshold);
+  if (slot.budget >= 0) slot.decided = DecideSet(q, slot.budget);
+  slot.state.store(kDone, std::memory_order_release);
+  slot.state.notify_one();
+  return true;
+}
+
+bool SetDecider::SpeculateAhead(size_t i) {
+  // Slots before i + window_ are open; claiming through next_ keeps every
+  // slot to one claimant.
+  const size_t end = std::min(i + window_, order_.size());
+  size_t q = next_.load(std::memory_order_relaxed);
+  do {
+    if (q >= end) return false;
+  } while (!next_.compare_exchange_weak(q, q + 1, std::memory_order_relaxed));
+  return Speculate(q);
+}
+
+void SetDecider::Help() {
+  for (;;) {
+    const size_t q = next_.fetch_add(1, std::memory_order_relaxed);
+    if (q >= order_.size()) return;
+    slots_[q].state.wait(kClosed, std::memory_order_acquire);
+    if (!Speculate(q) &&
+        slots_[q].state.load(std::memory_order_relaxed) == kCancelled) {
+      return;
+    }
+  }
+}
+
+void SetDecider::Cancel() {
+  for (size_t i = 0; i < order_.size(); ++i) {
+    std::atomic<uint32_t>& state = slots_[i].state;
+    uint32_t old = state.load(std::memory_order_relaxed);
+    while ((old == kClosed || old == kOpen) &&
+           !state.compare_exchange_weak(old, kCancelled,
+                                        std::memory_order_relaxed)) {
+    }
+    if (old == kClosed) state.notify_one();
+  }
+}
+
 // ---------------------------------------------------------------- skyline
 
 namespace {
@@ -225,9 +396,17 @@ class SkylinePolicy {
     return CandidateAdmission::kEvaluate;
   }
 
-  int64_t RefutationBudget(uint32_t j) const {
-    return max_inf_[j] - Threshold();
+  // The smallest upper bound no settled maximum dominates:
+  // best_strictly_cheaper_ >= upper or max(best_strictly_cheaper_,
+  // best_in_group_) > upper is upper < Threshold(). Both maxima only rise,
+  // and a new cost group folds best_in_group_ into best_strictly_cheaper_,
+  // so the threshold never falls.
+  int64_t Threshold() const {
+    return std::max(best_strictly_cheaper_ + 1,
+                    std::max(best_strictly_cheaper_, best_in_group_));
   }
+
+  int64_t UpperBound(uint32_t j) const { return max_inf_[j]; }
 
   void Settle(uint32_t j, int64_t influenced, int64_t refuted,
               bool complete) {
@@ -275,14 +454,6 @@ class SkylinePolicy {
   }
 
  private:
-  // The smallest upper bound no settled maximum dominates:
-  // best_strictly_cheaper_ >= upper or max(best_strictly_cheaper_,
-  // best_in_group_) > upper is upper < Threshold().
-  int64_t Threshold() const {
-    return std::max(best_strictly_cheaper_ + 1,
-                    std::max(best_strictly_cheaper_, best_in_group_));
-  }
-
   bool Dominated(uint32_t j) const { return max_inf_[j] < Threshold(); }
 
   std::span<const double> cost_;
@@ -330,9 +501,9 @@ SkylineResult SolveSkyline(const PreparedInstance& prepared,
     return result;
   }
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
-  const CandidateBrackets brackets =
-      BuildCandidateBrackets(prepared, kernel, /*use_pruning=*/true,
-                             &result.stats, MorselScheduler(num_threads));
+  const MorselScheduler scheduler(num_threads);
+  const CandidateBrackets brackets = BuildCandidateBrackets(
+      prepared, kernel, /*use_pruning=*/true, &result.stats, scheduler);
   const std::vector<uint32_t> order =
       SkylineOrder(cost, brackets.min_inf, brackets.max_inf);
 
@@ -341,7 +512,7 @@ SkylineResult SolveSkyline(const PreparedInstance& prepared,
     return brackets.VerificationSet(j);
   };
   EvaluateBoundOrdered(prepared, kernel, order, verification_set,
-                       &result.stats, policy);
+                       &result.stats, policy, scheduler);
   policy.Finish();
   internal::FinishSolveTiming(&result.stats, watch.ElapsedSeconds());
   return result;

@@ -33,12 +33,19 @@
 // on the morsel engine; a budget of 1 runs every morsel inline on the
 // calling thread. Per-morsel outputs are concatenated in morsel order and
 // counters are summed, so every result and counter is bit-identical at any
-// budget. The evaluation walks that follow are sequential by design.
+// budget. The evaluation walk runs on the engine too: one thread walks the
+// candidates in order while helpers decide the next few verification sets
+// ahead of it under an upper bound on their refutation budgets, and the
+// walk replays or re-decides each set so that every result and counter
+// equals budget 1's (EvaluateBoundOrdered).
 
 #ifndef PINOCCHIO_CORE_QUERY_ENGINE_H_
 #define PINOCCHIO_CORE_QUERY_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <queue>
 #include <span>
 #include <utility>
@@ -175,6 +182,94 @@ enum class CandidateAdmission : uint8_t {
   kEvaluate,  // validate this candidate's verification set
 };
 
+/// The threshold of a policy that has none yet: every budget is unlimited.
+inline constexpr int64_t kNoThreshold = std::numeric_limits<int64_t>::min();
+
+/// The refutations a candidate with upper bound `upper` may take before
+/// upper < threshold dominates it.
+inline int64_t RefutationBudget(int64_t upper, int64_t threshold) {
+  return threshold == kNoThreshold ? kUnlimitedRefutations : upper - threshold;
+}
+
+/// How a walk above budget 1 came by its sets (all zero at budget 1).
+/// Timing-dependent and informational: results and counters do not
+/// depend on it.
+struct DecideAheadCounts {
+  /// Sets a helper decided ahead whose counts the walk took as they were.
+  int64_t taken = 0;
+  /// Sets a helper decided under a budget that proved too large, which
+  /// the walk decided again at the true one.
+  int64_t redecided = 0;
+};
+
+/// Decides the verification sets of a bound-ordered walk (see
+/// EvaluateBoundOrdered). At budget 1, or for fewer than two candidates,
+/// Decide() is one InfluenceKernel::DecideSet call and nothing else is
+/// allocated or started. Otherwise Run() executes the walk as one body of
+/// MorselScheduler::Run beside budget - 1 helpers (fewer for a shorter
+/// order), which decide order[i] for i inside a window of
+/// kLookaheadPerThread x budget slots past the walk; while a helper holds the slot the walk needs, the
+/// walk decides unclaimed slots of the window too. Each slot is O(1)
+/// state; a helper blocks on its slot's state while the slot lies beyond
+/// the window and never spins.
+class SetDecider {
+ public:
+  static constexpr size_t kLookaheadPerThread = 2;
+
+  SetDecider(const PreparedInstance& prepared, const InfluenceKernel& kernel,
+             std::span<const uint32_t> order,
+             FunctionRef<std::span<const uint32_t>(uint32_t)> verification_set,
+             FunctionRef<int64_t(uint32_t)> upper_bound,
+             const MorselScheduler& scheduler);
+  ~SetDecider();
+  SetDecider(const SetDecider&) = delete;
+  SetDecider& operator=(const SetDecider&) = delete;
+
+  /// Runs `walk` once and returns when it and every helper have finished;
+  /// the helpers stop once `walk` returns.
+  DecideAheadCounts Run(FunctionRef<void()> walk);
+
+  /// Walk side: order[i]'s set decided at the true `budget`. Takes a
+  /// helper's result when its budget equals `budget` or it refuted no more
+  /// than `budget` records (the walks then coincide), re-decides otherwise,
+  /// and decides inline a slot no helper has started.
+  InfluenceSetCounters Decide(size_t i, int64_t budget);
+
+  /// Walk side, after order[i] is settled or skipped: publishes the
+  /// policy's threshold for the helpers and slides the window by one.
+  void Advance(size_t i, int64_t threshold);
+
+ private:
+  struct Slot;
+
+  InfluenceSetCounters DecideSet(size_t i, int64_t budget) const;
+  /// Claims open slot q and decides it under the last published
+  /// threshold's budget; false when the walk claimed it or it was
+  /// cancelled.
+  bool Speculate(size_t q);
+  /// Walk side, while a helper holds slot i: speculates on the next
+  /// unclaimed slot inside the window; false when there is none.
+  bool SpeculateAhead(size_t i);
+  /// A helper's loop: claims slots in order through next_, blocking on
+  /// each until the window reaches it.
+  void Help();
+  /// Cancels every slot nobody claimed, waking the helpers blocked on one.
+  void Cancel();
+
+  const PreparedInstance& prepared_;
+  const InfluenceKernel& kernel_;
+  std::span<const uint32_t> order_;
+  FunctionRef<std::span<const uint32_t>(uint32_t)> verification_set_;
+  FunctionRef<int64_t(uint32_t)> upper_bound_;
+  const MorselScheduler& scheduler_;
+  size_t helpers_ = 0;
+  size_t window_ = 0;
+  std::unique_ptr<Slot[]> slots_;  // one per order position; null inline
+  std::atomic<size_t> next_{1};  // the next slot to decide ahead
+  std::atomic<int64_t> threshold_{kNoThreshold};
+  DecideAheadCounts counts_;
+};
+
 /// The bound-ordered evaluation loop (Algorithm 3 lines 13-27, with the
 /// acceptance decisions delegated to `policy`). Walks `order`; for each
 /// admitted candidate it decides the verification set, in its order, in
@@ -186,17 +281,18 @@ enum class CandidateAdmission : uint8_t {
 /// Policy contract (duck-typed; see TopKCutoffPolicy for the canonical
 /// shape):
 ///   CandidateAdmission Admit(uint32_t j)             — before heap_pops
-///   int64_t RefutationBudget(uint32_t j)             — after admission
+///   int64_t Threshold() const                        — T, or kNoThreshold
+///   int64_t UpperBound(uint32_t j) const             — max_inf[j]
 ///   void Settle(uint32_t j, int64_t influenced, int64_t refuted,
 ///               bool complete)                       — after the set
 /// Every policy aborts j once max_inf[j] < T for a threshold T that stays
-/// fixed while j is walked, and each refutation lowers max_inf[j] by one:
-/// the budget is max_inf[j] - T (>= 0 for an admitted candidate), or
-/// kUnlimitedRefutations while the policy has no threshold yet. Settle
-/// receives the walk's counts, which the policy adds to j's bracket;
-/// `complete` is false iff validation aborted early. The walk aborts
-/// exactly where a record-at-a-time loop testing max_inf[j] < T before
-/// each record would, so both agree on every counter.
+/// fixed while j is walked and never falls during the walk, and each
+/// refutation lowers max_inf[j] by one: j's budget is
+/// RefutationBudget(max_inf[j], T) (>= 0 for an admitted candidate).
+/// Settle receives the walk's counts, which the policy adds to j's
+/// bracket; `complete` is false iff validation aborted early. The walk
+/// aborts exactly where a record-at-a-time loop testing max_inf[j] < T
+/// before each record would, so both agree on every counter.
 ///
 /// `verification_set` need not return the full prune-phase set: the
 /// approximate tier (core/approx_solver.h) returns a deterministic sample
@@ -204,34 +300,50 @@ enum class CandidateAdmission : uint8_t {
 /// influence bracket — the loop is agnostic as long as the span stays
 /// alive for the candidate's walk.
 ///
-/// The loop is inherently sequential — what the policy learns from
-/// candidate i gates the work spent on candidate i+1 — so it runs on the
-/// calling thread whatever the thread budget of the prune and order phases.
+/// Thread budget: at `scheduler`'s budget 1 the walk runs on the calling
+/// thread and decides every set itself. Above it the walk runs on the
+/// morsel engine beside helpers that decide the next few candidates' sets
+/// ahead (SetDecider). Only the walk calls Admit, Threshold and
+/// Settle; helpers call `verification_set` and UpperBound for candidates
+/// the walk has not reached, and read the threshold the walk published
+/// after its last candidate. That threshold is at most the one in force
+/// when the walk reaches the candidate, so a helper's budget bounds the
+/// true one from above; the walk replays a helper's counts when the two
+/// walks coincide and re-decides the set otherwise. Results and every
+/// counter are therefore bit-identical at every budget. Above budget 1,
+/// `verification_set` and UpperBound must be safe to call from the
+/// helpers, so the stateful approximate tier walks at budget 1.
 template <typename Policy>
-void EvaluateBoundOrdered(
+DecideAheadCounts EvaluateBoundOrdered(
     const PreparedInstance& prepared, const InfluenceKernel& kernel,
     std::span<const uint32_t> order,
     FunctionRef<std::span<const uint32_t>(uint32_t)> verification_set,
-    SolverStats* stats, Policy& policy) {
-  const ObjectStore& store = prepared.store();
-  const auto positions = [&store](uint32_t rec) {
-    return store.positions(rec);
+    SolverStats* stats, Policy& policy,
+    const MorselScheduler& scheduler = MorselScheduler(1)) {
+  const auto upper_bound = [&policy](uint32_t j) {
+    return policy.UpperBound(j);
   };
-  for (uint32_t j : order) {
-    const CandidateAdmission admission = policy.Admit(j);
-    if (admission == CandidateAdmission::kStop) break;
-    if (admission == CandidateAdmission::kSkip) continue;
-    ++stats->heap_pops;
-
-    const std::span<const uint32_t> records = verification_set(j);
-    const InfluenceSetCounters decided = kernel.DecideSet(
-        prepared.candidate(j), records, positions, policy.RefutationBudget(j));
-    stats->pairs_validated += decided.influenced + decided.refuted;
-    stats->positions_scanned += decided.positions_seen;
-    stats->early_stops += decided.early_stops;
-    if (!decided.complete) ++stats->strategy1_cutoffs;
-    policy.Settle(j, decided.influenced, decided.refuted, decided.complete);
-  }
+  SetDecider decider(prepared, kernel, order, verification_set,
+                               upper_bound, scheduler);
+  return decider.Run([&] {
+    for (size_t i = 0; i < order.size(); ++i) {
+      const uint32_t j = order[i];
+      const CandidateAdmission admission = policy.Admit(j);
+      if (admission == CandidateAdmission::kStop) break;
+      if (admission == CandidateAdmission::kEvaluate) {
+        ++stats->heap_pops;
+        const InfluenceSetCounters decided = decider.Decide(
+            i, RefutationBudget(policy.UpperBound(j), policy.Threshold()));
+        stats->pairs_validated += decided.influenced + decided.refuted;
+        stats->positions_scanned += decided.positions_seen;
+        stats->early_stops += decided.early_stops;
+        if (!decided.complete) ++stats->strategy1_cutoffs;
+        policy.Settle(j, decided.influenced, decided.refuted,
+                      decided.complete);
+      }
+      decider.Advance(i, policy.Threshold());
+    }
+  });
 }
 
 /// Exact top-k acceptance: the paper's Strategy 1. A candidate is
@@ -246,14 +358,16 @@ class TopKCutoffPolicy {
       : cutoff_(capacity), min_inf_(min_inf), max_inf_(max_inf) {}
 
   CandidateAdmission Admit(uint32_t j) const {
-    return Dominated(j) ? CandidateAdmission::kStop
-                        : CandidateAdmission::kEvaluate;
+    return (*max_inf_)[j] < Threshold() ? CandidateAdmission::kStop
+                                        : CandidateAdmission::kEvaluate;
   }
 
-  int64_t RefutationBudget(uint32_t j) const {
-    return cutoff_.Saturated() ? (*max_inf_)[j] - cutoff_.Value()
-                               : kUnlimitedRefutations;
+  /// The k-th best validated lower bound once k candidates are settled.
+  int64_t Threshold() const {
+    return cutoff_.Saturated() ? cutoff_.Value() : kNoThreshold;
   }
+
+  int64_t UpperBound(uint32_t j) const { return (*max_inf_)[j]; }
 
   void Settle(uint32_t j, int64_t influenced, int64_t refuted,
               bool /*complete*/) {
@@ -263,10 +377,6 @@ class TopKCutoffPolicy {
   }
 
  private:
-  bool Dominated(uint32_t j) const {
-    return cutoff_.Saturated() && (*max_inf_)[j] < cutoff_.Value();
-  }
-
   CutoffTracker cutoff_;
   std::vector<int64_t>* min_inf_;
   std::vector<int64_t>* max_inf_;
@@ -335,7 +445,8 @@ struct SkylineResult {
 /// as the current one — its exact influence dominates the current bracket
 /// whenever it reaches the upper bound, letting the engine discard
 /// dominated candidates before (or mid-) validation. `num_threads` is the
-/// prune phase's budget.
+/// budget of the prune phase and of the walk, which decides ahead under
+/// the policy's last published domination threshold.
 SkylineResult SolveSkyline(const PreparedInstance& prepared,
                            std::span<const double> cost,
                            size_t num_threads = 1);

@@ -1,6 +1,8 @@
 #include "core/query_engine.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -8,6 +10,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -380,7 +383,7 @@ TEST(SkylineTest, ThreadBudgetsAreBitIdentical) {
   for (double& c : cost) c = rng.Uniform(0.0, 50.0);
 
   const query::SkylineResult seq = query::SolveSkyline(prepared, cost);
-  for (size_t threads : {2, 4}) {
+  for (size_t threads : {2, 3, 4, 7}) {
     const query::SkylineResult par =
         query::SolveSkyline(prepared, cost, threads);
     ASSERT_EQ(par.members.size(), seq.members.size());
@@ -391,6 +394,8 @@ TEST(SkylineTest, ThreadBudgetsAreBitIdentical) {
     }
     EXPECT_EQ(par.bound_skipped, seq.bound_skipped);
     EXPECT_EQ(par.stats.pairs_validated, seq.stats.pairs_validated);
+    EXPECT_EQ(par.stats.positions_scanned, seq.stats.positions_scanned);
+    EXPECT_EQ(par.stats.early_stops, seq.stats.early_stops);
     EXPECT_EQ(par.stats.heap_pops, seq.stats.heap_pops);
     EXPECT_EQ(par.stats.strategy1_cutoffs, seq.stats.strategy1_cutoffs);
   }
@@ -532,6 +537,231 @@ TEST(CounterContractTest, FilteredSolvesMatchForcedScalar) {
       (scalar.approx.stats.pairs_validated + scalar.approx.pairs_refined) *
           kPositions,
       "approx");
+}
+
+// ------------------------------------------------------- decide-ahead
+
+/// A walk policy of the engine's shape whose threshold rises by one after
+/// every Settle, so a set decided ahead under the threshold the walk
+/// published before its last Settle has a budget one too large. With
+/// `await_speculation`, Admit of the candidate at walk position p returns
+/// only once the upper bound of the candidate at p + 1 has been read, that
+/// is once its set is being decided ahead; each such set that refutes past
+/// its true budget then has to be decided again.
+class RisingThresholdPolicy {
+ public:
+  static constexpr size_t kNever = std::numeric_limits<size_t>::max();
+
+  RisingThresholdPolicy(const query::CandidateBrackets& brackets,
+                        std::span<const uint32_t> order,
+                        bool await_speculation, size_t stop_at = kNever)
+      : min_inf_(brackets.min_inf),
+        max_inf_(brackets.max_inf),
+        complete_(brackets.num_candidates(), 0),
+        order_(order),
+        upper_reads_(std::make_unique<std::atomic<int>[]>(
+            brackets.num_candidates())),
+        await_speculation_(await_speculation),
+        stop_at_(stop_at) {}
+
+  query::CandidateAdmission Admit(uint32_t j) {
+    const size_t p = position_++;
+    if (p == stop_at_) return query::CandidateAdmission::kStop;
+    if (await_speculation_ && p + 1 < order_.size()) {
+      AwaitUpperRead(order_[p + 1]);
+    }
+    return max_inf_[j] < threshold_ ? query::CandidateAdmission::kSkip
+                                    : query::CandidateAdmission::kEvaluate;
+  }
+
+  int64_t Threshold() const { return threshold_; }
+
+  int64_t UpperBound(uint32_t j) const {
+    upper_reads_[j].fetch_add(1, std::memory_order_release);
+    return max_inf_[j];
+  }
+
+  void Settle(uint32_t j, int64_t influenced, int64_t refuted,
+              bool complete) {
+    min_inf_[j] += influenced;
+    max_inf_[j] -= refuted;
+    complete_[j] = complete ? 1 : 0;
+    ++threshold_;
+  }
+
+  const std::vector<int64_t>& min_inf() const { return min_inf_; }
+  const std::vector<int64_t>& max_inf() const { return max_inf_; }
+  const std::vector<char>& complete() const { return complete_; }
+
+ private:
+  // Bounded, so a regression that never decides ahead fails the
+  // re-decide assertion instead of hanging.
+  void AwaitUpperRead(uint32_t j) const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (upper_reads_[j].load(std::memory_order_acquire) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  }
+
+  std::vector<int64_t> min_inf_;
+  std::vector<int64_t> max_inf_;
+  std::vector<char> complete_;
+  std::span<const uint32_t> order_;
+  std::unique_ptr<std::atomic<int>[]> upper_reads_;
+  bool await_speculation_;
+  size_t stop_at_;
+  size_t position_ = 0;
+  int64_t threshold_ = 0;
+};
+
+struct RisingWalk {
+  std::vector<int64_t> min_inf;
+  std::vector<int64_t> max_inf;
+  std::vector<char> complete;
+  SolverStats stats;
+  query::DecideAheadCounts ahead;
+};
+
+RisingWalk WalkRising(const PreparedInstance& prepared,
+                      const InfluenceKernel& kernel,
+                      const query::CandidateBrackets& brackets,
+                      std::span<const uint32_t> order, size_t budget,
+                      size_t stop_at = RisingThresholdPolicy::kNever) {
+  RisingThresholdPolicy policy(brackets, order, budget > 1, stop_at);
+  RisingWalk walk;
+  walk.ahead = query::EvaluateBoundOrdered(
+      prepared, kernel, order,
+      [&](uint32_t j) { return brackets.VerificationSet(j); }, &walk.stats,
+      policy, MorselScheduler(budget));
+  walk.min_inf = policy.min_inf();
+  walk.max_inf = policy.max_inf();
+  walk.complete = policy.complete();
+  return walk;
+}
+
+/// The five counters the walk owns.
+void ExpectSameWalkCounters(const SolverStats& got, const SolverStats& want) {
+  EXPECT_EQ(got.pairs_validated, want.pairs_validated);
+  EXPECT_EQ(got.positions_scanned, want.positions_scanned);
+  EXPECT_EQ(got.early_stops, want.early_stops);
+  EXPECT_EQ(got.heap_pops, want.heap_pops);
+  EXPECT_EQ(got.strategy1_cutoffs, want.strategy1_cutoffs);
+}
+
+void ExpectSameWalk(const RisingWalk& got, const RisingWalk& want) {
+  EXPECT_EQ(got.min_inf, want.min_inf);
+  EXPECT_EQ(got.max_inf, want.max_inf);
+  EXPECT_EQ(got.complete, want.complete);
+  ExpectSameWalkCounters(got.stats, want.stats);
+}
+
+constexpr size_t kWalkBudgets[] = {2, 3, 4, 7};
+
+// Every set decided ahead under a stale threshold that refuted past its
+// true budget is decided again: the re-decide path runs at every budget
+// and tier, and the brackets and counters equal budget 1's.
+TEST(DecideAheadTest, StaleSpeculationIsRedecidedBitIdentically) {
+  const ProblemInstance instance =
+      RandomInstance(7301, InstanceOptions{.num_objects = 80,
+                                           .num_candidates = 60});
+  const PreparedInstance prepared(instance, DefaultConfig());
+  struct Tier {
+    const char* name;
+    const char* force_scalar;
+    const char* simd_tier;
+  };
+  for (const Tier& tier : {Tier{"scalar", "1", nullptr},
+                           Tier{"portable", nullptr, "portable"},
+                           Tier{"sse2", nullptr, "sse2"},
+                           Tier{"avx2", nullptr, "avx2"}}) {
+    SCOPED_TRACE(tier.name);
+    const InfluenceKernel kernel = [&] {
+      ScopedEnv force("PINOCCHIO_FORCE_SCALAR", tier.force_scalar);
+      ScopedEnv simd("PINOCCHIO_SIMD_TIER", tier.simd_tier);
+      return InfluenceKernel(prepared.pf(), prepared.tau());
+    }();
+    const query::CandidateBrackets brackets =
+        query::BuildCandidateBrackets(prepared, kernel, true, nullptr);
+    const std::vector<uint32_t> order = query::BoundDominationOrder(brackets);
+    const RisingWalk one = WalkRising(prepared, kernel, brackets, order, 1);
+    ASSERT_GT(one.stats.strategy1_cutoffs, 0);
+    EXPECT_EQ(one.ahead.taken + one.ahead.redecided, 0);
+    for (size_t budget : kWalkBudgets) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      const RisingWalk got =
+          WalkRising(prepared, kernel, brackets, order, budget);
+      ExpectSameWalk(got, one);
+      EXPECT_GT(got.ahead.redecided, 0);
+    }
+  }
+}
+
+// A policy that stops at the first candidate ends the walk before any set
+// is decided, whatever the helpers started.
+TEST(DecideAheadTest, StopAtTheFirstCandidate) {
+  const ProblemInstance instance = RandomInstance(7302);
+  const PreparedInstance prepared(instance, DefaultConfig());
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const query::CandidateBrackets brackets =
+      query::BuildCandidateBrackets(prepared, kernel, true, nullptr);
+  const std::vector<uint32_t> order = query::BoundDominationOrder(brackets);
+  for (size_t budget : {1, 2, 3, 4, 7}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    RisingThresholdPolicy policy(brackets, order, false, /*stop_at=*/0);
+    SolverStats stats;
+    const query::DecideAheadCounts ahead = query::EvaluateBoundOrdered(
+        prepared, kernel, order,
+        [&](uint32_t j) { return brackets.VerificationSet(j); }, &stats,
+        policy, MorselScheduler(budget));
+    ExpectSameWalkCounters(stats, SolverStats{});
+    EXPECT_EQ(ahead.taken + ahead.redecided, 0);
+    EXPECT_EQ(policy.min_inf(), brackets.min_inf);
+    EXPECT_EQ(policy.max_inf(), brackets.max_inf);
+  }
+}
+
+void ExpectSameSolve(const SolverResult& got, const SolverResult& want) {
+  EXPECT_EQ(got.influence, want.influence);
+  EXPECT_EQ(got.influence_exact, want.influence_exact);
+  EXPECT_EQ(got.ranking, want.ranking);
+  EXPECT_EQ(got.best_candidate, want.best_candidate);
+  ExpectSameWalkCounters(got.stats, want.stats);
+}
+
+// PIN-VO at every budget on the walk's edge cases: one candidate; k >= m,
+// where the cut-off never saturates and every budget is unlimited; and
+// PIN-VO*, whose candidates all share the `all_records` set.
+TEST(DecideAheadTest, EdgeCasesAreBitIdentical) {
+  struct Case {
+    const char* name;
+    InstanceOptions options;
+    size_t top_k;
+    bool star;
+  };
+  for (const Case& c :
+       {Case{"one candidate", {.num_objects = 40, .num_candidates = 1}, 1,
+             false},
+        Case{"k >= m", {.num_objects = 40, .num_candidates = 12}, 12, false},
+        Case{"k > m", {.num_objects = 40, .num_candidates = 12}, 20, false},
+        Case{"PIN-VO*", {.num_objects = 40, .num_candidates = 30}, 3, true}}) {
+    SCOPED_TRACE(c.name);
+    const ProblemInstance instance = RandomInstance(7303, c.options);
+    SolverConfig config = DefaultConfig();
+    config.top_k = c.top_k;
+    const PreparedInstance prepared(instance, config);
+    const auto solve = [&](size_t budget) {
+      return c.star ? PinocchioVOStarSolver(budget).Solve(prepared)
+                    : PinocchioVOSolver(budget).Solve(prepared);
+    };
+    const SolverResult one = solve(1);
+    ASSERT_GT(one.stats.heap_pops, 0);
+    for (size_t budget : kWalkBudgets) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      ExpectSameSolve(solve(budget), one);
+    }
+  }
 }
 
 // ------------------------------------------------------- diversified

@@ -5,8 +5,10 @@
 // crew, so the test exercises (a) the stealing deques under contention,
 // (b) several concurrent MorselScheduler::Run() calls in one process, and
 // (c) the snapshot pin: a solve must keep reading one coherent
-// PreparedInstance even when the holder swaps mid-flight. Results are
-// checked bit-identical against a budget-1 solve of the same snapshot.
+// PreparedInstance even when the holder swaps mid-flight. Results and
+// every work counter are checked bit-identical against a budget-1 solve of
+// the same snapshot; the budgets above 1 also run the walk's decide-ahead
+// helpers.
 
 #include <atomic>
 #include <cstdint>
@@ -36,6 +38,20 @@ ProblemInstance MakeInstance(uint64_t seed) {
   return RandomInstance(seed, opts);
 }
 
+// The answer and every work counter of the bit-identity contract.
+bool SameResult(const SolverResult& a, const SolverResult& b) {
+  return a.influence == b.influence &&
+         a.influence_exact == b.influence_exact && a.ranking == b.ranking &&
+         a.best_candidate == b.best_candidate &&
+         a.stats.pairs_pruned_by_ia == b.stats.pairs_pruned_by_ia &&
+         a.stats.pairs_pruned_by_nib == b.stats.pairs_pruned_by_nib &&
+         a.stats.pairs_validated == b.stats.pairs_validated &&
+         a.stats.positions_scanned == b.stats.positions_scanned &&
+         a.stats.early_stops == b.stats.early_stops &&
+         a.stats.heap_pops == b.stats.heap_pops &&
+         a.stats.strategy1_cutoffs == b.stats.strategy1_cutoffs;
+}
+
 TEST(MorselStressTest, WorkStealingUnderConcurrentSnapshotSwaps) {
   const SolverConfig config = DefaultConfig();
   SnapshotHolder holder(
@@ -56,9 +72,7 @@ TEST(MorselStressTest, WorkStealingUnderConcurrentSnapshotSwaps) {
         const SnapshotPtr snap = holder.Acquire();
         const SolverResult par = parallel.Solve(snap->prepared);
         const SolverResult seq = sequential.Solve(snap->prepared);
-        if (par.influence != seq.influence ||
-            par.best_candidate != seq.best_candidate ||
-            par.ranking != seq.ranking) {
+        if (!SameResult(par, seq)) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
         solves.fetch_add(1, std::memory_order_relaxed);

@@ -1,6 +1,6 @@
 // Thread-budget sweep of the solvers: every result and every stats counter
-// at budgets 2 and 7 must be bit-identical to budget 1, and budget 1 must
-// agree with the sequential NA oracle.
+// at budgets 2, 3, 4 and 7 must be bit-identical to budget 1, and budget 1
+// must agree with the sequential NA oracle.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,7 @@ using testing_helpers::DefaultConfig;
 using testing_helpers::InstanceOptions;
 using testing_helpers::RandomInstance;
 
-constexpr size_t kBudgets[] = {2, 7};
+constexpr size_t kBudgets[] = {2, 3, 4, 7};
 
 void ExpectIdentical(const SolverResult& got, const SolverResult& want,
                      const std::string& label) {

@@ -383,6 +383,8 @@ INSTANTIATE_TEST_SUITE_P(
         OutOfRangeFlag{"solve", "--candidates=0", "be >= 1"},
         OutOfRangeFlag{"solve", "--candidates=-3", "be >= 1"},
         OutOfRangeFlag{"solve", "--threads=-1", "be >= 0"},
+        OutOfRangeFlag{"solve", "--threads=257", "be <= 256"},
+        OutOfRangeFlag{"solve", "--threads=1000000", "be <= 256"},
         OutOfRangeFlag{"solve", "--rho=0", "be in (0, 1]"},
         OutOfRangeFlag{"solve", "--lambda=-1", "be > 0"},
         OutOfRangeFlag{"solve", "--unit-km=0", "be > 0"},

@@ -58,6 +58,10 @@ INSTANTIATE_TEST_SUITE_P(
                       "--candidates must be >= 1"},
         ServerFlagRow{"solve_threads_m1", "--solve_threads=-1",
                       "--solve_threads must be >= 0"},
+        ServerFlagRow{"solve_threads_257", "--solve_threads=257",
+                      "--solve_threads must be <= 256"},
+        ServerFlagRow{"solve_threads_1000000", "--solve_threads=1000000",
+                      "--solve_threads must be <= 256"},
         ServerFlagRow{"topk_limit_m1", "--topk-limit=-1",
                       "--topk-limit must be >= 1"},
         ServerFlagRow{"topk_limit_0", "--topk-limit=0",

@@ -9,6 +9,7 @@
 #include "baselines/range_solver.h"
 #include "core/naive_solver.h"
 #include "core/influence_query.h"
+#include "core/morsel_scheduler.h"
 #include "core/pinocchio_solver.h"
 #include "core/pinocchio_vo_solver.h"
 #include "core/prepared_instance.h"
@@ -50,8 +51,9 @@ Datasets are CSV check-ins (user_id,lat,lon[,venue_id]) or binary .pino
 snapshots written by `generate`.
 
 Algorithms: na, pin, pin-vo, pin-vo-star, brnn, range.
---threads (default 1, 0 = hardware concurrency) is the thread budget of
-pin, pin-vo and pin-vo-star; results are identical at every budget.
+--threads (default 1, 0 = hardware concurrency, at most 256) is the
+thread budget of pin, pin-vo and pin-vo-star; results are identical at
+every budget.
 )";
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
@@ -237,7 +239,8 @@ int RunSolve(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   size_t threads = 0;
   if (!GetCountFlag(flags, "candidates", 600, 1, &num_candidates, err) ||
       !GetCountFlag(flags, "top", 10, 1, &top, err) ||
-      !GetCountFlag(flags, "threads", 1, 0, &threads, err)) {
+      !GetCountFlag(flags, "threads", 1, 0, &threads, err,
+                    kMaxThreadBudget)) {
     return 2;
   }
   const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));

@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "core/morsel_scheduler.h"
 #include "data/binary_io.h"
 #include "data/checkin_dataset.h"
 #include "data/csv_io.h"
@@ -45,7 +46,8 @@ constexpr char kUsage[] = R"(Usage: pinocchio_server [flags]
   --solve_threads=N Thread budget of solve requests and of each
                     snapshot's exact pass, which the first topk/skyline/
                     diverse/approx request builds (default 1 = inline;
-                    0 = hardware concurrency). NA solves stay sequential.
+                    0 = hardware concurrency; at most 256). NA solves stay
+                    sequential.
   --stream-window=F Streaming ingestion window in seconds; enables the
                     observe/advance request family (default 0 = off).
   --help            Show this message.
@@ -92,7 +94,8 @@ int main(int argc, char** argv) {
       !GetCountFlag(flags, "topk-limit", 16, 1,
                     &service_options.prepared_top_k, std::cerr) ||
       !GetCountFlag(flags, "solve_threads", 1, 0,
-                    &service_options.solve_threads, std::cerr)) {
+                    &service_options.solve_threads, std::cerr,
+                    kMaxThreadBudget)) {
     return 2;
   }
   SolverConfig config;
