@@ -155,8 +155,7 @@ BENCHMARK(BM_ObjectStoreBuild);
 //                              prob/influence_kernel_simd.h)
 //   BM_ValidationOneCandidate — the same pairs on the same tier, one
 //                              candidate per DecideMany call: the unit of
-//                              the bound-ordered walk, the approx refine
-//                              and the probe
+//                              the bound-ordered walk and the probe
 
 /// Builds a kernel pinned to the scalar tier regardless of the CPU, so the
 /// KernelBatch rung keeps measuring the PR-3 scalar batch path.

@@ -19,14 +19,7 @@ bench/baselines/bench-baseline.jsonl and fails (exit 1) when
     field on BM_ParallelScaling/PIN/<--parallel-threads>) fell below the
     floor. The gate self-skips when the fresh run's recorded
     "hardware_concurrency" is below --parallel-threads: a 1-core runner
-    cannot demonstrate 4-way scaling and must not fail for it, or
-  * with --max-approx-error set, any fresh entry's "observed_error"
-    exceeded --max-approx-error times its own "epsilon" (the approximate
-    tier's accuracy certificate, machine-independent), or
-  * with --min-approx-speedup set, the fresh "speedup_vs_exact" at the
-    largest "num_objects" rung and coarsest "epsilon" fell below the
-    floor (the approximate tier must actually pay off where it claims
-    to).
+    cannot demonstrate 4-way scaling and must not fail for it.
 
 Only names matching --filter (default "BM_Validation") are pinned; other
 lines ride along in the artifact but are not gated. Regenerate the
@@ -88,13 +81,6 @@ def main():
                              "cores than --parallel-threads)")
     parser.add_argument("--parallel-threads", type=int, default=4,
                         help="thread rung the efficiency floor applies to")
-    parser.add_argument("--max-approx-error", type=float, default=0.0,
-                        help="fail when any entry's observed_error exceeds "
-                             "this multiple of its own epsilon (0 disables)")
-    parser.add_argument("--min-approx-speedup", type=float, default=0.0,
-                        help="required speedup_vs_exact at the largest "
-                             "num_objects rung and coarsest epsilon "
-                             "(0 disables)")
     parser.add_argument("--write-baseline", action="store_true",
                         help="rewrite the baseline from the fresh run "
                              "instead of gating")
@@ -191,55 +177,6 @@ def main():
                     failures.append(
                         f"{name} efficiency {efficiency:.2f} below the "
                         f"{args.min_parallel_efficiency:.2f} floor")
-
-    if args.max_approx_error > 0:
-        gated = 0
-        for name in sorted(fresh):
-            entry = fresh[name]
-            error = entry.get("observed_error")
-            epsilon = entry.get("epsilon")
-            if not isinstance(error, (int, float)) or \
-                    not isinstance(epsilon, (int, float)) or epsilon <= 0:
-                continue
-            gated += 1
-            limit = args.max_approx_error * epsilon
-            verdict = "FAIL" if error > limit else "ok"
-            print(f"  {name}: observed error {error:.4f} "
-                  f"(certified eps {epsilon:g}) [{verdict}]")
-            if error > limit:
-                failures.append(
-                    f"{name}: observed error {error:.4f} exceeds "
-                    f"{args.max_approx_error:g} * eps = {limit:.4f}")
-        if gated == 0:
-            failures.append("--max-approx-error set but no fresh entry "
-                            "carries observed_error/epsilon fields")
-
-    if args.min_approx_speedup > 0:
-        frontier = None
-        for entry in fresh.values():
-            objects = entry.get("num_objects")
-            epsilon = entry.get("epsilon")
-            speedup = entry.get("speedup_vs_exact")
-            if not isinstance(objects, (int, float)) or \
-                    not isinstance(epsilon, (int, float)) or \
-                    not isinstance(speedup, (int, float)):
-                continue
-            if frontier is None or \
-                    (objects, epsilon) > (frontier["num_objects"],
-                                          frontier["epsilon"]):
-                frontier = entry
-        if frontier is None:
-            failures.append("--min-approx-speedup set but no fresh entry "
-                            "carries num_objects/epsilon/speedup_vs_exact")
-        else:
-            speedup = frontier["speedup_vs_exact"]
-            verdict = "ok" if speedup >= args.min_approx_speedup else "FAIL"
-            print(f"  {frontier['name']}: {speedup:.2f}x over exact PIN-VO "
-                  f"(floor {args.min_approx_speedup:g}x) [{verdict}]")
-            if speedup < args.min_approx_speedup:
-                failures.append(
-                    f"{frontier['name']}: speedup {speedup:.2f}x below the "
-                    f"{args.min_approx_speedup:g}x floor")
 
     if failures:
         print("\nbench regression gate FAILED:", file=sys.stderr)

@@ -69,9 +69,10 @@ std::vector<Morsel> PlanMorsels(std::span<const uint32_t> position_counts,
 std::vector<Morsel> PlanMorsels(const ObjectStore& store,
                                 const MorselPlanOptions& options = {});
 
-/// Equal-width morsels over `count` items of uniform cost (the candidate
-/// shards of BoundDominationOrder): ceil(count / target_items) morsels, at
-/// least min_morsels when count allows.
+/// Equal-width morsels over `count` items of uniform cost (the walk and
+/// helper bodies of the decide-ahead walk are one item each):
+/// ceil(count / target_items) morsels, at least min_morsels when count
+/// allows.
 std::vector<Morsel> PlanUniformMorsels(size_t count, size_t target_items,
                                        size_t min_morsels = 1);
 

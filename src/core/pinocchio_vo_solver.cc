@@ -20,9 +20,9 @@ std::string PinocchioVOSolver::Name() const {
                                 num_threads_);
 }
 
-SolverResult PinocchioVOSolver::Solve(const PreparedInstance& prepared) const {
-  const SolverConfig& config = prepared.config();
-  PINO_CHECK_GT(config.top_k, 0u);
+SolverResult SolvePinocchioVO(const PreparedInstance& prepared, size_t k,
+                              bool use_pruning, size_t num_threads) {
+  PINO_CHECK_GT(k, 0u);
   Stopwatch watch;
   SolverResult result;
   const size_t m = prepared.num_candidates();
@@ -34,24 +34,23 @@ SolverResult PinocchioVOSolver::Solve(const PreparedInstance& prepared) const {
   }
 
   const InfluenceKernel kernel(prepared.pf(), prepared.tau());
-  const MorselScheduler scheduler(num_threads_);
+  const MorselScheduler scheduler(num_threads);
 
   // Prune phase: IA certificates as lower bounds, CSR verification sets,
   // maxInf = minInf + |VS| (query_engine.h documents the invariants; VO*
   // skips the phase and starts every candidate at [0, r]).
   query::CandidateBrackets brackets = query::BuildCandidateBrackets(
-      prepared, kernel, use_pruning_, &result.stats, scheduler);
+      prepared, kernel, use_pruning, &result.stats, scheduler);
 
   // Max-heap over candidates ordered by maxInf, then minInf (Algorithm 3
   // line 13); realised as a sorted order since bounds of waiting candidates
   // do not change once the prune phase is over.
-  const std::vector<uint32_t> order =
-      query::BoundDominationOrder(brackets, scheduler);
+  const std::vector<uint32_t> order = query::BoundDominationOrder(brackets);
 
   // Validation (Algorithm 3 lines 13-27): Strategy-1 cut-offs at the k-th
   // best validated lower bound, Strategy-2 early exits in the kernel.
-  query::TopKCutoffPolicy policy(std::min(config.top_k, order.size()),
-                                 &brackets.min_inf, &brackets.max_inf);
+  query::TopKCutoffPolicy policy(std::min(k, order.size()), &brackets.min_inf,
+                                 &brackets.max_inf);
   const auto verification_set = [&](uint32_t j) -> std::span<const uint32_t> {
     return brackets.VerificationSet(j);
   };
@@ -66,6 +65,11 @@ SolverResult PinocchioVOSolver::Solve(const PreparedInstance& prepared) const {
   internal::FinalizeResultFromInfluence(&result);
   internal::FinishSolveTiming(&result.stats, watch.ElapsedSeconds());
   return result;
+}
+
+SolverResult PinocchioVOSolver::Solve(const PreparedInstance& prepared) const {
+  return SolvePinocchioVO(prepared, prepared.config().top_k, use_pruning_,
+                          num_threads_);
 }
 
 }  // namespace pinocchio

@@ -24,13 +24,13 @@ namespace pinocchio {
 /// `influence_exact == false`.
 ///
 /// Thread budget (`num_threads`, 0 = hardware concurrency): the prune phase
-/// runs over record morsels and the bound order over per-worker shards
-/// (query_engine.h). The cut-off-driven validation walk stays in bound
-/// order, since the cut-off after candidate i gates candidate i+1, but runs
-/// on the morsel engine: helpers decide the next few candidates' sets ahead
-/// under the cut-off the walk last published, which only rises, and the
-/// walk replays each set or decides it again at its true budget. Results
-/// and every stats counter are bit-identical at every budget.
+/// runs over record morsels (query_engine.h). The cut-off-driven validation
+/// walk stays in bound order, since the cut-off after candidate i gates
+/// candidate i+1, but runs on the morsel engine: helpers decide the next
+/// few candidates' sets ahead under the cut-off the walk last published,
+/// which only rises, and the walk replays each set or decides it again at
+/// its true budget. Results and every stats counter are bit-identical at
+/// every budget.
 class PinocchioVOSolver : public Solver {
  public:
   explicit PinocchioVOSolver(size_t num_threads = 1)
@@ -51,6 +51,12 @@ class PinocchioVOSolver : public Solver {
   bool use_pruning_;
   size_t num_threads_;
 };
+
+/// Algorithm 3's prune -> order -> walk at top-k capacity `k` (> 0), with
+/// the guarantees and thread budget of PinocchioVOSolver. Solve runs it at
+/// `config.top_k`, and SolveApproxTopK (core/approx_solver.h) at its k.
+SolverResult SolvePinocchioVO(const PreparedInstance& prepared, size_t k,
+                              bool use_pruning, size_t num_threads);
 
 /// PINOCCHIO-VO*: the no-pruning ablation.
 class PinocchioVOStarSolver : public PinocchioVOSolver {

@@ -65,53 +65,6 @@ void RecordListsToCsr(size_t num_candidates,
   }
 }
 
-namespace {
-
-/// Tournament (winner-tree) merge of per-shard sorted runs under the
-/// strict total order `before`. Because the order has no ties and the
-/// shards partition the candidate ids, the merged sequence equals a global
-/// sort of the concatenated input.
-template <typename Before>
-std::vector<uint32_t> TournamentMerge(std::vector<std::vector<uint32_t>> runs,
-                                      size_t total, const Before& before) {
-  constexpr size_t kNone = static_cast<size_t>(-1);
-  const size_t s = runs.size();
-  if (s == 1) return std::move(runs.front());
-  std::vector<uint32_t> out;
-  out.reserve(total);
-  if (s == 0) return out;
-
-  size_t leaves = 1;
-  while (leaves < s) leaves <<= 1;
-  std::vector<size_t> tree(2 * leaves, kNone);  // node -> winning run index
-  std::vector<size_t> pos(s, 0);
-
-  const auto exhausted = [&](size_t run) {
-    return run == kNone || pos[run] >= runs[run].size();
-  };
-  const auto winner = [&](size_t a, size_t b) {
-    if (exhausted(a)) return b;
-    if (exhausted(b)) return a;
-    return before(runs[a][pos[a]], runs[b][pos[b]]) ? a : b;
-  };
-
-  for (size_t i = 0; i < leaves; ++i) tree[leaves + i] = i < s ? i : kNone;
-  for (size_t i = leaves - 1; i >= 1; --i) {
-    tree[i] = winner(tree[2 * i], tree[2 * i + 1]);
-  }
-  while (!exhausted(tree[1])) {
-    const size_t run = tree[1];
-    out.push_back(runs[run][pos[run]]);
-    ++pos[run];
-    for (size_t node = (leaves + run) / 2; node >= 1; node /= 2) {
-      tree[node] = winner(tree[2 * node], tree[2 * node + 1]);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 CandidateBrackets BuildCandidateBrackets(const PreparedInstance& prepared,
                                          const InfluenceKernel& kernel,
                                          bool use_pruning, SolverStats* stats,
@@ -160,26 +113,13 @@ CandidateBrackets BuildCandidateBrackets(const PreparedInstance& prepared,
   return brackets;
 }
 
-std::vector<uint32_t> BoundDominationOrder(const CandidateBrackets& brackets,
-                                           const MorselScheduler& scheduler) {
-  const size_t m = brackets.num_candidates();
-  const auto before = [&](uint32_t a, uint32_t b) {
+std::vector<uint32_t> BoundDominationOrder(const CandidateBrackets& brackets) {
+  std::vector<uint32_t> order(brackets.num_candidates());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return OrderBefore(brackets.min_inf, brackets.max_inf, a, b);
-  };
-  // One shard per worker, each sorted on its own (no shared state); the
-  // tournament merge of the runs under the same strict total order equals
-  // a global sort.
-  const size_t threads = scheduler.num_threads();
-  const std::vector<Morsel> shards =
-      PlanUniformMorsels(m, (m + threads - 1) / threads);
-  std::vector<std::vector<uint32_t>> runs(shards.size());
-  scheduler.Run(shards, [&](size_t, size_t si, const Morsel& shard) {
-    std::vector<uint32_t>& run = runs[si];
-    run.resize(shard.size());
-    std::iota(run.begin(), run.end(), shard.first_record);
-    std::sort(run.begin(), run.end(), before);
   });
-  return TournamentMerge(std::move(runs), m, before);
+  return order;
 }
 
 // ------------------------------------------------------------ decide-ahead

@@ -5,8 +5,7 @@
 // and validate each verification set, letting a policy decide when a
 // candidate is admitted, how many refutations abort it mid-validation and
 // when the walk stops altogether. The exact top-k cut-off of Algorithm 3
-// is one such policy; the influence/cost skyline and the approximate top-k
-// tier (core/approx_solver.h) are the others.
+// is one such policy; the influence/cost skyline is the other.
 //
 // Verification sets list short objects first: ascending by (position
 // count, record index). Objects with few positions are rarely influenced
@@ -94,8 +93,7 @@ class CutoffTracker {
 /// Strict total order of the validation queue: maxInf descending, minInf
 /// descending, candidate index ascending. The index tie-break makes this
 /// exactly the order a stable sort by (maxInf, minInf) produces over an
-/// ascending-index input, and lets BoundDominationOrder merge per-shard
-/// sorts into the same sequence at any thread budget.
+/// ascending-index input, so any sort under it yields one sequence.
 inline bool OrderBefore(std::span<const int64_t> min_inf,
                         std::span<const int64_t> max_inf, uint32_t a,
                         uint32_t b) {
@@ -168,12 +166,9 @@ CandidateBrackets BuildCandidateBrackets(
     const MorselScheduler& scheduler = MorselScheduler(1));
 
 /// Candidate indices sorted under OrderBefore — the engine's canonical
-/// decreasing-upper-bound evaluation order. Each shard of the candidate
-/// range is sorted on its own and a tournament tree merges the runs; with
-/// one shard that is a single std::sort.
-std::vector<uint32_t> BoundDominationOrder(
-    const CandidateBrackets& brackets,
-    const MorselScheduler& scheduler = MorselScheduler(1));
+/// decreasing-upper-bound evaluation order — in one std::sort on the
+/// calling thread.
+std::vector<uint32_t> BoundDominationOrder(const CandidateBrackets& brackets);
 
 /// A policy's verdict on the next candidate in bound order.
 enum class CandidateAdmission : uint8_t {
@@ -294,12 +289,6 @@ class SetDecider {
 /// aborts exactly where a record-at-a-time loop testing max_inf[j] < T
 /// before each record would, so both agree on every counter.
 ///
-/// `verification_set` need not return the full prune-phase set: the
-/// approximate tier (core/approx_solver.h) returns a deterministic sample
-/// of it per candidate and scales the observed decisions into a certified
-/// influence bracket — the loop is agnostic as long as the span stays
-/// alive for the candidate's walk.
-///
 /// Thread budget: at `scheduler`'s budget 1 the walk runs on the calling
 /// thread and decides every set itself. Above it the walk runs on the
 /// morsel engine beside helpers that decide the next few candidates' sets
@@ -312,7 +301,7 @@ class SetDecider {
 /// walks coincide and re-decides the set otherwise. Results and every
 /// counter are therefore bit-identical at every budget. Above budget 1,
 /// `verification_set` and UpperBound must be safe to call from the
-/// helpers, so the stateful approximate tier walks at budget 1.
+/// helpers.
 template <typename Policy>
 DecideAheadCounts EvaluateBoundOrdered(
     const PreparedInstance& prepared, const InfluenceKernel& kernel,

@@ -113,7 +113,7 @@ class InfluenceKernel {
   /// before the next record once more than `refutation_budget` records
   /// have been refuted (complete = false); a walk whose budget runs out on
   /// its last record is complete. This is the bound-ordered walk's
-  /// Strategy-1 abort, and approx's refine with an unlimited budget. Every
+  /// Strategy-1 abort; kUnlimitedRefutations decides the whole set. Every
   /// pair's decision, positions_seen and early stop equal a one-candidate
   /// DecideMany's on the same tier, self-check included; the span
   /// thresholds are computed once per run of equal span sizes, so a set

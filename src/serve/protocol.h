@@ -105,7 +105,7 @@ enum class RequestType : uint8_t {
   kDiversified = 8,  // greedy diversified top-k with min separation
   kObserve = 9,  // batched timestamped observations into the stream window
   kAdvance = 10,  // advance the stream clock, expiring old observations
-  kApproxTopK = 11,  // sampling-sketch top-k with certified error brackets
+  kApproxTopK = 11,  // top-k under an accuracy contract, answered exactly
 };
 
 /// Wire ids of the solvers a SolveRequest may name.
@@ -242,12 +242,12 @@ struct AdvanceRequest {
 template <typename V, WireView<AdvanceRequest> M>
 constexpr void Fields(V&& v, M& m) { v("time", m.time); }
 
-/// Approximate top-k through the sampling-sketch tier: every returned
-/// influence is a certified [lo, hi] bracket containing the exact value
-/// with probability >= 1 - delta per candidate, of width at most
-/// 2 * epsilon * num_objects. Epsilon in (0, 1], delta in (0, 1); the
-/// seed keys the deterministic sample, so equal requests against the
-/// same epoch return bit-identical answers.
+/// Top-k under an accuracy contract: additive error epsilon on a
+/// verification set's influenced fraction, per-candidate failure
+/// probability delta, sampling seed. Epsilon in (0, 1], delta in (0, 1).
+/// The service answers exactly from the snapshot's exact pass, which
+/// meets every contract, so the seed picks nothing and equal requests
+/// against the same epoch return bit-identical answers.
 struct ApproxTopKRequest {
   uint32_t k = 1;
   double epsilon = 0.05;
@@ -466,11 +466,9 @@ constexpr void Fields(V&& v, M& m) {
   v("best_influence", m.best_influence);
 }
 
-/// One approximate ranking entry. `estimate` is the bracket midpoint;
-/// [lo, hi] is the certified influence bracket. `exact` marks entries
-/// whose whole verification set was decided (degenerate bracket,
-/// unconditional) — including every entry when the service refined the
-/// answer exactly.
+/// One approx ranking entry: `estimate` within the influence bracket
+/// [lo, hi], and `exact` set when the bracket is degenerate at the exact
+/// influence. The service's entries are all exact.
 struct ApproxRankedCandidate {
   uint32_t candidate = 0;
   int64_t estimate = 0;

@@ -39,10 +39,18 @@ bool TcpServer::Start() {
     PINO_LOG(ERROR) << "pipe2 failed: " << std::strerror(errno);
     return false;
   }
+  // Stop() does nothing for a server that never started, so every later
+  // failure closes what Start opened.
+  const auto fail = [this] {
+    CloseIfOpen(&listen_fd_);
+    CloseIfOpen(&stop_pipe_[0]);
+    CloseIfOpen(&stop_pipe_[1]);
+    return false;
+  };
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     PINO_LOG(ERROR) << "socket failed: " << std::strerror(errno);
-    return false;
+    return fail();
   }
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -51,20 +59,17 @@ bool TcpServer::Start() {
   addr.sin_port = htons(options_.port);
   if (::inet_pton(AF_INET, options_.bind_address, &addr.sin_addr) != 1) {
     PINO_LOG(ERROR) << "bad bind address " << options_.bind_address;
-    CloseIfOpen(&listen_fd_);
-    return false;
+    return fail();
   }
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
              sizeof(addr)) != 0) {
     PINO_LOG(ERROR) << "bind to " << options_.bind_address << ":"
                     << options_.port << " failed: " << std::strerror(errno);
-    CloseIfOpen(&listen_fd_);
-    return false;
+    return fail();
   }
   if (::listen(listen_fd_, 128) != 0) {
     PINO_LOG(ERROR) << "listen failed: " << std::strerror(errno);
-    CloseIfOpen(&listen_fd_);
-    return false;
+    return fail();
   }
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);

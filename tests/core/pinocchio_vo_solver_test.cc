@@ -1,10 +1,12 @@
 #include "core/pinocchio_vo_solver.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "core/naive_solver.h"
+#include "core/prepared_instance.h"
 #include "testing/instance_helpers.h"
 
 namespace pinocchio {
@@ -123,12 +125,63 @@ TEST(PinocchioVOTest, TopKLargerThanCandidateCount) {
   EXPECT_EQ(vo.influence, naive.influence);
 }
 
+// Same answer and counters; timings may differ.
+void ExpectSameSolve(const SolverResult& got, const SolverResult& want) {
+  const auto counters = [](const SolverStats& s) {
+    return std::tuple(s.pairs_pruned_by_ia, s.pairs_pruned_by_nib,
+                      s.pairs_validated, s.positions_scanned, s.early_stops,
+                      s.heap_pops, s.strategy1_cutoffs);
+  };
+  EXPECT_EQ(got.influence, want.influence);
+  EXPECT_EQ(got.influence_exact, want.influence_exact);
+  EXPECT_EQ(got.ranking, want.ranking);
+  EXPECT_EQ(counters(got.stats), counters(want.stats));
+}
+
+// Solve is SolvePinocchioVO at the config's top_k and the solver's budget;
+// use_pruning == false is the PIN-VO* ablation.
+TEST(SolvePinocchioVOTest, SolveRunsItAtConfigTopK) {
+  SolverConfig config = DefaultConfig();
+  config.top_k = 4;
+  const PreparedInstance prepared(RandomInstance(310), config);
+  for (size_t threads : {1u, 3u}) {
+    ExpectSameSolve(PinocchioVOSolver(threads).Solve(prepared),
+                    SolvePinocchioVO(prepared, 4, true, threads));
+  }
+}
+
+TEST(SolvePinocchioVOTest, WithoutPruningIsTheStarAblation) {
+  SolverConfig config = DefaultConfig();
+  config.top_k = 3;
+  const PreparedInstance prepared(RandomInstance(311), config);
+  for (size_t threads : {1u, 3u}) {
+    ExpectSameSolve(PinocchioVOStarSolver(threads).Solve(prepared),
+                    SolvePinocchioVO(prepared, 3, false, threads));
+  }
+}
+
+// The walk's capacity is `k`, not the top_k the instance was prepared at.
+TEST(SolvePinocchioVOTest, KOverridesConfigTopK) {
+  const ProblemInstance instance = RandomInstance(312);
+  SolverConfig wide = DefaultConfig();
+  wide.top_k = 6;
+  ExpectSameSolve(SolvePinocchioVO(PreparedInstance(instance, DefaultConfig()),
+                                   6, true, 1),  // prepared at top_k 1
+                  PinocchioVOSolver().Solve(instance, wide));
+}
+
 TEST(PinocchioVODeathTest, RejectsZeroTopK) {
   const ProblemInstance instance = RandomInstance(309);
   SolverConfig config = DefaultConfig();
   config.top_k = 0;
   EXPECT_DEATH(
       { PinocchioVOSolver().Solve(instance, config); }, "Check failed");
+}
+
+TEST(SolvePinocchioVODeathTest, RejectsZeroK) {
+  const ProblemInstance instance = RandomInstance(313);
+  const PreparedInstance prepared(instance, DefaultConfig());
+  EXPECT_DEATH({ SolvePinocchioVO(prepared, 0, true, 1); }, "Check failed");
 }
 
 }  // namespace

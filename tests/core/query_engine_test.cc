@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/approx_solver.h"
 #include "core/naive_solver.h"
 #include "core/pinocchio_vo_solver.h"
 #include "core/prepared_instance.h"
@@ -128,13 +127,6 @@ TEST(CandidateBracketsTest, ThreadBudgetsAreByteIdentical) {
   SolverStats one_stats;
   const query::CandidateBrackets one = query::BuildCandidateBrackets(
       prepared, kernel, /*use_pruning=*/true, &one_stats);
-  // The budget-1 order is one sort under OrderBefore.
-  std::vector<uint32_t> sorted(one.num_candidates());
-  std::iota(sorted.begin(), sorted.end(), 0u);
-  std::sort(sorted.begin(), sorted.end(), [&](uint32_t a, uint32_t b) {
-    return query::OrderBefore(one.min_inf, one.max_inf, a, b);
-  });
-  EXPECT_EQ(query::BoundDominationOrder(one), sorted);
 
   for (size_t threads : {2, 3, 5, 7}) {
     SolverStats stats;
@@ -147,7 +139,6 @@ TEST(CandidateBracketsTest, ThreadBudgetsAreByteIdentical) {
     EXPECT_EQ(got.vs_data, one.vs_data);
     EXPECT_EQ(stats.pairs_pruned_by_ia, one_stats.pairs_pruned_by_ia);
     EXPECT_EQ(stats.pairs_pruned_by_nib, one_stats.pairs_pruned_by_nib);
-    EXPECT_EQ(query::BoundDominationOrder(got, scheduler), sorted);
   }
 }
 
@@ -213,6 +204,75 @@ TEST(CandidateBracketsTest, SetsListShortObjectsFirst) {
                                           /*use_pruning=*/false, nullptr)
                 .all_records,
             all);
+}
+
+// ------------------------------------------------------- bound order
+
+// The order is one sort under OrderBefore, which is the sequence a stable
+// sort by (maxInf, minInf) descending gives over ascending indices.
+TEST(BoundDominationOrderTest, IsOneSortUnderOrderBefore) {
+  const PreparedInstance prepared(RandomInstance(7108), DefaultConfig());
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const query::CandidateBrackets b =
+      query::BuildCandidateBrackets(prepared, kernel, true, nullptr);
+  std::vector<uint32_t> sorted(b.num_candidates());
+  std::iota(sorted.begin(), sorted.end(), 0u);
+  std::vector<uint32_t> stable = sorted;
+  std::sort(sorted.begin(), sorted.end(), [&](uint32_t x, uint32_t y) {
+    return query::OrderBefore(b.min_inf, b.max_inf, x, y);
+  });
+  std::stable_sort(stable.begin(), stable.end(), [&](uint32_t x, uint32_t y) {
+    return std::pair(b.max_inf[x], b.min_inf[x]) >
+           std::pair(b.max_inf[y], b.min_inf[y]);
+  });
+  EXPECT_EQ(query::BoundDominationOrder(b), sorted);
+  EXPECT_EQ(sorted, stable);
+}
+
+// maxInf descending, then minInf descending, then index ascending.
+TEST(BoundDominationOrderTest, TiesBreakByCandidateIndex) {
+  query::CandidateBrackets brackets;
+  brackets.min_inf = {2, 5, 2, 0, 5, 2};
+  brackets.max_inf = {9, 9, 9, 4, 9, 7};
+  EXPECT_EQ(query::BoundDominationOrder(brackets),
+            (std::vector<uint32_t>{1, 4, 0, 2, 5, 3}));
+}
+
+TEST(BoundDominationOrderTest, EmptyBracketsGiveEmptyOrder) {
+  EXPECT_TRUE(query::BoundDominationOrder({}).empty());
+}
+
+// Unpruned brackets are all [0, r]: PIN-VO* walks in index order.
+TEST(BoundDominationOrderTest, UnprunedOrderIsIndexAscending) {
+  const PreparedInstance prepared(RandomInstance(7109), DefaultConfig());
+  const InfluenceKernel kernel(prepared.pf(), prepared.tau());
+  const std::vector<uint32_t> order = query::BoundDominationOrder(
+      query::BuildCandidateBrackets(prepared, kernel, false, nullptr));
+  ASSERT_EQ(order.size(), prepared.num_candidates());
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+}
+
+// Irreflexive, total over distinct candidates and transitive, on bounds
+// drawn from three values so that ties on both bounds are common.
+TEST(OrderBeforeTest, IsAStrictTotalOrder) {
+  Rng rng(7110);
+  std::vector<int64_t> min_inf(24), max_inf(24);
+  for (size_t j = 0; j < min_inf.size(); ++j) {
+    min_inf[j] = rng.UniformInt(0, 2);
+    max_inf[j] = min_inf[j] + rng.UniformInt(0, 2);
+  }
+  const auto before = [&](uint32_t a, uint32_t b) {
+    return query::OrderBefore(min_inf, max_inf, a, b);
+  };
+  for (uint32_t a = 0; a < 24; ++a) {
+    for (uint32_t b = 0; b < 24; ++b) {
+      EXPECT_EQ(before(a, b) + before(b, a), a == b ? 0 : 1) << a << " " << b;
+      for (uint32_t c = 0; c < 24; ++c) {
+        EXPECT_TRUE(!before(a, b) || !before(b, c) || before(a, c))
+            << a << " " << b << " " << c;
+      }
+    }
+  }
 }
 
 // The transpose fills each slice in the given record order, ascending
@@ -478,17 +538,14 @@ TEST(CounterContractTest, FilteredSolvesMatchForcedScalar) {
   Rng rng(7250);
   std::vector<double> cost(instance.candidates.size());
   for (double& c : cost) c = rng.Uniform(0.0, 50.0);
-  const SketchParams params{0.3, 0.05, 9};
 
   struct Solves {
     SolverResult vo;
     query::SkylineResult skyline;
-    ApproxTopKResult approx;
   };
   const auto solve = [&] {
     return Solves{PinocchioVOSolver().Solve(prepared),
-                  query::SolveSkyline(prepared, cost),
-                  SolveApproxTopK(prepared, config.top_k, params)};
+                  query::SolveSkyline(prepared, cost)};
   };
   const Solves filtered = [&] {
     ScopedEnv force("PINOCCHIO_FORCE_SCALAR", nullptr);
@@ -518,25 +575,6 @@ TEST(CounterContractTest, FilteredSolvesMatchForcedScalar) {
   ExpectCounterContract(filtered.skyline.stats, scalar.skyline.stats,
                         scalar.skyline.stats.pairs_validated * kPositions,
                         "skyline");
-
-  ASSERT_EQ(filtered.approx.entries.size(), scalar.approx.entries.size());
-  for (size_t i = 0; i < scalar.approx.entries.size(); ++i) {
-    const ApproxEntry& got = filtered.approx.entries[i];
-    const ApproxEntry& want = scalar.approx.entries[i];
-    EXPECT_EQ(got.candidate, want.candidate);
-    EXPECT_EQ(got.lo, want.lo);
-    EXPECT_EQ(got.hi, want.hi);
-    EXPECT_EQ(got.estimate, want.estimate);
-    EXPECT_EQ(got.exact, want.exact);
-  }
-  EXPECT_EQ(filtered.approx.pairs_skipped, scalar.approx.pairs_skipped);
-  EXPECT_EQ(filtered.approx.pairs_refined, scalar.approx.pairs_refined);
-  // The straddler refine scans positions outside pairs_validated.
-  ExpectCounterContract(
-      filtered.approx.stats, scalar.approx.stats,
-      (scalar.approx.stats.pairs_validated + scalar.approx.pairs_refined) *
-          kPositions,
-      "approx");
 }
 
 // ------------------------------------------------------- decide-ahead

@@ -4,11 +4,13 @@
 // of malformed frames, concurrent connections, and graceful Stop() with
 // clients attached.
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -245,6 +247,16 @@ TEST_F(ServerSocketTest, GracefulStopWithConnectedClient) {
   server_->Stop();
 }
 
+// Entries of /proc/self/fd: the process's open descriptors.
+size_t OpenFdCount() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
 TEST(ServerSocketStandaloneTest, StartFailsOnOccupiedPort) {
   InfluenceService service(RandomInstance(32, SmallInstance()),
                            DefaultConfig());
@@ -254,11 +266,46 @@ TEST(ServerSocketStandaloneTest, StartFailsOnOccupiedPort) {
   TcpServer first(&service, options);
   ASSERT_TRUE(first.Start());
 
-  ServerOptions clash = options;
-  clash.port = first.port();
-  TcpServer second(&service, clash);
-  EXPECT_FALSE(second.Start());
+  // A failed Start leaves no descriptor open once its server is gone.
+  const size_t before = OpenFdCount();
+  {
+    ServerOptions clash = options;
+    clash.port = first.port();
+    TcpServer second(&service, clash);
+    EXPECT_FALSE(second.Start());
+  }
+  EXPECT_EQ(OpenFdCount(), before);
   first.Stop();
+}
+
+// An address that does not parse: Start fails after pipe2 and socket.
+ServerOptions BadAddressOptions() {
+  return {.port = 0, .num_workers = 1, .bind_address = "not-an-address"};
+}
+
+TEST(ServerSocketStandaloneTest, StartFailsOnBadBindAddress) {
+  InfluenceService service(RandomInstance(33, SmallInstance()),
+                           DefaultConfig());
+  const size_t before = OpenFdCount();
+  EXPECT_FALSE(TcpServer(&service, BadAddressOptions()).Start());
+  EXPECT_EQ(OpenFdCount(), before);
+}
+
+// Destroying a server whose Start failed closes no descriptor opened after
+// the failure, though such a descriptor may reuse a number Start freed.
+TEST(ServerSocketStandaloneTest, FailedStartLeavesLaterDescriptorsOpen) {
+  InfluenceService service(RandomInstance(34, SmallInstance()),
+                           DefaultConfig());
+  int later[2] = {-1, -1};
+  {
+    TcpServer server(&service, BadAddressOptions());
+    ASSERT_FALSE(server.Start());
+    ASSERT_EQ(::pipe(later), 0);
+  }
+  for (int fd : later) {
+    EXPECT_NE(::fcntl(fd, F_GETFD), -1) << "fd " << fd;
+    ::close(fd);
+  }
 }
 
 }  // namespace

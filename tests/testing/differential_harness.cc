@@ -5,7 +5,9 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -49,7 +51,6 @@ constexpr uint64_t kShapingSalt = 0xA3EC4E5F9C1D2B07ull;
 constexpr uint64_t kSkylineSalt = 0x5D1E8A2C9B4F7E31ull;
 constexpr uint64_t kDiverseSalt = 0xC47B26D90E5A813Full;
 constexpr uint64_t kStreamingSalt = 0x91F3B7A50C6D2E84ull;
-constexpr uint64_t kApproxSalt = 0x7C91E04B5A3D268Full;
 
 // Thread budgets every budgeted solver and query family is swept over;
 // each result must be bit-identical to the budget-1 run, which is itself
@@ -622,146 +623,60 @@ class CaseChecker {
     });
   }
 
-  // The approximate tier certifies: with probability >= 1 - delta the
-  // returned bracket contains the exact influence. The harness asserts
-  // containment on EVERY seed with zero tolerated violations, so the
-  // sampled regime runs at (0.4, 1e-6) — a 46-record budget whose real
-  // two-sided failure probability is below 1e-7 even before the
-  // without-replacement correction, yet small enough to leave genuine
-  // sampling on fuzz-sized verification sets. The epsilon -> 0 regime
-  // must degenerate to the exact top-k bit-for-bit, and the delta -> 1
-  // regime (a near-vacuous certificate: a 2-record budget) still has to
-  // hold the structural invariants. Each regime is additionally run at
-  // budgets 2 and 7 and diffed bit-identically against budget 1.
+  // SolveApproxTopK is PIN-VO's exact top-k at its k. At budget 1 and at
+  // every sweep budget its entries must be naive's top-k (influence
+  // descending, candidate ascending) as degenerate exact brackets, with
+  // nothing skipped, every decided pair reported as refined, the heap_pops
+  // of the record-order walk at capacity k, and budget 1's counters.
   void CheckApprox(const PreparedInstance& prepared,
                    const SolverResult& naive) {
     if (naive.influence.empty()) return;
     Guard("ApproxTopK", [&] {
-      Rng rng(result_->seed * 0x9E3779B97F4A7C15ull ^ kApproxSalt);
       const size_t m = naive.influence.size();
       const size_t k = 1 + result_->seed % 5;
-      const auto r = static_cast<int64_t>(prepared.store().size());
+      std::vector<uint32_t> expected(m);
+      std::iota(expected.begin(), expected.end(), 0u);
+      std::stable_sort(expected.begin(), expected.end(),
+                       [&](uint32_t a, uint32_t b) {
+                         return naive.influence[a] > naive.influence[b];
+                       });
+      expected.resize(std::min(k, m));
+      query::CandidateBrackets reference = RecordOrderBrackets(prepared);
+      const int64_t pops = TopKWalk(prepared, k, &reference).heap_pops;
 
-      const SketchParams regimes[] = {
-          {0.4, 1e-6, rng.Next()},   // sampling engaged, >5-sigma bracket
-          {1e-9, 0.999, rng.Next()},  // budget >= any set: exact tier
-          {0.45, 0.999, rng.Next()},  // delta near 1: structural only
-      };
-      for (size_t which = 0; which < 3; ++which) {
-        const SketchParams& params = regimes[which];
+      const ApproxTopKResult one = SolveApproxTopK(prepared, k, {});
+      std::vector<size_t> budgets = {1};
+      budgets.insert(budgets.end(), std::begin(kSweepBudgets),
+                     std::end(kSweepBudgets));
+      for (size_t threads : budgets) {
+        const ApproxTopKResult res =
+            threads == 1 ? one : SolveApproxTopK(prepared, k, {}, threads);
         std::ostringstream tag;
-        tag << "ApproxTopK[eps=" << params.epsilon
-            << ",delta=" << params.delta << "]";
-        const ApproxTopKResult res = SolveApproxTopK(prepared, k, params);
-
-        if (res.entries.size() != std::min(k, m)) {
-          std::ostringstream msg;
-          msg << tag.str() << ": " << res.entries.size() << " entries for k="
-              << k << " over " << m << " candidates";
-          Fail(msg.str());
-          continue;
-        }
-        for (size_t i = 0; i < res.entries.size(); ++i) {
+        tag << "ApproxTopK[k=" << k << ", " << threads << " threads]: ";
+        bool exact = res.entries.size() == expected.size();
+        for (size_t i = 0; exact && i < expected.size(); ++i) {
           const ApproxEntry& e = res.entries[i];
+          const int64_t inf = naive.influence[expected[i]];
+          exact = e.candidate == expected[i] && e.estimate == inf &&
+                  e.lo == inf && e.hi == inf && e.exact;
+        }
+        if (!exact) Fail(tag.str() + "entries diverge from the exact top-k");
+        if (res.pairs_skipped != 0 ||
+            res.pairs_refined != res.stats.pairs_validated) {
           std::ostringstream msg;
-          msg << tag.str() << ": entry " << i << " (candidate " << e.candidate
-              << ", estimate " << e.estimate << ", [" << e.lo << ", " << e.hi
-              << "])";
-          if (e.candidate >= m) {
-            Fail(msg.str() + " names a candidate out of range");
-            break;
-          }
-          if (e.lo < 0 || e.hi > r || e.lo > e.estimate || e.estimate > e.hi) {
-            Fail(msg.str() + " breaks the bracket invariants");
-            break;
-          }
-          if (i > 0 && res.entries[i - 1].estimate < e.estimate) {
-            Fail(msg.str() + " is not in descending estimate order");
-            break;
-          }
-          const int64_t exact = naive.influence[e.candidate];
-          if (e.exact && (e.lo != exact || e.hi != exact)) {
-            Fail(msg.str() + " is flagged exact but disagrees with naive");
-            break;
-          }
-          if (which == 0) {
-            if (exact < e.lo || exact > e.hi) {
-              std::ostringstream v;
-              v << msg.str() << " does not contain the exact influence "
-                << exact;
-              Fail(v.str());
-              break;
-            }
-            const auto width_cap = static_cast<int64_t>(
-                2.0 * params.epsilon * static_cast<double>(r));
-            if (e.hi - e.lo > width_cap) {
-              Fail(msg.str() + " is wider than the certified 2*eps*N cap");
-              break;
-            }
-          }
+          msg << tag.str() << "pairs_skipped " << res.pairs_skipped
+              << ", pairs_refined " << res.pairs_refined << " vs validated "
+              << res.stats.pairs_validated;
+          Fail(msg.str());
         }
-
-        if (which == 1) {
-          // The tiny-epsilon budget covers any verification set, so the
-          // answer must be the exact top-k under the solver's tie-break
-          // (influence descending, candidate ascending) with nothing
-          // sampled away.
-          if (res.pairs_skipped != 0) {
-            Fail(tag.str() + ": exact-degenerate run still skipped pairs");
-          }
-          std::vector<uint32_t> expected(m);
-          for (uint32_t j = 0; j < m; ++j) expected[j] = j;
-          std::sort(expected.begin(), expected.end(),
-                    [&](uint32_t a, uint32_t b) {
-                      if (naive.influence[a] != naive.influence[b]) {
-                        return naive.influence[a] > naive.influence[b];
-                      }
-                      return a < b;
-                    });
-          for (size_t i = 0; i < res.entries.size(); ++i) {
-            if (!res.entries[i].exact ||
-                res.entries[i].candidate != expected[i] ||
-                res.entries[i].estimate != naive.influence[expected[i]]) {
-              std::ostringstream msg;
-              msg << tag.str() << ": entry " << i
-                  << " diverges from the exact top-k";
-              Fail(msg.str());
-              break;
-            }
-          }
-          // Sampling nothing away, the walk is PIN-VO's at capacity k: its
-          // heap_pops equal that walk's over record-order sets.
-          query::CandidateBrackets reference = RecordOrderBrackets(prepared);
-          const int64_t pops = TopKWalk(prepared, k, &reference).heap_pops;
-          if (res.stats.heap_pops != pops) {
-            std::ostringstream msg;
-            msg << tag.str() << ": heap_pops " << res.stats.heap_pops
-                << " vs record-order walk " << pops;
-            Fail(msg.str());
-          }
+        if (res.stats.heap_pops != pops) {
+          std::ostringstream msg;
+          msg << tag.str() << "heap_pops " << res.stats.heap_pops
+              << " vs record-order walk " << pops;
+          Fail(msg.str());
         }
-
-        for (size_t threads : kSweepBudgets) {
-          const ApproxTopKResult par =
-              SolveApproxTopK(prepared, k, params, threads);
-          bool same = par.entries.size() == res.entries.size() &&
-                      par.sample_budget == res.sample_budget &&
-                      par.pairs_skipped == res.pairs_skipped &&
-                      par.pairs_refined == res.pairs_refined &&
-                      SameStats(par.stats, res.stats);
-          for (size_t i = 0; same && i < res.entries.size(); ++i) {
-            same = par.entries[i].candidate == res.entries[i].candidate &&
-                   par.entries[i].estimate == res.entries[i].estimate &&
-                   par.entries[i].lo == res.entries[i].lo &&
-                   par.entries[i].hi == res.entries[i].hi &&
-                   par.entries[i].exact == res.entries[i].exact;
-          }
-          if (!same) {
-            std::ostringstream msg;
-            msg << tag.str() << ": " << threads
-                << " threads diverge from budget 1";
-            Fail(msg.str());
-          }
+        if (!SameStats(res.stats, one.stats)) {
+          Fail(tag.str() + "counters diverge from budget 1");
         }
       }
     });

@@ -43,10 +43,10 @@ Operations (--op=...):
                     --id=N --time=F --x=F --y=F. Requires a server
                     started with --stream-window.
   advance           Advance the server's stream clock: --time=F.
-  approx            Approximate top-k with certified error brackets:
-                    --k=N --epsilon=F --delta=F --seed=N. Each entry
-                    carries [lo, hi] containing the exact influence with
-                    probability >= 1 - delta.
+  approx            Top-k under an accuracy contract: --k=N --epsilon=F
+                    --delta=F --seed=N. Answers are exact: each entry's
+                    [lo, hi] is [influence, influence], which meets any
+                    contract.
 )";
 
 }  // namespace
