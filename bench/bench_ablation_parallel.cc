@@ -5,8 +5,9 @@
 //
 // Emits google-benchmark-style JSON lines to $PINOCCHIO_BENCH_JSON —
 // "BM_ParallelScaling/PIN/<threads>" and "BM_ParallelScaling/PINVO/<threads>"
-// with speedup/efficiency fields — which scripts/check_bench_regression.py
-// gates in CI (--min-parallel-efficiency). Exits nonzero if any budget's
+// with speedup/efficiency fields. scripts/bench_ab.py gates the budget-1
+// rungs against the parent's runs on the same machine and floors the
+// median efficiency of PIN at 4 threads. Exits nonzero if any budget's
 // result or work counter diverges from the budget-1 solve: the solvers'
 // contract is bit-identity at every thread budget.
 

@@ -300,7 +300,7 @@ BENCHMARK(BM_ValidationOneCandidate)->Arg(10)->Arg(72)->Arg(780);
 /// Head-to-head comparison printed after the google-benchmark run; appends
 /// JSON lines to $PINOCCHIO_BENCH_JSON when set. Each rung gets a line
 /// keyed by a google-benchmark-style "name" ("BM_ValidationSimd/780") —
-/// the stable identifiers scripts/check_bench_regression.py pins — plus
+/// the stable identifiers scripts/bench_ab.py gates — plus
 /// one combined "micro_validation_kernel" line per case continuing the
 /// trajectory format introduced in PR 3. Exits nonzero if any rung's
 /// influence decisions disagree: the SIMD filter must stay bit-identical.

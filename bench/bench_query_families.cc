@@ -1,16 +1,14 @@
 // Query-family microbenchmark: exact top-k (PIN-VO), influence/cost
 // skyline, and diversified top-k on one shared PreparedInstance so only
 // the query phase is timed. Costs are deterministic (distance to the
-// candidate bounding-box centre) so runs are comparable across machines
-// and against the checked-in baseline.
+// candidate bounding-box centre) so every run does the same work.
 //
 // Emits google-benchmark-style JSON lines to $PINOCCHIO_BENCH_JSON —
 // "BM_QueryFamily/TOPK", "BM_QueryFamily/SKYLINE" and
-// "BM_QueryFamily/DIVERSE" — which scripts/check_bench_regression.py
-// gates in CI against bench/baselines/query-baseline.jsonl. The timed
-// runs use a thread budget of 1; exits nonzero if a run at the hardware
-// budget diverges from it: the engine's contract is bit-identity at every
-// thread budget.
+// "BM_QueryFamily/DIVERSE" — which scripts/bench_ab.py gates against the
+// parent's runs on the same machine. The timed runs use a thread budget
+// of 1; exits nonzero if a run at the hardware budget diverges from it:
+// the engine's contract is bit-identity at every thread budget.
 
 #include <algorithm>
 #include <cstdlib>

@@ -13,11 +13,11 @@
 //
 // Emits google-benchmark-style JSON lines to $PINOCCHIO_BENCH_JSON —
 // "BM_StreamIngest/delta" and "BM_StreamIngest/fill" — which
-// scripts/check_bench_regression.py gates in CI against
-// bench/baselines/streaming-baseline.jsonl. Exits nonzero if the final
-// window disagrees with a from-scratch PinocchioSolver over a
-// PreparedInstance of the live positions on any influence counter, the
-// best influence, or the live object/position counts.
+// scripts/bench_ab.py gates against the parent's runs on the same
+// machine. Exits nonzero if the final window disagrees with a
+// from-scratch PinocchioSolver over a PreparedInstance of the live
+// positions on any influence counter, the best influence, or the live
+// object/position counts.
 
 #include <algorithm>
 #include <cstdint>

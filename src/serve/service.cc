@@ -364,8 +364,8 @@ Response InfluenceService::Do(const SkylineRequest& request) {
 }
 
 Response InfluenceService::Do(const DiversifiedRequest& request) {
-  if (request.min_separation < 0.0) {
-    return MakeError(ErrorCode::kBadRequest, "negative min separation");
+  if (!(request.min_separation >= 0.0)) {
+    return MakeError(ErrorCode::kBadRequest, "min separation must be >= 0");
   }
   const SnapshotPtr snap = holder_.Acquire();
   Stopwatch watch;

@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/string_utils.h"
 
@@ -133,7 +134,12 @@ std::vector<std::string> FlagParser::UnknownFlags(
 bool GetCountFlag(const FlagParser& flags, const std::string& name,
                   int64_t fallback, int64_t min, size_t* value,
                   std::ostream& err, int64_t max) {
-  const int64_t raw = flags.GetInt(name, fallback);
+  int64_t raw = fallback;
+  if (const auto text = flags.GetString(name);
+      text.has_value() && !ParseInt64(*text, &raw)) {
+    err << "--" << name << " must be an integer\n";
+    return false;
+  }
   if (raw < min) {
     err << "--" << name << " must be >= " << min << "\n";
     return false;
@@ -143,6 +149,18 @@ bool GetCountFlag(const FlagParser& flags, const std::string& name,
     return false;
   }
   *value = static_cast<size_t>(raw);
+  return true;
+}
+
+bool GetNumberFlag(const FlagParser& flags, const std::string& name,
+                   double fallback, double* value, std::ostream& err) {
+  double raw = fallback;
+  if (const auto text = flags.GetString(name);
+      text.has_value() && !(ParseDouble(*text, &raw) && std::isfinite(raw))) {
+    err << "--" << name << " must be a finite number\n";
+    return false;
+  }
+  *value = raw;
   return true;
 }
 

@@ -46,9 +46,9 @@ class FlagParser {
   /// IsValueless() to tell the two apart).
   std::optional<std::string> GetString(const std::string& name) const;
 
-  /// Typed accessors with defaults. A present-but-malformed value returns
-  /// nullopt from the Try* variants and the default from the Get* ones,
-  /// recording the problem in errors().
+  /// Typed accessors with defaults: an absent or malformed value returns
+  /// the default. Tools read their numeric flags through GetCountFlag and
+  /// GetNumberFlag below, which refuse a malformed value instead.
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
@@ -79,13 +79,21 @@ class FlagParser {
 };
 
 /// Reads the integer flag `name` (default `fallback`) as a count, an index
-/// or a port. A value outside [min, max] is refused with a message naming
-/// the flag on `err` ("--<name> must be >= <min>" or "... <= <max>")
-/// rather than wrapped by the cast to size_t.
+/// or a port. A value that is not an integer or lies outside [min, max] is
+/// refused with a message naming the flag on `err` ("--<name> must be an
+/// integer", "... must be >= <min>" or "... <= <max>") rather than replaced
+/// by the fallback or wrapped by the cast to size_t.
 bool GetCountFlag(const FlagParser& flags, const std::string& name,
                   int64_t fallback, int64_t min, size_t* value,
                   std::ostream& err,
                   int64_t max = std::numeric_limits<int64_t>::max());
+
+/// Reads the floating-point flag `name` (default `fallback`). A value that
+/// does not parse, or parses to NaN or an infinity (strtod accepts "nan"
+/// and "inf"), is refused with "--<name> must be a finite number" on `err`.
+/// Range checks stay with the caller; write them NaN-safe all the same.
+bool GetNumberFlag(const FlagParser& flags, const std::string& name,
+                   double fallback, double* value, std::ostream& err);
 
 }  // namespace pinocchio
 

@@ -2,9 +2,11 @@
 // of both pruning rules.
 
 #include <bit>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -224,7 +226,19 @@ INSTANTIATE_TEST_SUITE_P(
             std::static_pointer_cast<const ProbabilityFunction>(
                 std::make_shared<LinearPF>(0.5, 2000.0))),
         ::testing::Values(0.1, 0.5, 0.7, 0.9),
-        ::testing::Values<size_t>(1, 3, 10, 50)));
+        ::testing::Values<size_t>(1, 3, 10, 50)),
+    // Named from the PF, tau and n, sanitised and index-suffixed, so
+    // discovered test names are stable from build to build instead of
+    // printing the pointer.
+    [](const ::testing::TestParamInfo<TheoremTest::ParamType>& info) {
+      std::string name = std::get<0>(info.param)->Name() + "_tau" +
+                         std::to_string(std::get<1>(info.param)) + "_n" +
+                         std::to_string(std::get<2>(info.param));
+      for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      }
+      return name + "_" + std::to_string(info.index);
+    });
 
 }  // namespace
 }  // namespace pinocchio

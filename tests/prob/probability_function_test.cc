@@ -1,5 +1,6 @@
 #include "prob/probability_function.h"
 
+#include <cctype>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -214,8 +215,17 @@ TEST_P(PfPropertyTest, GeneralizedInverseConsistency) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPfs, PfPropertyTest,
-                         ::testing::ValuesIn(AllPfs()));
+// Named from the PF, sanitised and index-suffixed, so discovered test
+// names are stable from build to build instead of printing the pointer.
+INSTANTIATE_TEST_SUITE_P(
+    AllPfs, PfPropertyTest, ::testing::ValuesIn(AllPfs()),
+    [](const ::testing::TestParamInfo<ProbabilityFunctionPtr>& info) {
+      std::string name = info.param->Name();
+      for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      }
+      return name + "_" + std::to_string(info.index);
+    });
 
 }  // namespace
 }  // namespace pinocchio

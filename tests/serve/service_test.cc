@@ -8,6 +8,7 @@
 #include <initializer_list>
 #include <iterator>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -499,6 +500,14 @@ TEST(ServiceTest, DiversifiedRejectsNegativeSeparationAndClampsK) {
   request.diversified.k = 1;
   request.diversified.min_separation = -1.0;
   Response response = service.Execute(request);
+  ASSERT_EQ(response.type, ResponseType::kError);
+  EXPECT_EQ(response.error.code, ErrorCode::kBadRequest);
+
+  // NaN passes a plain `< 0.0` test; it must be refused, not reach the
+  // selector's check and abort the process.
+  request.diversified.min_separation =
+      std::numeric_limits<double>::quiet_NaN();
+  response = service.Execute(request);
   ASSERT_EQ(response.type, ResponseType::kError);
   EXPECT_EQ(response.error.code, ErrorCode::kBadRequest);
 

@@ -328,9 +328,9 @@ TEST(CliTest, SelectValidatesArguments) {
   EXPECT_EQ(RunCli({"select", "--in=/nonexistent.pino"}).code, 1);
 }
 
-// A count, index or power-law flag out of range exits 2 with a message
-// naming the flag, instead of aborting on a solver or PF check or wrapping
-// through the cast to size_t.
+// A count, index or number flag that is malformed, NaN or out of range
+// exits 2 with a message naming the flag, instead of aborting on a solver
+// or PF check, wrapping through the cast to size_t or running at a default.
 struct OutOfRangeFlag {
   std::string command;
   std::string flag;
@@ -362,7 +362,13 @@ TEST_P(CliOutOfRangeFlagTest, ExitsTwoWithAMessage) {
                     "--seed=8", "--out=" + snapshot})
                 .code,
             0);
-  std::vector<std::string> args = {p.command, "--in=" + snapshot, p.flag};
+  std::vector<std::string> args = {p.command, p.flag};
+  if (p.command == "generate" || p.command == "discretize") {
+    args.push_back("--out=" + TempPath("cli_" + RowName(p) + ".csv"));
+    if (p.command == "discretize") args.push_back("--in=" + snapshot);
+  } else {
+    args.push_back("--in=" + snapshot);
+  }
   if (p.command == "explain" && p.flag.rfind("--candidate=", 0) != 0) {
     args.push_back("--candidate=2");
   }
@@ -373,6 +379,7 @@ TEST_P(CliOutOfRangeFlagTest, ExitsTwoWithAMessage) {
       << r.err;
   EXPECT_EQ(r.out.find("selected"), std::string::npos);
   EXPECT_EQ(r.out.find("influence"), std::string::npos);
+  EXPECT_EQ(r.out.find("wrote"), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -396,7 +403,15 @@ INSTANTIATE_TEST_SUITE_P(
         OutOfRangeFlag{"explain", "--candidates=0", "be >= 1"},
         OutOfRangeFlag{"explain", "--candidate=-1", "be >= 0"},
         OutOfRangeFlag{"explain", "--top=-1", "be >= 0"},
-        OutOfRangeFlag{"explain", "--lambda=0", "be > 0"}),
+        OutOfRangeFlag{"explain", "--lambda=0", "be > 0"},
+        OutOfRangeFlag{"solve", "--tau=nan", "be a finite number"},
+        OutOfRangeFlag{"solve", "--tau=abc", "be a finite number"},
+        OutOfRangeFlag{"solve", "--candidates=abc", "be an integer"},
+        OutOfRangeFlag{"solve", "--tau=1.5", "be in (0, 1)"},
+        OutOfRangeFlag{"generate", "--scale=nan", "be a finite number"},
+        OutOfRangeFlag{"generate", "--scale=1.5", "be in (0, 1]"},
+        OutOfRangeFlag{"discretize", "--interval-s=nan",
+                       "be a finite number"}),
     [](const auto& info) { return RowName(info.param); });
 
 TEST(CliTest, StatsRequiresInput) {

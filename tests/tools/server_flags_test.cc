@@ -1,7 +1,7 @@
-// pinocchio_server refuses out-of-range operator flags: it exits 2 with a
-// message naming the flag before it loads data or opens a socket, instead
-// of aborting on a check, wrapping through a cast or listening on a
-// truncated port.
+// pinocchio_server refuses malformed and out-of-range operator flags: it
+// exits 2 with a message naming the flag before it loads data or opens a
+// socket, instead of aborting on a check, wrapping through a cast,
+// listening on a truncated port or serving at a default.
 
 #include <sys/wait.h>
 
@@ -65,7 +65,14 @@ INSTANTIATE_TEST_SUITE_P(
         ServerFlagRow{"topk_limit_m1", "--topk-limit=-1",
                       "--topk-limit must be >= 1"},
         ServerFlagRow{"topk_limit_0", "--topk-limit=0",
-                      "--topk-limit must be >= 1"}),
+                      "--topk-limit must be >= 1"},
+        ServerFlagRow{"tau_nan", "--tau=nan", "--tau must be a finite number"},
+        ServerFlagRow{"scale_nan", "--scale=nan",
+                      "--scale must be a finite number"},
+        ServerFlagRow{"stream_window_nan", "--stream-window=nan",
+                      "--stream-window must be a finite number"},
+        ServerFlagRow{"tau_abc", "--tau=abc",
+                      "--tau must be a finite number"}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace

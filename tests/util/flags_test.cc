@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -163,6 +164,38 @@ TEST(GetCountFlagTest, RefusesAboveTheMaximumNamingTheFlag) {
   EXPECT_FALSE(GetCountFlag(flags, "port", 0, 0, &value, err, 65535));
   EXPECT_EQ(value, 7u);
   EXPECT_EQ(err.str(), "--port must be <= 65535\n");
+}
+
+TEST(GetCountFlagTest, RefusesAMalformedValueNamingTheFlag) {
+  const FlagParser flags({"--candidates=abc"});
+  std::ostringstream err;
+  size_t value = 7;
+  EXPECT_FALSE(GetCountFlag(flags, "candidates", 600, 1, &value, err));
+  EXPECT_EQ(value, 7u);
+  EXPECT_EQ(err.str(), "--candidates must be an integer\n");
+}
+
+TEST(GetNumberFlagTest, ReadsTheValueOrTheFallback) {
+  const FlagParser flags({"--tau=0.25"});
+  std::ostringstream err;
+  double value = 0.0;
+  ASSERT_TRUE(GetNumberFlag(flags, "tau", 0.7, &value, err));
+  EXPECT_DOUBLE_EQ(value, 0.25);
+  ASSERT_TRUE(GetNumberFlag(flags, "missing", 0.7, &value, err));
+  EXPECT_DOUBLE_EQ(value, 0.7);
+  EXPECT_TRUE(err.str().empty());
+}
+
+TEST(GetNumberFlagTest, RefusesGarbageNanAndInfinityNamingTheFlag) {
+  for (const char* text : {"abc", "nan", "NAN", "-nan", "inf", "-infinity",
+                           "0.5x", ""}) {
+    const FlagParser flags({std::string("--tau=") + text});
+    std::ostringstream err;
+    double value = 3.0;
+    EXPECT_FALSE(GetNumberFlag(flags, "tau", 0.7, &value, err)) << text;
+    EXPECT_DOUBLE_EQ(value, 3.0) << text;
+    EXPECT_EQ(err.str(), "--tau must be a finite number\n") << text;
+  }
 }
 
 TEST(GetCountFlagTest, BoundsAreInclusive) {

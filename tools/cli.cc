@@ -74,13 +74,25 @@ int FailUnknownFlags(const FlagParser& flags,
   return 2;
 }
 
-// Sets config->pf to the power-law PF of --rho, --lambda and --unit-km,
-// refusing out-of-range values with a message instead of aborting.
-bool SetPowerLawPF(const FlagParser& flags, SolverConfig* config,
-                   std::ostream& err) {
-  const double rho = flags.GetDouble("rho", 0.9);
-  const double lambda = flags.GetDouble("lambda", 1.0);
-  const double unit_meters = flags.GetDouble("unit-km", 0.1) * 1000.0;
+// Sets config->tau from --tau and config->pf to the power-law PF of --rho,
+// --lambda and --unit-km, refusing malformed or out-of-range values with a
+// message instead of aborting.
+bool ReadModelFlags(const FlagParser& flags, SolverConfig* config,
+                    std::ostream& err) {
+  double rho = 0.0;
+  double lambda = 0.0;
+  double unit_km = 0.0;
+  if (!GetNumberFlag(flags, "tau", 0.7, &config->tau, err) ||
+      !GetNumberFlag(flags, "rho", 0.9, &rho, err) ||
+      !GetNumberFlag(flags, "lambda", 1.0, &lambda, err) ||
+      !GetNumberFlag(flags, "unit-km", 0.1, &unit_km, err)) {
+    return false;
+  }
+  if (!(config->tau > 0.0 && config->tau < 1.0)) {
+    err << "--tau must be in (0, 1)\n";
+    return false;
+  }
+  const double unit_meters = unit_km * 1000.0;
   const std::string error = PowerLawParameterError(rho, lambda, unit_meters);
   if (!error.empty()) {
     err << error << "\n";
@@ -132,13 +144,18 @@ int RunGenerate(const FlagParser& flags, std::ostream& out,
     err << "unknown profile '" << profile << "'\n";
     return 2;
   }
-  const double scale = flags.GetDouble("scale", 1.0);
-  if (scale <= 0.0 || scale > 1.0) {
+  double scale = 1.0;
+  size_t seed = 0;
+  if (!GetNumberFlag(flags, "scale", 1.0, &scale, err) ||
+      !GetCountFlag(flags, "seed", 42, 0, &seed, err)) {
+    return 2;
+  }
+  if (!(scale > 0.0 && scale <= 1.0)) {
     err << "--scale must be in (0, 1]\n";
     return 2;
   }
   spec = spec.Scaled(scale);
-  spec.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  spec.seed = seed;
   const auto path = flags.GetString("out");
   if (!path.has_value()) {
     err << "--out is required\n";
@@ -237,22 +254,18 @@ int RunSolve(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   size_t num_candidates = 0;
   size_t top = 0;
   size_t threads = 0;
+  size_t seed = 0;
   if (!GetCountFlag(flags, "candidates", 600, 1, &num_candidates, err) ||
       !GetCountFlag(flags, "top", 10, 1, &top, err) ||
       !GetCountFlag(flags, "threads", 1, 0, &threads, err,
-                    kMaxThreadBudget)) {
+                    kMaxThreadBudget) ||
+      !GetCountFlag(flags, "seed", 7, 0, &seed, err)) {
     return 2;
   }
-  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
   SolverConfig config;
-  config.tau = flags.GetDouble("tau", 0.7);
-  if (!SetPowerLawPF(flags, &config, err)) return 2;
+  if (!ReadModelFlags(flags, &config, err)) return 2;
   config.top_k = top;
-  if (config.tau <= 0.0 || config.tau >= 1.0) {
-    err << "--tau must be in (0, 1)\n";
-    return 2;
-  }
 
   CandidateSample sample;
   ProblemInstance instance;
@@ -296,9 +309,15 @@ int RunSolve(const FlagParser& flags, std::ostream& out, std::ostream& err) {
   } else if (algorithm == "brnn") {
     solver = std::make_unique<BrnnStarSolver>();
   } else if (algorithm == "range") {
-    const double range_m = flags.GetDouble("range-km", 0.0) * 1000.0;
+    double range_km = 0.0;
+    double proportion = 0.5;
+    if (!GetNumberFlag(flags, "range-km", 0.0, &range_km, err) ||
+        !GetNumberFlag(flags, "proportion", 0.5, &proportion, err)) {
+      return 2;
+    }
+    const double range_m = range_km * 1000.0;
     solver = std::make_unique<RangeSolver>(
-        flags.GetDouble("proportion", 0.5),
+        proportion,
         range_m > 0.0 ? range_m : RangeSolver::DefaultRangeMeters(instance));
   } else {
     err << "unknown algorithm '" << algorithm << "'\n";
@@ -383,19 +402,15 @@ int RunSelect(const FlagParser& flags, std::ostream& out, std::ostream& err) {
 
   size_t k = 0;
   size_t num_candidates = 0;
+  size_t seed = 0;
   if (!GetCountFlag(flags, "k", 3, 1, &k, err) ||
-      !GetCountFlag(flags, "candidates", 600, 1, &num_candidates, err)) {
+      !GetCountFlag(flags, "candidates", 600, 1, &num_candidates, err) ||
+      !GetCountFlag(flags, "seed", 7, 0, &seed, err)) {
     return 2;
   }
-  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
   SolverConfig config;
-  config.tau = flags.GetDouble("tau", 0.7);
-  if (!SetPowerLawPF(flags, &config, err)) return 2;
-  if (config.tau <= 0.0 || config.tau >= 1.0) {
-    err << "--tau must be in (0, 1)\n";
-    return 2;
-  }
+  if (!ReadModelFlags(flags, &config, err)) return 2;
 
   ProblemInstance instance;
   instance.objects = dataset.objects;
@@ -444,8 +459,9 @@ int RunDiscretize(const FlagParser& flags, std::ostream& out,
     err << "--in and --out are required\n";
     return 2;
   }
-  const double interval = flags.GetDouble("interval-s", 1800.0);
-  if (interval <= 0.0) {
+  double interval = 0.0;
+  if (!GetNumberFlag(flags, "interval-s", 1800.0, &interval, err)) return 2;
+  if (!(interval > 0.0)) {
     err << "--interval-s must be positive\n";
     return 2;
   }
@@ -501,20 +517,16 @@ int RunExplain(const FlagParser& flags, std::ostream& out,
   size_t num_candidates = 0;
   size_t candidate_index = 0;
   size_t top = 0;
+  size_t seed = 0;
   if (!GetCountFlag(flags, "candidates", 600, 1, &num_candidates, err) ||
       !GetCountFlag(flags, "candidate", 0, 0, &candidate_index, err) ||
-      !GetCountFlag(flags, "top", 10, 0, &top, err)) {
+      !GetCountFlag(flags, "top", 10, 0, &top, err) ||
+      !GetCountFlag(flags, "seed", 7, 0, &seed, err)) {
     return 2;
   }
-  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
   SolverConfig config;
-  config.tau = flags.GetDouble("tau", 0.7);
-  if (!SetPowerLawPF(flags, &config, err)) return 2;
-  if (config.tau <= 0.0 || config.tau >= 1.0) {
-    err << "--tau must be in (0, 1)\n";
-    return 2;
-  }
+  if (!ReadModelFlags(flags, &config, err)) return 2;
 
   const size_t count = std::min(num_candidates, dataset.venues.size());
   if (count == 0) {

@@ -86,6 +86,12 @@ int main(int argc, char** argv) {
   serve::ServerOptions server_options;
   size_t port = 0;
   size_t num_candidates = 0;
+  size_t seed = 0;
+  double rho = 0.0;
+  double lambda = 0.0;
+  double unit_km = 0.0;
+  double scale = 0.0;
+  SolverConfig config;
   if (!GetCountFlag(flags, "port", 7741, 0, &port, std::cerr, 65535) ||
       !GetCountFlag(flags, "workers", 0, 0, &server_options.num_workers,
                     std::cerr) ||
@@ -95,18 +101,22 @@ int main(int argc, char** argv) {
                     &service_options.prepared_top_k, std::cerr) ||
       !GetCountFlag(flags, "solve_threads", 1, 0,
                     &service_options.solve_threads, std::cerr,
-                    kMaxThreadBudget)) {
+                    kMaxThreadBudget) ||
+      !GetCountFlag(flags, "seed", 7, 0, &seed, std::cerr) ||
+      !GetNumberFlag(flags, "tau", 0.7, &config.tau, std::cerr) ||
+      !GetNumberFlag(flags, "rho", 0.9, &rho, std::cerr) ||
+      !GetNumberFlag(flags, "lambda", 1.0, &lambda, std::cerr) ||
+      !GetNumberFlag(flags, "unit-km", 0.1, &unit_km, std::cerr) ||
+      !GetNumberFlag(flags, "stream-window", 0.0,
+                     &service_options.stream_window_seconds, std::cerr) ||
+      !GetNumberFlag(flags, "scale", 0.1, &scale, std::cerr)) {
     return 2;
   }
-  SolverConfig config;
-  config.tau = flags.GetDouble("tau", 0.7);
-  if (config.tau <= 0.0 || config.tau >= 1.0) {
+  if (!(config.tau > 0.0 && config.tau < 1.0)) {
     std::cerr << "--tau must be in (0, 1)\n";
     return 2;
   }
-  const double rho = flags.GetDouble("rho", 0.9);
-  const double lambda = flags.GetDouble("lambda", 1.0);
-  const double unit_meters = flags.GetDouble("unit-km", 0.1) * 1000.0;
+  const double unit_meters = unit_km * 1000.0;
   if (const std::string error =
           PowerLawParameterError(rho, lambda, unit_meters);
       !error.empty()) {
@@ -116,10 +126,12 @@ int main(int argc, char** argv) {
   config.pf =
       std::make_shared<PowerLawPF>(rho, lambda, /*d0=*/1.0, unit_meters);
   service_options.pf_unit_meters = unit_meters;
-  service_options.stream_window_seconds =
-      flags.GetDouble("stream-window", 0.0);
-  if (service_options.stream_window_seconds < 0.0) {
+  if (!(service_options.stream_window_seconds >= 0.0)) {
     std::cerr << "--stream-window must be >= 0\n";
+    return 2;
+  }
+  if (!(scale > 0.0 && scale <= 1.0)) {
+    std::cerr << "--scale must be in (0, 1]\n";
     return 2;
   }
 
@@ -157,17 +169,11 @@ int main(int argc, char** argv) {
       std::cerr << "unknown profile '" << profile << "'\n";
       return 2;
     }
-    const double scale = flags.GetDouble("scale", 0.1);
-    if (scale <= 0.0 || scale > 1.0) {
-      std::cerr << "--scale must be in (0, 1]\n";
-      return 2;
-    }
     spec = spec.Scaled(scale);
-    spec.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+    spec.seed = seed;
     dataset = GenerateCheckinDataset(spec);
   }
 
-  const auto seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   ProblemInstance instance;
   instance.objects = dataset.objects;
   if (!dataset.venues.empty()) {
