@@ -15,7 +15,8 @@ runner, taken alongside, never against a checked-in number:
     bench_ablation_parallel. Each rung's seconds are judged by
     compare.py's verdict() under one BOUND. Rungs above thread budget 1
     are printed but not gated: host phases dominate their variance, and
-    the efficiency floor covers scaling.
+    the efficiency floor covers scaling. BM_StreamIngest/delta's best-lag
+    p99 is printed beside its seconds as both sides' medians, not gated.
 
 Two self-relative floors are read from the change's runs: the SIMD
 filter's median speedup over the scalar reference on BM_ValidationSimd/780,
@@ -195,6 +196,13 @@ def main():
             failures.append(f"{name}: median {worse:+.1%}")
         print(f"  {name:<30} {milliseconds(qa):>26} {milliseconds(qb):>26}"
               f" {wins:>3}/{RUNS:<2} {spread:>7.3f} {worse:>+7.3f}  {kind}")
+        if name == "BM_StreamIngest/delta":
+            # Not gated: a change to the delta path may trade the stream's
+            # per-observation tail against the slice's total time.
+            lag = [median_of(side, name, "best_lag_p99_seconds") * 1e6
+                   for side in (parent, change)]
+            print(f"  {'':<30} best_lag_p99_seconds medians (us): "
+                  f"A {lag[0]:.4g}, B {lag[1]:.4g} (not gated)")
 
     print("== floors, medians of the change's runs")
     speedup = median_of(change, SIMD_RUNG, "speedup_vs_scalar")

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <unordered_set>
@@ -63,12 +65,13 @@ const ProbabilityFunction& CheckedPf(const SolverConfig& config) {
 IncrementalPrimeLS::IncrementalPrimeLS(std::vector<Point> candidates,
                                        SolverConfig config)
     : config_(std::move(config)),
-      influence_(candidates.size(), 0),
-      rtree_(BuildCandidateRTree(candidates, config_.rtree_fanout)),
+      candidates_(std::move(candidates)),
+      influence_(candidates_.size(), 0),
+      rtree_(BuildCandidateRTree(candidates_, config_.rtree_fanout)),
       kernel_(CheckedPf(config_), config_.tau),
-      // Built for its threshold table only — Filter() is never called, so
-      // the portable tier is fine on every architecture and under every
-      // override.
+      // Built for its bound table and thresholds only — Filter() is never
+      // called, so the portable tier is fine on every architecture and
+      // under every override, and the table is the same on every tier.
       delta_table_(*config_.pf, config_.tau, kernel_.early_exit_log_survival(),
                    SimdTier::kPortable),
       self_check_(SelfCheckEnabled()) {
@@ -82,6 +85,15 @@ double IncrementalPrimeLS::RadiusFor(size_t n) {
              .first;
   }
   return it->second;
+}
+
+void IncrementalPrimeLS::SetInfluenced(WatchEntry& entry, bool influenced,
+                                       const BandBracket* bracket,
+                                       std::span<const Point> span) {
+  if (self_check_) VerifyDecision(entry, bracket, span, influenced);
+  if (influenced == entry.influenced) return;
+  entry.influenced = influenced;
+  BumpInfluence(entry.candidate, influenced ? +1 : -1);
 }
 
 void IncrementalPrimeLS::BumpInfluence(uint32_t j, int64_t delta) {
@@ -102,42 +114,94 @@ size_t IncrementalPrimeLS::NumPositionsOf(uint32_t object_id) const {
   return WindowSpan(it->second).size();
 }
 
-void IncrementalPrimeLS::RefoldEntry(WatchEntry& entry,
-                                     std::span<const Point> span) const {
-  const ProbabilityFunction& pf = *config_.pf;
-  double lo = 0.0;
-  double hi = 0.0;
-  uint32_t certain = 0;
-  for (const Point& p : span) {
-    const double prob = pf(Distance(entry.location, p));
-    if (prob >= 1.0) {
-      ++certain;
-      continue;
-    }
-    const double t = std::log1p(-prob);
-    lo = std::nextafter(lo + t, -kInf);
-    hi = std::nextafter(hi + t, kInf);
-  }
-  entry.sum_lo = lo;
-  entry.sum_hi = hi;
-  entry.certain = certain;
+IncrementalPrimeLS::DeltaThresholds IncrementalPrimeLS::ThresholdsFor(
+    size_t n) const {
+  DeltaThresholds t;
+  t.span = delta_table_.Thresholds(n);
+  t.fixed = simd_internal::ToFixed(t.span);
+  t.fixed_exact = n <= simd_internal::kMaxFixedTerms;
+  return t;
 }
 
 namespace {
 
-/// Applies one position's scalar log-survival term to `entry`'s certified
-/// bracket, outward-rounded so the bracket keeps containing the true sum.
-/// Append and expire call this with the same (location, position) pair and
-/// opposite signs, so the term cancels bit-exactly on expiry.
+using simd_internal::FixedBounds;
+
+// FoldSlot and ReadTable take the class's private WatchEntry as a template
+// parameter.
+
+/// Adds (or subtracts) one slot's fixed bounds to a table bracket. The sums
+/// are unsigned, so they wrap instead of overflowing, and a term that was
+/// added cancels exactly when it is subtracted.
+template <typename Entry>
+void FoldSlot(const FixedBounds& slot, bool add, Entry& entry) {
+  if (add) {
+    entry.lo += slot.lo;
+    entry.hi += slot.hi;
+    entry.inf += slot.inf;
+  } else {
+    entry.lo -= slot.lo;
+    entry.hi -= slot.hi;
+    entry.inf -= slot.inf;
+  }
+}
+
+/// The table slot of `position` seen from `candidate`. FoldTable and
+/// ApplyDelta both index through here, so a position subtracted on expiry
+/// leaves the very slot it was added from and the bracket cancels exactly.
+int64_t PairSlot(const simd_internal::SlotOf& slot, const Point& candidate,
+                 const Point& position) {
+  const double dx = candidate.x - position.x;
+  const double dy = candidate.y - position.y;
+  return slot(dx * dx + dy * dy);
+}
+
+enum class TableVerdict : uint8_t { kStraddle, kInfluenced, kRejected };
+
+struct TableRead {
+  TableVerdict verdict = TableVerdict::kStraddle;
+  /// The bracket clears its threshold by at least its own width.
+  bool clear = false;
+};
+
+/// Reads a table bracket [lo, hi] (sums of rounded-outward slot bounds,
+/// so the true sum lies inside) against one delta's fixed thresholds.
+template <typename Entry>
+TableRead ReadTable(const Entry& entry,
+                    const simd_internal::FixedThresholds& fixed) {
+  // A -inf upper bound is a saturated position: it decides alone, however
+  // far the finite sums sit from the threshold.
+  if (entry.inf >= FixedBounds::kSaturated) {
+    return {TableVerdict::kInfluenced, true};
+  }
+  const bool finite = entry.inf == 0;  // no -inf lower bound either
+  const auto lo = static_cast<int64_t>(entry.lo);
+  const auto hi = static_cast<int64_t>(entry.hi);
+  const int64_t width = hi - lo;
+  if (hi <= fixed.influence) {
+    return {TableVerdict::kInfluenced,
+            finite && fixed.influence - hi >= width};
+  }
+  if (finite && lo >= fixed.reject) {
+    return {TableVerdict::kRejected, lo - fixed.reject >= width};
+  }
+  return {};
+}
+
+/// Applies one position's scalar log-survival term to a band bracket,
+/// outward-rounded so the bracket keeps containing the true sum. Each
+/// update widens the bracket by an ulp per side, so it is reset by a
+/// refold whenever the kernel has to decide.
 void ApplyTerm(const ProbabilityFunction& pf, const Point& location,
                const Point& position, bool add, uint32_t* certain,
                double* sum_lo, double* sum_hi) {
   const double prob = pf(Distance(location, position));
   if (prob >= 1.0) {
+    // An expired position's term entered the bracket when the position
+    // was appended or when the bracket was folded over the window.
     if (add) {
       ++*certain;
     } else {
-      PINO_CHECK_GT(*certain, 0u);
       --*certain;
     }
     return;
@@ -150,48 +214,117 @@ void ApplyTerm(const ProbabilityFunction& pf, const Point& location,
 
 }  // namespace
 
-void IncrementalPrimeLS::DecideEntry(WatchEntry& entry,
-                                     const LiveObject& live) {
-  const std::span<const Point> span = WindowSpan(live);
-  const auto terms = static_cast<uint64_t>(span.size());
+void IncrementalPrimeLS::FoldTable(WatchEntry& entry,
+                                   std::span<const Point> span) {
   const simd_internal::FilterTable& table = delta_table_.table();
-  bool influenced;
-  if (entry.certain > 0) {
-    influenced = true;  // a saturated position alone decides (Lemma 4)
-  } else if (entry.sum_hi <=
-             simd_internal::AdjustedInfluenceThreshold(table, terms)) {
-    influenced = true;
-  } else if (entry.sum_lo >=
-             simd_internal::AdjustedRejectThreshold(table, terms)) {
-    influenced = false;
-  } else {
-    // Boundary band: the exact scalar kernel decides, and the refold
-    // resets the interval widening the incremental updates accumulated.
-    influenced = kernel_.Decide(entry.location, span).influenced;
-    RefoldEntry(entry, span);
-  }
-  if (self_check_) {
-    const bool exact = kernel_.Decide(entry.location, span).influenced;
-    if (exact != influenced) {
-      std::ostringstream msg;
-      msg.precision(17);
-      msg << "delta bracket disagrees with kernel Decide: bracket says "
-          << (influenced ? "influenced" : "not influenced") << " but Decide "
-          << (exact ? "influenced" : "not influenced") << " for candidate "
-          << entry.candidate << " at (" << entry.location.x << ", "
-          << entry.location.y << ") over " << span.size()
-          << " positions (sum in [" << entry.sum_lo << ", " << entry.sum_hi
-          << "], certain=" << entry.certain << ")";
-      ReportSelfCheckViolation(msg.str());
-    }
-  }
-  if (influenced != entry.influenced) {
-    entry.influenced = influenced;
-    BumpInfluence(entry.candidate, influenced ? +1 : -1);
+  const simd_internal::SlotOf slot(table);
+  const Point c = candidates_[entry.candidate];
+  entry.lo = entry.hi = entry.inf = 0;
+  for (const Point& p : span) {
+    FoldSlot(table.fixed[PairSlot(slot, c, p)], /*add=*/true, entry);
   }
 }
 
-void IncrementalPrimeLS::RebuildWatch(LiveObject& live) {
+IncrementalPrimeLS::BandBracket IncrementalPrimeLS::FoldBand(
+    const Point& candidate, std::span<const Point> span) {
+  BandBracket bracket;
+  for (const Point& p : span) {
+    ApplyTerm(*config_.pf, candidate, p, /*add=*/true, &bracket.certain,
+              &bracket.sum_lo, &bracket.sum_hi);
+  }
+  return bracket;
+}
+
+bool IncrementalPrimeLS::DecideBand(
+    BandBracket& bracket, bool fresh, const Point& candidate,
+    std::span<const Point> span,
+    const simd_internal::SpanThresholds& thresholds) {
+  if (bracket.certain > 0) return true;  // a saturated position (Lemma 4)
+  if (bracket.sum_hi <= thresholds.influence) return true;
+  if (bracket.sum_lo >= thresholds.reject) return false;
+  // Straddles too: the exact scalar kernel decides, and a refold resets
+  // the widening the incremental updates accumulated.
+  const bool influenced = kernel_.Decide(candidate, span).influenced;
+  if (!fresh) bracket = FoldBand(candidate, span);
+  return influenced;
+}
+
+void IncrementalPrimeLS::Settle(WatchEntry& entry,
+                                std::vector<BandBracket>& band, size_t* next,
+                                std::span<const Point> span,
+                                const DeltaThresholds& thresholds) {
+  if (!entry.banded && thresholds.fixed_exact) {
+    const TableRead read = ReadTable(entry, thresholds.fixed);
+    if (read.verdict != TableVerdict::kStraddle) {
+      SetInfluenced(entry, read.verdict == TableVerdict::kInfluenced,
+                    /*bracket=*/nullptr, span);
+      return;
+    }
+  }
+  SettleBand(entry, band, next, span, thresholds);
+}
+
+void IncrementalPrimeLS::SettleBand(WatchEntry& entry,
+                                    std::vector<BandBracket>& band,
+                                    size_t* next, std::span<const Point> span,
+                                    const DeltaThresholds& thresholds) {
+  const Point& c = candidates_[entry.candidate];
+  const TableRead read = thresholds.fixed_exact
+                             ? ReadTable(entry, thresholds.fixed)
+                             : TableRead{};
+  bool influenced;
+  const BandBracket* bracket = nullptr;
+  if (read.verdict != TableVerdict::kStraddle) {
+    // The table decides a banded entry (Settle took the unbanded ones).
+    influenced = read.verdict == TableVerdict::kInfluenced;
+    if (read.clear) {
+      band.erase(band.begin() + static_cast<std::ptrdiff_t>(*next));
+      entry.banded = false;
+      ++counters_.band_drops;
+    } else {
+      bracket = &band[(*next)++];
+    }
+  } else {
+    const bool fresh = !entry.banded;
+    if (fresh) {
+      band.insert(band.begin() + static_cast<std::ptrdiff_t>(*next),
+                  FoldBand(c, span));
+      entry.banded = true;
+      ++counters_.band_opens;
+    }
+    BandBracket& open = band[(*next)++];
+    influenced = DecideBand(open, fresh, c, span, thresholds.span);
+    bracket = &open;
+  }
+  SetInfluenced(entry, influenced, bracket, span);
+}
+
+void IncrementalPrimeLS::VerifyDecision(const WatchEntry& entry,
+                                        const BandBracket* bracket,
+                                        std::span<const Point> span,
+                                        bool influenced) const {
+  const Point& c = candidates_[entry.candidate];
+  const bool exact = kernel_.Decide(c, span).influenced;
+  if (exact == influenced) return;
+  std::ostringstream msg;
+  msg.precision(17);
+  msg << "delta bracket disagrees with kernel Decide: bracket says "
+      << (influenced ? "influenced" : "not influenced") << " but Decide "
+      << (exact ? "influenced" : "not influenced") << " for candidate "
+      << entry.candidate << " at (" << c.x << ", " << c.y << ") over "
+      << span.size() << " positions (table sums ["
+      << static_cast<int64_t>(entry.lo) << ", "
+      << static_cast<int64_t>(entry.hi) << "] / 2^24, inf=" << entry.inf;
+  if (bracket != nullptr) {
+    msg << "; band sum in [" << bracket->sum_lo << ", " << bracket->sum_hi
+        << "], certain=" << bracket->certain;
+  }
+  msg << ")";
+  ReportSelfCheckViolation(msg.str());
+}
+
+void IncrementalPrimeLS::RebuildWatch(LiveObject& live,
+                                      const DeltaThresholds& thresholds) {
   DeltaState& d = live.delta;
   const std::span<const Point> span = WindowSpan(live);
   const size_t n = span.size();
@@ -202,16 +335,24 @@ void IncrementalPrimeLS::RebuildWatch(LiveObject& live) {
   const double pad_slack =
       std::max(kPadRadiusShare * std::max(pad_radius, 0.0), kMinPadSlack);
 
-  // Carry surviving entries over untouched (their brackets stay sound);
-  // entries that fall outside the new pad must be uninfluenced — keep any
-  // influenced stragglers defensively so counters never go stale.
-  std::unordered_map<uint32_t, size_t> old_index;
+  // Carry surviving entries, and their band brackets, over untouched
+  // (their brackets stay sound); entries that fall outside the new pad
+  // must be uninfluenced — keep any influenced stragglers defensively so
+  // counters never go stale.
+  constexpr size_t kNoBand = SIZE_MAX;
+  std::unordered_map<uint32_t, std::pair<size_t, size_t>> old_index;
   old_index.reserve(d.watch.size());
-  for (size_t i = 0; i < d.watch.size(); ++i) {
-    old_index.emplace(d.watch[i].candidate, i);
+  for (size_t i = 0, b = 0; i < d.watch.size(); ++i) {
+    old_index.emplace(d.watch[i].candidate,
+                      std::make_pair(i, d.watch[i].banded ? b++ : kNoBand));
   }
   std::vector<WatchEntry> fresh;
+  std::vector<BandBracket> fresh_band;
   std::unordered_set<uint32_t> selected;
+  const auto carry = [&](const WatchEntry& entry, size_t b) {
+    fresh.push_back(entry);
+    if (b != kNoBand) fresh_band.push_back(d.band[b]);
+  };
   if (pad_radius >= 0.0) {
     const double watch_radius = pad_radius + pad_slack;
     rtree_.QueryRect(live.mbr.Inflated(watch_radius), [&](const RTreeEntry& e) {
@@ -219,23 +360,27 @@ void IncrementalPrimeLS::RebuildWatch(LiveObject& live) {
       selected.insert(e.id);
       const auto it = old_index.find(e.id);
       if (it != old_index.end()) {
-        fresh.push_back(std::move(d.watch[it->second]));
+        carry(d.watch[it->second.first], it->second.second);
         return;
       }
       WatchEntry entry;
       entry.candidate = e.id;
-      entry.location = e.point;
-      RefoldEntry(entry, span);
+      FoldTable(entry, span);
       fresh.push_back(entry);
-      DecideEntry(fresh.back(), live);
+      size_t next = fresh_band.size();
+      Settle(fresh.back(), fresh_band, &next, span, thresholds);
     });
   }
-  for (WatchEntry& entry : d.watch) {
-    if (entry.influenced && selected.find(entry.candidate) == selected.end()) {
-      fresh.push_back(std::move(entry));
+  for (size_t i = 0, b = 0; i < d.watch.size(); ++i) {
+    const WatchEntry& entry = d.watch[i];
+    const size_t band_index = entry.banded ? b++ : kNoBand;
+    if (entry.influenced &&
+        selected.find(entry.candidate) == selected.end()) {
+      carry(entry, band_index);
     }
   }
   d.watch = std::move(fresh);
+  d.band = std::move(fresh_band);
   d.pad_mbr = live.mbr;
   d.pad_radius = pad_radius;
   d.pad_slack = pad_slack;
@@ -247,13 +392,24 @@ size_t IncrementalPrimeLS::ApplyDelta(LiveObject& live, const Point& position,
   DeltaState& d = live.delta;
   live.mbr = Mbr(d.min_x.front().second, d.min_y.front().second,
                  d.max_x.front().second, d.max_y.front().second);
-  const size_t n = live.positions.size() - d.head;
+  const std::span<const Point> span = WindowSpan(live);
+  const size_t n = span.size();
   live.min_max_radius = RadiusFor(n);
 
+  const DeltaThresholds thresholds = ThresholdsFor(n);
+  const simd_internal::FilterTable& table = delta_table_.table();
+  const simd_internal::SlotOf slot(table);
+  size_t next = 0;  // d.band[next] belongs to the next banded entry
   for (WatchEntry& entry : d.watch) {
-    ApplyTerm(*config_.pf, entry.location, position, add, &entry.certain,
-              &entry.sum_lo, &entry.sum_hi);
-    DecideEntry(entry, live);
+    const Point& c = candidates_[entry.candidate];
+    FoldSlot(table.fixed[PairSlot(slot, c, position)], add, entry);
+    if (entry.banded) {
+      BandBracket& bracket = d.band[next];
+      ApplyTerm(*config_.pf, c, position, add, &bracket.certain,
+                &bracket.sum_lo, &bracket.sum_hi);
+      ++counters_.exact_folds;
+    }
+    Settle(entry, d.band, &next, span, thresholds);
   }
 
   // Birth or pad escape: a new object has no watch set yet, and a grown
@@ -263,11 +419,11 @@ size_t IncrementalPrimeLS::ApplyDelta(LiveObject& live, const Point& position,
   // expiries recheck rather than assume.
   if (born || live.min_max_radius > d.pad_radius ||
       ExpansionBeyond(d.pad_mbr, live.mbr) * kExpansionSafety > d.pad_slack) {
-    RebuildWatch(live);
+    RebuildWatch(live, thresholds);
   }
 
   if (self_check_) {
-    const Mbr expect = Mbr::Of(WindowSpan(live));
+    const Mbr expect = Mbr::Of(span);
     if (!(expect == live.mbr)) {
       std::ostringstream msg;
       msg << "delta MBR diverged from Mbr::Of over the window for object "

@@ -206,14 +206,27 @@ double AdjustedRejectThreshold(const FilterTable& table, uint64_t terms) {
   return std::nextafter(table.reject_threshold / denom, 0.0);
 }
 
+FixedThresholds ToFixed(const SpanThresholds& thresholds) {
+  // kFixedScale is a power of two, so the products are exact and the one
+  // rounding is the outward floor/ceil. The clamps only keep the casts
+  // defined (a NaN lands on the side that certifies nothing); the finite
+  // thresholds of a tau in (0, 1) lie far inside them.
+  constexpr double kLimit = 0x1p61;
+  const double influence = thresholds.influence * kFixedScale;
+  const double reject = thresholds.reject * kFixedScale;
+  return {static_cast<int64_t>(std::floor(
+              influence >= -kLimit ? std::min(influence, kLimit) : -kLimit)),
+          static_cast<int64_t>(std::ceil(
+              reject <= kLimit ? std::max(reject, -kLimit) : kLimit))};
+}
+
 void FilterPortable(const FilterTable& table, const SpanThresholds& thresholds,
                     const Point* candidates, size_t num_candidates,
                     const Point* positions, size_t num_positions,
                     LaneOutcome* outcomes) {
   const double* g_lo = table.g_lo.data();
   const double* g_hi = table.g_hi.data();
-  const auto last = static_cast<int64_t>(table.g_lo.size()) - 1;
-  const int64_t bias = table.first_key - 1;
+  const SlotOf slot(table);
   const auto n = static_cast<uint32_t>(num_positions);
   for (size_t j = 0; j < num_candidates; ++j) {
     const double cx = candidates[j].x;
@@ -226,12 +239,7 @@ void FilterPortable(const FilterTable& table, const SpanThresholds& thresholds,
       for (; k < stop; ++k) {
         const double dx = cx - positions[k].x;
         const double dy = cy - positions[k].y;
-        const double q = dx * dx + dy * dy;
-        const int64_t idx = std::clamp<int64_t>(
-            (static_cast<int64_t>(std::bit_cast<uint64_t>(q)) >>
-             kIndexShift) -
-                bias,
-            0, last);
+        const int64_t idx = slot(dx * dx + dy * dy);
         acc_lo += g_lo[idx];
         acc_hi += g_hi[idx];
       }
@@ -261,8 +269,7 @@ void FilterSse2(const FilterTable& table, const SpanThresholds& thresholds,
                 LaneOutcome* outcomes) {
   const double* g_lo = table.g_lo.data();
   const double* g_hi = table.g_hi.data();
-  const auto last = static_cast<int64_t>(table.g_lo.size()) - 1;
-  const int64_t bias = table.first_key - 1;
+  const SlotOf slot(table);
   const auto n = static_cast<uint32_t>(num_positions);
   const __m128d thr = _mm_set1_pd(thresholds.influence);
   const __m128d rthr = _mm_set1_pd(thresholds.reject);
@@ -285,13 +292,10 @@ void FilterSse2(const FilterTable& table, const SpanThresholds& thresholds,
         const __m128d dy = _mm_sub_pd(cy, py);
         const __m128d q =
             _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
-        alignas(16) uint64_t bits[2];
-        _mm_store_si128(reinterpret_cast<__m128i*>(bits),
-                        _mm_castpd_si128(q));
-        const int64_t i0 = std::clamp<int64_t>(
-            (static_cast<int64_t>(bits[0]) >> kIndexShift) - bias, 0, last);
-        const int64_t i1 = std::clamp<int64_t>(
-            (static_cast<int64_t>(bits[1]) >> kIndexShift) - bias, 0, last);
+        alignas(16) double qs[2];
+        _mm_store_pd(qs, q);
+        const int64_t i0 = slot(qs[0]);
+        const int64_t i1 = slot(qs[1]);
         acc_lo = _mm_add_pd(acc_lo, _mm_set_pd(g_lo[i1], g_lo[i0]));
         acc_hi = _mm_add_pd(acc_hi, _mm_set_pd(g_hi[i1], g_hi[i0]));
       }
@@ -402,6 +406,33 @@ SimdInfluenceFilter::SimdInfluenceFilter(const ProbabilityFunction& pf,
   t.g_lo[buckets + 1] = NudgeDown(
       GLowerAt(pf, std::sqrt(EdgeOf(last_key + 1)) * (1.0 - kEdgeSlack)), 2);
   t.g_hi[buckets + 1] = 0.0;
+
+  // The same bounds on the fixed-point grid, rounded outward: floor for
+  // the lower bound, ceil for the upper; scaling by a power of two is
+  // exact. A finite computed log1p(-p) with p < 1 is at least
+  // log(2^-53) > -37, so the +-2^6 clamps never bind on a finite bound;
+  // they keep every fixed value within 2^30 (the kMaxFixedTerms argument)
+  // and map a NaN to the sound extreme: -inf below, 0 above (no
+  // log-survival term is positive).
+  constexpr double kBound = 64.0;
+  t.fixed.resize(t.g_lo.size());
+  for (size_t i = 0; i < t.fixed.size(); ++i) {
+    simd_internal::FixedBounds& f = t.fixed[i];
+    const double lo = t.g_lo[i];
+    const double hi = t.g_hi[i];
+    if (lo >= -kBound) {
+      f.lo = static_cast<uint64_t>(
+          static_cast<int64_t>(std::floor(lo * simd_internal::kFixedScale)));
+    } else {
+      f.inf += 1;
+    }
+    if (hi == -kInf) {
+      f.inf += simd_internal::FixedBounds::kSaturated;
+    } else if (!std::isnan(hi)) {
+      f.hi = static_cast<uint64_t>(static_cast<int64_t>(
+          std::ceil(std::max(hi, -kBound) * simd_internal::kFixedScale)));
+    }
+  }
 }
 
 simd_internal::SpanThresholds SimdInfluenceFilter::Thresholds(

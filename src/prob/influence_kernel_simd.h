@@ -35,6 +35,8 @@
 #ifndef PINOCCHIO_PROB_INFLUENCE_KERNEL_SIMD_H_
 #define PINOCCHIO_PROB_INFLUENCE_KERNEL_SIMD_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -83,6 +85,30 @@ inline constexpr int kIndexShift = 48;
 /// positions_seen counter for vector-decided lanes.
 inline constexpr uint32_t kCheckChunk = 8;
 
+/// Quanta per unit of log-survival in FilterTable::fixed: bounds there are
+/// g_lo and g_hi rounded outward onto multiples of 2^-24.
+inline constexpr double kFixedScale = 0x1p24;
+
+/// Fixed-point sums over at most this many terms read exactly. A finite
+/// fixed bound is at most 2^30 in magnitude, so such a sum stays below
+/// 2^62, and each -inf count below 2^32.
+inline constexpr uint64_t kMaxFixedTerms = UINT32_MAX;
+
+/// One slot's bounds on the fixed-point grid, for sums that must cancel
+/// exactly when a term is added and later subtracted (the stream's delta
+/// brackets, core/incremental.h). `lo` and `hi` hold floor(g_lo * scale)
+/// and ceil(g_hi * scale) as two's-complement uint64, so sums wrap instead
+/// of overflowing and read back as int64 while kMaxFixedTerms holds. A -inf
+/// bound adds 0 there and is counted in `inf` instead: 1 for a -inf lower
+/// bound, plus kSaturated for a -inf upper bound (every position in the
+/// slot has PF >= 1, which alone decides influence).
+struct FixedBounds {
+  static constexpr uint64_t kSaturated = uint64_t{1} << 32;
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  uint64_t inf = 0;
+};
+
 /// The per-(PF, tau) bound table shared by all filter tiers.
 struct FilterTable {
   /// Table index of squared distance q is
@@ -97,6 +123,8 @@ struct FilterTable {
   /// vector-vs-scalar rounding of d^2 itself). g_lo may be -inf (PF = 1).
   std::vector<double> g_lo;
   std::vector<double> g_hi;
+  /// g_lo and g_hi per slot on the fixed-point grid (see FixedBounds).
+  std::vector<FixedBounds> fixed;
   /// Crossing this with the upper bound certifies the scalar early-exit /
   /// full-scan influence test (the kernel's early_exit_log_survival).
   double influence_threshold = 0.0;
@@ -104,6 +132,28 @@ struct FilterTable {
   /// rejects (nudged past faithful-rounding slack of expm1, mirroring the
   /// kernel constructor's treatment of the influence side).
   double reject_threshold = 0.0;
+};
+
+/// Table slot of a squared distance q: the FilterTable::first_key formula,
+/// with the bias and the last slot read from the table once. The portable
+/// and SSE2 filters and the stream's fixed-point fold index through it; the
+/// AVX2 tier computes the same formula four lanes at a time.
+class SlotOf {
+ public:
+  explicit SlotOf(const FilterTable& table)
+      : bias_(table.first_key - 1),
+        last_(static_cast<int64_t>(table.g_lo.size()) - 1) {}
+
+  int64_t operator()(double q) const {
+    return std::clamp<int64_t>(
+        (static_cast<int64_t>(std::bit_cast<uint64_t>(q)) >> kIndexShift) -
+            bias_,
+        0, last_);
+  }
+
+ private:
+  int64_t bias_;
+  int64_t last_;
 };
 
 /// influence_threshold widened for `terms` accumulated vector additions:
@@ -120,6 +170,17 @@ struct SpanThresholds {
   double influence = 0.0;
   double reject = 0.0;
 };
+
+/// A span's thresholds on the fixed-point grid: influence rounded down,
+/// reject rounded up. An exact fixed-point sum of FixedBounds::hi at or
+/// below `influence` certifies what SpanThresholds::influence certifies,
+/// and a sum of FixedBounds::lo (with no -inf bound) at or above `reject`
+/// certifies rejection, for spans of at most kMaxFixedTerms positions.
+struct FixedThresholds {
+  int64_t influence = 0;
+  int64_t reject = 0;
+};
+FixedThresholds ToFixed(const SpanThresholds& thresholds);
 
 enum class LaneState : uint8_t {
   kUndecided = 0,     ///< bracket straddles a threshold: refine in scalar

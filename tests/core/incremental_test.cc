@@ -1,12 +1,23 @@
 #include "core/incremental.h"
 
+#include <cmath>
+#include <deque>
+#include <map>
+#include <memory>
+#include <numbers>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/naive_solver.h"
+#include "prob/alternative_pfs.h"
+#include "prob/influence_kernel.h"
+#include "prob/power_law.h"
 #include "testing/instance_helpers.h"
+#include "util/random.h"
+#include "util/self_check.h"
 
 namespace pinocchio {
 namespace {
@@ -233,6 +244,176 @@ TEST_P(IncrementalSeedTest, RebornObjectsMatchNaive) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSeedTest,
                          ::testing::Values(411, 412, 413, 414, 415));
+
+// Self-check on for one test: every stream decision is re-verified against
+// the exact kernel, and a disagreement aborts.
+class SelfCheckOn {
+ public:
+  SelfCheckOn() : was_(SelfCheckEnabled()) { SetSelfCheckEnabled(true); }
+  ~SelfCheckOn() { SetSelfCheckEnabled(was_); }
+
+ private:
+  bool was_;
+};
+
+// A PF with PF(0) >= 1, under which a position on a candidate saturates
+// (decides influence alone) and the bound table has -inf buckets.
+struct SaturatedCase {
+  std::string name;
+  ProbabilityFunctionPtr pf;
+  double tau;
+};
+
+class IncrementalSaturatedTest
+    : public ::testing::TestWithParam<SaturatedCase> {
+ protected:
+  SolverConfig Config() const {
+    SolverConfig config;
+    config.pf = GetParam().pf;
+    config.tau = GetParam().tau;
+    return config;
+  }
+
+  // Compares every counter with a naive solve of the mirrored windows.
+  void ExpectMatchesNaive(const IncrementalPrimeLS& inc,
+                          const std::vector<Point>& candidates,
+                          const std::map<uint32_t, std::deque<Point>>& live,
+                          const std::string& step) const {
+    ProblemInstance window;
+    window.candidates = candidates;
+    for (const auto& [id, positions] : live) {
+      window.objects.push_back(
+          {id, std::vector<Point>(positions.begin(), positions.end())});
+    }
+    const SolverResult naive = NaiveSolver().Solve(window, Config());
+    ASSERT_EQ(Influences(inc, candidates.size()), naive.influence) << step;
+    ASSERT_EQ(inc.NumLiveObjects(), live.size()) << step;
+  }
+};
+
+TEST_P(IncrementalSaturatedTest, PositionsOnCandidatesMatchNaive) {
+  const SelfCheckOn self_check;
+  testing_helpers::InstanceOptions options;
+  options.num_objects = 10;
+  options.num_candidates = 12;
+  options.max_positions = 9;
+  options.extent_meters = 4000.0;
+  const ProblemInstance instance = testing_helpers::RandomInstance(
+      431, options);
+  const std::vector<Point>& candidates = instance.candidates;
+  IncrementalPrimeLS inc(candidates, Config());
+  std::map<uint32_t, std::deque<Point>> live;
+
+  // Append, every third position exactly on a candidate.
+  size_t step = 0;
+  for (const MovingObject& o : instance.objects) {
+    for (size_t i = 0; i < o.positions.size(); ++i) {
+      const Point p = (o.id + i) % 3 == 0
+                          ? candidates[(o.id + i) % candidates.size()]
+                          : o.positions[i];
+      inc.AppendPosition(o.id, p);
+      live[o.id].push_back(p);
+      ExpectMatchesNaive(inc, candidates, live,
+                         "append " + std::to_string(step++));
+    }
+  }
+  // Partial expiry: every object down to half its window.
+  for (const MovingObject& o : instance.objects) {
+    while (live[o.id].size() > (o.positions.size() + 1) / 2) {
+      ASSERT_TRUE(inc.ExpireOldestPosition(o.id));
+      live[o.id].pop_front();
+      ExpectMatchesNaive(inc, candidates, live,
+                         "partial expiry " + std::to_string(step++));
+    }
+  }
+  // Full expiry: each object leaves with its last position.
+  for (const MovingObject& o : instance.objects) {
+    while (live.count(o.id) > 0) {
+      ASSERT_TRUE(inc.ExpireOldestPosition(o.id));
+      live[o.id].pop_front();
+      if (live[o.id].empty()) live.erase(o.id);
+      ExpectMatchesNaive(inc, candidates, live,
+                         "full expiry " + std::to_string(step++));
+    }
+  }
+  EXPECT_EQ(inc.NumLiveObjects(), 0u);
+  EXPECT_EQ(Influences(inc, candidates.size()),
+            std::vector<int64_t>(candidates.size(), 0));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pfs, IncrementalSaturatedTest,
+    ::testing::Values(
+        SaturatedCase{"LinearRho1", std::make_shared<LinearPF>(1.0, 3000.0),
+                      0.7},
+        SaturatedCase{"PowerLawRho1", std::make_shared<PowerLawPF>(1.0, 1.0),
+                      0.7},
+        // PF >= 1 out to 500 m: whole buckets are saturated (-inf upper
+        // bounds), and at tau 0.999 a bucket straddling 500 m cannot
+        // decide from the table, so the band bracket counts saturated
+        // positions.
+        SaturatedCase{"PowerLawFlatTop",
+                      std::make_shared<PowerLawPF>(1.0, 1.0, 0.5), 0.7},
+        SaturatedCase{"PowerLawFlatTopTau999",
+                      std::make_shared<PowerLawPF>(1.0, 1.0, 0.5), 0.999}),
+    [](const ::testing::TestParamInfo<SaturatedCase>& info) {
+      return info.param.name;
+    });
+
+// Walks one pair's log-survival sum across tau and back: a window of n
+// positions, mostly at the distance where n of them put the sum at
+// log(1 - tau), with some nearer and farther ones, slides one append and
+// one expiry at a time. One position moves the sum by a few percent at
+// most, so it drifts through the table's straddle band, where the band
+// bracket opens and serves several deltas, and out past the drop margin,
+// where it is dropped. Two more candidates a little off-centre hover near
+// their own boundaries, so several band brackets are open at once. Every
+// decision is checked against the exact kernel.
+TEST(IncrementalTest, BandChurnAcrossTheThreshold) {
+  const SelfCheckOn self_check;
+  const SolverConfig config = DefaultConfig();
+  constexpr size_t kN = 40;
+  const double boundary = config.pf->Inverse(
+      -std::expm1(std::log1p(-config.tau) / static_cast<double>(kN)));
+  const std::vector<Point> candidates = {
+      {0.0, 0.0}, {0.03 * boundary, 0.0}, {0.0, -0.03 * boundary}};
+  IncrementalPrimeLS inc(candidates, config);
+  const InfluenceKernel kernel(*config.pf, config.tau);
+
+  constexpr double kFactors[] = {1.0, 1.0, 1.0, 1.0, 0.98,
+                                 1.02, 0.9, 1.1, 0.6, 2.0};
+  Rng rng(433);
+  std::deque<Point> window;
+  const auto check = [&](int step) {
+    const std::vector<Point> span(window.begin(), window.end());
+    for (size_t j = 0; j < candidates.size(); ++j) {
+      const bool exact = kernel.Decide(candidates[j], span).influenced;
+      ASSERT_EQ(inc.InfluenceOf(j), exact ? 1 : 0)
+          << "step " << step << " candidate " << j;
+    }
+  };
+  for (int step = 0; step < 2000; ++step) {
+    const double factor =
+        step < static_cast<int>(kN) ? 1.0 : kFactors[rng.UniformInt(0, 9)];
+    const double angle = rng.Uniform(0.0, 2.0 * std::numbers::pi);
+    const Point p{boundary * factor * std::cos(angle),
+                  boundary * factor * std::sin(angle)};
+    inc.AppendPosition(1, p);
+    window.push_back(p);
+    check(step);
+    if (window.size() > kN) {
+      ASSERT_TRUE(inc.ExpireOldestPosition(1));
+      window.pop_front();
+      check(step);
+    }
+  }
+  const IncrementalPrimeLS::DeltaCounters& work = inc.delta_counters();
+  // Opened and dropped many times, and each bracket serves several deltas
+  // while it is open.
+  EXPECT_GE(work.band_opens, 50u);
+  EXPECT_GE(work.band_drops, 50u);
+  EXPECT_GE(work.exact_folds, 3 * work.band_opens);
+}
 
 }  // namespace
 }  // namespace pinocchio

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "core/naive_solver.h"
+#include "prob/alternative_pfs.h"
+#include "prob/power_law.h"
 #include "testing/instance_helpers.h"
 #include "util/random.h"
 
@@ -412,6 +414,74 @@ TEST(StreamingTest, CallbackNotFiredWhenBestStable) {
   engine.Observe(1, 2.0, {3, 3});
   EXPECT_EQ(calls, 0);
 }
+
+// Under a PF with PF(0) = 1 a position exactly on a candidate saturates:
+// it alone decides influence, and its bound-table bucket has a -inf lower
+// bound. Observations land on candidates (and near them) while the window
+// appends, partially expires and finally empties; after every step the
+// counters equal a naive solve of the live window.
+class StreamingSaturatedTest
+    : public ::testing::TestWithParam<ProbabilityFunctionPtr> {
+};
+
+TEST_P(StreamingSaturatedTest, ObservationsOnCandidatesMatchNaive) {
+  const std::vector<Point> candidates = {
+      {0, 0}, {1500, 0}, {0, 2500}, {4000, 4000}, {1200, 1300}};
+  StreamingPrimeLS::Options options = MakeOptions(40);
+  options.config.pf = GetParam();
+  StreamingPrimeLS engine(candidates, options);
+  Rng rng(77);
+  struct Event {
+    uint32_t id;
+    double time;
+    Point position;
+  };
+  std::vector<Event> history;
+  const auto check = [&](double now, int step) {
+    std::map<uint32_t, std::vector<Point>> live;
+    for (const Event& e : history) {
+      if (e.time >= now - 40) live[e.id].push_back(e.position);
+    }
+    const auto expected = BatchInfluence(candidates, live, options.config);
+    ASSERT_EQ(engine.NumLiveObjects(), live.size()) << "step " << step;
+    for (size_t j = 0; j < candidates.size(); ++j) {
+      ASSERT_EQ(engine.InfluenceOf(j), expected[j])
+          << "step " << step << " candidate " << j;
+    }
+  };
+  // Append for 60 s (the window starts expiring at 40 s), one observation
+  // a second, every other one exactly on a candidate.
+  double now = 0.0;
+  for (int step = 0; step < 60; ++step) {
+    now = static_cast<double>(step);
+    const auto id = static_cast<uint32_t>(rng.UniformInt(0, 5));
+    const Point& c = candidates[rng.UniformInt(0, 4)];
+    const Point p = step % 2 == 0
+                        ? c
+                        : Point{c.x + rng.Uniform(-800, 800),
+                                c.y + rng.Uniform(-800, 800)};
+    engine.Observe(id, now, p);
+    history.push_back({id, now, p});
+    check(now, step);
+  }
+  // Then let the window drain a few seconds at a time until it is empty.
+  for (int step = 60; engine.NumLivePositions() > 0; ++step) {
+    now += 3.0;
+    engine.AdvanceTo(now);
+    check(now, step);
+  }
+  EXPECT_EQ(engine.NumLiveObjects(), 0u);
+  for (size_t j = 0; j < candidates.size(); ++j) {
+    EXPECT_EQ(engine.InfluenceOf(j), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pfs, StreamingSaturatedTest,
+    ::testing::Values(std::make_shared<LinearPF>(1.0, 3000.0),
+                      std::make_shared<PowerLawPF>(1.0, 1.0)),
+    [](const ::testing::TestParamInfo<ProbabilityFunctionPtr>&
+           info) { return info.index == 0 ? "LinearRho1" : "PowerLawRho1"; });
 
 TEST(StreamingTest, ReobservationAfterFullExpiry) {
   const std::vector<Point> candidates = {{0, 0}};
