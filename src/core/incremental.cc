@@ -60,6 +60,16 @@ const ProbabilityFunction& CheckedPf(const SolverConfig& config) {
   return *config.pf;
 }
 
+/// The table the stream's brackets sum: the kernel's filter, or a portable
+/// one where the kernel runs scalar and builds none.
+std::shared_ptr<const SimdInfluenceFilter> StreamTable(
+    const InfluenceKernel& kernel) {
+  if (kernel.filter() != nullptr) return kernel.filter();
+  return std::make_shared<const SimdInfluenceFilter>(
+      kernel.pf(), kernel.tau(), kernel.early_exit_log_survival(),
+      SimdTier::kPortable);
+}
+
 }  // namespace
 
 IncrementalPrimeLS::IncrementalPrimeLS(std::vector<Point> candidates,
@@ -69,11 +79,7 @@ IncrementalPrimeLS::IncrementalPrimeLS(std::vector<Point> candidates,
       influence_(candidates_.size(), 0),
       rtree_(BuildCandidateRTree(candidates_, config_.rtree_fanout)),
       kernel_(CheckedPf(config_), config_.tau),
-      // Built for its bound table and thresholds only — Filter() is never
-      // called, so the portable tier is fine on every architecture and
-      // under every override, and the table is the same on every tier.
-      delta_table_(*config_.pf, config_.tau, kernel_.early_exit_log_survival(),
-                   SimdTier::kPortable),
+      delta_table_(StreamTable(kernel_)),
       self_check_(SelfCheckEnabled()) {
   for (uint32_t j = 0; j < influence_.size(); ++j) order_.emplace(0, j);
 }
@@ -117,7 +123,7 @@ size_t IncrementalPrimeLS::NumPositionsOf(uint32_t object_id) const {
 IncrementalPrimeLS::DeltaThresholds IncrementalPrimeLS::ThresholdsFor(
     size_t n) const {
   DeltaThresholds t;
-  t.span = delta_table_.Thresholds(n);
+  t.span = delta_table_->Thresholds(n);
   t.fixed = simd_internal::ToFixed(t.span);
   t.fixed_exact = n <= simd_internal::kMaxFixedTerms;
   return t;
@@ -216,7 +222,7 @@ void ApplyTerm(const ProbabilityFunction& pf, const Point& location,
 
 void IncrementalPrimeLS::FoldTable(WatchEntry& entry,
                                    std::span<const Point> span) {
-  const simd_internal::FilterTable& table = delta_table_.table();
+  const simd_internal::FilterTable& table = delta_table_->table();
   const simd_internal::SlotOf slot(table);
   const Point c = candidates_[entry.candidate];
   entry.lo = entry.hi = entry.inf = 0;
@@ -397,7 +403,7 @@ size_t IncrementalPrimeLS::ApplyDelta(LiveObject& live, const Point& position,
   live.min_max_radius = RadiusFor(n);
 
   const DeltaThresholds thresholds = ThresholdsFor(n);
-  const simd_internal::FilterTable& table = delta_table_.table();
+  const simd_internal::FilterTable& table = delta_table_->table();
   const simd_internal::SlotOf slot(table);
   size_t next = 0;  // d.band[next] belongs to the next banded entry
   for (WatchEntry& entry : d.watch) {

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -248,8 +249,10 @@ class IncrementalPrimeLS {
   InfluenceKernel kernel_;
   /// The SIMD filter's bound table and thresholds: the table brackets sum
   /// its fixed-point slots, so the stream's decisions and the vector
-  /// filter's share one proof. Filter() is never called on it.
-  SimdInfluenceFilter delta_table_;
+  /// filter's share one proof. It is kernel_'s own filter, or on the scalar
+  /// tier, where the kernel builds none, a portable one; the table is the
+  /// same on every tier. Filter() is never called on it here.
+  std::shared_ptr<const SimdInfluenceFilter> delta_table_;
   DeltaCounters counters_;
   bool self_check_ = false;
 };

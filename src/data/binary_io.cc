@@ -1,8 +1,10 @@
 #include "data/binary_io.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <limits>
+#include <type_traits>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -12,12 +14,21 @@ namespace {
 constexpr char kMagic[8] = {'P', 'I', 'N', 'O', 'D', 'A', 'T', 'A'};
 constexpr uint32_t kVersion = 1;
 
-// Sanity caps so a corrupted length field cannot trigger a huge
-// allocation before the read fails.
+// Structural caps on the length fields. They bound no allocation (a
+// 2^32-venue table is 64 GiB): arrays grow only as their bytes arrive (see
+// ReadArray), which is what keeps a corrupted count from allocating more
+// than the stream holds.
 constexpr uint64_t kMaxVenues = 1ull << 32;
 constexpr uint64_t kMaxObjects = 1ull << 32;
 constexpr uint64_t kMaxPositionsPerObject = 1ull << 24;
 constexpr uint32_t kMaxNameLength = 1 << 16;
+
+// Elements an array may grow by before any of its bytes have arrived.
+constexpr uint64_t kFirstChunk = 1 << 16;
+
+static_assert(std::is_trivially_copyable_v<Point> &&
+                  sizeof(Point) == 2 * sizeof(double),
+              "a venue or position is its f64 x, f64 y on disk");
 
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {
@@ -28,6 +39,26 @@ template <typename T>
 bool ReadPod(std::istream& in, T* value) {
   in.read(reinterpret_cast<char*>(value), sizeof(T));
   return in.gcount() == static_cast<std::streamsize>(sizeof(T));
+}
+
+// Reads `count` elements into `*out`: one read up to kFirstChunk
+// elements, doubling reads past that. Each read asks for at most as many
+// elements as have already arrived, so a count past the end of the stream
+// fails having allocated at most kFirstChunk elements or about twice what
+// the stream held.
+template <typename T>
+bool ReadArray(std::istream& in, uint64_t count, std::vector<T>* out) {
+  out->clear();
+  while (out->size() < count) {
+    const size_t done = out->size();
+    const auto chunk = static_cast<size_t>(
+        std::min<uint64_t>(count - done, std::max<uint64_t>(done, kFirstChunk)));
+    out->resize(done + chunk);
+    const auto bytes = static_cast<std::streamsize>(chunk * sizeof(T));
+    in.read(reinterpret_cast<char*>(out->data() + done), bytes);
+    if (in.gcount() != bytes) return false;
+  }
+  return true;
 }
 
 bool Fail(std::string* error, const std::string& message) {
@@ -104,15 +135,13 @@ bool LoadDatasetBinary(std::istream& in, CheckinDataset* dataset,
   if (!ReadPod(in, &venue_count) || venue_count > kMaxVenues) {
     return Fail(error, "bad venue count");
   }
-  dataset->venues.resize(venue_count);
-  for (Point& v : dataset->venues) {
-    if (!ReadPod(in, &v.x) || !ReadPod(in, &v.y)) {
-      return Fail(error, "truncated venue table");
-    }
+  if (!ReadArray(in, venue_count, &dataset->venues)) {
+    return Fail(error, "truncated venue table");
   }
-  dataset->venue_checkins.resize(venue_count);
-  for (int64_t& c : dataset->venue_checkins) {
-    if (!ReadPod(in, &c)) return Fail(error, "truncated venue counts");
+  if (!ReadArray(in, venue_count, &dataset->venue_checkins)) {
+    return Fail(error, "truncated venue counts");
+  }
+  for (int64_t c : dataset->venue_checkins) {
     if (c < 0) return Fail(error, "negative venue check-in count");
   }
 
@@ -120,18 +149,16 @@ bool LoadDatasetBinary(std::istream& in, CheckinDataset* dataset,
   if (!ReadPod(in, &object_count) || object_count > kMaxObjects) {
     return Fail(error, "bad object count");
   }
-  dataset->objects.resize(object_count);
-  for (MovingObject& o : dataset->objects) {
+  // Objects are appended as they are read, for the reason ReadArray grows.
+  for (uint64_t k = 0; k < object_count; ++k) {
+    MovingObject& o = dataset->objects.emplace_back();
     uint64_t position_count = 0;
     if (!ReadPod(in, &o.id) || !ReadPod(in, &position_count) ||
         position_count > kMaxPositionsPerObject) {
       return Fail(error, "bad object header");
     }
-    o.positions.resize(position_count);
-    for (Point& p : o.positions) {
-      if (!ReadPod(in, &p.x) || !ReadPod(in, &p.y)) {
-        return Fail(error, "truncated positions");
-      }
+    if (!ReadArray(in, position_count, &o.positions)) {
+      return Fail(error, "truncated positions");
     }
   }
   dataset->spec.num_users = dataset->objects.size();

@@ -76,6 +76,12 @@ class InfluenceKernel {
   /// and every decision takes the scalar path.
   SimdTier simd_tier() const { return tier_; }
 
+  /// The filter DecideMany runs, null on kScalar. The stream engine sums
+  /// its bound table instead of building a second one.
+  const std::shared_ptr<const SimdInfluenceFilter>& filter() const {
+    return filter_;
+  }
+
   /// Exact Pr_c(O) over a position span; identical accumulation (and hence
   /// bit-identical result) to the scalar CumulativeInfluenceProbability.
   double Probability(const Point& candidate,

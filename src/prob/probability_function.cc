@@ -1,6 +1,9 @@
 #include "prob/probability_function.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -47,25 +50,45 @@ double ProbabilityFunction::MinMaxRadius(double tau, size_t n) const {
   // still clears tau. The analytic Inverse lands near that boundary but
   // can round to either side of it (and in locally flat PF regions the
   // two can sit many representable values apart), so locate the boundary
-  // by bisection on the certify predicate, which is monotone in distance.
-  double lo = 0.0;  // certifies (checked above)
-  double hi = Inverse(per_position);
-  if (!(hi > 0.0)) hi = 1.0;  // seed the probe when the inverse is 0/NaN
-  while (CertifiesInfluence((*this)(hi), n, tau)) {
+  // on the certify predicate, which is monotone in distance. Non-negative
+  // doubles order like their bit patterns, 0 through +inf, so the search
+  // runs on those: gallop away from the analytic seed in doubling ulp
+  // steps until the predicate flips, then bisect the bracket down to two
+  // adjacent doubles. The seed is usually a few ulps off, so a radius
+  // costs a handful of evaluations, and never more than about 128.
+  const auto certifies = [&](uint64_t bits) {
+    return CertifiesInfluence((*this)(std::bit_cast<double>(bits)), n, tau);
+  };
+  constexpr uint64_t kInfBits =
+      std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity());
+  double seed = Inverse(per_position);
+  if (!(seed > 0.0)) seed = 1.0;  // the inverse is 0 or NaN
+  uint64_t lo = 0;                // certifies (checked above)
+  uint64_t hi = std::bit_cast<uint64_t>(seed);
+  if (certifies(hi)) {
     lo = hi;
-    if (std::isinf(hi)) return hi;  // every distance certifies
-    hi *= 2.0;
-  }
-  while (true) {
-    const double mid = lo + 0.5 * (hi - lo);
-    if (mid <= lo || mid >= hi) break;  // lo and hi are adjacent doubles
-    if (CertifiesInfluence((*this)(mid), n, tau)) {
-      lo = mid;
-    } else {
-      hi = mid;
+    for (uint64_t step = 1; lo != kInfBits; step *= 2) {
+      hi = kInfBits - lo > step ? lo + step : kInfBits;
+      if (!certifies(hi)) break;
+      lo = hi;
+    }
+  } else {
+    for (uint64_t step = 1;; step *= 2) {
+      const uint64_t probe = hi > step ? hi - step : 0;
+      if (probe == 0 || certifies(probe)) {
+        lo = probe;
+        break;
+      }
+      hi = probe;
     }
   }
-  return lo;
+  // certifies(lo) and !certifies(hi), or lo = hi = +inf (every distance
+  // certifies); bisect down to adjacent patterns.
+  while (hi - lo > 1) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    (certifies(mid) ? lo : hi) = mid;
+  }
+  return std::bit_cast<double>(lo);
 }
 
 }  // namespace pinocchio

@@ -1,6 +1,9 @@
 #include "data/binary_io.h"
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -67,24 +70,85 @@ TEST(BinaryIoTest, RejectsEmptyStream) {
   EXPECT_FALSE(LoadDatasetBinary(buffer, &dataset, &error));
 }
 
-TEST(BinaryIoTest, RejectsTruncation) {
-  const CheckinDataset original = SmallDataset();
-  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
-  SaveDatasetBinary(original, buffer);
-  const std::string bytes = buffer.str();
+// A snapshot a few hundred bytes long: every field kind, cheap to cut at
+// every offset.
+CheckinDataset TinyDataset() {
+  DatasetSpec spec;
+  spec.name = "tiny";
+  spec.seed = 5;
+  spec.num_users = 4;
+  spec.num_venues = 6;
+  spec.target_checkins = 24;
+  spec.min_checkins_per_user = 2;
+  spec.max_checkins_per_user = 10;
+  return GenerateCheckinDataset(spec);
+}
 
-  // Chop the snapshot at several depths; every prefix must fail cleanly.
-  for (size_t cut : {9ul, 20ul, bytes.size() / 4, bytes.size() / 2,
-                     bytes.size() - 3}) {
-    std::stringstream truncated(std::ios::in | std::ios::out |
-                                std::ios::binary);
-    truncated.write(bytes.data(), static_cast<std::streamsize>(cut));
-    CheckinDataset dataset;
-    std::string error;
-    EXPECT_FALSE(LoadDatasetBinary(truncated, &dataset, &error))
-        << "cut at " << cut << " unexpectedly parsed";
-    EXPECT_FALSE(error.empty());
+std::string SnapshotBytes(const CheckinDataset& dataset) {
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  SaveDatasetBinary(dataset, buffer);
+  return buffer.str();
+}
+
+// Loads `bytes`; on failure returns the error, on success "".
+std::string LoadError(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::in | std::ios::binary);
+  CheckinDataset dataset;
+  std::string error;
+  if (LoadDatasetBinary(in, &dataset, &error)) return "";
+  return error.empty() ? "(empty error)" : error;
+}
+
+TEST(BinaryIoTest, RejectsTruncation) {
+  const std::string bytes = SnapshotBytes(TinyDataset());
+  ASSERT_EQ(LoadError(bytes), "");
+  // Every proper prefix must fail cleanly, with an error.
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_NE(LoadError(bytes.substr(0, cut)), "")
+        << "cut at " << cut << " of " << bytes.size() << " unexpectedly parsed";
   }
+}
+
+// Offsets of the length fields of a snapshot (see the format in
+// data/binary_io.h).
+size_t VenueCountOffset(const CheckinDataset& dataset) {
+  return 8 + 4 + 4 + dataset.spec.name.size() + 5 * 8;
+}
+size_t ObjectCountOffset(const CheckinDataset& dataset) {
+  return VenueCountOffset(dataset) + 8 + dataset.venues.size() * (16 + 8);
+}
+size_t FirstPositionCountOffset(const CheckinDataset& dataset) {
+  return ObjectCountOffset(dataset) + 8 + 4;
+}
+
+std::string WithCount(std::string bytes, size_t offset, uint64_t count) {
+  std::memcpy(bytes.data() + offset, &count, sizeof(count));
+  return bytes;
+}
+
+// A count the caps admit but the stream does not hold fails with an error
+// once the stream ends, instead of sizing an array from it up front (a
+// 2^32 - 1 venue table is 64 GiB).
+TEST(BinaryIoTest, RejectsCorruptedCounts) {
+  const CheckinDataset dataset = TinyDataset();
+  ASSERT_FALSE(dataset.objects.empty());
+  const std::string bytes = SnapshotBytes(dataset);
+  EXPECT_EQ(LoadError(WithCount(bytes, VenueCountOffset(dataset),
+                                (uint64_t{1} << 32) - 1)),
+            "truncated venue table");
+  EXPECT_EQ(LoadError(WithCount(bytes, ObjectCountOffset(dataset),
+                                (uint64_t{1} << 32) - 1)),
+            "bad object header");
+  EXPECT_EQ(LoadError(WithCount(bytes, FirstPositionCountOffset(dataset),
+                                uint64_t{1} << 24)),
+            "truncated positions");
+  // Past the caps the count itself is refused.
+  EXPECT_EQ(LoadError(WithCount(bytes, VenueCountOffset(dataset),
+                                (uint64_t{1} << 32) + 1)),
+            "bad venue count");
+  EXPECT_EQ(LoadError(WithCount(bytes, FirstPositionCountOffset(dataset),
+                                (uint64_t{1} << 24) + 1)),
+            "bad object header");
 }
 
 TEST(BinaryIoTest, RejectsUnsupportedVersion) {

@@ -1,10 +1,12 @@
 // Tests of Definition 5 (minMaxRadius) and Theorems 1-2 — the foundations
 // of both pruning rules.
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -16,6 +18,7 @@
 #include "prob/alternative_pfs.h"
 #include "prob/influence.h"
 #include "prob/power_law.h"
+#include "testing/min_max_radius_reference.h"
 #include "util/random.h"
 
 namespace pinocchio {
@@ -110,57 +113,116 @@ TEST(MinMaxRadiusTest, LargeNStaysFinitePowerLaw) {
   EXPECT_GT(radius, pf.MinMaxRadius(0.7, 10));
 }
 
-// MinMaxRadius with the cumulative test written as a per-position loop,
-// log1p evaluated once per term: the reference that the library's
-// bisection, which evaluates the term once per test, must equal bit for
-// bit.
-double PerTermMinMaxRadius(const ProbabilityFunction& pf, double tau,
-                           size_t n) {
-  const auto certifies = [&](double prob) {
-    if (prob >= 1.0) return true;
-    double log_survival = 0.0;
-    for (size_t i = 0; i < n; ++i) log_survival += std::log1p(-prob);
-    return -std::expm1(log_survival) >= tau;
-  };
-  if (!certifies(pf(0.0))) return ProbabilityFunction::kUninfluenceable;
-  double lo = 0.0;
-  double hi =
-      pf.Inverse(-std::expm1(std::log1p(-tau) / static_cast<double>(n)));
-  if (!(hi > 0.0)) hi = 1.0;
-  while (certifies(pf(hi))) {
-    lo = hi;
-    if (std::isinf(hi)) return hi;
-    hi *= 2.0;
+// The same at every distance: a reachable tau certifies at +inf.
+class ConstantPF : public ProbabilityFunction {
+ public:
+  explicit ConstantPF(double p) : p_(p) {}
+  double operator()(double) const override { return p_; }
+  double Inverse(double prob) const override {
+    return prob <= p_ ? std::numeric_limits<double>::infinity() : 0.0;
   }
-  while (true) {
-    const double mid = lo + 0.5 * (hi - lo);
-    if (mid <= lo || mid >= hi) break;
-    (certifies(pf(mid)) ? lo : hi) = mid;
+  std::string Name() const override { return "Constant"; }
+
+ private:
+  double p_;
+};
+
+// The paper's default power law behind an Inverse that always returns
+// `inverse`: at 0 or NaN the search starts from 1.0, at +inf it gallops
+// down from +inf.
+class FixedSeedPF : public ProbabilityFunction {
+ public:
+  explicit FixedSeedPF(double inverse) : inverse_(inverse) {}
+  double operator()(double d) const override { return pf_(d); }
+  double Inverse(double) const override { return inverse_; }
+  std::string Name() const override {
+    return "FixedSeed(" + std::to_string(inverse_) + ")";
   }
-  return lo;
+
+ private:
+  PowerLawPF pf_{0.9, 1.0};
+  double inverse_;
+};
+
+// Counts evaluations of the PF it wraps.
+class CountingPF : public ProbabilityFunction {
+ public:
+  explicit CountingPF(const ProbabilityFunction& pf) : pf_(pf) {}
+  double operator()(double d) const override {
+    ++calls_;
+    return pf_(d);
+  }
+  double Inverse(double prob) const override { return pf_.Inverse(prob); }
+  std::string Name() const override { return pf_.Name(); }
+  int64_t calls() const { return calls_; }
+
+ private:
+  const ProbabilityFunction& pf_;
+  mutable int64_t calls_ = 0;
+};
+
+using testing_reference::PerTermCertifies;
+using testing_reference::PerTermMinMaxRadius;
+
+// The PFs of the sweep: the five families, power laws at extreme decay
+// rates and offsets, a constant PF (radius +inf) and PFs whose inverse
+// is 0, NaN or +inf.
+std::vector<std::shared_ptr<const ProbabilityFunction>> SweepPfs() {
+  return {std::make_shared<PowerLawPF>(0.9, 1.0),
+          std::make_shared<PowerLawPF>(0.5, 1.0),
+          std::make_shared<LinearPF>(0.5, 2000.0),
+          std::make_shared<LogsigPF>(0.5),
+          std::make_shared<ConvexPF>(0.5, 2000.0),
+          std::make_shared<ConcavePF>(0.5, 2000.0),
+          std::make_shared<PowerLawPF>(0.9, 0.1),
+          std::make_shared<PowerLawPF>(0.9, 10.0),
+          std::make_shared<PowerLawPF>(0.9, 1.0, /*d0=*/0.5),
+          std::make_shared<PowerLawPF>(0.9, 1.0, /*d0=*/3.0),
+          std::make_shared<ConstantPF>(0.3),
+          std::make_shared<FixedSeedPF>(0.0),
+          std::make_shared<FixedSeedPF>(std::nan("")),
+          std::make_shared<FixedSeedPF>(
+              std::numeric_limits<double>::infinity())};
 }
 
-// The radius is bit-identical to the per-term reference over a (tau, n)
-// sweep up to n = 1000, including the taus one ulp either side of the
-// reachability boundary -expm1(n log1p(-PF(0))), where the sentinel flips.
+// The taus of the sweep at n: a spread over (0, 1), taus so small that
+// the boundary of a PF with a zero tail (Linear, Convex, Concave) sits at
+// the tail's edge, and the taus one ulp either side of the reachability
+// boundary -expm1(n log1p(-PF(0))), where the sentinel flips.
+std::vector<double> SweepTaus(const ProbabilityFunction& pf, size_t n) {
+  std::vector<double> taus = {1e-300, 1e-17, 1e-9, 0.1, 0.3,
+                              0.5,    0.7,   0.9,  0.99};
+  double boundary = 0.0;
+  for (size_t i = 0; i < n; ++i) boundary += std::log1p(-pf(0.0));
+  const double reach = -std::expm1(boundary);
+  for (double t : {std::nextafter(reach, 0.0), reach,
+                   std::nextafter(reach, 1.0)}) {
+    if (t > 0.0 && t < 1.0) taus.push_back(t);
+  }
+  return taus;
+}
+
+constexpr size_t kSweepNs[] = {1, 2, 3, 7, 16, 64, 171, 500, 1000};
+
+// Whether the reference search starts from +inf and fails there, where
+// its value bisection stops at 0 (min_max_radius_reference.h): the power
+// law at lambda 0.1, whose analytic inverse overflows at tiny taus, and
+// FixedSeed(inf). The boundary test below covers those cases.
+bool ReferenceStartsPastTheBoundaryAtInfinity(const ProbabilityFunction& pf,
+                                              double tau, size_t n) {
+  const double inf = std::numeric_limits<double>::infinity();
+  return pf.Inverse(-std::expm1(std::log1p(-tau) / static_cast<double>(n))) ==
+             inf &&
+         !PerTermCertifies(pf, inf, n, tau);
+}
+
+// The radius is bit-identical to the per-term reference search over the
+// sweep, up to n = 1000.
 TEST(MinMaxRadiusTest, BitIdenticalToPerTermReference) {
-  const PowerLawPF power(0.9, 1.0);
-  const PowerLawPF half(0.5, 1.0);
-  const LinearPF linear(0.5, 2000.0);
-  for (const ProbabilityFunction* pf :
-       {static_cast<const ProbabilityFunction*>(&power),
-        static_cast<const ProbabilityFunction*>(&half),
-        static_cast<const ProbabilityFunction*>(&linear)}) {
-    for (size_t n : {1u, 2u, 3u, 7u, 16u, 64u, 171u, 500u, 1000u}) {
-      std::vector<double> taus = {0.1, 0.3, 0.5, 0.7, 0.9, 0.99};
-      double boundary = 0.0;
-      for (size_t i = 0; i < n; ++i) boundary += std::log1p(-(*pf)(0.0));
-      const double reach = -std::expm1(boundary);
-      for (double t : {std::nextafter(reach, 0.0), reach,
-                       std::nextafter(reach, 1.0)}) {
-        if (t > 0.0 && t < 1.0) taus.push_back(t);
-      }
-      for (double tau : taus) {
+  for (const auto& pf : SweepPfs()) {
+    for (size_t n : kSweepNs) {
+      for (double tau : SweepTaus(*pf, n)) {
+        if (ReferenceStartsPastTheBoundaryAtInfinity(*pf, tau, n)) continue;
         const double got = pf->MinMaxRadius(tau, n);
         const double want = PerTermMinMaxRadius(*pf, tau, n);
         EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
@@ -169,6 +231,36 @@ TEST(MinMaxRadiusTest, BitIdenticalToPerTermReference) {
       }
     }
   }
+}
+
+// Over the same sweep the radius is the boundary itself: n positions at
+// the radius certify and n positions one double farther do not (+inf and
+// the sentinel aside), and the search stays within its ~128-evaluation
+// worst case.
+TEST(MinMaxRadiusTest, LargestCertifyingDistanceWithinBoundedSearch) {
+  int64_t worst = 0;
+  for (const auto& pf : SweepPfs()) {
+    for (size_t n : kSweepNs) {
+      for (double tau : SweepTaus(*pf, n)) {
+        const CountingPF counted(*pf);
+        const double radius = counted.MinMaxRadius(tau, n);
+        worst = std::max(worst, counted.calls());
+        if (radius == ProbabilityFunction::kUninfluenceable) {
+          EXPECT_FALSE(PerTermCertifies(*pf, 0.0, n, tau));
+          continue;
+        }
+        EXPECT_TRUE(PerTermCertifies(*pf, radius, n, tau))
+            << pf->Name() << " tau=" << tau << " n=" << n;
+        if (std::isinf(radius)) continue;
+        EXPECT_FALSE(PerTermCertifies(
+            *pf, std::nextafter(radius, std::numeric_limits<double>::infinity()),
+            n, tau))
+            << pf->Name() << " tau=" << tau << " n=" << n << " radius "
+            << radius;
+      }
+    }
+  }
+  EXPECT_LE(worst, 130);
 }
 
 // Theorems 1 and 2, exercised across PFs, taus and ns: positions placed

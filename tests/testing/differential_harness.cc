@@ -1,6 +1,7 @@
 #include "testing/differential_harness.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <deque>
 #include <filesystem>
@@ -32,6 +33,7 @@
 #include "prob/influence_kernel.h"
 #include "prob/power_law.h"
 #include "testing/instance_helpers.h"
+#include "testing/min_max_radius_reference.h"
 #include "util/random.h"
 #include "util/self_check.h"
 
@@ -320,6 +322,7 @@ class CaseChecker {
     const PreparedInstance prepared(fuzz_.instance, fuzz_.config);
     const SolverResult naive = NaiveSolver().Solve(prepared);
 
+    CheckRadii(prepared);
     CheckExactSolver(PinocchioSolver(), prepared, naive);
     CheckVOSolver(PinocchioVOSolver(), prepared, naive);
     CheckVOSolver(PinocchioVOStarSolver(), prepared, naive);
@@ -345,6 +348,32 @@ class CaseChecker {
   }
 
  private:
+  // Every record's minMaxRadius equals the reference search's bit for bit
+  // (testing/min_max_radius_reference.h), computed once per distinct n.
+  void CheckRadii(const PreparedInstance& prepared) {
+    Guard("minMaxRadius", [&] {
+      std::unordered_map<uint32_t, double> reference;
+      for (const ObjectRecord& rec : prepared.store().records()) {
+        const auto [it, fresh] = reference.try_emplace(rec.position_count);
+        if (fresh) {
+          it->second = testing_reference::PerTermMinMaxRadius(
+              prepared.pf(), prepared.tau(), rec.position_count);
+        }
+        if (std::bit_cast<uint64_t>(rec.min_max_radius) !=
+            std::bit_cast<uint64_t>(it->second)) {
+          std::ostringstream msg;
+          msg.precision(17);
+          msg << "minMaxRadius(tau=" << prepared.tau()
+              << ", n=" << rec.position_count << ") of object "
+              << rec.object_id << " is " << rec.min_max_radius
+              << " but the reference search gives " << it->second;
+          Fail(msg.str());
+          return;
+        }
+      }
+    });
+  }
+
   void CheckExactSolver(const Solver& solver, const PreparedInstance& prepared,
                         const SolverResult& naive) {
     Guard(solver.Name(), [&] {

@@ -1,10 +1,11 @@
 // Differential fuzzing harness: generates randomized PRIME-LS instances
 // (sweeping sizes, all PF families, boundary tau values and degenerate
-// geometries), runs every solver plus the skyline/diversified/approx
-// families, the exact pass a server caches per snapshot (with the skyline
-// and diversified families replayed over it) and the stream engine's
-// position-delta path (IncrementalPrimeLS and StreamingPrimeLS), and
-// diffs the results against the NaiveSolver
+// geometries), checks every prepared minMaxRadius against the reference
+// search (min_max_radius_reference.h), runs every solver plus the
+// skyline/diversified/approx families, the exact pass a server caches per
+// snapshot (with the skyline and diversified families replayed over it)
+// and the stream engine's position-delta path (IncrementalPrimeLS and
+// StreamingPrimeLS), and diffs the results against the NaiveSolver
 // oracle, or against PIN over the slid windows. On a mismatch — or a
 // PINOCCHIO_SELF_CHECK violation raised while solving — it records a
 // human-readable failure and, when a reproducer directory is configured,
@@ -57,9 +58,9 @@ struct FuzzOptions {
   /// demand.
   std::string reproducer_dir;
   /// Also exercise the auxiliary paths (the exact pass, skyline,
-  /// diversified, approx and the position-delta engine). The core solver
-  /// differential (PIN, PIN-VO, PIN-VO*, their thread sweeps and the two
-  /// baselines) always runs.
+  /// diversified, approx and the position-delta engine). The radius check
+  /// and the core solver differential (PIN, PIN-VO, PIN-VO*, their thread
+  /// sweeps and the two baselines) always run.
   bool check_auxiliary = true;
   /// Polled between cases; returning true stops the sweep early with the
   /// partial summary (FuzzSummary::interrupted set). The fuzz driver

@@ -1,16 +1,60 @@
 // pinocchio_server refuses malformed and out-of-range operator flags: it
 // exits 2 with a message naming the flag before it loads data or opens a
 // socket, instead of aborting on a check, wrapping through a cast,
-// listening on a truncated port or serving at a default.
+// listening on a truncated port or serving at a default. A dataset file it
+// cannot load makes it exit 1, also before it listens.
 
 #include <sys/wait.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "data/binary_io.h"
+#include "data/checkin_dataset.h"
+
 namespace {
+
+// The sanitizers reserve terabytes of address space up front, so the
+// server can run under an address-space cap only without them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+struct ServerRun {
+  int status = 0;
+  std::string output;
+};
+
+// Runs the server at a small scale with `flags`, stdout and stderr merged.
+// `timeout` turns a server that accepts its input and starts serving into
+// a failed case instead of a hung one.
+ServerRun RunServer(const std::string& flags, const std::string& prefix = "") {
+  const std::string command = prefix + "timeout 20 " + PINOCCHIO_SERVER_BIN +
+                              " --scale=0.02 --port=0 " + flags + " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return {-1, "popen failed: " + command};
+  ServerRun run;
+  char buffer[256];
+  while (const size_t n = fread(buffer, 1, sizeof(buffer), pipe)) {
+    run.output.append(buffer, n);
+  }
+  run.status = pclose(pipe);
+  return run;
+}
 
 struct ServerFlagRow {
   const char* name;
@@ -23,23 +67,44 @@ class ServerOutOfRangeFlagTest
 
 TEST_P(ServerOutOfRangeFlagTest, ExitsTwoWithAMessage) {
   const ServerFlagRow& row = GetParam();
-  // `timeout` turns a server that accepts the flag and starts serving into
-  // a failed case instead of a hung one.
-  const std::string command = std::string("timeout 20 ") +
-                              PINOCCHIO_SERVER_BIN +
-                              " --scale=0.02 --port=0 " + row.flag + " 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  std::string output;
-  char buffer[256];
-  while (const size_t n = fread(buffer, 1, sizeof(buffer), pipe)) {
-    output.append(buffer, n);
-  }
-  const int status = pclose(pipe);
-  ASSERT_TRUE(WIFEXITED(status)) << output;
-  EXPECT_EQ(WEXITSTATUS(status), 2) << output;
-  EXPECT_NE(output.find(row.message), std::string::npos) << output;
-  EXPECT_EQ(output.find("listening"), std::string::npos) << output;
+  const ServerRun run = RunServer(row.flag);
+  ASSERT_TRUE(WIFEXITED(run.status)) << run.output;
+  EXPECT_EQ(WEXITSTATUS(run.status), 2) << run.output;
+  EXPECT_NE(run.output.find(row.message), std::string::npos) << run.output;
+  EXPECT_EQ(run.output.find("listening"), std::string::npos) << run.output;
+}
+
+// A .pino whose venue count claims 2^32 - 1 venues (64 GiB) exits 1 with
+// "failed to load" instead of aborting on bad_alloc. Without a sanitizer
+// the server runs under a 4 GiB address-space cap, so a loader that sizes
+// its arrays from the count fails fast instead of paging memory in.
+TEST(ServerDatasetTest, CorruptedVenueCountExitsOne) {
+  pinocchio::DatasetSpec spec;
+  spec.name = "corrupt";
+  spec.num_users = 4;
+  spec.num_venues = 6;
+  spec.target_checkins = 24;
+  spec.min_checkins_per_user = 2;
+  spec.max_checkins_per_user = 10;
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  pinocchio::SaveDatasetBinary(pinocchio::GenerateCheckinDataset(spec),
+                               buffer);
+  std::string bytes = buffer.str();
+  // The venue count follows the magic, version, name and five spec fields.
+  const uint64_t count = (uint64_t{1} << 32) - 1;
+  std::memcpy(bytes.data() + 8 + 4 + 4 + spec.name.size() + 5 * 8, &count,
+              sizeof(count));
+  const std::string path =
+      ::testing::TempDir() + "/server_flags_test_corrupt_venues.pino";
+  std::ofstream(path, std::ios::binary) << bytes;
+
+  const ServerRun run = RunServer(
+      "--in=" + path, kSanitized ? "" : "ulimit -v 4194304 && exec ");
+  ASSERT_TRUE(WIFEXITED(run.status)) << run.output;
+  EXPECT_EQ(WEXITSTATUS(run.status), 1) << run.output;
+  EXPECT_NE(run.output.find("failed to load"), std::string::npos)
+      << run.output;
+  EXPECT_EQ(run.output.find("listening"), std::string::npos) << run.output;
 }
 
 INSTANTIATE_TEST_SUITE_P(

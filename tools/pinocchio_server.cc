@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/morsel_scheduler.h"
 #include "data/binary_io.h"
@@ -175,7 +176,6 @@ int main(int argc, char** argv) {
   }
 
   ProblemInstance instance;
-  instance.objects = dataset.objects;
   if (!dataset.venues.empty()) {
     const size_t count = std::min(num_candidates, dataset.venues.size());
     instance.candidates = SampleCandidates(dataset, count, seed).points;
@@ -190,6 +190,9 @@ int main(int argc, char** argv) {
       instance.candidates.push_back(pool[idx]);
     }
   }
+  // Moved, not copied, once the no-venue fallback has sampled from them:
+  // the snapshot's instance and the store's arena keep every position.
+  instance.objects = std::move(dataset.objects);
   if (instance.objects.empty() || instance.candidates.empty()) {
     std::cerr << "dataset yields an empty instance\n";
     return 1;
