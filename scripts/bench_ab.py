@@ -10,6 +10,8 @@ runner, taken alongside, never against a checked-in number:
   * benchmark/run.py --trace 0 on every workload, one pair per workload
     and seed 1..PAIRS, the two runs of a pair back to back and the first
     side alternating from seed to seed, judged by benchmark/compare.py;
+    each side's median per-op p50 is printed after it, not gated, so a
+    p50_ms move can be traced to the op that sets it;
   * RUNS runs a side of each JSONL bench: bench_micro's BM_Validation*
     rungs, bench_query_families, bench_streaming_ingest (scale 0.05) and
     bench_ablation_parallel. Each rung's seconds are judged by
@@ -113,8 +115,9 @@ def benchmark_pairs(trees):
     both runs of a pair alike. Returns compare.py's exit code, or None
     when a run failed."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
     for seed in range(1, PAIRS + 1):
-        for workload in (w["name"] for w in spec["workloads"]):
+        for workload in workloads:
             for tree in (trees if seed % 2 else trees[::-1]):
                 runs = tree / "build-ab" / "runs"
                 with open(runs / f"{workload}-s{seed}.log", "w") as log:
@@ -127,9 +130,29 @@ def benchmark_pairs(trees):
                     report_failure(f"benchmark/run.py --workload {workload} "
                                    f"--seed {seed} failed in {tree}", log.name)
                     return None
-    return subprocess.run(
+    code = subprocess.run(
         [sys.executable, ROOT / "benchmark" / "compare.py",
          *(tree / "build-ab" / "runs" / "results" for tree in trees)]).returncode
+    print_per_op(trees, workloads)
+    return code
+
+
+def print_per_op(trees, workloads):
+    """Prints each side's median of every op's p50 (detail.per_op.<op>.p50_ms)
+    per workload over the pairs. Not gated."""
+    sides = [compare.load(tree / "build-ab" / "runs" / "results") for tree in trees]
+    print("== per-op p50_ms, medians over the pairs (not gated)")
+    print(f"  {'workload/op':<24} {'A (ms)':>10} {'B (ms)':>10}")
+    for workload in workloads:
+        # per_op[side] = the detail.per_op object of each of its runs
+        per_op = [[run["detail"]["per_op"] for (name, _, _), run in side.items()
+                   if name == workload] for side in sides]
+        for op in sorted({op for runs in per_op for run in runs for op in run}):
+            cells = []
+            for runs in per_op:
+                values = [run[op]["p50_ms"] for run in runs if op in run]
+                cells.append(f"{statistics.median(values):.4g}" if values else "-")
+            print(f"  {workload + '/' + op:<24} {cells[0]:>10} {cells[1]:>10}")
 
 
 def median_of(runs, name, field):

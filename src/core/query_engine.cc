@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -129,6 +130,13 @@ namespace {
 // A slot is kClosed while it lies beyond the window and kOpen inside it
 // until the walk (kWalk) or a helper (kRunning, then kDone) claims it.
 // When the walk ends it cancels every slot nobody claimed.
+//
+// Every store a thread may be blocked on, and every wait, is seq_cst.
+// libstdc++'s notify skips the futex wake while its waiter count reads
+// zero, and a waiter raises that count before it reads the state: with a
+// release store, the count's load may pass the store (store buffering),
+// and a waiter then sleeps on a slot that was opened or finished without
+// a wake.
 enum SlotState : uint32_t {
   kClosed,
   kOpen,
@@ -215,7 +223,7 @@ InfluenceSetCounters SetDecider::Decide(size_t i, int64_t budget) {
   // would, until it is done, and block only when none is left.
   while (state == kRunning) {
     if (!SpeculateAhead(i)) {
-      slot.state.wait(kRunning, std::memory_order_acquire);
+      slot.state.wait(kRunning, std::memory_order_seq_cst);
     }
     state = slot.state.load(std::memory_order_acquire);
   }
@@ -237,7 +245,7 @@ void SetDecider::Advance(size_t i, int64_t threshold) {
   threshold_.store(threshold, std::memory_order_relaxed);
   if (i + window_ < order_.size()) {
     Slot& slot = slots_[i + window_];
-    slot.state.store(kOpen, std::memory_order_release);
+    slot.state.store(kOpen, std::memory_order_seq_cst);
     slot.state.notify_one();
   }
 }
@@ -252,7 +260,7 @@ bool SetDecider::Speculate(size_t q) {
   const int64_t threshold = threshold_.load(std::memory_order_relaxed);
   slot.budget = RefutationBudget(upper_bound_(order_[q]), threshold);
   if (slot.budget >= 0) slot.decided = DecideSet(q, slot.budget);
-  slot.state.store(kDone, std::memory_order_release);
+  slot.state.store(kDone, std::memory_order_seq_cst);
   slot.state.notify_one();
   return true;
 }
@@ -272,7 +280,7 @@ void SetDecider::Help() {
   for (;;) {
     const size_t q = next_.fetch_add(1, std::memory_order_relaxed);
     if (q >= order_.size()) return;
-    slots_[q].state.wait(kClosed, std::memory_order_acquire);
+    slots_[q].state.wait(kClosed, std::memory_order_seq_cst);
     if (!Speculate(q) &&
         slots_[q].state.load(std::memory_order_relaxed) == kCancelled) {
       return;
@@ -286,6 +294,7 @@ void SetDecider::Cancel() {
     uint32_t old = state.load(std::memory_order_relaxed);
     while ((old == kClosed || old == kOpen) &&
            !state.compare_exchange_weak(old, kCancelled,
+                                        std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
     }
     if (old == kClosed) state.notify_one();
@@ -295,6 +304,14 @@ void SetDecider::Cancel() {
 // ---------------------------------------------------------------- skyline
 
 namespace {
+
+/// The order of a skyline's members: cost ascending, influence
+/// descending, candidate index ascending.
+bool MemberBefore(const SkylineMember& a, const SkylineMember& b) {
+  if (a.cost != b.cost) return a.cost < b.cost;
+  if (a.influence != b.influence) return a.influence > b.influence;
+  return a.candidate < b.candidate;
+}
 
 /// Skyline acceptance over (influence up, cost down). The walk is in cost
 /// order, so every settled candidate is at most as expensive as the current
@@ -355,25 +372,13 @@ class SkylinePolicy {
     // An aborted candidate is dominated; its exact influence is unknown
     // and irrelevant. Fully validated: the bracket has collapsed, minInf
     // is exact.
-    if (complete) SettleExact(j, min_inf_[j]);
-  }
-
-  // Admits j to the pool at a known exact influence; the replay over an
-  // exact pass settles every admitted candidate this way.
-  void SettleExact(uint32_t j, int64_t influence) {
-    pool_.push_back({j, influence, cost_[j]});
-    best_in_group_ = std::max(best_in_group_, influence);
+    if (!complete) return;
+    pool_.push_back({j, min_inf_[j], cost_[j]});
+    best_in_group_ = std::max(best_in_group_, min_inf_[j]);
   }
 
   void Finish() {
-    std::sort(pool_.begin(), pool_.end(),
-              [](const SkylineMember& a, const SkylineMember& b) {
-                if (a.cost != b.cost) return a.cost < b.cost;
-                if (a.influence != b.influence) {
-                  return a.influence > b.influence;
-                }
-                return a.candidate < b.candidate;
-              });
+    std::sort(pool_.begin(), pool_.end(), MemberBefore);
     // One pass in cost order: a pool member is dominated iff some kept
     // member has strictly higher influence, or equal influence at strictly
     // lower cost. best_cost_ is the cost of the first (cheapest) member
@@ -460,16 +465,35 @@ SkylineResult SolveSkyline(const PreparedInstance& prepared,
 
 SkylineResult SolveSkyline(const InfluenceSets& pass,
                            std::span<const double> cost) {
-  CheckSkylineCosts(cost, pass.num_candidates());
+  const size_t m = pass.num_candidates();
+  CheckSkylineCosts(cost, m);
   Stopwatch watch;
   SkylineResult result;
-  SkylinePolicy policy(cost, pass.min_inf, pass.max_inf, &result);
-  for (uint32_t j : SkylineOrder(cost, pass.min_inf, pass.max_inf)) {
-    if (policy.Admit(j) == CandidateAdmission::kEvaluate) {
-      policy.SettleExact(j, pass.Influence(j));
+  // least[i]: the least cost among the i most influential candidates.
+  std::vector<double> least(m + 1, std::numeric_limits<double>::infinity());
+  for (size_t i = 0; i < m; ++i) {
+    least[i + 1] = std::min(least[i], cost[pass.ranking[i]]);
+  }
+  for (uint32_t j = 0; j < m; ++j) {
+    if (least[pass.ge_max[j]] < cost[j] || least[pass.gt_max[j]] <= cost[j]) {
+      ++result.bound_skipped;
     }
   }
-  policy.Finish();
+  // Runs of equal influence along the ranking: a run whose least cost
+  // undercuts every more influential candidate (least[begin]) contributes
+  // its candidates at that cost.
+  for (size_t begin = 0, end = 0; begin < m; begin = end) {
+    const int64_t influence = pass.Influence(pass.ranking[begin]);
+    while (end < m && pass.Influence(pass.ranking[end]) == influence) ++end;
+    if (least[end] >= least[begin]) continue;
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t j = pass.ranking[i];
+      if (cost[j] == least[end]) {
+        result.members.push_back({j, influence, cost[j]});
+      }
+    }
+  }
+  std::sort(result.members.begin(), result.members.end(), MemberBefore);
   internal::FinishSolveTiming(&result.stats, watch.ElapsedSeconds());
   return result;
 }
@@ -599,6 +623,26 @@ InfluenceSets BuildInfluenceSets(const PreparedInstance& prepared,
       sets.min_inf[j] += w.influence[j];
       sets.max_inf[j] += w.influence[j] + w.remnants[j];
     }
+  }
+
+  // The reader index: PIN's ranking, then per candidate the prefixes of
+  // it whose influence reaches max_inf.
+  std::vector<int64_t> influence(m);
+  for (uint32_t j = 0; j < m; ++j) influence[j] = sets.Influence(j);
+  sets.ranking = internal::RankByInfluence(influence);
+  const auto prefix = [&](auto reaches) {
+    return static_cast<uint32_t>(
+        std::partition_point(
+            sets.ranking.begin(), sets.ranking.end(),
+            [&](uint32_t k) { return reaches(influence[k]); }) -
+        sets.ranking.begin());
+  };
+  sets.ge_max.resize(m);
+  sets.gt_max.resize(m);
+  for (size_t j = 0; j < m; ++j) {
+    const int64_t top = sets.max_inf[j];
+    sets.ge_max[j] = prefix([top](int64_t inf) { return inf >= top; });
+    sets.gt_max[j] = prefix([top](int64_t inf) { return inf > top; });
   }
   return sets;
 }

@@ -22,10 +22,11 @@
 //
 // The engine's other substrate is the exact pass (InfluenceSets): the
 // CSR influence sets of Algorithm 2's prune-and-validate loop, which also
-// carry every candidate's starting bracket. The greedy diversified
-// selection runs over it, and a skyline replayed over it equals the
-// engine walk's (a server builds it once per snapshot and answers both
-// families, and exact top-k, from it).
+// carry every candidate's starting bracket and a reader index (PIN's
+// ranking and, per candidate, how much of it reaches the bracket's top).
+// The greedy diversified selection runs over it, and a skyline read off
+// its index equals the engine walk's (a server builds it once per
+// snapshot and answers both families, and exact top-k, from it).
 //
 // Thread budget: the builders take a MorselScheduler and the families a
 // `num_threads` (default 1, 0 = hardware concurrency). The prune phases run
@@ -379,11 +380,20 @@ class TopKCutoffPolicy {
 /// BuildCandidateBrackets starts it (min_inf the IA credits, max_inf
 /// min_inf plus the verification set's size). A candidate's exact
 /// influence is the size of its set.
+///
+/// The reader index, built with the sets: `ranking` is PIN's ranking
+/// (internal::RankByInfluence: influence descending, index ascending), and
+/// ge_max[j] / gt_max[j] count the ranked candidates whose
+/// influence is >= / > max_inf[j], so each is a prefix length of
+/// `ranking`. Top-k reads the ranking and the skyline the counts.
 struct InfluenceSets {
   std::vector<uint32_t> offsets;  // size m + 1
   std::vector<uint32_t> objects;  // record indices
   std::vector<int64_t> min_inf;
   std::vector<int64_t> max_inf;
+  std::vector<uint32_t> ranking;
+  std::vector<uint32_t> ge_max;
+  std::vector<uint32_t> gt_max;
 
   size_t num_candidates() const {
     return offsets.empty() ? 0 : offsets.size() - 1;
@@ -400,7 +410,9 @@ struct InfluenceSets {
 /// Builds the exact pass over record morsels in one prune-and-validate
 /// loop: influenced pairs go to per-morsel lists transposed in morsel
 /// order, the prune classes to per-worker counts summed once, so every
-/// byte is the same at any budget.
+/// byte is the same at any budget. The reader index is then one sort of
+/// the candidates and two binary searches per candidate on the calling
+/// thread.
 InfluenceSets BuildInfluenceSets(
     const PreparedInstance& prepared, const InfluenceKernel& kernel,
     const MorselScheduler& scheduler = MorselScheduler(1));
@@ -440,13 +452,21 @@ SkylineResult SolveSkyline(const PreparedInstance& prepared,
                            std::span<const double> cost,
                            size_t num_threads = 1);
 
-/// The same skyline replayed over an exact pass: the walk in the same
-/// order on the pass's brackets, the same admission test (so the same
-/// bound_skipped), and every admitted candidate settled with its exact
-/// influence instead of being validated. A candidate the engine walk
-/// aborts is at most as influential as the maxima that dominated it, so
-/// settling it moves neither maximum and Finish() drops it: the members
-/// equal SolveSkyline's. Validates nothing, so `stats` holds timing only.
+/// The same skyline read off an exact pass's index in O(m) plus a sort of
+/// the members. With pm[i] the least cost among the first i ranked
+/// candidates (pm[0] = +inf):
+///   * j is bound-skipped iff pm[ge_max[j]] < cost[j] or
+///     pm[gt_max[j]] <= cost[j]: some candidate strictly cheaper reaches
+///     max_inf[j], or one at most as expensive exceeds it;
+///   * the members are, per run of equal influence along the ranking
+///     whose least cost c lies below every more influential candidate's,
+///     the run's candidates at cost c, each keeping its own cost.
+/// Both equal the engine walk's: a candidate the walk skips or aborts has
+/// influence below the threshold it failed, so it never raises the walk's
+/// running maxima, which are therefore maxima over every cheaper
+/// candidate; and an equal-cost candidate whose influence exceeds
+/// max_inf[j] has a larger max_inf, so bound order walks it before j.
+/// Validates nothing, so `stats` holds timing only.
 SkylineResult SolveSkyline(const InfluenceSets& pass,
                            std::span<const double> cost);
 

@@ -27,15 +27,20 @@ SolverResult Solver::Solve(const ProblemInstance& instance,
 
 namespace internal {
 
+std::vector<uint32_t> RankByInfluence(std::span<const int64_t> influence) {
+  std::vector<uint32_t> ranking(influence.size());
+  std::iota(ranking.begin(), ranking.end(), 0u);
+  std::sort(ranking.begin(), ranking.end(),
+            [influence](uint32_t a, uint32_t b) {
+              return influence[a] != influence[b] ? influence[a] > influence[b]
+                                                  : a < b;
+            });
+  return ranking;
+}
+
 void FinalizeResultFromInfluence(SolverResult* result) {
-  const size_t m = result->influence.size();
-  result->ranking.resize(m);
-  std::iota(result->ranking.begin(), result->ranking.end(), 0u);
-  std::stable_sort(result->ranking.begin(), result->ranking.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     return result->influence[a] > result->influence[b];
-                   });
-  if (m > 0) {
+  result->ranking = RankByInfluence(result->influence);
+  if (!result->ranking.empty()) {
     result->best_candidate = result->ranking.front();
     result->best_influence = result->influence[result->best_candidate];
   }

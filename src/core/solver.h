@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,10 +63,13 @@ struct SolverStats {
   int64_t PairsPruned() const { return pairs_pruned_by_ia + pairs_pruned_by_nib; }
 };
 
+/// The best candidate of a solve over no candidates.
+inline constexpr uint32_t kNoCandidate = std::numeric_limits<uint32_t>::max();
+
 /// Outcome of a Solve() call.
 struct SolverResult {
   /// Index (into ProblemInstance::candidates) of the winning candidate.
-  uint32_t best_candidate = std::numeric_limits<uint32_t>::max();
+  uint32_t best_candidate = kNoCandidate;
   /// inf(best_candidate).
   int64_t best_influence = 0;
   /// Per-candidate influence. For exact solvers (NA, PIN) this is inf(c)
@@ -118,9 +122,13 @@ class Solver {
 
 namespace internal {
 
-/// Builds `ranking` / `best_*` fields of a result from its influence vector.
-/// Ties are broken towards the smaller candidate index, matching the
-/// sequential argmax of the paper's pseudo-code.
+/// PIN's ranking of `influence`: candidate indices by influence
+/// descending, ties towards the smaller index, matching the sequential
+/// argmax of the paper's pseudo-code.
+std::vector<uint32_t> RankByInfluence(std::span<const int64_t> influence);
+
+/// Builds `ranking` (RankByInfluence) and the `best_*` fields of a result
+/// from its influence vector.
 void FinalizeResultFromInfluence(SolverResult* result);
 
 /// Stamps the query-phase wall clock and keeps `elapsed_seconds` equal to

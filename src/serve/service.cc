@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -38,19 +39,6 @@ std::unique_ptr<Solver> MakeSolver(WireAlgorithm algorithm,
       return std::make_unique<NaiveSolver>();
   }
   return nullptr;
-}
-
-// PIN's result read off an exact pass: the same influences, ranking and
-// best candidate as PinocchioSolver on the snapshot the pass belongs to.
-SolverResult RankPass(const query::InfluenceSets& pass) {
-  SolverResult result;
-  result.influence.resize(pass.num_candidates());
-  for (uint32_t j = 0; j < result.influence.size(); ++j) {
-    result.influence[j] = pass.Influence(j);
-  }
-  result.influence_exact = true;
-  internal::FinalizeResultFromInfluence(&result);
-  return result;
 }
 
 bool ValidUpdate(const UpdateRequest& update, std::string* reason) {
@@ -120,19 +108,34 @@ Response InfluenceService::MakeError(ErrorCode code, std::string message) {
   return response;
 }
 
-Response InfluenceService::MakeSolveResponse(const ServerSnapshot& snap,
-                                             const SolverResult& result,
-                                             size_t k) {
+Response InfluenceService::MakeSolveResponse(
+    const ServerSnapshot& snap, std::span<const uint32_t> ranking,
+    FunctionRef<int64_t(uint32_t)> influence, size_t exact_prefix, size_t k,
+    double solve_seconds) {
   Response response;
   response.type = ResponseType::kSolve;
   SolveResponse& s = response.solve;
   s.epoch = snap.epoch;
   s.num_objects = snap.prepared.num_objects();
   s.num_candidates = snap.prepared.num_candidates();
-  s.best_candidate = result.best_candidate;
-  s.best_influence = result.best_influence;
-  s.solve_seconds = result.stats.solve_seconds;
-  const size_t count = std::min(k, result.ranking.size());
+  s.best_candidate = kNoCandidate;
+  if (!ranking.empty()) {
+    s.best_candidate = ranking.front();
+    s.best_influence = influence(s.best_candidate);
+  }
+  s.solve_seconds = solve_seconds;
+  const size_t count = std::min(k, ranking.size());
+  s.topk.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    s.topk.push_back(
+        {ranking[i], influence(ranking[i]), /*exact=*/i < exact_prefix});
+  }
+  return response;
+}
+
+Response InfluenceService::MakeSolveResponse(const ServerSnapshot& snap,
+                                             const SolverResult& result,
+                                             size_t k) {
   // VO solves guarantee exact influence only for the prepared top-k
   // prefix; entries past it may carry lower bounds. Exact solvers (PIN,
   // NA) mark everything exact via influence_exact.
@@ -140,13 +143,10 @@ Response InfluenceService::MakeSolveResponse(const ServerSnapshot& snap,
       result.influence_exact
           ? result.ranking.size()
           : std::min(snap.prepared.config().top_k, result.ranking.size());
-  s.topk.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const uint32_t candidate = result.ranking[i];
-    s.topk.push_back({candidate, result.influence[candidate],
-                      /*exact=*/i < exact_prefix});
-  }
-  return response;
+  return MakeSolveResponse(
+      snap, result.ranking,
+      [&result](uint32_t j) { return result.influence[j]; }, exact_prefix, k,
+      result.stats.solve_seconds);
 }
 
 Response InfluenceService::Do(const SolveRequest& request) {
@@ -166,12 +166,14 @@ Response InfluenceService::Do(const TopKRequest& request) {
   const size_t k =
       std::min<size_t>(std::max<uint32_t>(1, request.k), kMaxResponseTopK);
   const SnapshotPtr snap = holder_.Acquire();
-  // PIN's exact ranking from the snapshot's pass: every entry is exact at
-  // any k.
+  // PIN's exact ranking, read off the snapshot's pass: every entry is
+  // exact at any k, and the best candidate is PIN's.
   Stopwatch watch;
-  SolverResult result = RankPass(snap->ExactPass(options_.solve_threads));
-  result.stats.solve_seconds = watch.ElapsedSeconds();
-  return MakeSolveResponse(*snap, result, k);
+  const query::InfluenceSets& pass = snap->ExactPass(options_.solve_threads);
+  const double seconds = watch.ElapsedSeconds();
+  return MakeSolveResponse(
+      *snap, pass.ranking, [&pass](uint32_t j) { return pass.Influence(j); },
+      /*exact_prefix=*/pass.ranking.size(), k, seconds);
 }
 
 Response InfluenceService::Do(const ApproxTopKRequest& request) {
@@ -186,8 +188,7 @@ Response InfluenceService::Do(const ApproxTopKRequest& request) {
   // The snapshot's pass gives PIN's exact top-k: a degenerate bracket at
   // the exact influence satisfies every (epsilon, delta) certificate.
   Stopwatch watch;
-  const SolverResult exact =
-      RankPass(snap->ExactPass(options_.solve_threads));
+  const query::InfluenceSets& pass = snap->ExactPass(options_.solve_threads);
 
   Response response;
   response.type = ResponseType::kApprox;
@@ -195,11 +196,11 @@ Response InfluenceService::Do(const ApproxTopKRequest& request) {
   s.epoch = snap->epoch;
   s.num_objects = snap->prepared.num_objects();
   s.num_candidates = snap->prepared.num_candidates();
-  const size_t count = std::min(k, exact.ranking.size());
+  const size_t count = std::min(k, pass.ranking.size());
   s.entries.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    const uint32_t candidate = exact.ranking[i];
-    const int64_t influence = exact.influence[candidate];
+    const uint32_t candidate = pass.ranking[i];
+    const int64_t influence = pass.Influence(candidate);
     s.entries.push_back(
         {candidate, influence, influence, influence, /*exact=*/true});
   }
@@ -493,6 +494,9 @@ void InfluenceService::RebuildLoop() {
     }
     auto snapshot = std::make_shared<const ServerSnapshot>(
         current->epoch + 1, std::move(next), current->prepared.config());
+    // The eager pass: the new epoch's first top-k, skyline, diversified or
+    // approx request reads it instead of building it.
+    snapshot->ExactPass(options_.solve_threads);
     holder_.Publish(snapshot);
     swaps_.fetch_add(1, std::memory_order_relaxed);
 

@@ -10,9 +10,10 @@
 //     state, so a response is internally consistent with exactly one
 //     epoch.
 //   * kTopK, kSkyline, kDiversified and kApproxTopK read the snapshot's
-//     exact pass (ServerSnapshot::ExactPass), which the first of them in
-//     an epoch builds: kTopK is PIN's exact ranking at every k, kSkyline
-//     and kDiversified equal query::SolveSkyline and
+//     exact pass and its reader index (ServerSnapshot::ExactPass), which
+//     the rebuild thread builds before publishing an epoch and the first
+//     of them builds for epoch 1: kTopK is PIN's exact ranking at every k,
+//     kSkyline and kDiversified equal query::SolveSkyline and
 //     query::SelectDiversified on the snapshot (bound_skipped and
 //     gain_evaluations included), and kApproxTopK answers PIN's exact
 //     top-k with degenerate brackets.
@@ -25,8 +26,9 @@
 //   * kUpdate validates and enqueues appended objects/candidates (object
 //     ids must be new to every snapshot and the queue) and returns
 //     immediately; the rebuild thread coalesces pending updates,
-//     builds the next snapshot off to the side and publishes it with an
-//     atomic swap. Readers never block on a rebuild.
+//     builds the next snapshot and its exact pass off to the side and
+//     publishes it with an atomic swap. Readers never block on a
+//     rebuild.
 //
 // The service is also usable without any server in front of it — the
 // tests and the differential harness call Execute() directly.
@@ -41,6 +43,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -50,6 +53,7 @@
 #include "core/streaming.h"
 #include "serve/protocol.h"
 #include "serve/snapshot.h"
+#include "util/function_ref.h"
 #include "util/stopwatch.h"
 
 namespace pinocchio {
@@ -65,11 +69,12 @@ struct ServiceOptions {
   /// requests; must match the PF the service was constructed with.
   double pf_unit_meters = 100.0;
   /// Thread budget of PIN and PIN-VO solves, what-if included, and of
-  /// each snapshot's exact pass, which the first top-k, skyline,
-  /// diversified or approx request of an epoch builds (0 selects the
-  /// hardware concurrency; 1 runs inline on the request thread). Results
-  /// are bit-identical at any setting. A kSolve naming kNaive runs the
-  /// sequential NA oracle whatever the budget.
+  /// each snapshot's exact pass, which the rebuild thread builds before
+  /// publishing an epoch and epoch 1's first top-k, skyline, diversified
+  /// or approx request builds (0 selects the hardware concurrency; 1 runs
+  /// inline on the building thread). Results are bit-identical at any
+  /// setting. A kSolve naming kNaive runs the sequential NA oracle
+  /// whatever the budget.
   size_t solve_threads = 1;
   /// Width of the streaming ingestion window in seconds; 0 disables the
   /// kObserve/kAdvance request family. When enabled, the service runs a
@@ -126,7 +131,16 @@ class InfluenceService {
   Response Do(const ApproxTopKRequest& request);
   static Response MakeError(ErrorCode code, std::string message);
 
-  /// Fills a SolveResponse from a result computed against `snap`.
+  /// A SolveResponse at `snap`'s epoch: the head of `ranking` as the best
+  /// candidate (kNoCandidate for an empty ranking) and its first
+  /// min(k, |ranking|) entries with their `influence`, the first
+  /// `exact_prefix` of them marked exact.
+  static Response MakeSolveResponse(const ServerSnapshot& snap,
+                                    std::span<const uint32_t> ranking,
+                                    FunctionRef<int64_t(uint32_t)> influence,
+                                    size_t exact_prefix, size_t k,
+                                    double solve_seconds);
+  /// The same for a result computed against `snap`.
   static Response MakeSolveResponse(const ServerSnapshot& snap,
                                     const SolverResult& result, size_t k);
 

@@ -11,10 +11,13 @@
 // Publish() it with one pointer swap under the same mutex; the old
 // snapshot is destroyed when its last in-flight reader drops it.
 //
-// One member is written after publication: the snapshot's exact pass
-// (ExactPass()), built once by the first request that needs it, under
-// std::call_once. Every other caller waits for that build or finds it
-// done, and nobody writes it again.
+// One member may be written after publication: the snapshot's exact pass
+// (ExactPass()) with its reader index, built once under std::call_once.
+// The rebuild thread builds it for every epoch >= 2 before Publish(), so
+// readers of those epochs only read it; epoch 1's is built by its first
+// top-k, skyline, diversified or approx request, which keeps the pass out
+// of the server's boot. Every other caller waits for that build or finds
+// it done, and nobody writes it again.
 //
 // Thread-safety: Acquire(), Publish() and ExactPass() may race freely from
 // any number of threads. The PreparedInstance inside a published snapshot
@@ -24,6 +27,7 @@
 #ifndef PINOCCHIO_SERVE_SNAPSHOT_H_
 #define PINOCCHIO_SERVE_SNAPSHOT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -69,13 +73,20 @@ struct ServerSnapshot {
     std::call_once(pass_once_, [&] {
       pass_ = query::BuildInfluenceSets(prepared, kernel,
                                         MorselScheduler(num_threads));
+      pass_built_.store(true, std::memory_order_release);
     });
     return pass_;
+  }
+
+  /// True once ExactPass() has built the pass; builds nothing.
+  bool HasExactPass() const {
+    return pass_built_.load(std::memory_order_acquire);
   }
 
  private:
   mutable std::once_flag pass_once_;
   mutable query::InfluenceSets pass_;
+  mutable std::atomic<bool> pass_built_{false};
 };
 
 using SnapshotPtr = std::shared_ptr<const ServerSnapshot>;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -329,6 +331,20 @@ TEST(InfluenceSetsTest, ThreadBudgetsAreByteIdenticalAndExact) {
         << "candidate " << j;
     EXPECT_EQ(one.Influence(j), static_cast<int64_t>(want.size()));
   }
+  // The reader index: PIN's ranking, and per candidate how many candidates
+  // reach its max_inf (>=) and exceed it (>).
+  const SolverResult naive = NaiveSolver().Solve(prepared);
+  EXPECT_EQ(one.ranking, naive.ranking);
+  for (uint32_t j = 0; j < one.num_candidates(); ++j) {
+    uint32_t ge = 0;
+    uint32_t gt = 0;
+    for (int64_t inf : naive.influence) {
+      ge += inf >= one.max_inf[j] ? 1 : 0;
+      gt += inf > one.max_inf[j] ? 1 : 0;
+    }
+    EXPECT_EQ(one.ge_max[j], ge) << "candidate " << j;
+    EXPECT_EQ(one.gt_max[j], gt) << "candidate " << j;
+  }
   for (size_t threads : {2, 7}) {
     const query::InfluenceSets got =
         query::BuildInfluenceSets(prepared, kernel, MorselScheduler(threads));
@@ -336,6 +352,9 @@ TEST(InfluenceSetsTest, ThreadBudgetsAreByteIdenticalAndExact) {
     EXPECT_EQ(got.objects, one.objects);
     EXPECT_EQ(got.min_inf, one.min_inf);
     EXPECT_EQ(got.max_inf, one.max_inf);
+    EXPECT_EQ(got.ranking, one.ranking);
+    EXPECT_EQ(got.ge_max, one.ge_max);
+    EXPECT_EQ(got.gt_max, one.gt_max);
   }
 }
 
@@ -461,15 +480,18 @@ TEST(SkylineTest, ThreadBudgetsAreBitIdentical) {
   }
 }
 
-// The skyline replayed over the exact pass equals the engine walk, members
-// and bound_skipped, in the three cost regimes: distances from an origin,
-// uniform costs and one shared cost. At least one walk must abort a
-// candidate mid-validation, the case the replay settles exactly instead.
+// The skyline read off the exact pass equals the engine walk, members
+// (costs by bit pattern) and bound_skipped, in four cost regimes:
+// distances from an origin, uniform costs, one shared cost, and three
+// distinct costs over every candidate but a duplicated candidate point,
+// whose two copies cost +0.0 and -0.0. At least one walk must abort a
+// candidate mid-validation, which the pass's skyline never has to.
 TEST(SkylineTest, ReplayOverTheExactPassMatchesTheEngineWalk) {
   int64_t aborted = 0;
   for (uint64_t seed : {7211u, 7212u, 7213u, 7214u, 7215u, 7216u}) {
-    const ProblemInstance instance =
+    ProblemInstance instance =
         RandomInstance(seed, InstanceOptions{.num_candidates = 60});
+    instance.candidates.push_back(instance.candidates.front());
     const PreparedInstance prepared(instance, DefaultConfig());
     const InfluenceKernel kernel(prepared.pf(), prepared.tau());
     const query::InfluenceSets pass =
@@ -478,12 +500,15 @@ TEST(SkylineTest, ReplayOverTheExactPassMatchesTheEngineWalk) {
 
     Rng rng(seed);
     const Point origin{rng.Uniform(0.0, 30000.0), rng.Uniform(0.0, 30000.0)};
-    std::vector<std::vector<double>> regimes(3, std::vector<double>(m));
+    std::vector<std::vector<double>> regimes(4, std::vector<double>(m));
     for (uint32_t j = 0; j < m; ++j) {
       regimes[0][j] = Distance(prepared.candidate(j), origin);
       regimes[1][j] = rng.Uniform(0.0, 50.0);
       regimes[2][j] = 7.5;
     }
+    for (double& c : regimes[3]) c = static_cast<double>(rng.UniformInt(1, 3));
+    regimes[3].front() = 0.0;
+    regimes[3].back() = -0.0;
     for (size_t mode = 0; mode < regimes.size(); ++mode) {
       SCOPED_TRACE("seed " + std::to_string(seed) + ", cost mode " +
                    std::to_string(mode));
@@ -496,7 +521,17 @@ TEST(SkylineTest, ReplayOverTheExactPassMatchesTheEngineWalk) {
       for (size_t i = 0; i < walk.members.size(); ++i) {
         EXPECT_EQ(replay.members[i].candidate, walk.members[i].candidate);
         EXPECT_EQ(replay.members[i].influence, walk.members[i].influence);
-        EXPECT_EQ(replay.members[i].cost, walk.members[i].cost);
+        EXPECT_EQ(std::bit_cast<uint64_t>(replay.members[i].cost),
+                  std::bit_cast<uint64_t>(walk.members[i].cost));
+      }
+      if (mode == 3) {
+        // The copies alone are cheapest and tie on influence: both are
+        // members, each with its own zero.
+        ASSERT_GE(replay.members.size(), 2u);
+        EXPECT_EQ(replay.members[0].candidate, 0u);
+        EXPECT_FALSE(std::signbit(replay.members[0].cost));
+        EXPECT_EQ(replay.members[1].candidate, m - 1);
+        EXPECT_TRUE(std::signbit(replay.members[1].cost));
       }
     }
   }

@@ -5,6 +5,7 @@
 // typed errors.
 
 #include <algorithm>
+#include <bit>
 #include <initializer_list>
 #include <iterator>
 #include <latch>
@@ -860,9 +861,9 @@ TEST(ServiceTest, SkylineRefusesAFarCandidateAndKeepsServing) {
 }
 
 // The first top-k, skyline, diversified and approx requests of an epoch
-// race to build its one exact pass; every answer equals the in-process
-// result on that snapshot. Checked on the epoch-1 snapshot and again on a
-// rebuilt one.
+// race to its one exact pass; every answer equals the in-process result on
+// that snapshot. Checked on the epoch-1 snapshot, whose pass the first of
+// them builds, and again on a rebuilt one, whose pass the rebuild built.
 TEST(ServiceTest, FirstRequestsOfAnEpochRaceToOnePassAndAnswerExactly) {
   constexpr size_t kThreads = 8;
   ServiceOptions options = TestOptions();
@@ -972,6 +973,100 @@ TEST(ServiceTest, FirstRequestsOfAnEpochRaceToOnePassAndAnswerExactly) {
           break;
       }
     }
+  }
+}
+
+// A rebuild publishes its epoch with the exact pass built: after an update
+// and DrainUpdates() the new snapshot's pass exists before any reader asks
+// for it, while epoch 1's waits for its first reader. The new epoch's
+// top-k, approx, skyline and diversified answers equal PIN, SolveSkyline
+// and SelectDiversified on that epoch's instance.
+TEST(ServiceTest, RebuildPublishesTheNewEpochWithItsPassBuilt) {
+  InfluenceService service(
+      RandomInstance(37, InstanceOptions{.num_objects = 120,
+                                         .num_candidates = 30}),
+      DefaultConfig(), TestOptions());
+  EXPECT_FALSE(service.snapshot()->HasExactPass());
+
+  Request update = UpdateWithIds({81000});
+  update.update.candidates.push_back(Point{9000.0, 7000.0});
+  ASSERT_EQ(service.Execute(update).type, ResponseType::kUpdate);
+  service.DrainUpdates();
+  const SnapshotPtr snap = service.snapshot();
+  ASSERT_EQ(snap->epoch, 2u);
+  EXPECT_TRUE(snap->HasExactPass());
+
+  const PreparedInstance& prepared = snap->prepared;
+  const SolverResult pin = PinocchioSolver().Solve(prepared);
+  const size_t m = prepared.num_candidates();
+
+  Request topk;
+  topk.type = RequestType::kTopK;
+  topk.top_k.k = static_cast<uint32_t>(m);
+  const Response ranked = service.Execute(topk);
+  ASSERT_EQ(ranked.type, ResponseType::kSolve);
+  EXPECT_EQ(ranked.solve.epoch, 2u);
+  EXPECT_EQ(ranked.solve.best_candidate, pin.best_candidate);
+  EXPECT_EQ(ranked.solve.best_influence, pin.best_influence);
+  ASSERT_EQ(ranked.solve.topk.size(), m);
+  for (size_t i = 0; i < m; ++i) {
+    EXPECT_EQ(ranked.solve.topk[i].candidate, pin.ranking[i]) << i;
+    EXPECT_EQ(ranked.solve.topk[i].influence, pin.influence[pin.ranking[i]])
+        << i;
+    EXPECT_TRUE(ranked.solve.topk[i].exact) << i;
+  }
+
+  Request approx;
+  approx.type = RequestType::kApproxTopK;
+  approx.approx = ApproxTopKRequest{5, 0.2, 0.05, 3};
+  const Response top5 = service.Execute(approx);
+  ASSERT_EQ(top5.type, ResponseType::kApprox);
+  EXPECT_EQ(top5.approx.epoch, 2u);
+  ASSERT_EQ(top5.approx.entries.size(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
+    const int64_t exact = pin.influence[pin.ranking[i]];
+    EXPECT_EQ(top5.approx.entries[i].candidate, pin.ranking[i]) << i;
+    EXPECT_EQ(top5.approx.entries[i].estimate, exact) << i;
+    EXPECT_EQ(top5.approx.entries[i].lo, exact) << i;
+    EXPECT_EQ(top5.approx.entries[i].hi, exact) << i;
+  }
+
+  Request skyline;
+  skyline.type = RequestType::kSkyline;
+  skyline.skyline.cost_origin = Point{12000.0, 8000.0};
+  const Response sky = service.Execute(skyline);
+  ASSERT_EQ(sky.type, ResponseType::kSkyline);
+  EXPECT_EQ(sky.skyline.epoch, 2u);
+  std::vector<double> cost(m);
+  for (uint32_t j = 0; j < m; ++j) {
+    cost[j] = Distance(prepared.candidate(j), skyline.skyline.cost_origin);
+  }
+  const query::SkylineResult walk = query::SolveSkyline(prepared, cost);
+  EXPECT_EQ(sky.skyline.bound_skipped,
+            static_cast<uint64_t>(walk.bound_skipped));
+  ASSERT_EQ(sky.skyline.skyline.size(), walk.members.size());
+  for (size_t i = 0; i < walk.members.size(); ++i) {
+    EXPECT_EQ(sky.skyline.skyline[i].candidate, walk.members[i].candidate);
+    EXPECT_EQ(sky.skyline.skyline[i].influence, walk.members[i].influence);
+    EXPECT_EQ(std::bit_cast<uint64_t>(sky.skyline.skyline[i].cost),
+              std::bit_cast<uint64_t>(walk.members[i].cost));
+  }
+
+  Request diverse;
+  diverse.type = RequestType::kDiversified;
+  diverse.diversified.k = 3;
+  diverse.diversified.min_separation = 4000.0;
+  const Response picks = service.Execute(diverse);
+  ASSERT_EQ(picks.type, ResponseType::kDiversified);
+  EXPECT_EQ(picks.diverse.epoch, 2u);
+  const query::DiversifiedResult greedy =
+      query::SelectDiversified(prepared, 3, 4000.0);
+  EXPECT_EQ(picks.diverse.gain_evaluations,
+            static_cast<uint64_t>(greedy.gain_evaluations));
+  ASSERT_EQ(picks.diverse.selected.size(), greedy.selected.size());
+  for (size_t i = 0; i < greedy.selected.size(); ++i) {
+    EXPECT_EQ(picks.diverse.selected[i].candidate, greedy.selected[i]);
+    EXPECT_EQ(picks.diverse.selected[i].coverage, greedy.coverage[i]);
   }
 }
 

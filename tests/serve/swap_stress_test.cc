@@ -1,9 +1,10 @@
 // Snapshot-swap concurrency contract, pinned under ThreadSanitizer (this
 // test is part of the TSan CI job): N reader threads hammer the service
 // with solve/topk/skyline/diversified/approx/probe/stats requests while a
-// writer thread keeps appending objects (forcing background rebuilds and
-// snapshot swaps, and so first-of-epoch builds of the exact pass that race
-// the swaps and each other) — every response must be internally
+// writer thread keeps appending objects (forcing background rebuilds,
+// each of which builds its epoch's exact pass while readers read the
+// previous epoch's, then swaps; epoch 1's pass is built by the first
+// readers, racing each other) — every response must be internally
 // consistent with exactly one epoch, epochs must be monotonic per reader,
 // and nothing may tear.
 

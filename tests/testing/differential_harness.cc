@@ -216,7 +216,13 @@ bool SameStats(const SolverStats& a, const SolverStats& b) {
          a.strategy1_cutoffs == b.strategy1_cutoffs;
 }
 
-// Same members (candidate, influence, cost, in order) and bound_skipped.
+// Equal bit patterns: tells -0.0 from +0.0.
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+// Same members (candidate, influence, cost bits, in order) and
+// bound_skipped.
 bool SameSkyline(const query::SkylineResult& a, const query::SkylineResult& b) {
   if (a.bound_skipped != b.bound_skipped ||
       a.members.size() != b.members.size()) {
@@ -225,7 +231,7 @@ bool SameSkyline(const query::SkylineResult& a, const query::SkylineResult& b) {
   for (size_t i = 0; i < a.members.size(); ++i) {
     if (a.members[i].candidate != b.members[i].candidate ||
         a.members[i].influence != b.members[i].influence ||
-        a.members[i].cost != b.members[i].cost) {
+        !SameBits(a.members[i].cost, b.members[i].cost)) {
       return false;
     }
   }
@@ -521,8 +527,10 @@ class CaseChecker {
 
   // The exact pass a server caches per snapshot, built at budget 1 and at
   // each sweep budget into `passes`: every build must be byte-identical to
-  // budget 1, its set sizes must be NA's influences, and its brackets the
-  // ones BuildCandidateBrackets starts the bound-ordered families from.
+  // budget 1, its set sizes must be NA's influences, its brackets the
+  // ones BuildCandidateBrackets starts the bound-ordered families from,
+  // and its reader index NA's ranking plus, per candidate, the number of
+  // NA influences >= and > its max_inf.
   void CheckPass(const PreparedInstance& prepared, const SolverResult& naive,
                  std::vector<BudgetedPass>* passes) {
     Guard("ExactPass", [&] {
@@ -546,9 +554,26 @@ class CaseChecker {
           one.max_inf != brackets.max_inf) {
         Fail("ExactPass: brackets differ from BuildCandidateBrackets");
       }
+      if (one.ranking != naive.ranking) {
+        Fail("ExactPass: ranking differs from NA's");
+      }
+      std::vector<uint32_t> ge(one.num_candidates());
+      std::vector<uint32_t> gt(one.num_candidates());
+      for (size_t j = 0; j < ge.size(); ++j) {
+        for (int64_t inf : naive.influence) {
+          ge[j] += inf >= one.max_inf[j] ? 1 : 0;
+          gt[j] += inf > one.max_inf[j] ? 1 : 0;
+        }
+      }
+      if (one.ge_max != ge || one.gt_max != gt) {
+        Fail("ExactPass: ge_max/gt_max differ from counts over NA's "
+             "influences");
+      }
       for (const BudgetedPass& p : *passes) {
         if (p.pass.offsets != one.offsets || p.pass.objects != one.objects ||
-            p.pass.min_inf != one.min_inf || p.pass.max_inf != one.max_inf) {
+            p.pass.min_inf != one.min_inf || p.pass.max_inf != one.max_inf ||
+            p.pass.ranking != one.ranking || p.pass.ge_max != one.ge_max ||
+            p.pass.gt_max != one.gt_max) {
           Fail("ExactPass at " + std::to_string(p.threads) +
                " threads diverges from budget 1");
         }
@@ -557,13 +582,15 @@ class CaseChecker {
   }
 
   // Skyline over (influence, cost) against a brute-force O(m^2) domination
-  // sweep on the naive influence vector, with three cost regimes: distances
-  // from a random origin (the serving path), arbitrary uniform costs, and
+  // sweep on the naive influence vector, with four cost regimes: distances
+  // from a random origin (the serving path), arbitrary uniform costs,
   // all-equal costs (every candidate in one group, so the result is exactly
-  // the maximum-influence set — the all-dominated edge case). Budgets 2 and
-  // 7 are then diffed bit-identically against budget 1, and the replay over
-  // the exact pass of each budget must equal the engine walk, members and
-  // bound_skipped.
+  // the maximum-influence set — the all-dominated edge case), and a few
+  // distinct integer costs with zeros of both signs (tie-heavy groups for
+  // the strict and non-strict domination rules; each member keeps its own
+  // zero). Budgets 2 and 7 are then diffed bit-identically against budget
+  // 1, and the skyline read off the exact pass of each budget must equal
+  // the engine walk, members (costs by bit pattern) and bound_skipped.
   void CheckSkyline(const PreparedInstance& prepared,
                     const SolverResult& naive,
                     const std::vector<BudgetedPass>& passes) {
@@ -572,7 +599,7 @@ class CaseChecker {
       Rng rng(result_->seed * 0x9E3779B97F4A7C15ull ^ kSkylineSalt);
       const size_t m = naive.influence.size();
       std::vector<double> cost(m);
-      const int64_t mode = rng.UniformInt(0, 2);
+      const int64_t mode = rng.UniformInt(0, 3);
       if (mode == 0) {
         const Point origin{rng.Uniform(0.0, 40000.0),
                            rng.Uniform(0.0, 40000.0)};
@@ -582,9 +609,15 @@ class CaseChecker {
         }
       } else if (mode == 1) {
         for (size_t j = 0; j < m; ++j) cost[j] = rng.Uniform(0.0, 100.0);
-      } else {
+      } else if (mode == 2) {
         const double c = rng.Uniform(0.0, 100.0);
         for (size_t j = 0; j < m; ++j) cost[j] = c;
+      } else {
+        const int64_t top = rng.UniformInt(1, 3);
+        for (size_t j = 0; j < m; ++j) {
+          cost[j] = static_cast<double>(rng.UniformInt(0, top));
+        }
+        cost[rng.UniformInt(0, static_cast<int64_t>(m) - 1)] = -0.0;
       }
 
       // Brute-force reference: j survives iff no i strictly dominates it.
@@ -611,7 +644,7 @@ class CaseChecker {
         const query::SkylineMember& member = got.members[i];
         match = member.candidate == expected[i] &&
                 member.influence == naive.influence[expected[i]] &&
-                member.cost == cost[expected[i]];
+                SameBits(member.cost, cost[expected[i]]);
       }
       if (!match) {
         std::ostringstream msg;
@@ -622,7 +655,7 @@ class CaseChecker {
 
       // The skyline admits every candidate it does not skip by its bound,
       // whatever order the verification sets list their records in; the
-      // replay over the exact pass below pins members and bound_skipped.
+      // skyline over the exact pass below pins members and bound_skipped.
       if (got.stats.heap_pops != static_cast<int64_t>(m) - got.bound_skipped) {
         std::ostringstream msg;
         msg << "Skyline: heap_pops " << got.stats.heap_pops << " vs "
@@ -643,7 +676,7 @@ class CaseChecker {
       for (const BudgetedPass& p : passes) {
         if (!SameSkyline(query::SolveSkyline(p.pass, cost), got)) {
           std::ostringstream msg;
-          msg << "Skyline replay over the exact pass built at " << p.threads
+          msg << "Skyline over the exact pass built at " << p.threads
               << " threads differs from SolveSkyline (cost mode " << mode
               << ")";
           Fail(msg.str());

@@ -3,7 +3,8 @@
 // geometries), checks every prepared minMaxRadius against the reference
 // search (min_max_radius_reference.h), runs every solver plus the
 // skyline/diversified/approx families, the exact pass a server caches per
-// snapshot (with the skyline and diversified families replayed over it)
+// snapshot (with its reader index, and the skyline and diversified
+// families answered from it)
 // and the stream engine's position-delta path (IncrementalPrimeLS and
 // StreamingPrimeLS), and diffs the results against the NaiveSolver
 // oracle, or against PIN over the slid windows. On a mismatch — or a

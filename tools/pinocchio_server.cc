@@ -45,9 +45,11 @@ constexpr char kUsage[] = R"(Usage: pinocchio_server [flags]
                     the snapshots are prepared with (default 16). Top-k
                     requests are exact at every k.
   --solve_threads=N Thread budget of solve requests and of each
-                    snapshot's exact pass, which the first topk/skyline/
-                    diverse/approx request builds (default 1 = inline;
-                    0 = hardware concurrency; at most 256). NA solves stay
+                    snapshot's exact pass, which topk/skyline/diverse/
+                    approx requests read: an update's rebuild builds it
+                    before the swap, the boot snapshot's first such
+                    request builds its own (default 1 = inline; 0 =
+                    hardware concurrency; at most 256). NA solves stay
                     sequential.
   --stream-window=F Streaming ingestion window in seconds; enables the
                     observe/advance request family (default 0 = off).
