@@ -161,14 +161,14 @@ BENCHMARK(BM_ObjectStoreBuild);
 /// KernelBatch rung keeps measuring the PR-3 scalar batch path.
 InfluenceKernel MakeForcedScalarKernel(const ProbabilityFunction& pf,
                                        double tau) {
-  const char* saved = std::getenv("PINOCCHIO_FORCE_SCALAR");
+  const char* saved = std::getenv("PINOCCHIO_SIMD_TIER");
   const std::string restore = saved != nullptr ? saved : "";
-  setenv("PINOCCHIO_FORCE_SCALAR", "1", /*overwrite=*/1);
+  setenv("PINOCCHIO_SIMD_TIER", "scalar", /*overwrite=*/1);
   InfluenceKernel kernel(pf, tau);
   if (saved != nullptr) {
-    setenv("PINOCCHIO_FORCE_SCALAR", restore.c_str(), 1);
+    setenv("PINOCCHIO_SIMD_TIER", restore.c_str(), 1);
   } else {
-    unsetenv("PINOCCHIO_FORCE_SCALAR");
+    unsetenv("PINOCCHIO_SIMD_TIER");
   }
   return kernel;
 }

@@ -5,38 +5,10 @@
 
 #include "prob/influence.h"
 #include "prob/influence_kernel.h"
-#include "prob/prune_filter_simd.h"
 #include "util/self_check.h"
 
 namespace pinocchio {
 namespace {
-
-/// Batches below this size run the exact scalar predicates directly: the
-/// fixed cost of gathering the batch outweighs the vector savings.
-constexpr size_t kMinBatchForPruneFilter = 8;
-
-/// Exact scalar classification of one candidate (the reference the filter
-/// must agree with).
-PruneLaneClass ClassifyExact(const ObjectRecord& rec, const Point& p) {
-  if (!rec.nib.Contains(p)) return PruneLaneClass::kOutside;
-  if (!rec.ia.IsEmpty() && rec.ia.Contains(p)) {
-    return PruneLaneClass::kIaCertified;
-  }
-  return PruneLaneClass::kRemnant;
-}
-
-void ReportPruneFilterViolation(const ObjectRecord& rec, const RTreeEntry& e,
-                                PruneLaneClass filter_class,
-                                PruneLaneClass exact_class) {
-  std::ostringstream msg;
-  msg.precision(17);
-  msg << "prune filter violated its certificate: candidate " << e.id
-      << " at (" << e.point.x << ", " << e.point.y << ") classified "
-      << static_cast<int>(filter_class) << " but exact predicates say "
-      << static_cast<int>(exact_class) << " (minMaxRadius "
-      << rec.min_max_radius << ")";
-  ReportSelfCheckViolation(msg.str());
-}
 
 void ReportClassificationViolation(const char* lemma, const RTreeEntry& entry,
                                    const InfluenceKernel& kernel,
@@ -76,10 +48,10 @@ void AuditClassification(const RTree& index, const ObjectRecord& rec,
   });
 }
 
-/// One call's prune pass: the self-check flag, the SIMD prune filter and
-/// the scratch its records refill, all set up once and reused per record.
-/// Run() also counts each candidate's pairs by class into `ia_credits` and
-/// `remnants` when they are non-empty.
+/// One call's prune pass: the self-check flag and the scratch its records
+/// refill, set up once and reused per record. Run() also counts each
+/// candidate's pairs by class into `ia_credits` and `remnants` when they
+/// are non-empty.
 class PrunePass {
  public:
   PrunePass(const RTree& index, const InfluenceKernel& kernel,
@@ -88,17 +60,13 @@ class PrunePass {
       : index_(index),
         kernel_(kernel),
         self_check_(SelfCheckEnabled()),
-        filter_(kernel.simd_tier()),
         ia_credits_(ia_credits),
         remnants_(remnants) {}
 
   // The single QueryRect site of the prune phase: one record against every
-  // candidate of the index. With a filter (tiers above kScalar) the
-  // range-query hits are gathered and classified as a SIMD batch;
-  // kUndecided lanes — and every lane under self-check — are re-derived
-  // with the exact region predicates, so the dispatched classes (and their
-  // visit order) are identical to the scalar path on every input. The
-  // visitors are template parameters so each caller's lambda inlines here.
+  // candidate of the index, each hit decided in the visitor by the exact
+  // region predicates, in index-visit order. The visitors are template
+  // parameters so each caller's lambda inlines here.
   template <typename IaFn, typename RemnantFn>
   void Classify(const ObjectRecord& rec, std::span<const Point> positions,
                 uint32_t record_index, size_t num_candidates,
@@ -106,52 +74,16 @@ class PrunePass {
                 const RemnantFn& remnant) {
     if (self_check_) AuditClassification(index_, rec, kernel_, positions);
     int64_t inside_nib = 0;
-    const auto dispatch = [&](const RTreeEntry& e, PruneLaneClass cls) {
-      if (cls == PruneLaneClass::kOutside) return;  // Lemma 3
+    index_.QueryRect(rec.nib.BoundingBox(), [&](const RTreeEntry& e) {
+      if (!rec.nib.Contains(e.point)) return;  // Lemma 3
       ++inside_nib;
-      if (cls == PruneLaneClass::kIaCertified) {  // Lemma 2
+      if (!rec.ia.IsEmpty() && rec.ia.Contains(e.point)) {  // Lemma 2
         if (stats != nullptr) ++stats->pairs_pruned_by_ia;
         ia_certified(e, record_index);
       } else {
         remnant(e, record_index);
       }
-    };
-
-    if (filter_.tier() == SimdTier::kScalar) {
-      index_.QueryRect(rec.nib.BoundingBox(), [&](const RTreeEntry& e) {
-        dispatch(e, ClassifyExact(rec, e.point));
-      });
-    } else {
-      entries_.clear();
-      index_.QueryRect(rec.nib.BoundingBox(),
-                       [&](const RTreeEntry& e) { entries_.push_back(e); });
-      const size_t n = entries_.size();
-      if (n >= kMinBatchForPruneFilter) {
-        points_.resize(n);
-        for (size_t i = 0; i < n; ++i) points_[i] = entries_[i].point;
-        classes_.resize(n);
-        filter_.Classify(rec.mbr, rec.min_max_radius, rec.ia.IsEmpty(),
-                         points_, classes_.data());
-        for (size_t i = 0; i < n; ++i) {
-          const RTreeEntry& e = entries_[i];
-          PruneLaneClass cls = classes_[i];
-          if (cls == PruneLaneClass::kUndecided) {
-            cls = ClassifyExact(rec, e.point);
-          } else if (self_check_) {
-            const PruneLaneClass exact = ClassifyExact(rec, e.point);
-            if (exact != cls) {
-              ReportPruneFilterViolation(rec, e, cls, exact);
-              cls = exact;
-            }
-          }
-          dispatch(e, cls);
-        }
-      } else {
-        for (const RTreeEntry& e : entries_) {
-          dispatch(e, ClassifyExact(rec, e.point));
-        }
-      }
-    }
+    });
     if (stats != nullptr) {
       stats->pairs_pruned_by_nib +=
           static_cast<int64_t>(num_candidates) - inside_nib;
@@ -198,13 +130,8 @@ class PrunePass {
   const RTree& index_;
   const InfluenceKernel& kernel_;
   const bool self_check_;
-  const SimdPruneFilter filter_;
   const std::span<int64_t> ia_credits_;
   const std::span<int64_t> remnants_;
-  // Filter batch: the range-query hits, their points and lane classes.
-  std::vector<RTreeEntry> entries_;
-  std::vector<Point> points_;
-  std::vector<PruneLaneClass> classes_;
   // The remnant set C'' of the current record and its decisions.
   std::vector<Point> remnant_points_;
   std::vector<uint32_t> remnant_ids_;

@@ -15,10 +15,13 @@
 // one candidate at a time: it credits IA certificates per candidate and
 // writes the remnants as record-major candidate-id lists.
 //
-// The SIMD prune filter and the per-record scratch are set up once per
-// call and reused across its records; callers pass a non-owning
-// FunctionRef visitor, which keeps the per-object hot loop free of
-// std::function allocations.
+// Each R-tree hit inside NIB(O)'s box is decided where the range query
+// finds it, by the exact NIB and IA predicates on every SIMD tier: a
+// vectorised pre-filter over batched hits measured slower than the two
+// tests it screened (docs/ARCHITECTURE.md). The per-record scratch is set
+// up once per call and reused across its records; callers pass a
+// non-owning FunctionRef visitor, which keeps the per-object hot loop free
+// of std::function allocations.
 //
 // Under PINOCCHIO_SELF_CHECK (util/self_check.h) every record's
 // classification is audited against the scalar reference: each IA-certified

@@ -10,11 +10,10 @@
 
 #include "util/logging.h"
 
-#if defined(PINOCCHIO_SIMD_X86)
-#include <emmintrin.h>  // SSE2
-#if defined(__GNUC__) || defined(__clang__)
+// PINOCCHIO_HAVE_AVX2 means the compiler took -mavx2, so it has GCC's
+// cpuid.h and inline assembly.
+#if defined(PINOCCHIO_HAVE_AVX2)
 #include <cpuid.h>
-#endif
 #endif
 
 namespace pinocchio {
@@ -99,53 +98,35 @@ double FromOrderedKey(uint64_t k) {
   return std::bit_cast<double>(b);
 }
 
-/// True when the environment value spells "off" (same vocabulary as
-/// PINOCCHIO_SELF_CHECK parsing in util/self_check.cc).
-bool EnvValueIsOff(const char* env) {
-  const std::string value(env);
-  return value == "0" || value == "false" || value == "off" ||
-         value == "no" || value.empty();
-}
-
-#if defined(PINOCCHIO_SIMD_X86)
+#if defined(PINOCCHIO_HAVE_AVX2)
 bool OsSavesYmmState() {
-#if defined(__GNUC__) || defined(__clang__)
   uint32_t eax, edx;
   __asm__ __volatile__("xgetbv" : "=a"(eax), "=d"(edx) : "c"(0));
   return (eax & 0x6) == 0x6;  // XMM and YMM state enabled in XCR0
-#else
-  return false;
-#endif
 }
 
-SimdTier ProbeX86Tier() {
-#if defined(PINOCCHIO_HAVE_AVX2) && (defined(__GNUC__) || defined(__clang__))
+/// True when the CPU and the OS run the AVX2 tier: AVX, AVX2, FMA and
+/// OSXSAVE in cpuid, and YMM state enabled in XCR0.
+bool CpuRunsAvx2() {
   unsigned eax, ebx, ecx, edx;
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
-    const bool osxsave = (ecx & (1u << 27)) != 0;
-    const bool avx = (ecx & (1u << 28)) != 0;
-    const bool fma = (ecx & (1u << 12)) != 0;
-    unsigned eax7, ebx7, ecx7, edx7;
-    const bool avx2 =
-        __get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7) &&
-        (ebx7 & (1u << 5)) != 0;
-    if (osxsave && avx && fma && avx2 && OsSavesYmmState()) {
-      return SimdTier::kAvx2;
-    }
-  }
-#endif
-  return SimdTier::kSse2;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  const bool osxsave = (ecx & (1u << 27)) != 0;
+  const bool avx = (ecx & (1u << 28)) != 0;
+  const bool fma = (ecx & (1u << 12)) != 0;
+  unsigned eax7, ebx7, ecx7, edx7;
+  const bool avx2 = __get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7) &&
+                    (ebx7 & (1u << 5)) != 0;
+  return osxsave && avx && fma && avx2 && OsSavesYmmState();
 }
-#endif  // PINOCCHIO_SIMD_X86
+#endif  // PINOCCHIO_HAVE_AVX2
 
 SimdTier ParseTierName(const char* env) {
   const std::string value(env);
   if (value == "scalar") return SimdTier::kScalar;
   if (value == "portable") return SimdTier::kPortable;
-  if (value == "sse2") return SimdTier::kSse2;
   if (value == "avx2") return SimdTier::kAvx2;
   PINO_LOG(WARNING) << "unknown PINOCCHIO_SIMD_TIER value \"" << value
-                    << "\" (expected scalar|portable|sse2|avx2); "
+                    << "\" (expected scalar|portable|avx2); "
                        "using the detected tier";
   return DetectCpuSimdTier();
 }
@@ -158,8 +139,6 @@ const char* SimdTierName(SimdTier tier) {
       return "scalar";
     case SimdTier::kPortable:
       return "portable";
-    case SimdTier::kSse2:
-      return "sse2";
     case SimdTier::kAvx2:
       return "avx2";
   }
@@ -169,22 +148,16 @@ const char* SimdTierName(SimdTier tier) {
 SimdTier DetectCpuSimdTier() {
 #if defined(PINOCCHIO_DISABLE_SIMD)
   return SimdTier::kScalar;
-#else
-  static const SimdTier tier = [] {
-#if defined(PINOCCHIO_SIMD_X86)
-    return ProbeX86Tier();
-#else
-    return SimdTier::kPortable;
-#endif
-  }();
+#elif defined(PINOCCHIO_HAVE_AVX2)
+  static const SimdTier tier =
+      CpuRunsAvx2() ? SimdTier::kAvx2 : SimdTier::kPortable;
   return tier;
+#else
+  return SimdTier::kPortable;
 #endif
 }
 
 SimdTier ResolveSimdTier() {
-  if (const char* force = std::getenv("PINOCCHIO_FORCE_SCALAR")) {
-    if (!EnvValueIsOff(force)) return SimdTier::kScalar;
-  }
   const SimdTier detected = DetectCpuSimdTier();
   if (const char* requested = std::getenv("PINOCCHIO_SIMD_TIER")) {
     return std::min(ParseTierName(requested), detected);
@@ -257,75 +230,6 @@ void FilterPortable(const FilterTable& table, const SpanThresholds& thresholds,
     }
   }
 }
-
-#if defined(PINOCCHIO_SIMD_X86)
-
-// Two candidate lanes per iteration: the squared distances are computed
-// with SSE2 vector arithmetic, the (tiny) bucket/bound lookups stay scalar
-// since SSE2 has neither 64-bit arithmetic compares nor gathers.
-void FilterSse2(const FilterTable& table, const SpanThresholds& thresholds,
-                const Point* candidates, size_t num_candidates,
-                const Point* positions, size_t num_positions,
-                LaneOutcome* outcomes) {
-  const double* g_lo = table.g_lo.data();
-  const double* g_hi = table.g_hi.data();
-  const SlotOf slot(table);
-  const auto n = static_cast<uint32_t>(num_positions);
-  const __m128d thr = _mm_set1_pd(thresholds.influence);
-  const __m128d rthr = _mm_set1_pd(thresholds.reject);
-
-  size_t j = 0;
-  for (; j + 2 <= num_candidates; j += 2) {
-    const __m128d cx = _mm_set_pd(candidates[j + 1].x, candidates[j].x);
-    const __m128d cy = _mm_set_pd(candidates[j + 1].y, candidates[j].y);
-    __m128d acc_lo = _mm_setzero_pd();
-    __m128d acc_hi = _mm_setzero_pd();
-    uint32_t seen[2] = {n, n};
-    bool decided[2] = {false, false};
-    uint32_t k = 0;
-    while (k < n) {
-      const uint32_t stop = std::min(n, k + kCheckChunk);
-      for (; k < stop; ++k) {
-        const __m128d px = _mm_set1_pd(positions[k].x);
-        const __m128d py = _mm_set1_pd(positions[k].y);
-        const __m128d dx = _mm_sub_pd(cx, px);
-        const __m128d dy = _mm_sub_pd(cy, py);
-        const __m128d q =
-            _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
-        alignas(16) double qs[2];
-        _mm_store_pd(qs, q);
-        const int64_t i0 = slot(qs[0]);
-        const int64_t i1 = slot(qs[1]);
-        acc_lo = _mm_add_pd(acc_lo, _mm_set_pd(g_lo[i1], g_lo[i0]));
-        acc_hi = _mm_add_pd(acc_hi, _mm_set_pd(g_hi[i1], g_hi[i0]));
-      }
-      const int crossed = _mm_movemask_pd(_mm_cmple_pd(acc_hi, thr));
-      for (int lane = 0; lane < 2; ++lane) {
-        if (!decided[lane] && (crossed & (1 << lane)) != 0) {
-          decided[lane] = true;
-          seen[lane] = k;
-        }
-      }
-      if (decided[0] && decided[1]) break;
-    }
-    const int rejected = _mm_movemask_pd(_mm_cmpge_pd(acc_lo, rthr));
-    for (int lane = 0; lane < 2; ++lane) {
-      if (decided[lane]) {
-        outcomes[j + lane] = {LaneState::kInfluenced, seen[lane]};
-      } else if ((rejected & (1 << lane)) != 0) {
-        outcomes[j + lane] = {LaneState::kNotInfluenced, n};
-      } else {
-        outcomes[j + lane] = {LaneState::kUndecided, 0};
-      }
-    }
-  }
-  if (j < num_candidates) {
-    FilterPortable(table, thresholds, candidates + j, num_candidates - j,
-                   positions, num_positions, outcomes + j);
-  }
-}
-
-#endif  // PINOCCHIO_SIMD_X86
 
 }  // namespace simd_internal
 
@@ -450,13 +354,6 @@ void SimdInfluenceFilter::Filter(std::span<const Point> candidates,
 #if defined(PINOCCHIO_HAVE_AVX2)
     case SimdTier::kAvx2:
       simd_internal::FilterAvx2(table_, thresholds, candidates.data(),
-                                candidates.size(), positions.data(),
-                                positions.size(), outcomes);
-      return;
-#endif
-#if defined(PINOCCHIO_SIMD_X86)
-    case SimdTier::kSse2:
-      simd_internal::FilterSse2(table_, thresholds, candidates.data(),
                                 candidates.size(), positions.data(),
                                 positions.size(), outcomes);
       return;

@@ -24,13 +24,13 @@
 //     reference on every input, the invariant the self-check mode and the
 //     differential fuzz harness enforce.
 //
-// Tier selection is a runtime decision (cpuid probe for AVX2+FMA, SSE2 on
-// any x86-64, a portable scalar-table fallback elsewhere) taken once per
-// process and captured by each InfluenceKernel at construction, so worker
-// threads constructing per-solve kernels all agree. Environment overrides:
-// PINOCCHIO_FORCE_SCALAR=1 disables the filter outright (pure scalar
-// kernel, the fuzz matrix's second mode) and PINOCCHIO_SIMD_TIER=
-// scalar|portable|sse2|avx2 caps the tier for A/B comparisons.
+// Tier selection is a runtime decision (a cpuid probe for AVX2+FMA, the
+// portable table filter on every other CPU) taken once per process and
+// captured by each InfluenceKernel at construction, so worker threads
+// constructing per-solve kernels all agree. One environment override,
+// PINOCCHIO_SIMD_TIER=scalar|portable|avx2, caps the tier: scalar turns
+// the filter off (the pure scalar kernel, the fuzz matrix's reference
+// lane), the others serve A/B comparisons.
 
 #ifndef PINOCCHIO_PROB_INFLUENCE_KERNEL_SIMD_H_
 #define PINOCCHIO_PROB_INFLUENCE_KERNEL_SIMD_H_
@@ -45,31 +45,23 @@
 #include "geo/point.h"
 #include "prob/probability_function.h"
 
-// x86-64 guarantees SSE2; PINOCCHIO_HAVE_AVX2 is defined by CMake only
-// when the separately-flagged AVX2 translation unit is part of the build.
-#if !defined(PINOCCHIO_DISABLE_SIMD) && \
-    (defined(__x86_64__) || defined(_M_X64))
-#define PINOCCHIO_SIMD_X86 1
-#endif
-
 namespace pinocchio {
 
 /// Vector width tiers, ordered weakest to widest.
 enum class SimdTier : uint8_t {
   kScalar = 0,    ///< no filter: DecideMany loops the scalar Decide
   kPortable = 1,  ///< table filter in plain C++ (any architecture)
-  kSse2 = 2,      ///< 2-lane SSE2 filter (x86-64 baseline)
-  kAvx2 = 3,      ///< 4-lane AVX2+FMA filter (runtime cpuid-gated)
+  kAvx2 = 2,      ///< 4-lane AVX2+FMA filter (runtime cpuid-gated)
 };
 
-/// Short lowercase tier name ("scalar", "portable", "sse2", "avx2").
+/// Short lowercase tier name ("scalar", "portable", "avx2").
 const char* SimdTierName(SimdTier tier);
 
 /// Widest tier this build + CPU can execute (cpuid/xgetbv probe, cached).
 SimdTier DetectCpuSimdTier();
 
-/// DetectCpuSimdTier() clamped by the environment overrides
-/// (PINOCCHIO_FORCE_SCALAR, PINOCCHIO_SIMD_TIER — see file comment).
+/// DetectCpuSimdTier() clamped by the PINOCCHIO_SIMD_TIER override (see
+/// file comment); an unknown value logs a warning and is ignored.
 /// Re-reads the environment on every call; kernels capture the result at
 /// construction, which is what "dispatch decided once per kernel" means.
 SimdTier ResolveSimdTier();
@@ -136,8 +128,8 @@ struct FilterTable {
 
 /// Table slot of a squared distance q: the FilterTable::first_key formula,
 /// with the bias and the last slot read from the table once. The portable
-/// and SSE2 filters and the stream's fixed-point fold index through it; the
-/// AVX2 tier computes the same formula four lanes at a time.
+/// filter and the stream's fixed-point fold index through it; the AVX2
+/// tier computes the same formula four lanes at a time.
 class SlotOf {
  public:
   explicit SlotOf(const FilterTable& table)
@@ -197,19 +189,14 @@ struct LaneOutcome {
 
 /// Tier entry points. Each fills outcomes[0, num_candidates); candidates
 /// and positions are the same spans the scalar DecideMany receives, and
-/// `thresholds` are the positions span's. The SSE2/AVX2 variants exist
-/// only on builds that can emit them; callers go through
+/// `thresholds` are the positions span's. The AVX2 variant exists only
+/// when CMake defines PINOCCHIO_HAVE_AVX2, i.e. when the separately-flagged
+/// AVX2 translation unit is part of the build; callers go through
 /// SimdInfluenceFilter::Filter which dispatches on the probed tier.
 void FilterPortable(const FilterTable& table, const SpanThresholds& thresholds,
                     const Point* candidates, size_t num_candidates,
                     const Point* positions, size_t num_positions,
                     LaneOutcome* outcomes);
-#if defined(PINOCCHIO_SIMD_X86)
-void FilterSse2(const FilterTable& table, const SpanThresholds& thresholds,
-                const Point* candidates, size_t num_candidates,
-                const Point* positions, size_t num_positions,
-                LaneOutcome* outcomes);
-#endif
 #if defined(PINOCCHIO_HAVE_AVX2)
 void FilterAvx2(const FilterTable& table, const SpanThresholds& thresholds,
                 const Point* candidates, size_t num_candidates,

@@ -1,10 +1,7 @@
 #include "core/prune_pipeline.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,14 +14,16 @@
 #include "core/query_engine.h"
 #include "prob/influence.h"
 #include "prob/influence_kernel.h"
-#include "prob/prune_filter_simd.h"
 #include "testing/instance_helpers.h"
+#include "testing/scoped_env.h"
 
 namespace pinocchio {
 namespace {
 
 using testing_helpers::DefaultConfig;
+using testing_helpers::InstanceOptions;
 using testing_helpers::RandomInstance;
+using testing_helpers::ScopedEnv;
 
 using PairList = std::vector<std::pair<uint32_t, uint32_t>>;  // (cand, rec)
 
@@ -74,12 +73,23 @@ std::vector<int64_t> CountInfluence(const PreparedInstance& prepared,
   return influence;
 }
 
+// Candidates packed tightly enough that records see dozens of R-tree hits
+// inside their NIB box.
+InstanceOptions DenseOptions() {
+  InstanceOptions opts;
+  opts.num_objects = 60;
+  opts.num_candidates = 400;
+  opts.extent_meters = 5000.0;
+  return opts;
+}
+
 // Classification against the region definitions, over the whole store and
 // a range starting mid-store: per-candidate IA credits, the remnant pairs
 // of each record, both prune counters, the reset of stale list content,
 // and the transposition of the lists into the record-ascending CSR.
-void ExpectClassificationMatchesBruteForce(double tau) {
-  const ProblemInstance instance = RandomInstance(91);
+void ExpectClassificationMatchesBruteForce(double tau,
+                                           const InstanceOptions& opts = {}) {
+  const ProblemInstance instance = RandomInstance(91, opts);
   const PreparedInstance prepared(instance, DefaultConfig(tau));
   const ObjectStore& store = prepared.store();
   const size_t m = prepared.num_candidates();
@@ -151,6 +161,66 @@ INSTANTIATE_TEST_SUITE_P(OtherTaus, PruneClassifyTest,
                            return "tau" + std::to_string(static_cast<int>(
                                               info.param * 100 + 0.5));
                          });
+
+// Every hit of a crowded NIB box is decided by the exact predicates where
+// the range query finds it.
+TEST(PrunePipelineTest, DenseRecordsMatchBruteForceGeometry) {
+  const ProblemInstance instance = RandomInstance(91, DenseOptions());
+  const PreparedInstance prepared(instance, DefaultConfig());
+  const ObjectStore& store = prepared.store();
+  const auto r = static_cast<uint32_t>(store.size());
+  const BruteForceClassification inside =
+      BruteForceClassify(instance, store, 0, r);
+  ASSERT_GE(inside.ia.size() + inside.remnant.size(), size_t{24} * r);
+  ExpectClassificationMatchesBruteForce(0.7, DenseOptions());
+}
+
+// The prune phase runs the same exact predicates on every SIMD tier and
+// validation decides bit-identically, so the pass reports the same pairs in
+// the same order, the same starting brackets and the same decision
+// counters whichever tier the kernel resolved.
+TEST(PrunePipelineTest, PassIsIdenticalOnEveryTier) {
+  const ProblemInstance instance = RandomInstance(103, DenseOptions());
+  const PreparedInstance prepared(instance, DefaultConfig());
+  const size_t m = prepared.num_candidates();
+  const auto r = static_cast<uint32_t>(prepared.store().size());
+
+  struct Pass {
+    PairList pairs;
+    std::vector<int64_t> ia_credits;
+    std::vector<int64_t> remnants;
+    SolverStats stats;
+  };
+  const auto run = [&](const char* tier) {
+    const InfluenceKernel kernel = [&] {
+      ScopedEnv simd("PINOCCHIO_SIMD_TIER", tier);
+      return InfluenceKernel(prepared.pf(), prepared.tau());
+    }();
+    Pass pass;
+    pass.ia_credits.assign(m, 0);
+    pass.remnants.assign(m, 0);
+    PruneAndValidate(
+        prepared.candidate_rtree(), prepared.store(), kernel, 0, r, m,
+        &pass.stats,
+        [&](uint32_t j, uint32_t k) { pass.pairs.emplace_back(j, k); },
+        pass.ia_credits, pass.remnants);
+    return pass;
+  };
+  const Pass scalar = run("scalar");
+  ASSERT_GT(scalar.stats.pairs_pruned_by_ia, 0);
+  ASSERT_GT(scalar.stats.pairs_validated, 0);
+  for (const char* tier : {"portable", "avx2"}) {
+    SCOPED_TRACE(tier);
+    const Pass got = run(tier);
+    EXPECT_EQ(got.pairs, scalar.pairs);
+    EXPECT_EQ(got.ia_credits, scalar.ia_credits);
+    EXPECT_EQ(got.remnants, scalar.remnants);
+    EXPECT_EQ(got.stats.pairs_pruned_by_ia, scalar.stats.pairs_pruned_by_ia);
+    EXPECT_EQ(got.stats.pairs_pruned_by_nib,
+              scalar.stats.pairs_pruned_by_nib);
+    EXPECT_EQ(got.stats.pairs_validated, scalar.stats.pairs_validated);
+  }
+}
 
 TEST(PrunePipelineTest, PruneAndValidateMatchesNaiveSolver) {
   const ProblemInstance instance = RandomInstance(92);
@@ -295,41 +365,6 @@ TEST(PrunePipelineTest, ClassifyCountersMatchThePass) {
   EXPECT_EQ(classify_stats.pairs_validated, 0);
   EXPECT_EQ(pass_stats.pairs_validated,
             static_cast<int64_t>(remnants.candidates.size()));
-}
-
-// The prune filter's certified thresholds are 12-step nextafter walks from
-// r^2 (down) and succ(r)^2 (up); the walks saturate at +inf and never run
-// from a square that is not a positive normal double.
-TEST(PruneThresholdsTest, MatchTheNextafterWalk) {
-  constexpr int kSteps = 12;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const auto walk = [](double v, double toward) {
-    for (int i = 0; i < kSteps; ++i) v = std::nextafter(v, toward);
-    return v;
-  };
-  std::vector<double> radii = {1e-200, 1e-150, 1e-3, 0.5, 1.0, 3.0,
-                               1234.5678, 1e6, 1e150};
-  double near_overflow = std::sqrt(std::numeric_limits<double>::max());
-  for (int i = 0; i < 40; ++i) {
-    radii.push_back(near_overflow);
-    near_overflow = std::nextafter(near_overflow, 0.0);
-  }
-  for (double r : radii) {
-    const prune_internal::PruneThresholds t =
-        prune_internal::MakePruneThresholds(r);
-    const double r_sq = r * r;
-    const double s = std::nextafter(r, kInf);
-    const double s_sq = s * s;
-    const double want_accept =
-        std::isnormal(r_sq) ? walk(r_sq, -kInf) : -1.0;
-    const double want_reject = std::isnormal(s_sq) ? walk(s_sq, kInf) : kInf;
-    EXPECT_EQ(std::bit_cast<uint64_t>(t.accept),
-              std::bit_cast<uint64_t>(want_accept))
-        << "r=" << r;
-    EXPECT_EQ(std::bit_cast<uint64_t>(t.reject),
-              std::bit_cast<uint64_t>(want_reject))
-        << "r=" << r;
-  }
 }
 
 // Records arrive in ascending order; within a record the IA certificates

@@ -583,12 +583,11 @@ TEST(CounterContractTest, FilteredSolvesMatchForcedScalar) {
                   query::SolveSkyline(prepared, cost)};
   };
   const Solves filtered = [&] {
-    ScopedEnv force("PINOCCHIO_FORCE_SCALAR", nullptr);
     ScopedEnv tier("PINOCCHIO_SIMD_TIER", nullptr);
     return solve();
   }();
   const Solves scalar = [&] {
-    ScopedEnv force("PINOCCHIO_FORCE_SCALAR", "1");
+    ScopedEnv tier("PINOCCHIO_SIMD_TIER", "scalar");
     return solve();
   }();
 
@@ -740,19 +739,10 @@ TEST(DecideAheadTest, StaleSpeculationIsRedecidedBitIdentically) {
       RandomInstance(7301, InstanceOptions{.num_objects = 80,
                                            .num_candidates = 60});
   const PreparedInstance prepared(instance, DefaultConfig());
-  struct Tier {
-    const char* name;
-    const char* force_scalar;
-    const char* simd_tier;
-  };
-  for (const Tier& tier : {Tier{"scalar", "1", nullptr},
-                           Tier{"portable", nullptr, "portable"},
-                           Tier{"sse2", nullptr, "sse2"},
-                           Tier{"avx2", nullptr, "avx2"}}) {
-    SCOPED_TRACE(tier.name);
+  for (const char* tier : {"scalar", "portable", "avx2"}) {
+    SCOPED_TRACE(tier);
     const InfluenceKernel kernel = [&] {
-      ScopedEnv force("PINOCCHIO_FORCE_SCALAR", tier.force_scalar);
-      ScopedEnv simd("PINOCCHIO_SIMD_TIER", tier.simd_tier);
+      ScopedEnv simd("PINOCCHIO_SIMD_TIER", tier);
       return InfluenceKernel(prepared.pf(), prepared.tau());
     }();
     const query::CandidateBrackets brackets =

@@ -4,7 +4,7 @@
 // inputs — the harness's randomized fuzz instances, all five PF families,
 // one-ulp boundary taus and candidates placed exactly on the minMaxRadius
 // rim — in whole batches and one candidate per call (the filter's one-lane
-// path), plus unit tests for the runtime dispatch env overrides.
+// path), plus unit tests for the runtime dispatch and its env override.
 
 #include "prob/influence_kernel_simd.h"
 
@@ -34,7 +34,6 @@ using testing_helpers::ScopedEnv;
 InfluenceKernel MakeKernelForTier(const ProbabilityFunction& pf, double tau,
                                   const char* tier_name) {
   ScopedEnv tier("PINOCCHIO_SIMD_TIER", tier_name);
-  ScopedEnv force("PINOCCHIO_FORCE_SCALAR", nullptr);
   return InfluenceKernel(pf, tau);
 }
 
@@ -42,7 +41,6 @@ InfluenceKernel MakeKernelForTier(const ProbabilityFunction& pf, double tau,
 std::vector<const char*> AvailableFilterTiers() {
   std::vector<const char*> tiers = {"portable"};
   const SimdTier detected = DetectCpuSimdTier();
-  if (detected >= SimdTier::kSse2) tiers.push_back("sse2");
   if (detected >= SimdTier::kAvx2) tiers.push_back("avx2");
   return tiers;
 }
@@ -117,34 +115,19 @@ void ExpectTierMatchesScalar(const InfluenceKernel& kernel,
 TEST(SimdDispatchTest, TierNamesRoundTrip) {
   EXPECT_STREQ(SimdTierName(SimdTier::kScalar), "scalar");
   EXPECT_STREQ(SimdTierName(SimdTier::kPortable), "portable");
-  EXPECT_STREQ(SimdTierName(SimdTier::kSse2), "sse2");
   EXPECT_STREQ(SimdTierName(SimdTier::kAvx2), "avx2");
 }
 
-TEST(SimdDispatchTest, ForceScalarOverrideWins) {
-  const PowerLawPF pf(0.9, 1.0);
-  for (const char* truthy : {"1", "true", "on", "anything"}) {
-    ScopedEnv force("PINOCCHIO_FORCE_SCALAR", truthy);
-    EXPECT_EQ(ResolveSimdTier(), SimdTier::kScalar) << truthy;
-    const InfluenceKernel kernel(pf, 0.7);
-    EXPECT_EQ(kernel.simd_tier(), SimdTier::kScalar) << truthy;
-  }
-  for (const char* falsy : {"0", "false", "off", "no", ""}) {
-    ScopedEnv force("PINOCCHIO_FORCE_SCALAR", falsy);
-    ScopedEnv tier("PINOCCHIO_SIMD_TIER", nullptr);
-    EXPECT_EQ(ResolveSimdTier(), DetectCpuSimdTier()) << "\"" << falsy << "\"";
-  }
-}
-
 TEST(SimdDispatchTest, TierRequestIsClampedByDetection) {
-  ScopedEnv force("PINOCCHIO_FORCE_SCALAR", nullptr);
   {
     ScopedEnv tier("PINOCCHIO_SIMD_TIER", "scalar");
     EXPECT_EQ(ResolveSimdTier(), SimdTier::kScalar);
   }
   {
+    // A build without the filter detects (and so resolves to) scalar.
     ScopedEnv tier("PINOCCHIO_SIMD_TIER", "portable");
-    EXPECT_EQ(ResolveSimdTier(), SimdTier::kPortable);
+    EXPECT_EQ(ResolveSimdTier(),
+              std::min(SimdTier::kPortable, DetectCpuSimdTier()));
   }
   {
     // Requesting the widest tier never resolves above what the probe (and
@@ -153,36 +136,59 @@ TEST(SimdDispatchTest, TierRequestIsClampedByDetection) {
     EXPECT_LE(ResolveSimdTier(), DetectCpuSimdTier());
   }
   {
+    // An unknown name (sse2 is no tier) warns and leaves the detected
+    // tier in place.
+    ScopedEnv tier("PINOCCHIO_SIMD_TIER", "sse2");
+    ::testing::internal::CaptureStderr();
+    const SimdTier resolved = ResolveSimdTier();
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(resolved, DetectCpuSimdTier());
+    EXPECT_NE(log.find("unknown PINOCCHIO_SIMD_TIER value \"sse2\""),
+              std::string::npos)
+        << log;
+  }
+  {
     ScopedEnv tier("PINOCCHIO_SIMD_TIER", nullptr);
     EXPECT_EQ(ResolveSimdTier(), DetectCpuSimdTier());
+  }
+}
+
+// Each tier's name is a request the override accepts: it resolves to that
+// tier clamped by detection, with no warning.
+TEST(SimdDispatchTest, EveryTierNameIsARequest) {
+  for (const SimdTier want :
+       {SimdTier::kScalar, SimdTier::kPortable, SimdTier::kAvx2}) {
+    ScopedEnv tier("PINOCCHIO_SIMD_TIER", SimdTierName(want));
+    ::testing::internal::CaptureStderr();
+    const SimdTier resolved = ResolveSimdTier();
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(resolved, std::min(want, DetectCpuSimdTier()))
+        << SimdTierName(want);
+    EXPECT_EQ(log, "") << SimdTierName(want);
   }
 }
 
 TEST(SimdDispatchTest, KernelCapturesTierAtConstruction) {
   const PowerLawPF pf(0.9, 1.0);
   const InfluenceKernel pinned = [&] {
-    ScopedEnv force("PINOCCHIO_FORCE_SCALAR", nullptr);
     ScopedEnv tier("PINOCCHIO_SIMD_TIER", "portable");
     return InfluenceKernel(pf, 0.7);
   }();
   // The environment changed back after construction; the kernel must not
   // re-read it (per-thread kernels share the construction-time decision).
-  EXPECT_EQ(pinned.simd_tier(), SimdTier::kPortable);
+  EXPECT_EQ(pinned.simd_tier(),
+            std::min(SimdTier::kPortable, DetectCpuSimdTier()));
 }
 
 // The harness's adversarial generator (all PF families, degenerate
 // geometries, boundary taus) drives each available tier against the
 // forced-scalar kernel, object by object.
 TEST(SimdKernelDifferentialTest, FuzzCasesAgreeAcrossTiers) {
-  ScopedEnv force("PINOCCHIO_FORCE_SCALAR", nullptr);
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     const testing_diff::FuzzCase c = testing_diff::GenerateFuzzCase(seed);
     const ProbabilityFunction& pf = *c.config.pf;
     const double tau = c.config.tau;
-    const InfluenceKernel reference = [&] {
-      ScopedEnv fs("PINOCCHIO_FORCE_SCALAR", "1");
-      return InfluenceKernel(pf, tau);
-    }();
+    const InfluenceKernel reference = MakeKernelForTier(pf, tau, "scalar");
     ASSERT_EQ(reference.simd_tier(), SimdTier::kScalar);
     for (const char* tier : AvailableFilterTiers()) {
       const InfluenceKernel kernel = MakeKernelForTier(pf, tau, tier);
@@ -200,7 +206,6 @@ TEST(SimdKernelDifferentialTest, FuzzCasesAgreeAcrossTiers) {
 // ulp below and one ulp above a realised cumulative probability, where any
 // unsound filter bound flips a decision.
 TEST(SimdKernelDifferentialTest, BoundaryTausAgreeAcrossTiers) {
-  ScopedEnv force("PINOCCHIO_FORCE_SCALAR", nullptr);
   Rng rng(98765ull);
   for (const PfCase& c : AllPfFamilies()) {
     for (int i = 0; i < 30; ++i) {
@@ -221,10 +226,8 @@ TEST(SimdKernelDifferentialTest, BoundaryTausAgreeAcrossTiers) {
                              std::nextafter(p, 1.0)};
       for (double tau : taus) {
         if (!(tau > 0.0 && tau < 1.0)) continue;
-        const InfluenceKernel reference = [&] {
-          ScopedEnv fs("PINOCCHIO_FORCE_SCALAR", "1");
-          return InfluenceKernel(*c.pf, tau);
-        }();
+        const InfluenceKernel reference =
+            MakeKernelForTier(*c.pf, tau, "scalar");
         for (const char* tier : AvailableFilterTiers()) {
           const InfluenceKernel kernel = MakeKernelForTier(*c.pf, tau, tier);
           ExpectTierMatchesScalar(kernel, reference, candidates, positions,
@@ -239,7 +242,6 @@ TEST(SimdKernelDifferentialTest, BoundaryTausAgreeAcrossTiers) {
 // candidates sit exactly at (and one ulp around) the largest influencing
 // distance — the arc-rim soundness case PR 4 fixed in scalar space.
 TEST(SimdKernelDifferentialTest, ArcRimCandidatesAgreeAcrossTiers) {
-  ScopedEnv force("PINOCCHIO_FORCE_SCALAR", nullptr);
   Rng rng(31337ull);
   for (const PfCase& c : AllPfFamilies()) {
     for (double tau : {0.05, 0.5, 0.9}) {
@@ -256,10 +258,8 @@ TEST(SimdKernelDifferentialTest, ArcRimCandidatesAgreeAcrossTiers) {
           candidates.push_back({anchor.x + d, anchor.y});
           candidates.push_back({anchor.x, anchor.y - d});
         }
-        const InfluenceKernel reference = [&] {
-          ScopedEnv fs("PINOCCHIO_FORCE_SCALAR", "1");
-          return InfluenceKernel(*c.pf, tau);
-        }();
+        const InfluenceKernel reference =
+            MakeKernelForTier(*c.pf, tau, "scalar");
         for (const char* tier : AvailableFilterTiers()) {
           const InfluenceKernel kernel = MakeKernelForTier(*c.pf, tau, tier);
           ExpectTierMatchesScalar(kernel, reference, candidates, positions,
@@ -274,14 +274,10 @@ TEST(SimdKernelDifferentialTest, ArcRimCandidatesAgreeAcrossTiers) {
 // A clustered bulk workload (the bench's shape) where most lanes decide in
 // vector registers: exercises the chunked early exit and both thresholds.
 TEST(SimdKernelDifferentialTest, BulkClusteredWorkloadAgreesAcrossTiers) {
-  ScopedEnv force("PINOCCHIO_FORCE_SCALAR", nullptr);
   Rng rng(2020ull);
   const PowerLawPF pf(0.9, 1.0);
   const double tau = 0.7;
-  const InfluenceKernel reference = [&] {
-    ScopedEnv fs("PINOCCHIO_FORCE_SCALAR", "1");
-    return InfluenceKernel(pf, tau);
-  }();
+  const InfluenceKernel reference = MakeKernelForTier(pf, tau, "scalar");
   std::vector<Point> candidates;
   for (int j = 0; j < 203; ++j) {  // odd count: exercises the lane tails
     candidates.push_back({rng.Uniform(0.0, 12000.0),
@@ -377,12 +373,7 @@ TEST(SimdKernelDifferentialTest, DecideSetMatchesPerRecordDecideMany) {
       };
       for (double tau : taus) {
         for (const char* tier : tiers) {
-          const InfluenceKernel kernel = [&] {
-            ScopedEnv force("PINOCCHIO_FORCE_SCALAR",
-                            std::string(tier) == "scalar" ? "1" : nullptr);
-            ScopedEnv name("PINOCCHIO_SIMD_TIER", tier);
-            return InfluenceKernel(*c.pf, tau);
-          }();
+          const InfluenceKernel kernel = MakeKernelForTier(*c.pf, tau, tier);
           const int64_t refutations =
               PerRecordReference(kernel, candidate, records, spans,
                                  kUnlimitedRefutations)

@@ -1,7 +1,6 @@
 #include "prob/influence_kernel.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <numbers>
 #include <span>
@@ -12,6 +11,7 @@
 #include "prob/alternative_pfs.h"
 #include "prob/influence.h"
 #include "prob/power_law.h"
+#include "testing/scoped_env.h"
 #include "util/random.h"
 
 namespace pinocchio {
@@ -150,11 +150,12 @@ TEST(InfluenceKernelTest, DecideManyMatchesPerCandidateDecide) {
 }
 
 TEST(InfluenceKernelTest, ForcedScalarDecideManyCountsExactly) {
-  ASSERT_EQ(setenv("PINOCCHIO_FORCE_SCALAR", "1", /*overwrite=*/1), 0);
   Rng rng(4242ull);
   const PowerLawPF pf(0.9, 1.0);
-  const InfluenceKernel kernel(pf, 0.4);
-  ASSERT_EQ(unsetenv("PINOCCHIO_FORCE_SCALAR"), 0);
+  const InfluenceKernel kernel = [&] {
+    testing_helpers::ScopedEnv tier("PINOCCHIO_SIMD_TIER", "scalar");
+    return InfluenceKernel(pf, 0.4);
+  }();
   ASSERT_EQ(kernel.simd_tier(), SimdTier::kScalar);
 
   const std::vector<Point> positions = RandomPositions(&rng, 20, 3000.0);

@@ -1,6 +1,5 @@
 // Scoped environment overrides for tests that steer the runtime dispatch
-// (PINOCCHIO_FORCE_SCALAR, PINOCCHIO_SIMD_TIER) around a kernel's
-// construction.
+// (PINOCCHIO_SIMD_TIER) around a kernel's construction.
 
 #ifndef PINOCCHIO_TESTS_TESTING_SCOPED_ENV_H_
 #define PINOCCHIO_TESTS_TESTING_SCOPED_ENV_H_
