@@ -3,9 +3,14 @@
 // phase is timed. Speedups are relative to the budget-1 rung. (An
 // engineering extension; the paper's prototype is single-threaded.)
 //
+// Each budget above 1 also probes the engine's helper wake-up: the median
+// delay from MorselScheduler::Run() entry to a helper's first morsel over
+// kClaimProbes Runs of 16 morsels of 0.25 ms each (the "claim" column).
+//
 // Emits google-benchmark-style JSON lines to $PINOCCHIO_BENCH_JSON —
 // "BM_ParallelScaling/PIN/<threads>" and "BM_ParallelScaling/PINVO/<threads>"
-// with speedup/efficiency fields. scripts/bench_ab.py gates the budget-1
+// with speedup/efficiency fields, and helper_claim_us above budget 1.
+// scripts/bench_ab.py gates the budget-1
 // rungs against the parent's runs on the same machine and floors the
 // median efficiency of PIN at 4 threads. Exits nonzero if any budget's
 // result or work counter diverges from the budget-1 solve: the solvers'
@@ -15,10 +20,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/morsel_scheduler.h"
 #include "core/pinocchio_solver.h"
 #include "core/pinocchio_vo_solver.h"
 #include "util/stopwatch.h"
@@ -45,6 +53,31 @@ double TimeSolve(Solver& solver, const PreparedInstance& prepared,
     }
   }
   return best;
+}
+
+constexpr int kClaimProbes = 15;
+
+/// Median microseconds from Run() entry to a joined helper's first morsel
+/// over kClaimProbes budget-`threads` Runs of 16 morsels that each spin
+/// 0.25 ms; empty when no helper claimed one.
+std::optional<double> MedianHelperClaimMicros(size_t threads) {
+  const std::vector<Morsel> morsels = PlanUniformMorsels(16, 1);
+  const MorselScheduler scheduler(threads);
+  std::vector<double> delays;
+  for (int probe = 0; probe < kClaimProbes; ++probe) {
+    const MorselRunStats stats =
+        scheduler.Run(morsels, [](size_t, size_t, const Morsel&) {
+          const Stopwatch watch;
+          while (watch.ElapsedSeconds() < 0.25e-3) {
+          }
+        });
+    delays.insert(delays.end(), stats.helper_claim_seconds.begin(),
+                  stats.helper_claim_seconds.end());
+  }
+  if (delays.empty()) return std::nullopt;
+  const auto mid = delays.begin() + static_cast<std::ptrdiff_t>(delays.size() / 2);
+  std::nth_element(delays.begin(), mid, delays.end());
+  return *mid * 1e6;
 }
 
 /// Same answer and the same work: every result field and every counter the
@@ -92,7 +125,7 @@ void Main() {
 
   TablePrinter table("Morsel-engine scaling (Gowalla, best of 3)",
                      {"threads", "PIN", "speedup", "eff", "PIN-VO", "speedup",
-                      "eff", "agree"});
+                      "eff", "claim", "agree"});
 
   // rungs[0] == 1: the reference every other budget is timed and diffed
   // against.
@@ -121,24 +154,28 @@ void Main() {
         vo_seconds > 0.0 ? vo_ref_seconds / vo_seconds : 0.0;
     const double pin_eff = pin_speedup / static_cast<double>(threads);
     const double vo_eff = vo_speedup / static_cast<double>(threads);
+    const std::optional<double> claim_us =
+        threads > 1 ? MedianHelperClaimMicros(threads) : std::nullopt;
 
     table.AddRow({std::to_string(threads), FormatSeconds(pin_seconds),
                   FormatDouble(pin_speedup, 2) + "x", FormatDouble(pin_eff, 2),
                   FormatSeconds(vo_seconds),
                   FormatDouble(vo_speedup, 2) + "x", FormatDouble(vo_eff, 2),
+                  claim_us ? FormatDouble(*claim_us, 1) + "us" : "-",
                   agree ? "yes" : "NO"});
 
     if (json.is_open()) {
-      json << "{\"name\": \"BM_ParallelScaling/PIN/" << threads
-           << "\", \"seconds\": " << pin_seconds << ", \"threads\": " << threads
-           << ", \"speedup\": " << pin_speedup
-           << ", \"efficiency\": " << pin_eff
-           << ", \"hardware_concurrency\": " << hardware << "}\n";
-      json << "{\"name\": \"BM_ParallelScaling/PINVO/" << threads
-           << "\", \"seconds\": " << vo_seconds << ", \"threads\": " << threads
-           << ", \"speedup\": " << vo_speedup
-           << ", \"efficiency\": " << vo_eff
-           << ", \"hardware_concurrency\": " << hardware << "}\n";
+      const auto rung = [&](const char* solver, double seconds,
+                            double speedup, double efficiency) {
+        json << "{\"name\": \"BM_ParallelScaling/" << solver << "/"
+             << threads << "\", \"seconds\": " << seconds
+             << ", \"threads\": " << threads << ", \"speedup\": " << speedup
+             << ", \"efficiency\": " << efficiency;
+        if (claim_us) json << ", \"helper_claim_us\": " << *claim_us;
+        json << ", \"hardware_concurrency\": " << hardware << "}\n";
+      };
+      rung("PIN", pin_seconds, pin_speedup, pin_eff);
+      rung("PINVO", vo_seconds, vo_speedup, vo_eff);
     }
   }
   table.Print(std::cout);

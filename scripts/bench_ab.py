@@ -18,7 +18,9 @@ runner, taken alongside, never against a checked-in number:
     compare.py's verdict() under one BOUND. Rungs above thread budget 1
     are printed but not gated: host phases dominate their variance, and
     the efficiency floor covers scaling. BM_StreamIngest/delta's best-lag
-    p99 is printed beside its seconds as both sides' medians, not gated.
+    p99 and each budget's helper claim delay (BM_ParallelScaling's
+    helper_claim_us: Run() entry to a helper's first morsel) are printed
+    as both sides' medians, not gated.
 
 Two self-relative floors are read from the change's runs: the SIMD
 filter's median speedup over the scalar reference on BM_ValidationSimd/780,
@@ -156,7 +158,7 @@ def print_per_op(trees, workloads):
 
 
 def median_of(runs, name, field):
-    values = [run[name][field] for run in runs if name in run]
+    values = [run[name][field] for run in runs if field in run.get(name, {})]
     return statistics.median(values) if values else None
 
 
@@ -226,6 +228,14 @@ def main():
                    for side in (parent, change)]
             print(f"  {'':<30} best_lag_p99_seconds medians (us): "
                   f"A {lag[0]:.4g}, B {lag[1]:.4g} (not gated)")
+        if name.startswith("BM_ParallelScaling/PIN/"):
+            # Not gated; "-" where a side's runs carry no helper claims.
+            claim = ["-" if us is None else f"{us:.4g}"
+                     for us in (median_of(side, name, "helper_claim_us")
+                                for side in (parent, change))]
+            if claim != ["-", "-"]:
+                print(f"  {'':<30} helper_claim_us medians: "
+                      f"A {claim[0]}, B {claim[1]} (not gated)")
 
     print("== floors, medians of the change's runs")
     speedup = median_of(change, SIMD_RUNG, "speedup_vs_scalar")

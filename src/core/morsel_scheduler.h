@@ -23,6 +23,19 @@
 // thieves CAS-retreat tail. head only grows and tail only shrinks within
 // one Run(), so the CAS loop is ABA-free, and each morsel index is claimed
 // exactly once.
+//
+// Workers: the calling thread is worker 0, and the rest come from one
+// process-wide set of helper threads. The first Run() above one worker
+// starts the set; it grows to the most helpers any Run() could use
+// (budget - 1, fewer for a shorter morsel list) and lives until process
+// exit, parked on an atomic word between Runs. A Run() publishes its job,
+// wakes the set and works its own share; each helper that wakes in time
+// joins with the next free worker index. Once every morsel is claimed the
+// caller closes the job and waits only for the helpers that joined, never
+// for one still to wake. So concurrent Runs (server workers solving at
+// once, or a Run whose helpers sit in a decide-ahead walk) go ahead with
+// fewer helpers, down to none, and since every morsel still runs exactly
+// once, the contract above holds however many joined.
 
 #ifndef PINOCCHIO_CORE_MORSEL_SCHEDULER_H_
 #define PINOCCHIO_CORE_MORSEL_SCHEDULER_H_
@@ -80,12 +93,16 @@ std::vector<Morsel> PlanUniformMorsels(size_t count, size_t target_items,
 /// their utilisation accounting, tests assert on steals).
 struct MorselRunStats {
   size_t num_morsels = 0;
-  /// Workers actually spawned (<= num_threads(): never more than morsels).
+  /// Workers that took part: the caller and the helpers that joined
+  /// (<= num_threads(): never more than morsels).
   size_t num_workers = 0;
   /// Morsels executed by a worker other than the one they were dealt to.
   int64_t steals = 0;
   /// Sum of per-worker wall time inside the run loop, across workers.
   double busy_seconds = 0.0;
+  /// Seconds from Run() entry to each joined helper's first morsel, in
+  /// worker order; a helper that found every morsel claimed adds none.
+  std::vector<double> helper_claim_seconds;
 };
 
 /// Process-wide sum of worker busy seconds across every MorselScheduler
@@ -93,9 +110,14 @@ struct MorselRunStats {
 /// uptime x solve_threads to expose solve-thread utilisation.
 double MorselEngineBusySeconds();
 
-/// Executes a morsel list with work stealing. Stateless between runs; a
-/// Run() spawns its workers, joins them and returns. Safe to use from
-/// multiple threads concurrently (each Run() is independent).
+/// Helper threads the engine has started in this process: 0 until the
+/// first Run() above one worker, then the most any Run() could use.
+size_t MorselEngineHelpers();
+
+/// Executes a morsel list with work stealing on the calling thread and the
+/// process-wide helpers that join it (see the file comment). Holds only its
+/// budget; safe to use from multiple threads concurrently (each Run() is
+/// independent).
 class MorselScheduler {
  public:
   /// `num_threads == 0` selects the hardware concurrency.
@@ -106,9 +128,10 @@ class MorselScheduler {
   /// body(worker, morsel_index, morsel) runs exactly once per morsel; the
   /// worker index is stable within the run and < num_workers, so bodies can
   /// index per-worker accumulators without synchronisation. With one worker
-  /// (or one morsel) the body runs inline on the calling thread. The first
-  /// exception thrown by any body aborts outstanding morsels and is
-  /// rethrown here after all workers joined.
+  /// (or one morsel) the body runs inline on the calling thread and no
+  /// helper is started. The first exception thrown by any body aborts
+  /// outstanding morsels of this run and is rethrown here after every
+  /// joined helper has left it.
   MorselRunStats Run(
       std::span<const Morsel> morsels,
       const std::function<void(size_t, size_t, const Morsel&)>& body) const;
@@ -117,9 +140,10 @@ class MorselScheduler {
   size_t num_threads_;
 };
 
-/// The largest thread budget the tools accept: each phase of a solve starts
-/// up to budget - 1 threads, so a flag is refused above this rather than
-/// left to fail thread creation mid-request.
+/// The largest thread budget the tools accept. The engine's helper set grows
+/// to the largest budget - 1 a Run() uses (never past kMaxThreadBudget - 1)
+/// and keeps its threads until exit, so a flag is refused above this rather
+/// than left to grow the set without bound.
 inline constexpr size_t kMaxThreadBudget = 256;
 
 /// Morsels dealt per worker by PlanRecordMorsels; more than one so drained

@@ -1,9 +1,12 @@
 #include "core/morsel_scheduler.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -242,6 +245,162 @@ TEST(MorselSchedulerTest, ConcurrentRunsAreIndependent) {
     EXPECT_EQ(a[i].load(), 1) << i;
     EXPECT_EQ(b[i].load(), 1) << i;
   }
+}
+
+// Budget-4 Runs from four threads at once share one helper set; each Run
+// still covers its morsels exactly once with worker indices below 4.
+TEST(MorselSchedulerTest, ConcurrentRunsShareTheHelperSet) {
+  constexpr int kThreads = 4;
+  constexpr int kRuns = 50;
+  const std::vector<Morsel> morsels = PlanUniformMorsels(64, 1);
+  const MorselScheduler scheduler(4);
+  std::atomic<int> bad_runs{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&] {
+      for (int run = 0; run < kRuns; ++run) {
+        std::vector<std::atomic<int>> seen(morsels.size());
+        std::atomic<bool> in_range{true};
+        const MorselRunStats stats =
+            scheduler.Run(morsels, [&](size_t worker, size_t mi, const Morsel&) {
+              if (worker >= 4) in_range.store(false);
+              seen[mi].fetch_add(1, std::memory_order_relaxed);
+            });
+        bool ok = in_range.load() && stats.num_workers <= 4;
+        for (const auto& s : seen) ok = ok && s.load() == 1;
+        if (!ok) bad_runs.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(bad_runs.load(), 0);
+}
+
+// Run A's bodies hold the caller and every helper on a latch; Run B,
+// issued meanwhile, must finish on its caller alone: a Run never waits for
+// a helper to start.
+TEST(MorselSchedulerTest, RunNeverWaitsForBusyHelpers) {
+  MorselScheduler(4).Run(PlanUniformMorsels(4, 1),
+                         [](size_t, size_t, const Morsel&) {});
+  const size_t helpers = MorselEngineHelpers();
+  ASSERT_GE(helpers, 3u);
+  const MorselScheduler wide(helpers + 1);
+
+  std::latch open(1);
+  std::atomic<size_t> held{0};
+  std::thread holder([&] {
+    wide.Run(PlanUniformMorsels(helpers + 1, 1),
+             [&](size_t, size_t, const Morsel&) {
+               held.fetch_add(1);
+               open.wait();
+             });
+  });
+  while (held.load() < helpers + 1) std::this_thread::yield();
+
+  const std::vector<Morsel> morsels = PlanUniformMorsels(64, 1);
+  std::vector<std::atomic<int>> seen(morsels.size());
+  const MorselRunStats stats =
+      wide.Run(morsels, [&](size_t, size_t mi, const Morsel&) {
+        seen[mi].fetch_add(1, std::memory_order_relaxed);
+      });
+  EXPECT_FALSE(open.try_wait()) << "B finished only after the latch opened";
+  EXPECT_EQ(stats.num_workers, 1u);
+  EXPECT_TRUE(stats.helper_claim_seconds.empty());
+  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
+  EXPECT_EQ(MorselEngineHelpers(), helpers);
+
+  open.count_down();
+  holder.join();
+}
+
+// A helper's exception fails only its own Run; Runs beside it and after it
+// complete, and the next Run is served by the same helpers.
+TEST(MorselSchedulerTest, HelperExceptionStaysInItsRun) {
+  const MorselScheduler scheduler(4);
+  const std::vector<Morsel> morsels = PlanUniformMorsels(16, 1);
+  scheduler.Run(morsels, [](size_t, size_t, const Morsel&) {});
+  const size_t helpers = MorselEngineHelpers();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> beside_failures{0};
+  std::thread beside([&] {
+    while (!stop.load()) {
+      std::vector<std::atomic<int>> seen(morsels.size());
+      try {
+        scheduler.Run(morsels, [&](size_t, size_t mi, const Morsel&) {
+          seen[mi].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (const auto& s : seen) {
+          if (s.load() != 1) beside_failures.fetch_add(1);
+        }
+      } catch (...) {
+        beside_failures.fetch_add(1);
+      }
+    }
+  });
+
+  // The caller's own morsels wait for a helper to throw, so the exception
+  // this Run reports can only be a helper's.
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<bool> thrown{false};
+    try {
+      scheduler.Run(morsels, [&](size_t worker, size_t, const Morsel&) {
+        if (worker != 0) {
+          thrown.store(true);
+          throw std::runtime_error("helper");
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+        while (!thrown.load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      });
+      EXPECT_FALSE(thrown.load()) << "a helper threw, the Run returned";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()), "helper");
+    }
+  }
+  stop.store(true);
+  beside.join();
+  EXPECT_EQ(beside_failures.load(), 0);
+
+  // The next Run's caller blocks on its first morsel until some other
+  // worker has run one: only a helper of the same set can.
+  std::atomic<bool> helped{false};
+  const MorselRunStats stats =
+      scheduler.Run(morsels, [&](size_t worker, size_t mi, const Morsel&) {
+        if (worker != 0) helped.store(true);
+        if (mi != 0) return;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!helped.load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      });
+  EXPECT_TRUE(helped.load());
+  EXPECT_GT(stats.num_workers, 1u);
+  EXPECT_GE(stats.helper_claim_seconds.size(), 1u);
+  EXPECT_LT(stats.helper_claim_seconds.size(), stats.num_workers);
+  EXPECT_EQ(MorselEngineHelpers(), helpers);
+}
+
+// Budget-1 Runs start no helper; the set grows to the largest budget - 1
+// and no further.
+TEST(MorselSchedulerTest, HelperSetGrowsToLargestBudget) {
+  const size_t before = MorselEngineHelpers();
+  const size_t largest = std::min(before + 3, kMaxThreadBudget);
+  const std::vector<Morsel> morsels = PlanUniformMorsels(2 * largest, 1);
+  const auto noop = [](size_t, size_t, const Morsel&) {};
+  for (int run = 0; run < 10; ++run) MorselScheduler(1).Run(morsels, noop);
+  EXPECT_EQ(MorselEngineHelpers(), before);
+
+  MorselScheduler(largest).Run(morsels, noop);
+  EXPECT_EQ(MorselEngineHelpers(), largest - 1);
+  MorselScheduler(2).Run(morsels, noop);
+  MorselScheduler(largest).Run(morsels, noop);
+  // Fewer morsels than the budget use (and start) fewer helpers.
+  MorselScheduler(largest + 4).Run(PlanUniformMorsels(largest, 1), noop);
+  EXPECT_EQ(MorselEngineHelpers(), largest - 1);
 }
 
 std::vector<MovingObject> ObjectsWithCounts(

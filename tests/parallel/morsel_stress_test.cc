@@ -1,9 +1,10 @@
 // Morsel-engine concurrency contract, pinned under ThreadSanitizer (this
 // test is part of the TSan CI job): solver threads run PIN-VO at thread
 // budgets 2 and 3 against RCU-acquired snapshots while a writer thread keeps
-// publishing replacement snapshots. Each solve spawns its own work-stealing
-// crew, so the test exercises (a) the stealing deques under contention,
-// (b) several concurrent MorselScheduler::Run() calls in one process, and
+// publishing replacement snapshots. Every solve's Runs share the engine's
+// one helper set, so the test exercises (a) the stealing deques under
+// contention, (b) several concurrent MorselScheduler::Run() calls in one
+// process, each going ahead with whichever helpers are free, and
 // (c) the snapshot pin: a solve must keep reading one coherent
 // PreparedInstance even when the holder swaps mid-flight. Results and
 // every work counter are checked bit-identical against a budget-1 solve of
